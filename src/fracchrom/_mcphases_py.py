@@ -1,11 +1,14 @@
 """Pure-python trial kernel; drop-in stand-in for the compiled one.
 
-Must consume random bits in exactly the same order as the compiled
-kernel and as ``sampler.run_phases_1_4``: one bit per matching edge in
-sorted edge order (bit set = larger endpoint becomes the head), then for
-each selection pass one bit per path or even-cycle run and a
+``trial_masks`` is the one Python implementation of phases 1-4: the
+Monte Carlo kernel below, the reference sampler ``sampler.run_phases_1_4``
+and the five-phase Monte Carlo path all run it.  It consumes random bits
+in exactly the same order as the compiled kernel: one bit per matching
+edge in sorted edge order (bit set = larger endpoint becomes the head),
+then for each selection pass one bit per path or even-cycle run and a
 rejection-sampled index per odd-cycle run, runs taken cycle by cycle in
-order of their starting position.
+order of their starting position.  Vertex sets are Python-int bitmasks,
+so any number of vertices works.
 """
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -30,9 +33,6 @@ def run_trials(n, edges_a, edges_b, cycle_starts, cycle_verts, adj_mask,
     """
     counts = [0] * n
     violations = 0
-    m = len(edges_a)
-    ncycles = len(cycle_starts) - 1
-    all_mask = (1 << n) - 1
 
     for t in range(first_trial, first_trial + trials):
         state = (seed + (t + 1) * _GAMMA) & _MASK64
@@ -45,54 +45,15 @@ def run_trials(n, edges_a, edges_b, cycle_starts, cycle_verts, adj_mask,
             z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
             return (z ^ (z >> 31)) >> (64 - k)
 
-        active = 0
-        for e in range(m):
-            active |= 1 << (edges_b[e] if bits(1) else edges_a[e])
-
-        covered = _select(cycle_starts, cycle_verts, ncycles, active, bits)
-        rest = active
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if not adj_mask[v] & active:
-                covered |= 1 << v
-
-        feasible = 0
-        blocked = covered
-        rest = all_mask & ~covered
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if not adj_mask[v] & blocked:
-                feasible |= 1 << v
-
-        covered |= _select(cycle_starts, cycle_verts, ncycles, feasible, bits)
-
-        if phase4_recompute:
-            feas2 = 0
-            rest = all_mask & ~covered
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if not adj_mask[v] & covered:
-                    feas2 |= 1 << v
-            pool = feas2
-        else:
-            pool = feasible
-        rest = pool
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if not adj_mask[v] & pool:
-                covered |= 1 << v
-
+        out = trial_masks(n, edges_a, edges_b, cycle_starts, cycle_verts,
+                          adj_mask, phase4_recompute, bits)[4]
         bad = False
         v = 0
-        rest = covered
+        rest = out
         while rest:
             if rest & 1:
                 counts[v] += 1
-                if adj_mask[v] & covered:
+                if adj_mask[v] & out:
                     bad = True
             rest >>= 1
             v += 1
@@ -101,11 +62,56 @@ def run_trials(n, edges_a, edges_b, cycle_starts, cycle_verts, adj_mask,
     return counts, violations
 
 
-def _select(cycle_starts, cycle_verts, ncycles, mask, bits):
+def trial_masks(n, edges_a, edges_b, cycle_starts, cycle_verts, adj_mask,
+                phase4_recompute, bits):
+    """One run of phases 1-4, every choice drawn from ``bits(k)`` (an
+    integer of ``k`` random bits).
+
+    Returns the bitmasks ``(heads, s1, feasible, s3, out)``: the active
+    vertices, the phase-1 selection, the vertices feasible for phase 3,
+    the phase-3 selection and the output set.
+    """
+    heads = 0
+    for a, b in zip(edges_a, edges_b):
+        heads |= 1 << (b if bits(1) else a)
+    s1 = _select(cycle_starts, cycle_verts, heads, bits)
+    covered = s1 | _isolated(adj_mask, heads)
+    feasible = _free(n, adj_mask, covered)
+    s3 = _select(cycle_starts, cycle_verts, feasible, bits)
+    covered |= s3
+    pool = _free(n, adj_mask, covered) if phase4_recompute else feasible
+    return heads, s1, feasible, s3, covered | _isolated(adj_mask, pool)
+
+
+def _isolated(adj_mask, mask):
+    """The vertices of ``mask`` with no neighbour in ``mask``."""
+    out = 0
+    rest = mask
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        if not adj_mask[v] & mask:
+            out |= 1 << v
+    return out
+
+
+def _free(n, adj_mask, covered):
+    """The vertices outside ``covered`` with no neighbour in it."""
+    out = 0
+    rest = ((1 << n) - 1) & ~covered
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        if not adj_mask[v] & covered:
+            out |= 1 << v
+    return out
+
+
+def _select(cycle_starts, cycle_verts, mask, bits):
     """One selection pass over the runs of ``mask``, mirroring the exact
     branch order of the enumerator."""
     selected = 0
-    for c in range(ncycles):
+    for c in range(len(cycle_starts) - 1):
         lo, hi = cycle_starts[c], cycle_starts[c + 1]
         length = hi - lo
         covered_all = True

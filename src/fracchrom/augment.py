@@ -608,7 +608,9 @@ def run_phase5(J: IndependentSet, plan: Phase5Plan, rng: SplitMix64) -> Independ
         if _bernoulli(rng, bias):
             added.append(u)
     out = plan.apply_swaps(J, added)
-    assert is_independent(plan.graph, out.members)
+    if not is_independent(plan.graph, out.members):
+        raise RuntimeError("the repair phase produced the dependent set %r"
+                           % sorted(out.members))
     return out
 
 

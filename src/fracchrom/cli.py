@@ -29,7 +29,6 @@ from .augment import (
     PreconditionFailure,
     deficiency_report,
     exact_phase5_distribution,
-    run_phase5,
 )
 from .fractional_lp import (
     ColouringError,
@@ -40,12 +39,7 @@ from .fractional_lp import (
     verify_certificate,
 )
 from .graph_core import Graph, GraphError, GuardExceeded, analyze, parse_edge_list, parse_graph6
-from .sampler import (
-    is_independent,
-    monte_carlo,
-    run_phases_1_4,
-    trial_stream,
-)
+from .sampler import monte_carlo
 from .two_factor import (
     NoQualifyingTwoFactor,
     TwoFactorError,
@@ -216,7 +210,22 @@ def _exact_prob(cfg: RunConfig, g: Graph, tf) -> dict:
 
 def _monte_carlo_prob(cfg: RunConfig, g: Graph, tf) -> dict:
     eps_table, deficient = _epsilon_payload(g, tf)
-    base = {
+    plan = None
+    if deficient:
+        # the repair phase needs the exact plan; each trial then runs it
+        # after phases 1-4, on its own bit stream
+        plan, _ = exact_phase5_distribution(
+            g, tf,
+            phase4=cfg.phase4,
+            max_orientations=cfg.max_orientations,
+            max_branches=cfg.max_branches,
+        )
+    report = monte_carlo(
+        g, tf, cfg.trials, cfg.seed,
+        phase4=cfg.phase4, workers=cfg.workers, plan=plan,
+    )
+    lo = min(report.frequency(v) for v in range(g.n))
+    return {
         "mode": "monte-carlo",
         "phase4": cfg.phase4,
         "seed": cfg.seed,
@@ -224,48 +233,13 @@ def _monte_carlo_prob(cfg: RunConfig, g: Graph, tf) -> dict:
         "epsilon": eps_table,
         "deficiency_report": deficient,
         "threshold": f"{LOWER_BOUND_NUM}/256",
+        "backend": report.backend,
+        "violations": report.violations,
+        "counts": list(report.counts),
+        "frequencies": [_fr(report.frequency(v)) for v in range(g.n)],
+        "min_frequency": _fr(lo),
+        "meets_threshold": lo >= Fraction(LOWER_BOUND_NUM, 256),
     }
-    if deficient:
-        # the repair phase needs the exact plan; trials then replay all
-        # five phases from each trial's own bit stream
-        plan, _ = exact_phase5_distribution(
-            g, tf,
-            phase4=cfg.phase4,
-            max_orientations=cfg.max_orientations,
-            max_branches=cfg.max_branches,
-        )
-        counts = [0] * g.n
-        violations = 0
-        for t in range(cfg.trials):
-            rng = trial_stream(cfg.seed, t)
-            _, out = run_phases_1_4(g, tf, rng, cfg.phase4)
-            out = run_phase5(out, plan, rng)
-            if not is_independent(g, out.members):
-                violations += 1
-            for v in out.members:
-                counts[v] += 1
-        base.update({
-            "backend": "five-phase-reference",
-            "violations": violations,
-            "counts": counts,
-            "frequencies": [_fr(Fraction(c, cfg.trials)) for c in counts],
-        })
-        lo = Fraction(min(counts), cfg.trials)
-    else:
-        report = monte_carlo(
-            g, tf, cfg.trials, cfg.seed,
-            phase4=cfg.phase4, workers=cfg.workers,
-        )
-        base.update({
-            "backend": report.backend,
-            "violations": report.violations,
-            "counts": list(report.counts),
-            "frequencies": [_fr(report.frequency(v)) for v in range(g.n)],
-        })
-        lo = min(report.frequency(v) for v in range(g.n))
-    base["min_frequency"] = _fr(lo)
-    base["meets_threshold"] = lo >= Fraction(LOWER_BOUND_NUM, 256)
-    return base
 
 
 def cmd_prob(cfg: RunConfig) -> dict:

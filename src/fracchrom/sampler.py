@@ -6,13 +6,16 @@ sets inside the runs of matching-heads (phase 1), promotes isolated heads
 (phase 2), repeats the run selection on the still-eligible "feasible"
 vertices (phase 3) and promotes isolated feasible vertices (phase 4).
 
-Two execution backends are provided.  ``enumerate_distribution`` walks
+Two execution engines are provided.  ``enumerate_distribution`` walks
 every orientation and every selection branch, producing the exact
 rational law of the output set together with per-vertex inclusion
 probabilities; the per-situation records it caches also answer event
 queries (``event_probability``, ``forces``, ``admissible``, ``exact_q``).
-``monte_carlo`` estimates the marginals with a seeded, reproducible
-sampler backed by a compiled kernel when one is available.
+It is the oracle and shares no code with the sampler.  Sampling runs
+the one mask-level trial of ``_mcphases_py.trial_masks`` (or its compiled
+twin): ``run_phases_1_4`` draws a single situation, and ``monte_carlo``
+estimates the marginals with a seeded, reproducible driver, optionally
+followed by the phase-5 repair.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _mcphases_py
 from .graph_core import Graph, GraphError, GuardExceeded
 from .templates import Template, validate_in
 from .two_factor import TwoFactor, TwoFactorError
@@ -231,8 +235,8 @@ def is_independent(g: Graph, members) -> bool:
 
 # ---------------------------------------------------------------------------
 # run decomposition and the selection law (single source of truth for the
-# branch order shared by the enumerator, the reference sampler and the
-# compiled kernels)
+# branch order: the trial kernels map their bits to it, and
+# ``run_phases_1_4`` checks every draw against it)
 
 
 def _mask_of(vertices) -> int:
@@ -293,26 +297,17 @@ def _run_branches(tf: TwoFactor, is_cycle: bool, seq):
     ]
 
 
-def _sample_selection(tf: TwoFactor, mask: int, rng):
-    """Draw one outcome of the selection step on ``mask``; returns
-    ``(selected_mask, probability)``."""
-    selected = 0
+def _selection_prob(tf: TwoFactor, mask: int, selected: int) -> Fraction:
+    """Probability that the selection step on ``mask`` picks ``selected``."""
     prob = Fraction(1)
     for is_cycle, seq in _mask_runs(tf.cycles, mask):
-        branches = _run_branches(tf, is_cycle, seq)
-        if len(branches) == 2:
-            idx = 0 if rng.getrandbits(1) else 1
-        else:
-            length = len(seq)
-            k = length.bit_length()
-            while True:
-                idx = rng.getrandbits(k)
-                if idx < length:
-                    break
-        pick, p = branches[idx]
-        selected |= pick
-        prob *= p
-    return selected, prob
+        pick = selected & _mask_of(seq)
+        probs = [p for m, p in _run_branches(tf, is_cycle, seq) if m == pick]
+        if not probs:
+            raise RuntimeError("selection %r is not a branch of the run %r"
+                               % (_mask_vertices(pick), list(seq)))
+        prob *= probs[0]
+    return prob
 
 
 def phi_outcomes(X, tf: TwoFactor):
@@ -329,12 +324,8 @@ def phi_outcomes(X, tf: TwoFactor):
         if not (0 <= v < n):
             raise GraphError("vertex %r out of range" % (v,))
         members.add(v)
-    outcomes = [(0, Fraction(1))]
-    for is_cycle, seq in _mask_runs(tf.cycles, _mask_of(members)):
-        branches = _run_branches(tf, is_cycle, seq)
-        outcomes = [(acc | pick, ap * p)
-                    for acc, ap in outcomes for pick, p in branches]
-    return [(frozenset(_mask_vertices(m)), p) for m, p in outcomes]
+    return [(frozenset(_mask_vertices(m)), p)
+            for m, p in _branch_products(tf, _mask_of(members))]
 
 
 def _mask_vertices(mask: int):
@@ -407,37 +398,25 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng, phase4: str = "start"):
     """Run the construction once, driving all choices from ``rng``.
 
     ``rng`` needs a ``getrandbits`` method.  Returns the full record of
-    random choices and the output set.
+    random choices and the output set.  The choices are those of the
+    mask-level trial that every sampler runs; the probability is read off
+    the enumerator's own run branches.
     """
     _check_phase4(phase4)
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
-    adj_mask = _adj_masks(g)
-
-    m_edges = sorted(tf.m_edges)
-    heads = 0
-    for a, b in m_edges:
-        heads |= (1 << b) if rng.getrandbits(1) else (1 << a)
-    prob = Fraction(1, 1 << len(m_edges))
-
-    s1, p1 = _sample_selection(tf, heads, rng)
-    covered = s1 | _phase_2(adj_mask, heads)
-    feasible = _feasible_mask(g.n, adj_mask, covered)
-    s3, p3 = _sample_selection(tf, feasible, rng)
-    covered |= s3
-    if phase4 == "start":
-        covered |= _phase_4(adj_mask, feasible)
-    else:
-        feas2 = _feasible_mask(g.n, adj_mask, covered)
-        covered |= _phase_4(adj_mask, feas2)
-
-    members = frozenset(_mask_vertices(covered))
-    assert is_independent(g, members)
+    heads, s1, feasible, s3, out = _mcphases_py.trial_masks(
+        g.n, *_kernel_args(g, tf), phase4 == "recompute", rng.getrandbits)
+    members = frozenset(_mask_vertices(out))
+    if not is_independent(g, members):
+        raise RuntimeError("phases 1-4 produced the dependent set %r"
+                           % sorted(members))
     situation = Situation(
         orientation_from_heads(tf, _mask_vertices(heads)),
         frozenset(_mask_vertices(s1)),
         frozenset(_mask_vertices(s3)),
-        prob * p1 * p3,
+        Fraction(1, 1 << len(tf.m_edges)) * _selection_prob(tf, heads, s1)
+        * _selection_prob(tf, feasible, s3),
     )
     return situation, IndependentSet(members)
 
@@ -459,11 +438,23 @@ class _SitRec:
 
 
 class _Law:
-    __slots__ = ("recs", "result")
+    __slots__ = ("recs", "result", "orientations", "branches")
 
-    def __init__(self, recs, result):
+    def __init__(self, recs, result, orientations, branches):
         self.recs = recs
         self.result = result
+        self.orientations = orientations
+        self.branches = branches
+
+
+def _check_guards(orientations, branches, max_orientations, max_branches):
+    if orientations > max_orientations:
+        raise ExplosionGuard(
+            "2^%d matching orientations exceed the limit of %d"
+            % (orientations.bit_length() - 1, max_orientations))
+    if branches > max_branches:
+        raise ExplosionGuard(
+            "situation count passed the limit of %d branches" % max_branches)
 
 
 _LAW_CACHE = {}
@@ -481,10 +472,7 @@ def _branch_products(tf, mask):
 
 def _compute_law(g, tf, phase4, max_orientations, max_branches):
     m = len(tf.m_edges)
-    if (1 << m) > max_orientations:
-        raise ExplosionGuard(
-            "2^%d matching orientations exceed the limit of %d"
-            % (m, max_orientations))
+    _check_guards(1 << m, 0, max_orientations, max_branches)
     adj_mask = _adj_masks(g)
     m_edges = sorted(tf.m_edges)
     recs = []
@@ -499,10 +487,7 @@ def _compute_law(g, tf, phase4, max_orientations, max_branches):
             feasible = _feasible_mask(g.n, adj_mask, covered1)
             for s3, p3 in _branch_products(tf, feasible):
                 branch_count += 1
-                if branch_count > max_branches:
-                    raise ExplosionGuard(
-                        "situation count passed the limit of %d branches"
-                        % max_branches)
+                _check_guards(0, branch_count, max_orientations, max_branches)
                 covered = covered1 | s3
                 if phase4 == "start":
                     covered |= _phase_4(adj_mask, feasible)
@@ -526,24 +511,30 @@ def _compute_law(g, tf, phase4, max_orientations, max_branches):
     pmf = {}
     for mask, prob in pmf_masks.items():
         members = frozenset(_mask_vertices(mask))
-        assert is_independent(g, members)
+        if not is_independent(g, members):
+            raise RuntimeError("the enumeration produced the dependent set %r"
+                               % sorted(members))
         pmf[IndependentSet(members)] = prob
     result = EnumerationResult(Distribution(pmf), marginals)
-    return _Law(recs, result)
+    return _Law(recs, result, 1 << m, branch_count)
 
 
 def _law(g, tf, phase4="start", max_orientations=None, max_branches=None):
     _check_phase4(phase4)
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
+    if max_orientations is None:
+        max_orientations = DEFAULT_MAX_ORIENTATIONS
+    if max_branches is None:
+        max_branches = DEFAULT_MAX_BRANCHES
     key = (g, tf, phase4)
     law = _LAW_CACHE.get(key)
     if law is None:
-        law = _compute_law(
-            g, tf, phase4,
-            DEFAULT_MAX_ORIENTATIONS if max_orientations is None else max_orientations,
-            DEFAULT_MAX_BRANCHES if max_branches is None else max_branches)
+        law = _compute_law(g, tf, phase4, max_orientations, max_branches)
         _LAW_CACHE[key] = law
+    else:  # a cached law answers only callers whose guards it meets
+        _check_guards(law.orientations, law.branches,
+                      max_orientations, max_branches)
     return law
 
 
@@ -666,7 +657,7 @@ def exact_q(t: Template, g: Graph, tf: TwoFactor, *,
 try:  # compiled kernel is optional
     from . import _mcphases as _kernel
 except ImportError:  # pragma: no cover - depends on build environment
-    from . import _mcphases_py as _kernel
+    _kernel = _mcphases_py
 
 
 def kernel_backend() -> str:
@@ -734,41 +725,36 @@ def default_workers() -> int:
 
 
 def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
-                phase4: str = "start", workers: int = None) -> MonteCarloReport:
+                phase4: str = "start", workers: int = None,
+                plan=None) -> MonteCarloReport:
     """Estimate inclusion frequencies over ``trials`` independent runs.
 
     Fully deterministic for a given seed: every trial draws from its own
     seed-derived stream, so neither the worker count nor the scheduling
-    changes the result.
+    changes the result.  With a phase-5 ``plan`` (an
+    ``augment.Phase5Plan`` for this two-factor) each trial runs phases
+    1-4 and then the repair phase on the same stream.
     """
     _check_phase4(phase4)
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
+    if plan is not None and plan.tf != tf:
+        raise TwoFactorError("phase-5 plan belongs to a different two-factor")
     if not isinstance(trials, int) or trials < 1:
         raise GraphError("trials must be a positive integer")
     if workers is None:
         workers = default_workers()
-    workers = max(1, min(workers, trials))
+    workers = max(1, min(workers, trials, os.cpu_count() or 1))
 
-    if g.n > 64:
-        counts = [0] * g.n
-        violations = 0
-        for t in range(trials):
-            _, iset = run_phases_1_4(g, tf, trial_stream(seed, t), phase4)
-            if not is_independent(g, iset.members):
-                violations += 1
-            for v in iset.members:
-                counts[v] += 1
-        return MonteCarloReport(g.n, trials, seed, phase4, "reference",
-                                tuple(counts), violations)
-
-    edges_a, edges_b, cycle_starts, cycle_verts, adj_mask = _kernel_args(g, tf)
+    args = (g.n,) + _kernel_args(g, tf)
     recompute = phase4 == "recompute"
+    # the compiled kernel keeps a vertex set in one 64-bit word
+    kernel = _kernel if g.n <= 64 else _mcphases_py
 
     def run_chunk(first, count):
-        return _kernel.run_trials(
-            g.n, edges_a, edges_b, cycle_starts, cycle_verts, adj_mask,
-            count, seed, first, recompute)
+        if plan is None:
+            return kernel.run_trials(*args, count, seed, first, recompute)
+        return _five_phase_trials(g, args, recompute, plan, seed, first, count)
 
     if workers == 1:
         counts, violations = run_chunk(0, trials)
@@ -783,6 +769,22 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
                 violations += bad
                 for v in range(g.n):
                     counts[v] += part[v]
-    return MonteCarloReport(g.n, trials, seed, phase4,
-                            _kernel.backend_name(), tuple(counts),
-                            violations)
+    backend = kernel.backend_name() if plan is None else "five-phase-reference"
+    return MonteCarloReport(g.n, trials, seed, phase4, backend,
+                            tuple(counts), violations)
+
+
+def _five_phase_trials(g, args, recompute, plan, seed, first, count):
+    """``run_trials`` with the repair phase after phases 1-4, both drawing
+    from the trial's own stream."""
+    from .augment import run_phase5  # augment imports this module
+    counts = [0] * g.n
+    violations = 0
+    for t in range(first, first + count):
+        rng = trial_stream(seed, t)
+        out = _mcphases_py.trial_masks(*args, recompute, rng.getrandbits)[4]
+        J = run_phase5(IndependentSet(_mask_vertices(out)), plan, rng)
+        violations += not is_independent(g, J.members)
+        for v in J.members:
+            counts[v] += 1
+    return counts, violations

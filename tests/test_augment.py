@@ -9,7 +9,8 @@ from fracchrom.graph_core import GraphError
 from fracchrom import augment as A
 from fracchrom import sampler as S
 from fracchrom import templates as T
-from fracchrom.two_factor import satisfies_ks_condition, two_factor_from_matching
+from fracchrom.two_factor import (
+    TwoFactorError, satisfies_ks_condition, two_factor_from_matching)
 
 from fixtures_deficiency import (
     PATTERN_FIXTURES,
@@ -467,6 +468,30 @@ class TestExactPhase5:
         p = float(result.marginals[focus])
         sigma = (p * (1 - p) / trials) ** 0.5
         assert abs(hits / trials - p) < 4 * sigma
+
+    @pytest.mark.parametrize("phase4", S.PHASE4_MODES)
+    def test_monte_carlo_with_plan_runs_phase5_on_each_stream(self, phase4):
+        g, tf, _ = mixed_deficiency_fixture()
+        plan, _ = A.exact_phase5_distribution(g, tf, phase4=phase4)
+        counts = [0] * g.n
+        for trial in range(300):
+            rng = S.trial_stream(21, trial)
+            _, J = S.run_phases_1_4(g, tf, rng, phase4)
+            for v in A.run_phase5(J, plan, rng).members:
+                counts[v] += 1
+        for workers in (1, 2):
+            report = S.monte_carlo(g, tf, 300, 21, phase4=phase4,
+                                   workers=workers, plan=plan)
+            assert report.backend == "five-phase-reference"
+            assert list(report.counts) == counts
+            assert report.violations == 0
+
+    def test_monte_carlo_rejects_plan_of_another_two_factor(self):
+        g, tf, _ = type_0_fixture()
+        plan, _ = A.exact_phase5_distribution(g, tf)
+        h, tf_h, _ = mixed_deficiency_fixture()
+        with pytest.raises(TwoFactorError):
+            S.monte_carlo(h, tf_h, 10, 0, plan=plan)
 
 
 # ---------------------------------------------------------------------------

@@ -146,13 +146,34 @@ class TestProb:
         assert runs[0] == runs[1]
         assert runs[0][0] == 0
 
-    def test_monte_carlo_workers_do_not_change_output(self, files):
-        path = files("p.g6", petersen())
-        one = invoke("prob", path, "--seed", "5", "--trials", "3000",
-                     "--workers", "1")
-        two = invoke("prob", path, "--seed", "5", "--trials", "3000",
-                     "--workers", "3")
-        assert one == two
+    def test_monte_carlo_workers_do_not_change_output(self, files, tmp_path):
+        deficient = tmp_path / "d.g6"
+        deficient.write_text(DEFICIENT_N10 + "\n")
+        for path in (files("p.g6", petersen()), str(deficient)):
+            one = invoke("prob", path, "--seed", "5", "--trials", "3000",
+                         "--workers", "1")
+            two = invoke("prob", path, "--seed", "5", "--trials", "3000",
+                         "--workers", "3")
+            assert one == two
+            assert one[0] == 0
+
+    def test_monte_carlo_golden_counts(self, files, tmp_path):
+        # literal counts: any change in how trials consume their bit
+        # streams, in either the kernel or the five-phase path, shows here
+        deficient = tmp_path / "d.g6"
+        deficient.write_text(DEFICIENT_N10 + "\n")
+        payload = invoke_json(
+            "prob", str(deficient), "--seed", "11", "--trials", "500")
+        assert payload["backend"] == "five-phase-reference"
+        assert payload["counts"] == [178, 192, 201, 199, 169, 166, 193, 183,
+                                     187, 206]
+        assert payload["min_frequency"] == "83/250"
+        payload = invoke_json(
+            "prob", files("p.g6", petersen()), "--seed", "5", "--trials", "3000")
+        assert payload["backend"] in ("compiled", "pure-python")
+        assert payload["counts"] == [1113, 1059, 1108, 1071, 1127, 1076, 1138,
+                                     1112, 1094, 1052]
+        assert payload["min_frequency"] == "263/750"
 
     def test_monte_carlo_emits_seed(self, files):
         payload = invoke_json(

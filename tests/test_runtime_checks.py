@@ -1,0 +1,63 @@
+"""Runtime invariants are explicit checks, so they still fire under
+``python -O`` (which strips ``assert`` statements).
+
+Each case runs in a fresh ``python -O`` interpreter, breaks one step of the
+construction so that it yields a dependent set, and expects the
+``RuntimeError`` that the CLI maps to exit code 4.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PRELUDE = """
+import sys
+from fracchrom import _mcphases_py as K, augment as A, sampler as S
+from fracchrom.graph_core import parse_graph6
+from fracchrom.two_factor import select_two_factor
+
+g = parse_graph6("IlDGHCH_g")
+tf = select_two_factor(g)
+everything = (1 << g.n) - 1
+"""
+
+CASES = {
+    # the repair hands back a set holding every vertex
+    "run_phase5": """
+plan, _ = A.exact_phase5_distribution(g, tf)
+A.Phase5Plan.apply_swaps = lambda self, J, added: S.IndependentSet(range(g.n))
+A.run_phase5(plan.set_order[0], plan, S.SplitMix64(0))
+""",
+    # phase 4 of the enumerator promotes every vertex
+    "compute_law": """
+S._phase_4 = lambda adj_mask, feasible: everything
+S.enumerate_distribution(g, tf)
+""",
+    # phase 2 of the mask-level trial promotes every vertex
+    "run_phases_1_4": """
+K._isolated = lambda adj_mask, mask: everything
+S.run_phases_1_4(g, tf, S.SplitMix64(0))
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_dependent_set_raises_under_optimize(case):
+    body = textwrap.indent(CASES[case].strip(), "    ")
+    code = (PRELUDE
+            + "if not sys.flags.optimize:\n    sys.exit('not optimized')\n"
+            + "try:\n" + body + "\n"
+            + "except RuntimeError as exc:\n    print('raised:', exc)\n"
+            + "else:\n    print('no error')\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised:"), proc.stdout
+    assert "dependent set" in proc.stdout

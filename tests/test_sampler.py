@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracchrom.graph_core import Graph, GraphError
-from fracchrom.two_factor import TwoFactorError, two_factor_from_matching
+from fracchrom.graph_core import Graph, GraphError, parse_graph6
+from fracchrom.two_factor import (
+    TwoFactorError, select_two_factor, two_factor_from_matching)
 from fracchrom import sampler as S
 from fracchrom import templates as T
 
@@ -33,6 +34,11 @@ def gp72_tf():
 def cl_tf(k):
     g = circular_ladder(k)
     return g, two_factor_from_matching(g, [(i, k + i) for i in range(k)])
+
+
+def deficient_n10_tf():
+    g = parse_graph6("IlDGHCH_g")  # the one n=10 graph with deficient vertices
+    return g, select_two_factor(g)
 
 
 def tri2sq_tf():
@@ -263,6 +269,17 @@ class TestRunPhases:
         with pytest.raises(GraphError):
             S.run_phases_1_4(g, tf, S.SplitMix64(0), phase4="never")
 
+    @pytest.mark.parametrize("make", [petersen_tf, gp72_tf, deficient_n10_tf],
+                             ids=["petersen", "gp72", "deficient-n10"])
+    @pytest.mark.parametrize("phase4", S.PHASE4_MODES)
+    def test_every_draw_is_an_enumerated_situation(self, make, phase4):
+        g, tf = make()
+        law = {(sit.orientation, sit.s1, sit.s3): (sit.prob, out)
+               for sit, out in S.enumerate_situations(g, tf, phase4=phase4)}
+        for seed in range(200):
+            sit, out = S.run_phases_1_4(g, tf, S.SplitMix64(seed), phase4)
+            assert law[(sit.orientation, sit.s1, sit.s3)] == (sit.prob, out)
+
 
 # ---------------------------------------------------------------------------
 # exact enumeration
@@ -348,6 +365,16 @@ class TestEnumerate:
             S.enumerate_distribution(g, tf, max_orientations=4)
         with pytest.raises(S.ExplosionGuard):
             S.enumerate_distribution(g, tf, max_branches=10)
+
+    def test_guards_hold_on_cached_law(self):
+        g = petersen()
+        tf = select_two_factor(g)
+        assert len(S.enumerate_distribution(g, tf).distribution) == 15
+        with pytest.raises(S.ExplosionGuard):
+            S.enumerate_distribution(g, tf, max_branches=10)
+        with pytest.raises(S.ExplosionGuard):
+            S.enumerate_situations(g, tf, max_orientations=4)
+        assert len(S.enumerate_distribution(g, tf).distribution) == 15
 
     def test_guard_is_a_guard_exceeded(self):
         from fracchrom.graph_core import GuardExceeded
@@ -521,11 +548,11 @@ class TestMonteCarlo:
                           "violations", "counts", "frequencies", "stderr"}
 
     def test_large_graph_uses_reference_path(self):
-        k = 33  # 66 vertices, beyond the one-word kernels
+        k = 33  # 66 vertices, beyond the one-word compiled kernel
         g = circular_ladder(k)
         tf = two_factor_from_matching(g, [(i, k + i) for i in range(k)])
         rep = S.monte_carlo(g, tf, 60, seed=8)
-        assert rep.backend == "reference"
+        assert rep.backend == "pure-python"
         assert rep.violations == 0
         assert len(rep.counts) == 66
         again = S.monte_carlo(g, tf, 60, seed=8)
@@ -543,6 +570,38 @@ class TestMonteCarlo:
 
     def test_kernel_backend_reports(self):
         assert S.kernel_backend() in ("compiled", "pure-python")
+
+    def test_worker_threads_capped_by_cpu_count(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Stands in for the thread pool: records its size, starts no
+            thread and runs the jobs in order."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(S, "ThreadPoolExecutor", SerialPool)
+        g, tf = petersen_tf()
+        want = S.monte_carlo(g, tf, 50, seed=4, workers=1)
+        monkeypatch.setattr(S.os, "cpu_count", lambda: 2)
+        assert S.monte_carlo(g, tf, 50, seed=4, workers=10**6) == want
+        assert pools == [2]
+        monkeypatch.setattr(S.os, "cpu_count", lambda: 64)
+        S.monte_carlo(g, tf, 5, seed=4, workers=10**6)
+        assert pools == [2, 5]
+        monkeypatch.setattr(S.os, "cpu_count", lambda: None)
+        assert S.monte_carlo(g, tf, 50, seed=4, workers=10**6) == want
+        assert pools == [2, 5]  # one worker runs inline, without a pool
 
 
 class TestIndependentSetType:
