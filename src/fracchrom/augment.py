@@ -358,22 +358,21 @@ def sponsor(g: Graph, tf: TwoFactor, u: int) -> int:
     return rec.sponsor
 
 
+def _favourable(g: Graph, u: int, s: int, J: IndependentSet) -> bool:
+    """u is not in J and J meets N(u) in exactly the sponsor s."""
+    return u not in J and {w for w in g.adj[u] if w in J} == {s}
+
+
 def favourable(g: Graph, tf: TwoFactor, u: int, J: IndependentSet) -> bool:
     """Does J meet u's closed neighbourhood in exactly its sponsor?"""
-    s = sponsor(g, tf, u)
-    hit = [w for w in g.adj[u] if w in J]
-    return u not in J and hit == [s]
+    return _favourable(g, u, sponsor(g, tf, u), J)
 
 
 def receptivity(g: Graph, tf: TwoFactor, u: int, dist: Distribution) -> Fraction:
     """Probability that a sampled set is favourable for u."""
     s = sponsor(g, tf, u)
-    nbhd = set(g.adj[u])
-    total = Fraction(0)
-    for J, p in dist.pmf.items():
-        if u not in J and nbhd & J.members == {s}:
-            total += p
-    return total
+    return sum((p for J, p in dist.pmf.items() if _favourable(g, u, s, J)),
+               Fraction(0))
 
 
 # -- the repair plan ------------------------------------------------------------
@@ -422,9 +421,7 @@ class Phase5Plan:
         return self.nbrx[u] + (u,)
 
     def _favourable(self, u: int, J: IndependentSet) -> bool:
-        s = self.sponsors[u]
-        return (u not in J
-                and {w for w in self.graph.adj[u] if w in J} == {s})
+        return _favourable(self.graph, u, self.sponsors[u], J)
 
     def _walk(self, j: int):
         """Exact per-set simulation of the swap cascade.
@@ -440,7 +437,7 @@ class Phase5Plan:
         states = {frozenset(): Fraction(1)}
         steps = []
         for u in self.deficient_order:
-            if u in J or not self._favourable(u, J):
+            if not self._favourable(u, J):
                 continue
             planned = self.p.get((u, j), Fraction(0))
             blockers = frozenset(self.nbrx[u])
@@ -523,16 +520,11 @@ def build_phase5_plan(g: Graph, tf: TwoFactor, dist: Distribution) -> Phase5Plan
         nbrx[u] = [w for w in g.adj[u] if w in earlier]
         eta[u] = sum((abs(epsilon[w]) for w in nbrx[u]), abs(epsilon[u]))
 
-    fav = {u: [False] * len(set_order) for u in order}
+    fav = {u: [_favourable(g, u, sponsors[u], J) for J in set_order]
+           for u in order}
     rho: dict = {}
     for u in order:
-        s = sponsors[u]
-        nbhd = set(g.adj[u])
-        total = Fraction(0)
-        for j, J in enumerate(set_order):
-            if u not in J and nbhd & J.members == {s}:
-                fav[u][j] = True
-                total += set_probs[j]
+        total = sum((pj for f, pj in zip(fav[u], set_probs) if f), Fraction(0))
         rho[u] = total
         if total < Fraction(eta[u], 256):
             raise PreconditionFailure(

@@ -43,6 +43,7 @@ from .sampler import monte_carlo
 from .two_factor import (
     NoQualifyingTwoFactor,
     TwoFactorError,
+    satisfies_ks_condition,
     select_two_factor,
     two_factor_from_json_dict,
     two_factor_to_json_dict,
@@ -114,9 +115,15 @@ def _fr(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_graph(path: str) -> Graph:
-    text = Path(path).read_text()
-    return _parse_graph_text(text, path)
+    return _parse_graph_text(_read_text(path), path)
 
 
 def _parse_graph_text(text: str, origin: str) -> Graph:
@@ -137,7 +144,7 @@ def _parse_graph_text(text: str, origin: str) -> Graph:
 
 
 def _load_two_factor(g: Graph, path: str):
-    data = json.loads(Path(path).read_text())
+    data = json.loads(_read_text(path))
     return two_factor_from_json_dict(g, data)
 
 
@@ -166,15 +173,14 @@ def cmd_validate(cfg: RunConfig) -> dict:
 def cmd_two_factor(cfg: RunConfig) -> dict:
     g = _read_graph(cfg.paths[0])
     tf, origin = _pick_two_factor(g, cfg)
-    from .two_factor import satisfies_ks_condition
-
     return {
         "command": "two-factor",
         "input": cfg.paths[0],
         "origin": origin,
         "cycle_count": len(tf.cycles),
         "cycle_lengths": [len(c) for c in tf.cycles],
-        "meets_cut_condition": satisfies_ks_condition(g, tf),
+        # a selected two-factor meets the cut condition by construction
+        "meets_cut_condition": origin == "selected" or satisfies_ks_condition(g, tf),
         **two_factor_to_json_dict(tf),
     }
 
@@ -268,12 +274,12 @@ def cmd_chif(cfg: RunConfig) -> dict:
 
 def cmd_certify(cfg: RunConfig) -> dict:
     g = _read_graph(cfg.paths[0])
-    kw = {"phase4": cfg.phase4}
-    if cfg.max_orientations is not None:
-        kw["max_orientations"] = cfg.max_orientations
-    if cfg.max_branches is not None:
-        kw["max_branches"] = cfg.max_branches
-    bound, cert = chi_f_upper_subcubic(g, **kw)
+    bound, cert = chi_f_upper_subcubic(
+        g,
+        phase4=cfg.phase4,
+        max_orientations=cfg.max_orientations,
+        max_branches=cfg.max_branches,
+    )
     verdict = verify_certificate(g, cert)
     return {
         "command": "certify",
@@ -329,7 +335,7 @@ def cmd_corpus(cfg: RunConfig) -> dict:
     rows = []
     for path in sorted(root.glob("*.g6")):
         lines = [
-            s for s in (line.strip() for line in path.read_text().splitlines())
+            s for s in (line.strip() for line in _read_text(path).splitlines())
             if s and not s.startswith("#")
         ]
         for i, line in enumerate(lines, start=1):

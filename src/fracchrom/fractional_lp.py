@@ -26,13 +26,7 @@ from fractions import Fraction
 from .augment import exact_phase5_distribution
 from .graph_core import Graph, GraphError, GuardExceeded, analyze, reduce_subcubic, suppress_vertex
 from .sampler import Distribution, IndependentSet, is_independent
-from .two_factor import (
-    NoQualifyingTwoFactor,
-    TwoFactor,
-    enumerate_perfect_matchings,
-    minimal_small_cuts,
-    two_factor_from_matching,
-)
+from .two_factor import TwoFactor, select_two_factor
 
 __all__ = [
     "ColouringError", "MergeFailure",
@@ -471,30 +465,6 @@ def _two_colour_certificate(g: Graph) -> MultisetCertificate:
     return MultisetCertificate(g.n, 1, sets)
 
 
-def _ks_two_factor_through(g: Graph, required: tuple[int, int]) -> TwoFactor:
-    """A qualifying two-factor whose cycles contain the required edge.
-
-    Mirrors select_two_factor's preferences (most cycles, then smallest
-    matching) over the matchings that leave the required edge out.
-    """
-    cuts = [frozenset(c.edges) for c in minimal_small_cuts(g)]
-    req = (min(required), max(required))
-    best = None
-    for matching in enumerate_perfect_matchings(g):
-        m_set = frozenset(matching)
-        if req in m_set or any(ce <= m_set for ce in cuts):
-            continue
-        tf = two_factor_from_matching(g, matching)
-        key = (-len(tf.cycles), matching)
-        if best is None or key < best[0]:
-            best = (key, tf)
-    if best is None:
-        raise NoQualifyingTwoFactor(
-            f"no qualifying two-factor keeps edge {req} on its cycles"
-        )
-    return best[1]
-
-
 def _one_bridge_leaf_two_factor(leaf: Graph, host: Graph, v0: int) -> TwoFactor:
     """Two-factor for the double of a host with a single degree-2 vertex.
 
@@ -506,7 +476,7 @@ def _one_bridge_leaf_two_factor(leaf: Graph, host: Graph, v0: int) -> TwoFactor:
     g0, old_ids = suppress_vertex(host, v0)
     a, b = host.adj[v0]
     back = {old: new for new, old in enumerate(old_ids)}
-    tf0 = _ks_two_factor_through(g0, (back[a], back[b]))
+    tf0 = select_two_factor(g0, cycle_edge=(back[a], back[b]))
 
     n = host.n
     cycles = []
@@ -533,7 +503,6 @@ def _leaf_certificate(step, host=None, **enum_kw) -> MultisetCertificate:
     if leaf == "trivial":
         return _two_colour_certificate(g)
     if leaf == "cubic-bridgeless":
-        from .two_factor import select_two_factor
         tf = select_two_factor(g)
     elif leaf == "one-bridge":
         tf = _one_bridge_leaf_two_factor(g, host, step.detail["bridge"][0])

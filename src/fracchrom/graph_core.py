@@ -162,7 +162,10 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise GraphError("empty graph6 text")
-    data = s.encode("ascii", errors="strict") if isinstance(s, str) else s
+    try:
+        data = s.encode("ascii") if isinstance(s, str) else s
+    except UnicodeEncodeError:
+        raise GraphError("graph6 text is not ASCII") from None
     first = data[0] - 63
     if data[0] == 0x7E:  # '~' introduces the long form
         raise GraphError("graph6 long form (n > 62) not supported")

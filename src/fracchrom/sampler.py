@@ -352,17 +352,6 @@ def active_runs(o: Orientation, tf: TwoFactor):
 # the four phases
 
 
-def _phase_2(adj_mask, active: int) -> int:
-    added = 0
-    rest = active
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        if not adj_mask[v] & active:
-            added |= 1 << v
-    return added
-
-
 def _feasible_mask(n, adj_mask, covered: int) -> int:
     feas = 0
     for v in range(n):
@@ -371,13 +360,15 @@ def _feasible_mask(n, adj_mask, covered: int) -> int:
     return feas
 
 
-def _phase_4(adj_mask, feasible: int) -> int:
+def _phase_4(adj_mask, mask: int) -> int:
+    """Vertices of ``mask`` with no neighbour in it.  Phase 4 applies this
+    to the feasible set, and phase 2 applies the same rule to the heads."""
     added = 0
-    rest = feasible
+    rest = mask
     while rest:
         v = (rest & -rest).bit_length() - 1
         rest &= rest - 1
-        if not adj_mask[v] & feasible:
+        if not adj_mask[v] & mask:
             added |= 1 << v
     return added
 
@@ -483,7 +474,7 @@ def _compute_law(g, tf, phase4, max_orientations, max_branches):
         for i, (a, b) in enumerate(m_edges):
             heads |= (1 << b) if (bits >> i) & 1 else (1 << a)
         for s1, p1 in _branch_products(tf, heads):
-            covered1 = s1 | _phase_2(adj_mask, heads)
+            covered1 = s1 | _phase_4(adj_mask, heads)
             feasible = _feasible_mask(g.n, adj_mask, covered1)
             for s3, p3 in _branch_products(tf, feasible):
                 branch_count += 1

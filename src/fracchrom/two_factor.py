@@ -3,8 +3,16 @@
 A two-factor F is a spanning collection of disjoint cycles; its complement M
 (in a cubic graph) is a perfect matching.  The selection rule implemented by
 `select_two_factor` keeps only two-factors whose edges meet every
-inclusionwise minimal edge-cut of size 3 or 4, and among those maximizes the
-number of cycles (ties broken by lexicographically smallest matching).
+inclusionwise minimal edge-cut of size 3 or 4 (the cut condition of Kaiser
+and Škrekovski), and among those maximizes the number of cycles (ties broken
+by lexicographically smallest matching).  F meets a cut exactly when the cut
+does not lie wholly inside M; `_meets_cuts` is the one place that tests it.
+
+Minimality of a cut is decided by the bond test: a disconnecting edge set C
+of a connected graph is inclusionwise minimal iff every edge of C has exactly
+one endpoint in S, the component of vertex 0 in G - C, and V - S is connected
+in G - C.  Then G - C has exactly two components and every edge of C joins
+them, so putting back any one edge reconnects the graph.
 
 Everything downstream navigates cycles through `TwoFactor`: mates (matching
 partners), signed steps along a cycle, forward distances and subpaths.
@@ -166,9 +174,9 @@ def navigate(tf: TwoFactor, u: int, k: int) -> int:
     return tf.step(u, k)
 
 
-def two_factor_from_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> TwoFactor:
-    """Build the two-factor complementary to a perfect matching of a cubic graph."""
-    m_set = {(min(u, v), max(u, v)) for u, v in matching}
+def _complement_cycles(g: Graph, m_set) -> list[list[int]]:
+    """Trace the cycles of g minus the matching edges ``m_set`` (sorted
+    pairs); the complement must be 2-regular."""
     f_adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
         if (u, v) not in m_set:
@@ -195,7 +203,13 @@ def two_factor_from_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> T
             seen[nxt] = True
             prev, cur = cur, nxt
         cycles.append(cyc)
-    return TwoFactor(g, cycles, sorted(m_set))
+    return cycles
+
+
+def two_factor_from_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> TwoFactor:
+    """Build the two-factor complementary to a perfect matching of a cubic graph."""
+    m_set = {(min(u, v), max(u, v)) for u, v in matching}
+    return TwoFactor(g, _complement_cycles(g, m_set), sorted(m_set))
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +261,13 @@ def enumerate_perfect_matchings(
 @dataclass(frozen=True)
 class EdgeCut:
     edges: tuple[tuple[int, int], ...]
-    side: tuple[int, ...]  # component of vertex min(V) after removal
-    minimal: bool
+    side: tuple[int, ...]  # component of vertex 0 after removal
 
 
-def _connected_after_removal(g: Graph, removed: frozenset) -> Optional[list[int]]:
-    """Component of vertex 0 in g minus `removed`; None means still connected."""
-    seen = {0}
-    stack = [0]
+def _connected_after_removal(g: Graph, removed: frozenset, start: int = 0) -> set[int]:
+    """Vertex set of the component of ``start`` in g minus ``removed``."""
+    seen = {start}
+    stack = [start]
     while stack:
         u = stack.pop()
         for w in g.adj[u]:
@@ -263,101 +276,79 @@ def _connected_after_removal(g: Graph, removed: frozenset) -> Optional[list[int]
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    if len(seen) == g.n:
-        return None
-    return sorted(seen)
+    return seen
 
 
 def minimal_small_cuts(g: Graph) -> list[EdgeCut]:
-    """All inclusionwise minimal edge-cuts of size 3 or 4, by definition:
-    enumerate 3- and 4-subsets of E, test disconnection, then test that no
-    proper subset already disconnects."""
+    """All inclusionwise minimal edge-cuts of size 3 or 4: every 3- and
+    4-subset of E that disconnects g and passes the bond test (see the
+    module docstring)."""
     if g.n > 64:
         raise GuardExceeded("minimal_small_cuts guard: n <= 64")
-    if g.n and _connected_after_removal(g, frozenset()) is not None:
+    if g.n and len(_connected_after_removal(g, frozenset())) != g.n:
         raise GraphError("minimal_small_cuts requires a connected graph")
     cuts: list[EdgeCut] = []
     for size in (3, 4):
         for combo in itertools.combinations(g.edges, size):
             removed = frozenset(combo)
             side = _connected_after_removal(g, removed)
-            if side is None:
+            if len(side) == g.n:
                 continue
-            minimal = True
-            for k in range(1, size):
-                for sub in itertools.combinations(combo, k):
-                    if _connected_after_removal(g, frozenset(sub)) is not None:
-                        minimal = False
-                        break
-                if not minimal:
-                    break
-            if minimal:
-                cuts.append(EdgeCut(edges=combo, side=tuple(side), minimal=True))
+            if any((u in side) == (v in side) for u, v in combo):
+                continue
+            other = next(v for v in range(g.n) if v not in side)
+            if len(side) + len(_connected_after_removal(g, removed, other)) == g.n:
+                cuts.append(EdgeCut(edges=combo, side=tuple(sorted(side))))
     return cuts
+
+
+def _cut_sets(g: Graph) -> list[frozenset]:
+    return [frozenset(c.edges) for c in minimal_small_cuts(g)]
+
+
+def _meets_cuts(m_edges, cuts: list[frozenset]) -> bool:
+    """The cut test: True iff no cut lies wholly inside the matching
+    ``m_edges``, i.e. the complementary cycles meet every cut."""
+    return not any(cut <= m_edges for cut in cuts)
 
 
 def satisfies_ks_condition(g: Graph, tf: TwoFactor) -> bool:
     """True iff the cycle edges meet every minimal edge-cut of size 3 or 4."""
-    m_edges = tf.m_edges
-    for cut in minimal_small_cuts(g):
-        if all(e in m_edges for e in cut.edges):
-            return False
-    return True
+    return _meets_cuts(tf.m_edges, _cut_sets(g))
 
 
 # ---------------------------------------------------------------------------
 # Selection
 
 
-def select_two_factor(g: Graph, first_qualifying: bool = False) -> TwoFactor:
+def select_two_factor(
+    g: Graph, cycle_edge: Optional[tuple[int, int]] = None
+) -> TwoFactor:
     """Exhaustively pick a qualifying two-factor with the maximum number of
     cycles; ties go to the lexicographically smallest matching edge set.
 
-    With ``first_qualifying`` the scan stops at the first qualifying matching
-    in enumeration order (cheaper; the maximal-components property and the
-    invariants that rest on it are then not guaranteed).
+    With ``cycle_edge`` only two-factors whose cycles contain that edge
+    compete, i.e. matchings holding it are skipped.
     """
-    rep_degrees = g.degrees()
-    if not (g.n and all(d == 3 for d in rep_degrees)):
+    if not (g.n and all(d == 3 for d in g.degrees())):
         raise GraphError("select_two_factor requires a cubic graph")
     if g.n > 64:
         raise GuardExceeded("select_two_factor guard: n <= 64")
-    cuts = minimal_small_cuts(g)
-    cut_edge_sets = [frozenset(c.edges) for c in cuts]
-
-    def qualifies(m_set: frozenset) -> bool:
-        return not any(ce <= m_set for ce in cut_edge_sets)
-
-    def cycle_count(m_set: frozenset) -> int:
-        f_adj = [[] for _ in range(g.n)]
-        for u, v in g.edges:
-            if (u, v) not in m_set:
-                f_adj[u].append(v)
-                f_adj[v].append(u)
-        count = 0
-        seen = [False] * g.n
-        for s in range(g.n):
-            if seen[s]:
-                continue
-            count += 1
-            prev, cur = -1, s
-            while not seen[cur]:
-                seen[cur] = True
-                nxt = f_adj[cur][0] if f_adj[cur][0] != prev else f_adj[cur][1]
-                prev, cur = cur, nxt
-        return count
-
+    cuts = _cut_sets(g)
+    kept = None if cycle_edge is None else (min(cycle_edge), max(cycle_edge))
     best: Optional[tuple[int, tuple]] = None
     for matching in enumerate_perfect_matchings(g):
         m_set = frozenset(matching)
-        if not qualifies(m_set):
+        if kept in m_set or not _meets_cuts(m_set, cuts):
             continue
-        if first_qualifying:
-            return two_factor_from_matching(g, matching)
-        key = (-cycle_count(m_set), matching)
+        key = (-len(_complement_cycles(g, m_set)), matching)
         if best is None or key < best:
             best = key
     if best is None:
+        if kept is not None:
+            raise NoQualifyingTwoFactor(
+                f"no qualifying two-factor keeps edge {kept} on its cycles"
+            )
         raise NoQualifyingTwoFactor(
             "no two-factor meets the minimal-cut condition"
         )

@@ -1,27 +1,35 @@
 """Command behaviour, output determinism, and exit-code mapping."""
 
+import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fracchrom import cli
 from fracchrom.augment import BiasInfeasible
-from fracchrom.graph_core import GraphError, GuardExceeded, encode_graph6, to_edge_list_text
+from fracchrom.graph_core import Graph, GraphError, GuardExceeded, encode_graph6, to_edge_list_text
 
 from util_graphs import (
     bridged_composite,
     circular_ladder,
     complete,
     cycle,
+    disjoint_union,
     gp72,
     k33,
     petersen,
+    subdivide_edge,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SRC = Path(__file__).resolve().parent.parent / "src"
+CERTIFY_GOLDEN = "a512b7794e05728804655332394206efa168d9a8de31bc83fcee746f071202b0"
 DEFICIENT_N10 = "IlDGHCH_g"  # the one n=10 graph with deficient vertices
 
 
@@ -236,6 +244,20 @@ class TestCertify:
         path = files("p.g6", petersen())
         assert invoke("certify", path) == invoke("certify", path)
 
+    def test_bridged_cube_golden(self, tmp_path, monkeypatch):
+        # subdivided K3,3 and subdivided 3-cube joined at the new vertices:
+        # both sides reduce to one-bridge leaves
+        a = subdivide_edge(k33(), 0, 3)
+        b = subdivide_edge(circular_ladder(4), 0, 1)
+        both = disjoint_union(a, b)
+        g = Graph(both.n, list(both.edges) + [(a.n - 1, both.n - 1)])
+        (tmp_path / "composite.g6").write_text(encode_graph6(g) + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke("certify", "composite.g6")
+        assert code == 0, err
+        # sha256 of the output when the one-bridge leaf had its own selection loop
+        assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_GOLDEN
+
 
 class TestCorpus:
     def small_dir(self, tmp_path):
@@ -288,6 +310,26 @@ class TestCorpus:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("data", [b"I\xc3\xa9\xc3\xa9\n", b"\xff\n"],
+                             ids=["non-ascii", "not-utf8"])
+    @pytest.mark.parametrize("command", ["validate", "corpus"])
+    def test_undecodable_input_is_a_validation_error(self, tmp_path, command, data):
+        (tmp_path / "bad.g6").write_bytes(data)
+        target = tmp_path / "bad.g6" if command == "validate" else tmp_path
+        code, out, err = invoke(command, str(target))
+        assert code == 2 and err.startswith("error:")
+
+    def test_python_dash_m_package(self, files):
+        path = files("p.g6", petersen())
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+
+        def stdout(module):
+            return subprocess.run(
+                [sys.executable, "-m", module, "validate", path], env=env,
+                capture_output=True, text=True, check=True, timeout=60).stdout
+
+        assert stdout("fracchrom") == stdout("fracchrom.cli")
+
     def test_text_format(self, files):
         code, out, err = invoke(
             "chif", files("c5.g6", cycle(5)), "--format", "text")

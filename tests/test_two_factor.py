@@ -1,11 +1,12 @@
 """two_factor: matchings, cuts, selection, navigation, split-cycle check."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fracchrom.graph_core import Graph, GraphError
+from fracchrom.graph_core import Graph, GraphError, parse_graph6
 from fracchrom.two_factor import (
     EdgeCut,
     NoQualifyingTwoFactor,
@@ -26,11 +27,16 @@ from oracles import count_perfect_matchings_bruteforce, minimal_small_cuts_brute
 from util_graphs import (
     circular_ladder,
     complete,
+    generalized_petersen,
     gp72,
     k33,
     k33_minus_edge,
     petersen,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+CORPUS_N10 = [parse_graph6(line)
+              for line in (CORPUS / "cubic_tf_bridgeless_n10.g6").read_text().split()]
 
 SPOKES = [(i, 5 + i) for i in range(5)]
 
@@ -143,7 +149,8 @@ def test_forward_path_and_dist():
 
 @pytest.mark.parametrize(
     "g",
-    [petersen(), k33(), complete(4), circular_ladder(4), gp72(), bad_ks_gadget()],
+    [petersen(), k33(), complete(4), circular_ladder(4), gp72(), bad_ks_gadget(),
+     *CORPUS_N10[:2], generalized_petersen(8, 3)],
 )
 def test_minimal_cuts_match_boundary_oracle(g):
     got = {frozenset(c.edges) for c in minimal_small_cuts(g)}
@@ -164,7 +171,6 @@ def test_minimal_cuts_petersen_stars():
 def test_minimal_cuts_sides_are_components():
     for cut in minimal_small_cuts(k33()):
         assert 0 in cut.side
-        assert cut.minimal
 
 
 def test_bridge_not_inside_minimal_small_cut():
@@ -227,21 +233,34 @@ def test_select_gadget_avoids_bad_two_factor():
 
 
 def test_select_is_max_cycle_count_among_qualifying():
-    g = gp72()
-    tf = select_two_factor(g)
-    assert satisfies_ks_condition(g, tf)
-    best = 0
-    for matching in enumerate_perfect_matchings(g):
-        cand = two_factor_from_matching(g, matching)
-        if satisfies_ks_condition(g, cand):
-            best = max(best, len(cand.cycles))
-    assert len(tf.cycles) == best
+    for g in (circular_ladder(4), gp72()):
+        qualifying = []  # (-cycle count, matching) of every qualifying two-factor
+        for matching in enumerate_perfect_matchings(g):
+            cand = two_factor_from_matching(g, matching)
+            if satisfies_ks_condition(g, cand):
+                qualifying.append((-len(cand.cycles), matching))
+        tf = select_two_factor(g)
+        assert satisfies_ks_condition(g, tf)
+        assert len(tf.cycles) == -min(qualifying)[0]
+        # keeping an edge on the cycles: best among the matchings without it
+        for u, v in g.edges:
+            best = min((k for k in qualifying if (u, v) not in k[1]), default=None)
+            if best is None:
+                with pytest.raises(NoQualifyingTwoFactor, match="keeps edge"):
+                    select_two_factor(g, cycle_edge=(v, u))
+                continue
+            tf = select_two_factor(g, cycle_edge=(v, u))
+            assert (u, v) in tf.f_edges
+            assert (-len(tf.cycles), tuple(sorted(tf.m_edges))) == best
 
 
-def test_select_first_qualifying_flag():
-    g = petersen()
-    tf = select_two_factor(g, first_qualifying=True)
-    assert satisfies_ks_condition(g, tf)
+def test_select_cannot_keep_a_bridge_on_the_cycles():
+    # two K4s with one edge subdivided, joined at the new vertices: every
+    # perfect matching holds the bridge (4, 9)
+    half = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)]
+    g = Graph(10, half + [(u + 5, v + 5) for u, v in half] + [(4, 9)])
+    with pytest.raises(NoQualifyingTwoFactor, match=r"keeps edge \(4, 9\)"):
+        select_two_factor(g, cycle_edge=(9, 4))
 
 
 def test_select_requires_cubic():
