@@ -16,8 +16,9 @@ their reflections, and the catch-all type I); ``epsilon_nochord``
 handles matching edges that cross between cycles; ``epsilon_full`` glues
 both together with the mate-negation rule for the remaining vertices.
 ``build_phase5_plan`` runs the greedy water-filling that decides, for
-every (deficient vertex, support set) pair, the probability of the swap;
-``run_phase5`` applies a plan to one sampled set and
+every (deficient vertex, support set) pair, the probability of the swap,
+and the plan walks every support set through the swap cascade when it is
+built; ``run_phase5`` applies a plan to one sampled set and
 ``exact_phase5_distribution`` pushes the whole exact law through it.
 """
 
@@ -29,8 +30,6 @@ from typing import Optional
 
 from .graph_core import Graph, GraphError
 from .sampler import (
-    DEFAULT_MAX_BRANCHES,
-    DEFAULT_MAX_ORIENTATIONS,
     Distribution,
     EnumerationResult,
     IndependentSet,
@@ -276,17 +275,6 @@ def classify_chord(g: Graph, tf: TwoFactor, u: int) -> DeficiencyRecord:
 
 # -- whole-graph analysis -------------------------------------------------------
 
-_ANALYSIS_CACHE: dict = {}
-
-
-def _records(g: Graph, tf: TwoFactor) -> tuple[DeficiencyRecord, ...]:
-    key = (g, tf)
-    out = _ANALYSIS_CACHE.get(key)
-    if out is None:
-        out = _analyze(g, tf)
-        _ANALYSIS_CACHE[key] = out
-    return out
-
 
 def _analyze(g: Graph, tf: TwoFactor) -> tuple[DeficiencyRecord, ...]:
     if tf.graph != g:
@@ -342,17 +330,17 @@ def _analyze(g: Graph, tf: TwoFactor) -> tuple[DeficiencyRecord, ...]:
 
 def epsilon_full(g: Graph, tf: TwoFactor) -> dict[int, Fraction]:
     """The complete correction-term map, defined for every vertex."""
-    return {r.vertex: r.epsilon for r in _records(g, tf)}
+    return {r.vertex: r.epsilon for r in _analyze(g, tf)}
 
 
 def deficiency_report(g: Graph, tf: TwoFactor) -> tuple[DeficiencyRecord, ...]:
     """Classification records for all vertices, sponsors included."""
-    return _records(g, tf)
+    return _analyze(g, tf)
 
 
 def sponsor(g: Graph, tf: TwoFactor, u: int) -> int:
     """The neighbour that may be traded away to repair u."""
-    rec = _records(g, tf)[u]
+    rec = _analyze(g, tf)[u]
     if not rec.deficient:
         raise DeficiencyError(f"vertex {u} is not deficient (no sponsor)")
     return rec.sponsor
@@ -385,12 +373,15 @@ class Phase5Plan:
     the phase-4 law in a fixed order, and the planned swap probability
     for every (vertex, support set) pair, together with the bookkeeping
     (sponsors, correction terms, earlier-neighbour lists) that both the
-    single-run executor and the exact enumerator need.
+    single-run executor and the exact enumerator need.  ``walks[j]`` is
+    the exact swap cascade on support set ``j``; building it raises
+    ``BiasInfeasible`` when no coin can realize a planned probability, so
+    every plan can be executed.
     """
 
     __slots__ = ("graph", "tf", "deficient_order", "set_order", "set_probs",
                  "p", "sponsors", "epsilon", "nbrx", "eta", "rho",
-                 "_set_index", "_walk_cache")
+                 "_set_index", "walks")
 
     def __init__(self, graph, tf, deficient_order, set_order, set_probs,
                  p, sponsors, epsilon, nbrx, eta, rho):
@@ -406,7 +397,7 @@ class Phase5Plan:
         self.eta = dict(eta)
         self.rho = dict(rho)
         self._set_index = {J: j for j, J in enumerate(self.set_order)}
-        self._walk_cache: dict = {}
+        self.walks = tuple(self._walk(j) for j in range(len(self.set_order)))
 
     def index_of(self, J: IndependentSet):
         return self._set_index.get(J)
@@ -430,9 +421,6 @@ class Phase5Plan:
         tuple per coin the executor may flip on this set, and the final
         law over subsets of swapped-in vertices.
         """
-        cached = self._walk_cache.get(j)
-        if cached is not None:
-            return cached
         J = self.set_order[j]
         states = {frozenset(): Fraction(1)}
         steps = []
@@ -463,9 +451,7 @@ class Phase5Plan:
                     nxt[st] = nxt.get(st, Fraction(0)) + pr * (1 - bias)
             states = nxt
             steps.append((u, planned, clear, bias))
-        out = (tuple(steps), states)
-        self._walk_cache[j] = out
-        return out
+        return tuple(steps), states
 
     def apply_swaps(self, J: IndependentSet, added) -> IndependentSet:
         members = set(J.members)
@@ -503,7 +489,7 @@ def build_phase5_plan(g: Graph, tf: TwoFactor, dist: Distribution) -> Phase5Plan
     fills; if it does not, the two-factor was not qualifying and
     ``PreconditionFailure`` says so.
     """
-    recs = _records(g, tf)
+    recs = _analyze(g, tf)
     deficient = [r for r in recs if r.deficient]
     order = [r.vertex for r in
              sorted(deficient, key=lambda r: (abs(r.epsilon), r.vertex))]
@@ -592,7 +578,7 @@ def run_phase5(J: IndependentSet, plan: Phase5Plan, rng: SplitMix64) -> Independ
     j = plan.index_of(J)
     if j is None:
         return J
-    steps, _ = plan._walk(j)
+    steps, _ = plan.walks[j]
     added: list = []
     for u, planned, _clear, bias in steps:
         if planned == 0 or any(w in added for w in plan.nbrx[u]):
@@ -626,7 +612,7 @@ def exact_phase5_distribution(
     plan = build_phase5_plan(g, tf, base.distribution)
     pmf: dict = {}
     for j, (J, pJ) in enumerate(zip(plan.set_order, plan.set_probs)):
-        _, states = plan._walk(j)
+        _, states = plan.walks[j]
         for added, pr in states.items():
             out = plan.apply_swaps(J, added)
             if not is_independent(g, out.members):

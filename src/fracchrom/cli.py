@@ -33,10 +33,8 @@ from .augment import (
 from .fractional_lp import (
     ColouringError,
     MergeFailure,
-    TARGET_BOUND,
     chi_f_exact,
     chi_f_upper_subcubic,
-    verify_certificate,
 )
 from .graph_core import Graph, GraphError, GuardExceeded, analyze, parse_edge_list, parse_graph6
 from .sampler import monte_carlo
@@ -111,10 +109,6 @@ class RunConfig:
                 raise GraphError(f"{name} must be positive")
 
 
-def _fr(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
 def _read_text(path) -> str:
     try:
         return Path(path).read_text()
@@ -146,6 +140,12 @@ def _parse_graph_text(text: str, origin: str) -> Graph:
 def _load_two_factor(g: Graph, path: str):
     data = json.loads(_read_text(path))
     return two_factor_from_json_dict(g, data)
+
+
+def _law_options(cfg: RunConfig) -> dict:
+    """The options every exact-law computation of a command runs with."""
+    return {"phase4": cfg.phase4, "max_orientations": cfg.max_orientations,
+            "max_branches": cfg.max_branches}
 
 
 def _pick_two_factor(g: Graph, cfg: RunConfig):
@@ -187,20 +187,15 @@ def cmd_two_factor(cfg: RunConfig) -> dict:
 
 def _epsilon_payload(g: Graph, tf) -> tuple[dict, list]:
     recs = deficiency_report(g, tf)
-    eps_table = {str(r.vertex): _fr(r.epsilon) for r in recs}
+    eps_table = {str(r.vertex): str(r.epsilon) for r in recs}
     deficient = [r.to_json_dict() for r in recs if r.deficient]
     return eps_table, deficient
 
 
 def _exact_prob(cfg: RunConfig, g: Graph, tf) -> dict:
-    plan, result = exact_phase5_distribution(
-        g, tf,
-        phase4=cfg.phase4,
-        max_orientations=cfg.max_orientations,
-        max_branches=cfg.max_branches,
-    )
+    plan, result = exact_phase5_distribution(g, tf, **_law_options(cfg))
     eps_table, deficient = _epsilon_payload(g, tf)
-    marginals = {str(v): _fr(result.marginals[v]) for v in range(g.n)}
+    marginals = {str(v): str(result.marginals[v]) for v in range(g.n)}
     lo = min(result.marginals[v] for v in range(g.n)) if g.n else Fraction(1)
     return {
         "mode": "exact",
@@ -208,7 +203,7 @@ def _exact_prob(cfg: RunConfig, g: Graph, tf) -> dict:
         "marginals": marginals,
         "epsilon": eps_table,
         "deficiency_report": deficient,
-        "min_marginal": _fr(lo),
+        "min_marginal": str(lo),
         "threshold": f"{LOWER_BOUND_NUM}/256",
         "meets_threshold": lo >= Fraction(LOWER_BOUND_NUM, 256),
     }
@@ -220,12 +215,7 @@ def _monte_carlo_prob(cfg: RunConfig, g: Graph, tf) -> dict:
     if deficient:
         # the repair phase needs the exact plan; each trial then runs it
         # after phases 1-4, on its own bit stream
-        plan, _ = exact_phase5_distribution(
-            g, tf,
-            phase4=cfg.phase4,
-            max_orientations=cfg.max_orientations,
-            max_branches=cfg.max_branches,
-        )
+        plan, _ = exact_phase5_distribution(g, tf, **_law_options(cfg))
     report = monte_carlo(
         g, tf, cfg.trials, cfg.seed,
         phase4=cfg.phase4, workers=cfg.workers, plan=plan,
@@ -242,8 +232,8 @@ def _monte_carlo_prob(cfg: RunConfig, g: Graph, tf) -> dict:
         "backend": report.backend,
         "violations": report.violations,
         "counts": list(report.counts),
-        "frequencies": [_fr(report.frequency(v)) for v in range(g.n)],
-        "min_frequency": _fr(lo),
+        "frequencies": [str(report.frequency(v)) for v in range(g.n)],
+        "min_frequency": str(lo),
         "meets_threshold": lo >= Fraction(LOWER_BOUND_NUM, 256),
     }
 
@@ -266,31 +256,26 @@ def cmd_chif(cfg: RunConfig) -> dict:
     return {
         "command": "chif",
         "input": cfg.paths[0],
-        "chi_f": _fr(value),
+        "chi_f": str(value),
         "weighting": primal.to_json_dict(),
-        "dual_clique": {str(v): _fr(q) for v, q in sorted(dual.items()) if q > 0},
+        "dual_clique": {str(v): str(q) for v, q in sorted(dual.items()) if q > 0},
     }
 
 
 def cmd_certify(cfg: RunConfig) -> dict:
     g = _read_graph(cfg.paths[0])
-    bound, cert = chi_f_upper_subcubic(
-        g,
-        phase4=cfg.phase4,
-        max_orientations=cfg.max_orientations,
-        max_branches=cfg.max_branches,
-    )
-    verdict = verify_certificate(g, cert)
+    bound, cert = chi_f_upper_subcubic(g, **_law_options(cfg))
+    # chi_f_upper_subcubic verifies the certificate and raises otherwise
     return {
         "command": "certify",
         "input": cfg.paths[0],
-        "bound": _fr(bound),
-        "verified": verdict.ok,
+        "bound": str(bound),
+        "verified": True,
         "certificate": cert.to_json_dict(),
     }
 
 
-def _corpus_row(origin: str, g: Graph, search: bool) -> dict:
+def _corpus_row(origin: str, g: Graph, cfg: RunConfig) -> dict:
     report = analyze(g)
     row = {
         "graph": origin,
@@ -305,7 +290,7 @@ def _corpus_row(origin: str, g: Graph, search: bool) -> dict:
         "deficient_count": None,
     }
     try:
-        row["chi_f"] = _fr(chi_f_exact(g)[0])
+        row["chi_f"] = str(chi_f_exact(g)[0])
     except GuardExceeded:
         pass
     if (report.is_cubic and report.is_triangle_free
@@ -318,13 +303,13 @@ def _corpus_row(origin: str, g: Graph, search: bool) -> dict:
         recs = deficiency_report(g, tf)
         deficient = [r for r in recs if r.deficient]
         row["deficient_count"] = len(deficient)
-        if search:
+        if cfg.search:
             row["deficient"] = [r.to_json_dict() for r in deficient]
         try:
-            _, result = exact_phase5_distribution(g, tf)
+            _, result = exact_phase5_distribution(g, tf, **_law_options(cfg))
         except GuardExceeded:
             return row
-        row["min_marginal"] = _fr(min(result.marginals[v] for v in range(g.n)))
+        row["min_marginal"] = str(min(result.marginals[v] for v in range(g.n)))
     return row
 
 
@@ -340,7 +325,7 @@ def cmd_corpus(cfg: RunConfig) -> dict:
         ]
         for i, line in enumerate(lines, start=1):
             origin = f"{path.name}:{i}" if len(lines) > 1 else path.name
-            rows.append(_corpus_row(origin, parse_graph6(line), cfg.search))
+            rows.append(_corpus_row(origin, parse_graph6(line), cfg))
     if cfg.search:
         rows = [r for r in rows if r.get("deficient_count") not in (0, None)]
     return {

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .augment import exact_phase5_distribution
 from .graph_core import Graph, GraphError, GuardExceeded, analyze, reduce_subcubic, suppress_vertex
-from .sampler import Distribution, IndependentSet, is_independent
+from .sampler import Distribution, is_independent
 from .two_factor import TwoFactor, select_two_factor
 
 __all__ = [

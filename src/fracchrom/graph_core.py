@@ -2,8 +2,10 @@
 
 Vertices are dense integers 0..n-1.  Adjacency is kept both as sorted
 neighbour tuples and (for n <= 64) as per-vertex bitmasks, which is what the
-exact enumeration engines operate on.  Everything here is immutable after
-construction and safe to share across threads.
+exact enumeration engines operate on.  A `Graph` is immutable after
+construction and safe to share across threads, except for ``derived``:
+results computed from the graph (its small cuts), kept as long as the
+graph lives.  Threads asking at once may each compute one; they are equal.
 
 The reduction machinery (`reduce_subcubic`) turns a connected subcubic graph
 into a tree of constructions whose leaves are cubic graphs, recording vertex
@@ -25,9 +27,13 @@ class GuardExceeded(RuntimeError):
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "_hash")
+    ``derived`` keeps results computed from the graph; it takes no part in
+    equality or hashing.
+    """
+
+    __slots__ = ("n", "edges", "adj", "adj_mask", "derived", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -62,6 +68,7 @@ class Graph:
             self.adj_mask = tuple(masks)
         else:
             self.adj_mask = None
+        self.derived = {}
         self._hash = hash((n, self.edges))
 
     @property

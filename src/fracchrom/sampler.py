@@ -9,7 +9,8 @@ vertices (phase 3) and promotes isolated feasible vertices (phase 4).
 Two execution engines are provided.  ``enumerate_distribution`` walks
 every orientation and every selection branch, producing the exact
 rational law of the output set together with per-vertex inclusion
-probabilities; the per-situation records it caches also answer event
+probabilities; the per-situation records it keeps on the two-factor (in
+``tf.derived``, so they live exactly as long as ``tf``) also answer event
 queries (``event_probability``, ``forces``, ``admissible``, ``exact_q``).
 It is the oracle and shares no code with the sampler.  Sampling runs
 the one mask-level trial of ``_mcphases_py.trial_masks`` (or its compiled
@@ -448,9 +449,6 @@ def _check_guards(orientations, branches, max_orientations, max_branches):
             "situation count passed the limit of %d branches" % max_branches)
 
 
-_LAW_CACHE = {}
-
-
 def _branch_products(tf, mask):
     """Cartesian product of the per-run selection branches on ``mask``."""
     outcomes = [(0, Fraction(1))]
@@ -518,14 +516,14 @@ def _law(g, tf, phase4="start", max_orientations=None, max_branches=None):
         max_orientations = DEFAULT_MAX_ORIENTATIONS
     if max_branches is None:
         max_branches = DEFAULT_MAX_BRANCHES
-    key = (g, tf, phase4)
-    law = _LAW_CACHE.get(key)
+    key = ("law", phase4)
+    law = tf.derived.get(key)
     if law is None:
-        law = _compute_law(g, tf, phase4, max_orientations, max_branches)
-        _LAW_CACHE[key] = law
-    else:  # a cached law answers only callers whose guards it meets
-        _check_guards(law.orientations, law.branches,
-                      max_orientations, max_branches)
+        law = tf.derived[key] = _compute_law(
+            g, tf, phase4, max_orientations, max_branches)
+    # a kept law answers only callers whose guards it meets
+    _check_guards(law.orientations, law.branches,
+                  max_orientations, max_branches)
     return law
 
 

@@ -7,6 +7,7 @@ inclusionwise minimal edge-cut of size 3 or 4 (the cut condition of Kaiser
 and Škrekovski), and among those maximizes the number of cycles (ties broken
 by lexicographically smallest matching).  F meets a cut exactly when the cut
 does not lie wholly inside M; `_meets_cuts` is the one place that tests it.
+The cuts of a graph are searched once and kept in its ``derived`` slot.
 
 Minimality of a cut is decided by the bond test: a disconnecting edge set C
 of a connected graph is inclusionwise minimal iff every edge of C has exactly
@@ -41,6 +42,8 @@ class TwoFactor:
     Cycles are stored in canonical orientation: each cycle starts at its
     minimum vertex and proceeds toward the larger-id of that vertex's two
     cycle neighbours; cycles are sorted by their starting vertex.
+    ``derived`` keeps results computed from the two-factor (its exact law
+    in `sampler`); it takes no part in equality or hashing.
     """
 
     __slots__ = (
@@ -51,6 +54,7 @@ class TwoFactor:
         "pos",
         "f_edges",
         "m_edges",
+        "derived",
         "_hash",
     )
 
@@ -118,6 +122,7 @@ class TwoFactor:
         self.pos = tuple(pos)
         self.f_edges = frozenset(f_edges)
         self.m_edges = frozenset(m_edges)
+        self.derived = {}
         self._hash = hash((g, self.cycles, self.mate))
 
     @staticmethod
@@ -302,11 +307,17 @@ def minimal_small_cuts(g: Graph) -> list[EdgeCut]:
     return cuts
 
 
-def _cut_sets(g: Graph) -> list[frozenset]:
-    return [frozenset(c.edges) for c in minimal_small_cuts(g)]
+def _cut_sets(g: Graph) -> tuple[frozenset, ...]:
+    """The edge sets of ``minimal_small_cuts(g)``, searched once per graph
+    and kept on it."""
+    cuts = g.derived.get("cuts")
+    if cuts is None:
+        cuts = g.derived["cuts"] = tuple(
+            frozenset(c.edges) for c in minimal_small_cuts(g))
+    return cuts
 
 
-def _meets_cuts(m_edges, cuts: list[frozenset]) -> bool:
+def _meets_cuts(m_edges, cuts) -> bool:
     """The cut test: True iff no cut lies wholly inside the matching
     ``m_edges``, i.e. the complementary cycles meet every cut."""
     return not any(cut <= m_edges for cut in cuts)

@@ -9,8 +9,13 @@ into its starred reflection.
 
 The expected classifications were derived by hand from the pattern
 definitions; the tests pin them as independent oracles.
+
+The public builders are memoized: a two-factor keeps its exact law, so
+handing every test the same ``(g, tf, focus)`` computes each fixture's
+law once per session.
 """
 
+import functools
 from fractions import Fraction
 
 from fracchrom.graph_core import Graph
@@ -47,6 +52,7 @@ def _ring_fixture(length, chords, rungs=(), helper_len=0, helper_chords=(),
     return g, tf, z[0]
 
 
+@functools.lru_cache(maxsize=None)
 def type_0_fixture():
     """A 5-cycle and a 7-cycle joined so both ends of one crossing
     matching edge are deficient of type 0 (and adjacent to each other,
@@ -60,6 +66,7 @@ def type_0_fixture():
     return g, tf, 0
 
 
+@functools.lru_cache(maxsize=None)
 def type_I_fixture(mirror=False):
     """Length-14 ring whose focus chord sees a 4-cycle only on the mate's
     side; a second type-I vertex comes along for free."""
@@ -70,6 +77,7 @@ def type_I_fixture(mirror=False):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def type_Ia_fixture(mirror=False):
     return _ring_fixture(
         10,
@@ -80,6 +88,7 @@ def type_Ia_fixture(mirror=False):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def type_Ib_fixture(mirror=False):
     return _ring_fixture(
         10,
@@ -91,6 +100,7 @@ def type_Ib_fixture(mirror=False):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def type_II_fixture(mirror=False):
     return _ring_fixture(
         12,
@@ -101,6 +111,7 @@ def type_II_fixture(mirror=False):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def type_IIa_fixture(mirror=False):
     return _ring_fixture(
         10,
@@ -112,6 +123,7 @@ def type_IIa_fixture(mirror=False):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def type_III_fixture(mirror=False):
     return _ring_fixture(
         12,
@@ -123,6 +135,7 @@ def type_III_fixture(mirror=False):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def mixed_deficiency_fixture():
     """One ring holding a type-I vertex and an Ia/Ia* pair at once; the
     deficient vertices form a path, so the repair plan needs nontrivial

@@ -399,12 +399,11 @@ class TestRunPhase5:
         plan = A.build_phase5_plan(g, tf, base.distribution)
         j = next(j for j, J in enumerate(plan.set_order)
                  if A.favourable(g, tf, 0, J))
-        bad = A.Phase5Plan(
-            g, tf, plan.deficient_order, plan.set_order, plan.set_probs,
-            {(0, j): F(2)},  # no coin can land twice as often as always
-            plan.sponsors, plan.epsilon, plan.nbrx, plan.eta, plan.rho)
         with pytest.raises(A.BiasInfeasible):
-            bad._walk(j)
+            A.Phase5Plan(
+                g, tf, plan.deficient_order, plan.set_order, plan.set_probs,
+                {(0, j): F(2)},  # no coin can land twice as often as always
+                plan.sponsors, plan.epsilon, plan.nbrx, plan.eta, plan.rho)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command behaviour, output determinism, and exit-code mapping."""
 
+import gc
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fracchrom import cli
+from fracchrom import cli, fractional_lp, sampler
 from fracchrom.augment import BiasInfeasible
 from fracchrom.graph_core import Graph, GraphError, GuardExceeded, encode_graph6, to_edge_list_text
 
@@ -244,6 +245,21 @@ class TestCertify:
         path = files("p.g6", petersen())
         assert invoke("certify", path) == invoke("certify", path)
 
+    def test_certificate_is_verified_once(self, files, monkeypatch):
+        calls = []
+        original = fractional_lp.verify_certificate
+
+        def counted(g, cert):
+            calls.append(cert)
+            return original(g, cert)
+
+        for module in (cli, fractional_lp):
+            if getattr(module, "verify_certificate", None) is original:
+                monkeypatch.setattr(module, "verify_certificate", counted)
+        payload = invoke_json("certify", files("k.g6", k33()))
+        assert payload["verified"] is True
+        assert len(calls) == 1
+
     def test_bridged_cube_golden(self, tmp_path, monkeypatch):
         # subdivided K3,3 and subdivided 3-cube joined at the new vertices:
         # both sides reduce to one-bridge leaves
@@ -288,6 +304,33 @@ class TestCorpus:
         row = payload["rows"][0]
         assert row["deficient_count"] == 2
         assert all(e["epsilon"] == "-1" for e in row["deficient"])
+
+    def test_guards_reach_the_exact_law(self, tmp_path):
+        d = tmp_path / "c"
+        d.mkdir()
+        (d / "p.g6").write_text(encode_graph6(petersen()) + "\n")
+        assert invoke_json("corpus", str(d))["rows"][0]["min_marginal"] == "117/320"
+        for flag in ("--max-branches", "--max-orient"):
+            row = invoke_json("corpus", str(d), flag, "1")["rows"][0]
+            assert row["min_marginal"] is None
+            assert row["chi_f"] == "5/2" and row["deficient_count"] == 0
+
+    def test_laws_do_not_outlive_the_run(self, tmp_path):
+        # relabelled copies, so no other test has built these graphs
+        d = tmp_path / "c"
+        d.mkdir()
+        for i, g in enumerate((k33(), circular_ladder(4), petersen())):
+            shifted = Graph(g.n, [((u + 1) % g.n, (v + 1) % g.n) for u, v in g.edges])
+            (d / f"g{i}.g6").write_text(encode_graph6(shifted) + "\n")
+
+        def live_laws():
+            gc.collect()
+            return sum(1 for o in gc.get_objects() if isinstance(o, sampler._Law))
+
+        before = live_laws()
+        payload = invoke_json("corpus", str(d))
+        assert [r["min_marginal"] is not None for r in payload["rows"]] == [True] * 3
+        assert live_laws() == before
 
     def test_empty_dir(self, tmp_path):
         d = tmp_path / "empty"

@@ -344,6 +344,27 @@ class TestEnumerate:
         r2 = S.enumerate_distribution(g, tf)
         assert r1 is r2
 
+    def test_law_is_computed_once_per_two_factor(self, monkeypatch):
+        from fracchrom.augment import exact_phase5_distribution
+        calls = []
+        compute = S._compute_law
+
+        def counted(*args):
+            calls.append(args[1])
+            return compute(*args)
+
+        monkeypatch.setattr(S, "_compute_law", counted)
+        g, tf = petersen_tf()
+        S.enumerate_distribution(g, tf)
+        S.event_probability(T.builtin("E0", tf, 0), g, tf)
+        exact_phase5_distribution(g, tf)
+        assert calls == [tf]
+        # an equal but distinct two-factor owns (and computes) its own law
+        _, twin = petersen_tf()
+        assert twin == tf and twin is not tf
+        S.enumerate_distribution(g, twin)
+        assert len(calls) == 2 and calls[1] is twin
+
     def test_situations_consistent(self):
         g, tf = petersen_tf()
         sits = S.enumerate_situations(g, tf)

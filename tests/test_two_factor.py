@@ -263,6 +263,25 @@ def test_select_cannot_keep_a_bridge_on_the_cycles():
         select_two_factor(g, cycle_edge=(9, 4))
 
 
+def test_cut_search_runs_once_per_graph(monkeypatch):
+    import fracchrom.two_factor as TF
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return minimal_small_cuts(g)
+
+    monkeypatch.setattr(TF, "minimal_small_cuts", counted)
+    g = generalized_petersen(6, 1)  # the hexagonal prism
+    tf = select_two_factor(g)
+    assert satisfies_ks_condition(g, tf)
+    assert len(calls) == 1
+    # the cuts belong to the graph object: an equal graph searches anew
+    twin = generalized_petersen(6, 1)
+    assert twin == g and satisfies_ks_condition(twin, tf)
+    assert len(calls) == 2
+
+
 def test_select_requires_cubic():
     with pytest.raises(GraphError):
         select_two_factor(k33_minus_edge())
