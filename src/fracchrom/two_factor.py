@@ -9,11 +9,21 @@ by lexicographically smallest matching).  F meets a cut exactly when the cut
 does not lie wholly inside M; `_meets_cuts` is the one place that tests it.
 The cuts of a graph are searched once and kept in its ``derived`` slot.
 
+The cut search follows Pritchard & Thulasiraman ("Fast computation of small
+cuts via cycle space sampling", ACM Trans. Algorithms 7(4), 2011).  Every
+edge gets a 64-bit label whose bits, read across the edges, are random
+elements of the cycle space, drawn from a spanning tree with a fixed seed.
+A cycle crosses an edge cut an even number of times, so the labels of every
+edge cut XOR to 0; the 3- and 4-sets that XOR to 0 are found from label
+lookups and pair-XOR collisions in O(m^2) expected time, and a set that is
+not a cut (probability 2^-64 per set) is dropped by the bond test below.
+
 Minimality of a cut is decided by the bond test: a disconnecting edge set C
 of a connected graph is inclusionwise minimal iff every edge of C has exactly
 one endpoint in S, the component of vertex 0 in G - C, and V - S is connected
 in G - C.  Then G - C has exactly two components and every edge of C joins
-them, so putting back any one edge reconnects the graph.
+them, so putting back any one edge reconnects the graph.  Every candidate is
+confirmed this way, so the cut list does not depend on the labels.
 
 Everything downstream navigates cycles through `TwoFactor`: mates (matching
 partners), signed steps along a cycle, forward distances and subpaths.
@@ -22,10 +32,14 @@ partners), signed steps along a cycle, forward distances and subpaths.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .graph_core import Graph, GraphError, GuardExceeded
+
+
+_LABEL_SEED = 0x6672616363687230  # fixes the labels; the cuts do not depend on it
 
 
 class TwoFactorError(ValueError):
@@ -284,36 +298,115 @@ def _connected_after_removal(g: Graph, removed: frozenset, start: int = 0) -> se
     return seen
 
 
+def _cycle_space_labels(g: Graph) -> Optional[list[int]]:
+    """A 64-bit label per edge index whose every bit, read across the edges,
+    is a random element of the cycle space of the connected graph g; None
+    when g is disconnected.
+
+    Each non-tree edge of a BFS tree from vertex 0 draws a random label
+    (bit b says whether its fundamental cycle is in the b-th sample); a
+    tree edge carries the XOR of the labels of the non-tree edges with
+    exactly one endpoint in the subtree below it, i.e. of the fundamental
+    cycles through it.
+    """
+    n = g.n
+    index = {e: i for i, e in enumerate(g.edges)}
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    order = [0]
+    seen = [False] * n
+    seen[0] = True
+    for u in order:
+        for w in g.adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = u
+                parent_edge[w] = index[(min(u, w), max(u, w))]
+                order.append(w)
+    if len(order) != n:
+        return None
+    tree = set(parent_edge[1:])
+    rng = random.Random(_LABEL_SEED)
+    labels = [0] * g.m
+    below = [0] * n  # XOR of the labels leaving the subtree of each vertex
+    for i, (u, v) in enumerate(g.edges):
+        if i not in tree:
+            labels[i] = rng.getrandbits(64)
+            below[u] ^= labels[i]
+            below[v] ^= labels[i]
+    for v in reversed(order[1:]):
+        labels[parent_edge[v]] = below[v]
+        below[parent[v]] ^= below[v]
+    return labels
+
+
+def _zero_xor_sets(labels: list[int]) -> list[tuple[int, ...]]:
+    """Every 3- and 4-set of edge indices whose labels XOR to 0, each as an
+    increasing tuple, sorted by (size, tuple)."""
+    m = len(labels)
+    by_label: dict[int, list[int]] = {}
+    for i, x in enumerate(labels):
+        by_label.setdefault(x, []).append(i)
+    by_pair: dict[int, list[tuple[int, int]]] = {}
+    found = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            x = labels[i] ^ labels[j]
+            found.extend((i, j, k) for k in by_label.get(x, ()) if k > j)
+            by_pair.setdefault(x, []).append((i, j))
+    # pairs are listed in increasing order, so {a,b,c,d} with a<b<c<d is
+    # found once, as the split (a,b) | (c,d)
+    for pairs in by_pair.values():
+        found.extend((a, b, c, d)
+                     for (a, b), (c, d) in itertools.combinations(pairs, 2)
+                     if b < c)
+    found.sort(key=lambda t: (len(t), t))
+    return found
+
+
 def minimal_small_cuts(g: Graph) -> list[EdgeCut]:
-    """All inclusionwise minimal edge-cuts of size 3 or 4: every 3- and
-    4-subset of E that disconnects g and passes the bond test (see the
-    module docstring)."""
+    """All inclusionwise minimal edge-cuts of size 3 or 4, in the order of
+    ``itertools.combinations(g.edges, size)`` for size 3, then 4.
+
+    Candidates are the 3- and 4-sets whose cycle-space labels XOR to 0
+    (Pritchard & Thulasiraman, ACM Trans. Algorithms 7(4), 2011): every
+    edge cut does, so none is missed, and each candidate is confirmed by
+    the bond test (see the module docstring), so the list never depends
+    on the labels.  O(m^2) expected.
+    """
     if g.n > 64:
         raise GuardExceeded("minimal_small_cuts guard: n <= 64")
-    if g.n and len(_connected_after_removal(g, frozenset())) != g.n:
+    if g.n <= 1:
+        return []
+    labels = _cycle_space_labels(g)
+    if labels is None:
         raise GraphError("minimal_small_cuts requires a connected graph")
     cuts: list[EdgeCut] = []
-    for size in (3, 4):
-        for combo in itertools.combinations(g.edges, size):
-            removed = frozenset(combo)
-            side = _connected_after_removal(g, removed)
-            if len(side) == g.n:
-                continue
-            if any((u in side) == (v in side) for u, v in combo):
-                continue
-            other = next(v for v in range(g.n) if v not in side)
-            if len(side) + len(_connected_after_removal(g, removed, other)) == g.n:
-                cuts.append(EdgeCut(edges=combo, side=tuple(sorted(side))))
+    for idx in _zero_xor_sets(labels):
+        combo = tuple(g.edges[i] for i in idx)
+        removed = frozenset(combo)
+        side = _connected_after_removal(g, removed)
+        if len(side) == g.n:
+            continue
+        if any((u in side) == (v in side) for u, v in combo):
+            continue
+        other = next(v for v in range(g.n) if v not in side)
+        if len(side) + len(_connected_after_removal(g, removed, other)) == g.n:
+            cuts.append(EdgeCut(edges=combo, side=tuple(sorted(side))))
     return cuts
 
 
 def _cut_sets(g: Graph) -> tuple[frozenset, ...]:
-    """The edge sets of ``minimal_small_cuts(g)``, searched once per graph
-    and kept on it."""
+    """The edge sets of the cuts of ``minimal_small_cuts(g)`` that a
+    matching could lie wholly inside, searched once per graph and kept on
+    it.  A cut whose side or other side has at most two vertices is left
+    out: that side is one vertex (its star) or an edge, so at least two cut
+    edges share a vertex and no matching holds them both."""
     cuts = g.derived.get("cuts")
     if cuts is None:
         cuts = g.derived["cuts"] = tuple(
-            frozenset(c.edges) for c in minimal_small_cuts(g))
+            frozenset(c.edges) for c in minimal_small_cuts(g)
+            if 2 < len(c.side) < g.n - 2)
     return cuts
 
 

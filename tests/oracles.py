@@ -28,6 +28,33 @@ def count_perfect_matchings_bruteforce(g):
     return count
 
 
+def minimal_small_cuts_subset_scan(g):
+    """Minimal 3-/4-edge-cuts by testing every 3- and 4-subset of E, in
+    ``itertools.combinations`` order, as ``(edges, side)`` pairs: ``side``
+    is the sorted component of vertex 0, and a subset counts when every
+    edge joins that component to a connected rest."""
+
+    def reach(start, removed):
+        seen, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            for w in g.adj[u]:
+                if (min(u, w), max(u, w)) not in removed and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    out = []
+    for size in (3, 4):
+        for combo in itertools.combinations(g.edges, size):
+            side = reach(0, set(combo))
+            rest = set(range(g.n)) - side
+            if (rest and all((u in side) != (v in side) for u, v in combo)
+                    and reach(min(rest), set(combo)) == rest):
+                out.append((combo, tuple(sorted(side))))
+    return out
+
+
 def minimal_small_cuts_bruteforce(g):
     """Minimal 3-/4-edge-cuts via the boundary form: a cut is minimal iff it
     equals the boundary of a vertex set X with both g[X] and g[V-X] connected.

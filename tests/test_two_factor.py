@@ -4,9 +4,10 @@ import itertools
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from fracchrom.graph_core import Graph, GraphError, parse_graph6
+import fracchrom.two_factor as TF
+from fracchrom.graph_core import Graph, GraphError, GuardExceeded, parse_graph6
 from fracchrom.two_factor import (
     EdgeCut,
     NoQualifyingTwoFactor,
@@ -23,10 +24,17 @@ from fracchrom.two_factor import (
     two_factor_to_json_dict,
 )
 
-from oracles import count_perfect_matchings_bruteforce, minimal_small_cuts_bruteforce
+from oracles import (
+    count_perfect_matchings_bruteforce,
+    minimal_small_cuts_bruteforce,
+    minimal_small_cuts_subset_scan,
+)
 from util_graphs import (
+    bridged_composite,
     circular_ladder,
     complete,
+    cycle,
+    disjoint_union,
     generalized_petersen,
     gp72,
     k33,
@@ -37,6 +45,11 @@ from util_graphs import (
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS_N10 = [parse_graph6(line)
               for line in (CORPUS / "cubic_tf_bridgeless_n10.g6").read_text().split()]
+CORPUS_UP_TO_12 = [
+    parse_graph6(line)
+    for n in (6, 8, 10, 12)
+    for line in (CORPUS / f"cubic_tf_bridgeless_n{n}.g6").read_text().split()
+]
 
 SPOKES = [(i, 5 + i) for i in range(5)]
 
@@ -53,6 +66,36 @@ def bad_ks_gadget():
 
 
 BAD_GADGET_MATCHING = [(1, 3), (6, 8), (0, 5), (2, 7), (4, 9)]
+
+
+def two_cut_graph():
+    """Two copies of K4 minus an edge joined by two edges: a cubic graph
+    with the 2-edge-cut {(2, 6), (3, 7)}, whose edges get equal labels."""
+    half = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    return Graph(8, half + [(u + 4, v + 4) for u, v in half] + [(2, 6), (3, 7)])
+
+
+@st.composite
+def connected_subcubic_graphs(draw):
+    """A random tree of maximum degree 3 on n <= 12 vertices plus random
+    extra edges that keep the degrees <= 3: bridges and 2-edge-cuts are
+    common."""
+    n = draw(st.integers(2, 12))
+    deg = [0] * n
+    edges = set()
+    for v in range(1, n):
+        u = draw(st.sampled_from([w for w in range(v) if deg[w] < 3]))
+        edges.add((u, v))
+        deg[u] += 1
+        deg[v] += 1
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(pairs, max_size=2 * n)):
+        e = (min(u, v), max(u, v))
+        if u != v and e not in edges and deg[u] < 3 and deg[v] < 3:
+            edges.add(e)
+            deg[u] += 1
+            deg[v] += 1
+    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +198,67 @@ def test_forward_path_and_dist():
 def test_minimal_cuts_match_boundary_oracle(g):
     got = {frozenset(c.edges) for c in minimal_small_cuts(g)}
     assert got == minimal_small_cuts_bruteforce(g)
+
+
+def _cut_list(g):
+    return [(c.edges, c.side) for c in minimal_small_cuts(g)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [*CORPUS_UP_TO_12, petersen(), gp72(), generalized_petersen(8, 3),
+     bridged_composite(), bad_ks_gadget(), two_cut_graph()],
+)
+def test_minimal_cuts_equal_subset_scan(g):
+    assert _cut_list(g) == minimal_small_cuts_subset_scan(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_subcubic_graphs())
+def test_minimal_cuts_equal_subset_scan_on_random_subcubic(g):
+    assert _cut_list(g) == minimal_small_cuts_subset_scan(g)
+
+
+def test_minimal_cuts_edge_cases_and_guards(monkeypatch):
+    for g in (Graph(0, []), Graph(1, []), complete(2)):
+        assert minimal_small_cuts(g) == []
+    with pytest.raises(GraphError, match="^minimal_small_cuts requires a connected graph$"):
+        minimal_small_cuts(disjoint_union(complete(4), complete(4)))
+    with pytest.raises(GuardExceeded, match="^minimal_small_cuts guard: n <= 64$"):
+        minimal_small_cuts(cycle(65))
+    # the labels only pick the candidates; the bond test decides
+    graphs = [gp72(), bridged_composite(), two_cut_graph()]
+    expected = [_cut_list(g) for g in graphs]
+    for seed in (0, 2**64 - 1):
+        monkeypatch.setattr(TF, "_LABEL_SEED", seed)
+        assert [_cut_list(g) for g in graphs] == expected
+
+
+def test_cut_search_tests_only_candidates(monkeypatch):
+    # the subset scan made one or two searches per 3- and 4-subset
+    # (about 212,000 on this graph)
+    calls = []
+    search = TF._connected_after_removal
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(TF, "_connected_after_removal", counted)
+    cuts = minimal_small_cuts(generalized_petersen(16, 3))
+    assert cuts and len(calls) <= 1 + 2 * len(cuts)
+
+
+def test_trivial_cuts_never_decide_the_cut_test():
+    # a vertex star or the four edges around an edge has two edges at one
+    # vertex, so no matching holds it; _cut_sets leaves such cuts out
+    for g in (*CORPUS_UP_TO_12, gp72()):
+        full = tuple(frozenset(c.edges) for c in minimal_small_cuts(g))
+        kept = TF._cut_sets(g)
+        assert set(kept) < set(full)
+        for matching in enumerate_perfect_matchings(g):
+            m = frozenset(matching)
+            assert TF._meets_cuts(m, full) == TF._meets_cuts(m, kept)
 
 
 def test_minimal_cuts_petersen_stars():
