@@ -1,65 +1,15 @@
-"""Pure-python trial kernel; drop-in stand-in for the compiled one.
+"""Phases 1-4 of the construction on vertex bitmasks.
 
-``trial_masks`` is the one Python implementation of phases 1-4: the
-Monte Carlo kernel below, the reference sampler ``sampler.run_phases_1_4``
-and the five-phase Monte Carlo path all run it.  It consumes random bits
-in exactly the same order as the compiled kernel: one bit per matching
-edge in sorted edge order (bit set = larger endpoint becomes the head),
-then for each selection pass one bit per path or even-cycle run and a
-rejection-sampled index per odd-cycle run, runs taken cycle by cycle in
-order of their starting position.  Vertex sets are Python-int bitmasks,
-so any number of vertices works.
+``trial_masks`` is the one implementation of phases 1-4 that sampling
+runs: ``sampler.run_phases_1_4`` draws one situation with it, and
+``sampler.monte_carlo`` runs it once per trial, with or without the
+phase-5 repair.  Random bits are consumed in a fixed order: one bit per
+matching edge in sorted edge order (bit set = larger endpoint becomes
+the head), then for each selection pass one bit per path or even-cycle
+run and a rejection-sampled index per odd-cycle run, runs taken cycle by
+cycle in order of their starting position.  Vertex sets are Python-int
+bitmasks, so any number of vertices works.
 """
-
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_MASK64 = (1 << 64) - 1
-
-
-def backend_name():
-    return "pure-python"
-
-
-def run_trials(n, edges_a, edges_b, cycle_starts, cycle_verts, adj_mask,
-               trials, seed, first_trial, phase4_recompute):
-    """Run ``trials`` independent trials; returns per-vertex hit counts
-    plus the number of trials whose output set was not independent
-    (always 0 unless the construction is broken).
-
-    Trial number ``t`` (``first_trial <= t < first_trial + trials``) uses
-    the stream seeded with ``seed + (t + 1) * GAMMA``, so disjoint chunks
-    of trials can run concurrently and still sum to the same counts.
-    """
-    counts = [0] * n
-    violations = 0
-
-    for t in range(first_trial, first_trial + trials):
-        state = (seed + (t + 1) * _GAMMA) & _MASK64
-
-        def bits(k):
-            nonlocal state
-            state = (state + _GAMMA) & _MASK64
-            z = state
-            z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            return (z ^ (z >> 31)) >> (64 - k)
-
-        out = trial_masks(n, edges_a, edges_b, cycle_starts, cycle_verts,
-                          adj_mask, phase4_recompute, bits)[4]
-        bad = False
-        v = 0
-        rest = out
-        while rest:
-            if rest & 1:
-                counts[v] += 1
-                if adj_mask[v] & out:
-                    bad = True
-            rest >>= 1
-            v += 1
-        if bad:
-            violations += 1
-    return counts, violations
 
 
 def trial_masks(n, edges_a, edges_b, cycle_starts, cycle_verts, adj_mask,

@@ -96,7 +96,6 @@ class RunConfig:
     phase4: str
     fmt: str
     two_factor_path: str | None
-    workers: int | None
     require_cubic_triangle_free: bool
     search: bool
 
@@ -218,7 +217,7 @@ def _monte_carlo_prob(cfg: RunConfig, g: Graph, tf) -> dict:
         plan, _ = exact_phase5_distribution(g, tf, **_law_options(cfg))
     report = monte_carlo(
         g, tf, cfg.trials, cfg.seed,
-        phase4=cfg.phase4, workers=cfg.workers, plan=plan,
+        phase4=cfg.phase4, plan=plan,
     )
     lo = min(report.frequency(v) for v in range(g.n))
     return {
@@ -381,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="start", dest="phase4")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--workers", type=int, default=None,
-                       help="Monte Carlo worker count (default: FRACCHROM_THREADS or 1)")
+                       help="accepted and ignored: Monte Carlo runs on one thread")
         return p
 
     v = add("validate", "parse a graph and report its structure", "graph file")
@@ -411,7 +410,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         phase4=args.phase4,
         fmt=args.format,
         two_factor_path=args.two_factor,
-        workers=args.workers,
         require_cubic_triangle_free=getattr(
             args, "require_cubic_triangle_free", False),
         search=getattr(args, "search", False),

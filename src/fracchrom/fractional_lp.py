@@ -421,12 +421,12 @@ def _merge_on_bridge(n: int, a: MultisetCertificate, b: MultisetCertificate,
             f"place, {len(free)} indices available"
         )
     perm = [-1] * count
-    free_for_movers = [i for i in free if i not in movers]
-    stay = [i for i in movers if i not in blocked]
     # keep movers already standing on free indices, relocate the rest
-    for i in stay:
-        perm[i] = i
-    pool = iter(i for i in free_for_movers if i not in stay)
+    for i in movers:
+        if i not in blocked:
+            perm[i] = i
+    mover_set = set(movers)
+    pool = iter(i for i in free if i not in mover_set)
     for i in movers:
         if perm[i] == -1:
             perm[i] = next(pool)

@@ -13,17 +13,15 @@ probabilities; the per-situation records it keeps on the two-factor (in
 ``tf.derived``, so they live exactly as long as ``tf``) also answer event
 queries (``event_probability``, ``forces``, ``admissible``, ``exact_q``).
 It is the oracle and shares no code with the sampler.  Sampling runs
-the one mask-level trial of ``_mcphases_py.trial_masks`` (or its compiled
-twin): ``run_phases_1_4`` draws a single situation, and ``monte_carlo``
-estimates the marginals with a seeded, reproducible driver, optionally
+the one mask-level trial of ``_mcphases_py.trial_masks``:
+``run_phases_1_4`` draws a single situation, and ``monte_carlo``
+estimates the marginals in one seeded, reproducible loop, optionally
 followed by the phase-5 repair.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,21 +67,22 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return self.getrandbits(64)
 
     def getrandbits(self, k: int) -> int:
+        # the whole step in one call: the Monte Carlo loop draws every
+        # bit through here
         if not 1 <= k <= 64:
             raise ValueError("k must be in 1..64")
-        return self.next_u64() >> (64 - k)
+        z = self.state = (self.state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return (z ^ (z >> 31)) >> (64 - k)
 
 
 def trial_stream(seed: int, index: int) -> SplitMix64:
     """The independent bit stream used for trial number ``index``."""
-    return SplitMix64((seed + (index + 1) * _GAMMA) & _MASK64)
+    return SplitMix64(seed + (index + 1) * _GAMMA)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +235,7 @@ def is_independent(g: Graph, members) -> bool:
 
 # ---------------------------------------------------------------------------
 # run decomposition and the selection law (single source of truth for the
-# branch order: the trial kernels map their bits to it, and
+# branch order: the mask-level trial maps its bits to it, and
 # ``run_phases_1_4`` checks every draw against it)
 
 
@@ -643,15 +642,10 @@ def exact_q(t: Template, g: Graph, tf: TwoFactor, *,
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
-try:  # compiled kernel is optional
-    from . import _mcphases as _kernel
-except ImportError:  # pragma: no cover - depends on build environment
-    _kernel = _mcphases_py
-
 
 def kernel_backend() -> str:
-    """Name of the trial kernel in use ("compiled" or "pure-python")."""
-    return _kernel.backend_name()
+    """Name of the trial kernel: there is one, in pure Python."""
+    return "pure-python"
 
 
 @dataclass(frozen=True)
@@ -659,8 +653,9 @@ class MonteCarloReport:
     """Sampled inclusion counts with exact frequencies and standard errors.
 
     ``violations`` counts trials whose output failed the independence
-    check; it is asserted to be useful for external audits and should
-    always be zero.
+    check.  It is zero unless the construction is broken, and it is
+    reported rather than raised so that a broken run still shows its
+    counts.
     """
 
     n: int
@@ -704,23 +699,12 @@ def _kernel_args(g: Graph, tf: TwoFactor):
     return edges_a, edges_b, cycle_starts, cycle_verts, list(_adj_masks(g))
 
 
-def default_workers() -> int:
-    env = os.environ.get("FRACCHROM_THREADS", "")
-    try:
-        value = int(env)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
 def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
-                phase4: str = "start", workers: int = None,
-                plan=None) -> MonteCarloReport:
+                phase4: str = "start", plan=None) -> MonteCarloReport:
     """Estimate inclusion frequencies over ``trials`` independent runs.
 
-    Fully deterministic for a given seed: every trial draws from its own
-    seed-derived stream, so neither the worker count nor the scheduling
-    changes the result.  With a phase-5 ``plan`` (an
+    Fully deterministic for a given seed: trial number ``t`` draws every
+    choice from ``trial_stream(seed, t)``.  With a phase-5 ``plan`` (an
     ``augment.Phase5Plan`` for this two-factor) each trial runs phases
     1-4 and then the repair phase on the same stream.
     """
@@ -731,49 +715,31 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
         raise TwoFactorError("phase-5 plan belongs to a different two-factor")
     if not isinstance(trials, int) or trials < 1:
         raise GraphError("trials must be a positive integer")
-    if workers is None:
-        workers = default_workers()
-    workers = max(1, min(workers, trials, os.cpu_count() or 1))
-
-    args = (g.n,) + _kernel_args(g, tf)
-    recompute = phase4 == "recompute"
-    # the compiled kernel keeps a vertex set in one 64-bit word
-    kernel = _kernel if g.n <= 64 else _mcphases_py
-
-    def run_chunk(first, count):
-        if plan is None:
-            return kernel.run_trials(*args, count, seed, first, recompute)
-        return _five_phase_trials(g, args, recompute, plan, seed, first, count)
-
-    if workers == 1:
-        counts, violations = run_chunk(0, trials)
-    else:
-        chunk = (trials + workers - 1) // workers
-        jobs = [(first, min(chunk, trials - first))
-                for first in range(0, trials, chunk)]
-        counts = [0] * g.n
-        violations = 0
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part, bad in pool.map(lambda job: run_chunk(*job), jobs):
-                violations += bad
-                for v in range(g.n):
-                    counts[v] += part[v]
-    backend = kernel.backend_name() if plan is None else "five-phase-reference"
-    return MonteCarloReport(g.n, trials, seed, phase4, backend,
-                            tuple(counts), violations)
-
-
-def _five_phase_trials(g, args, recompute, plan, seed, first, count):
-    """``run_trials`` with the repair phase after phases 1-4, both drawing
-    from the trial's own stream."""
     from .augment import run_phase5  # augment imports this module
+
+    edges_a, edges_b, cycle_starts, cycle_verts, adj_mask = _kernel_args(g, tf)
+    recompute = phase4 == "recompute"
+    trial_masks = _mcphases_py.trial_masks
     counts = [0] * g.n
     violations = 0
-    for t in range(first, first + count):
+    for t in range(trials):
         rng = trial_stream(seed, t)
-        out = _mcphases_py.trial_masks(*args, recompute, rng.getrandbits)[4]
-        J = run_phase5(IndependentSet(_mask_vertices(out)), plan, rng)
-        violations += not is_independent(g, J.members)
-        for v in J.members:
-            counts[v] += 1
-    return counts, violations
+        out = trial_masks(g.n, edges_a, edges_b, cycle_starts, cycle_verts,
+                          adj_mask, recompute, rng.getrandbits)[4]
+        if plan is not None:
+            J = run_phase5(IndependentSet(_mask_vertices(out)), plan, rng)
+            out = _mask_of(J.members)
+        bad = False
+        v = 0
+        rest = out
+        while rest:
+            if rest & 1:
+                counts[v] += 1
+                if adj_mask[v] & out:
+                    bad = True
+            rest >>= 1
+            v += 1
+        violations += bad
+    backend = "pure-python" if plan is None else "five-phase-reference"
+    return MonteCarloReport(g.n, trials, seed, phase4, backend,
+                            tuple(counts), violations)

@@ -340,17 +340,16 @@ def _cycle_space_labels(g: Graph) -> Optional[list[int]]:
     return labels
 
 
-def _zero_xor_sets(labels: list[int]) -> list[tuple[int, ...]]:
-    """Every 3- and 4-set of edge indices whose labels XOR to 0, each as an
-    increasing tuple, sorted by (size, tuple)."""
-    m = len(labels)
+def _zero_xor_sets(labels: list[int], keep: list[int]) -> list[tuple[int, ...]]:
+    """Every 3- and 4-set of the edge indices in ``keep`` (increasing) whose
+    labels XOR to 0, each as an increasing tuple, sorted by (size, tuple)."""
     by_label: dict[int, list[int]] = {}
-    for i, x in enumerate(labels):
-        by_label.setdefault(x, []).append(i)
+    for i in keep:
+        by_label.setdefault(labels[i], []).append(i)
     by_pair: dict[int, list[tuple[int, int]]] = {}
     found = []
-    for i in range(m):
-        for j in range(i + 1, m):
+    for a, i in enumerate(keep):
+        for j in keep[a + 1:]:
             x = labels[i] ^ labels[j]
             found.extend((i, j, k) for k in by_label.get(x, ()) if k > j)
             by_pair.setdefault(x, []).append((i, j))
@@ -364,6 +363,10 @@ def _zero_xor_sets(labels: list[int]) -> list[tuple[int, ...]]:
     return found
 
 
+def _disconnects(g: Graph, removed: frozenset) -> bool:
+    return len(_connected_after_removal(g, removed)) < g.n
+
+
 def minimal_small_cuts(g: Graph) -> list[EdgeCut]:
     """All inclusionwise minimal edge-cuts of size 3 or 4, in the order of
     ``itertools.combinations(g.edges, size)`` for size 3, then 4.
@@ -372,7 +375,11 @@ def minimal_small_cuts(g: Graph) -> list[EdgeCut]:
     (Pritchard & Thulasiraman, ACM Trans. Algorithms 7(4), 2011): every
     edge cut does, so none is missed, and each candidate is confirmed by
     the bond test (see the module docstring), so the list never depends
-    on the labels.  O(m^2) expected.
+    on the labels.  A minimal cut holds no bridge and not both edges of a
+    2-edge-cut, as that smaller set already disconnects the graph.  Every
+    bridge has label 0 and both edges of a 2-edge-cut have equal labels,
+    so those edges are confirmed once each and left out before the bond
+    test.  O(m^2) expected.
     """
     if g.n > 64:
         raise GuardExceeded("minimal_small_cuts guard: n <= 64")
@@ -381,8 +388,20 @@ def minimal_small_cuts(g: Graph) -> list[EdgeCut]:
     labels = _cycle_space_labels(g)
     if labels is None:
         raise GraphError("minimal_small_cuts requires a connected graph")
+    bridges = {i for i, x in enumerate(labels)
+               if x == 0 and _disconnects(g, frozenset([g.edges[i]]))}
+    by_label: dict[int, list[int]] = {}
+    for i, x in enumerate(labels):
+        if x != 0:
+            by_label.setdefault(x, []).append(i)
+    two_cuts = {pair for same in by_label.values()
+                for pair in itertools.combinations(same, 2)
+                if _disconnects(g, frozenset(g.edges[i] for i in pair))}
+    keep = [i for i in range(g.m) if i not in bridges]
     cuts: list[EdgeCut] = []
-    for idx in _zero_xor_sets(labels):
+    for idx in _zero_xor_sets(labels, keep):
+        if any(pair in two_cuts for pair in itertools.combinations(idx, 2)):
+            continue
         combo = tuple(g.edges[i] for i in idx)
         removed = frozenset(combo)
         side = _connected_after_removal(g, removed)

@@ -408,12 +408,12 @@ class TestPlumbing:
         cfg = cli.RunConfig(
             command="prob", paths=("x",), seed=1, trials=10, exact=False,
             max_orientations=None, max_branches=None, phase4="start",
-            fmt="json", two_factor_path=None, workers=None,
+            fmt="json", two_factor_path=None,
             require_cubic_triangle_free=False, search=False)
         assert cfg.seed == 1
         with pytest.raises(GraphError):
             cli.RunConfig(
                 command="prob", paths=("x",), seed=-1, trials=10, exact=False,
                 max_orientations=None, max_branches=None, phase4="start",
-                fmt="json", two_factor_path=None, workers=None,
+                fmt="json", two_factor_path=None,
                 require_cubic_triangle_free=False, search=False)

@@ -1,9 +1,13 @@
-"""Every name a module of the package imports at top level is used there.
+"""Two stdlib-only lint rules over the modules of the package.
 
-A stdlib-only stand-in for a linter's unused-import rule: a name counts as
-used when it is read anywhere in the module (annotations included) or
-re-exported through ``__all__``.  ``__init__.py`` is skipped, since
-re-exporting is its purpose.
+Every name a module imports at top level is used there: a stand-in for a
+linter's unused-import rule, where a name counts as used when it is read
+anywhere in the module (annotations included) or re-exported through
+``__all__``.  ``__init__.py`` is skipped, since re-exporting is its
+purpose.
+
+No module catches ``ImportError`` (or ``ModuleNotFoundError``) to fall
+back to something else: a missing import fails loudly.
 """
 
 import ast
@@ -12,7 +16,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fracchrom"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+_IMPORT_ERRORS = {"ImportError", "ModuleNotFoundError"}
 
 
 def _top_level_imports(tree):
@@ -54,6 +60,21 @@ def unused_imports(path):
                   if name not in used)
 
 
+def import_fallbacks(path):
+    """Lines of the ``except`` handlers that catch an import failure."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                  else [node.type])
+        if any(isinstance(c, ast.Name) and c.id in _IMPORT_ERRORS
+               for c in caught):
+            out.append(node.lineno)
+    return out
+
+
 def test_modules_found():
     assert {"cli.py", "sampler.py", "augment.py"} <= {p.name for p in MODULES}
 
@@ -72,3 +93,18 @@ def test_checker_flags_an_unused_import(tmp_path):
                    "try:\n    import json\nexcept ImportError:\n    json = None\n"
                    "def f() -> 'x':\n    import re\n    return sys.argv, PI\n")
     assert unused_imports(src) == [(2, "os"), (6, "json")]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_silent_import_fallback(path):
+    assert import_fallbacks(path) == []
+
+
+def test_checker_flags_an_import_fallback(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("try:\n    import fast\nexcept ImportError:\n    fast = None\n"
+                   "try:\n    import a\nexcept (OSError, ModuleNotFoundError):\n"
+                   "    a = None\n"
+                   "try:\n    import b\nexcept ValueError:\n    pass\n"
+                   "try:\n    import c\nexcept:\n    raise\n")
+    assert import_fallbacks(src) == [3, 7]

@@ -1,18 +1,11 @@
-"""Backend parity: the compiled kernel, the pure-python kernel and the
-reference single-run API must consume random bits identically and produce
-byte-identical counts."""
+"""One trial procedure: the Monte Carlo loop and the reference single-run
+API must consume random bits identically and produce identical counts."""
 
 import pytest
 
 from fracchrom.graph_core import Graph
 from fracchrom.two_factor import two_factor_from_matching
 from fracchrom import sampler as S
-from fracchrom import _mcphases_py as pure_kernel
-
-try:
-    from fracchrom import _mcphases as compiled_kernel
-except ImportError:
-    compiled_kernel = None
 
 from util_graphs import circular_ladder, gp72, petersen
 
@@ -52,54 +45,22 @@ def reference_counts(g, tf, trials, seed, phase4):
                          ids=[f[0] for f in fixtures()])
 @pytest.mark.parametrize("phase4", ["start", "recompute"])
 def test_pure_kernel_matches_reference(name, g, tf, phase4):
-    args = S._kernel_args(g, tf)
-    counts, violations = pure_kernel.run_trials(
-        g.n, *args, 400, 17, 0, phase4 == "recompute")
-    assert violations == 0
-    assert counts == reference_counts(g, tf, 400, 17, phase4)
+    report = S.monte_carlo(g, tf, 400, 17, phase4=phase4)
+    assert report.backend == "pure-python"
+    assert report.violations == 0
+    assert list(report.counts) == reference_counts(g, tf, 400, 17, phase4)
 
 
-@pytest.mark.skipif(compiled_kernel is None,
-                    reason="compiled kernel not built")
-@pytest.mark.parametrize("name,g,tf", fixtures(),
-                         ids=[f[0] for f in fixtures()])
-def test_compiled_kernel_matches_pure(name, g, tf):
-    args = S._kernel_args(g, tf)
-    for phase4_recompute in (False, True):
-        got = compiled_kernel.run_trials(g.n, *args, 3000, 23, 0,
-                                         phase4_recompute)
-        want = pure_kernel.run_trials(g.n, *args, 3000, 23, 0,
-                                      phase4_recompute)
-        assert got == want
-
-
-@pytest.mark.skipif(compiled_kernel is None,
-                    reason="compiled kernel not built")
-def test_compiled_kernel_full_word_graph():
-    # 64 vertices exercises the all-ones mask path (bit 63 in use)
+def test_monte_carlo_matches_reference_on_64_vertices():
+    # bit 63 in use: every vertex of a full 64-bit word
     k = 32
     g = circular_ladder(k)
     tf = two_factor_from_matching(g, [(i, k + i) for i in range(k)])
-    args = S._kernel_args(g, tf)
-    got = compiled_kernel.run_trials(g.n, *args, 2000, 5, 0, False)
-    want = pure_kernel.run_trials(g.n, *args, 2000, 5, 0, False)
-    assert got == want
-    counts, violations = got
-    assert len(counts) == 64
-    assert violations == 0
-
-
-def test_chunked_trials_sum_to_whole():
-    g = petersen()
-    tf = two_factor_from_matching(g, [(i, 5 + i) for i in range(5)])
-    args = S._kernel_args(g, tf)
-    whole, _ = pure_kernel.run_trials(g.n, *args, 700, 3, 0, False)
-    first, _ = pure_kernel.run_trials(g.n, *args, 300, 3, 0, False)
-    rest, _ = pure_kernel.run_trials(g.n, *args, 400, 3, 300, False)
-    assert [a + b for a, b in zip(first, rest)] == whole
+    report = S.monte_carlo(g, tf, 300, 5)
+    assert len(report.counts) == 64
+    assert report.violations == 0
+    assert list(report.counts) == reference_counts(g, tf, 300, 5, "start")
 
 
 def test_backend_names():
-    assert pure_kernel.backend_name() == "pure-python"
-    if compiled_kernel is not None:
-        assert compiled_kernel.backend_name() == "compiled"
+    assert S.kernel_backend() == "pure-python"

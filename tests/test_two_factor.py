@@ -249,6 +249,23 @@ def test_cut_search_tests_only_candidates(monkeypatch):
     assert cuts and len(calls) <= 1 + 2 * len(cuts)
 
 
+def test_cut_search_confirms_each_bridge_once(monkeypatch):
+    # every edge of a tree is a bridge with label 0, so every 3- and
+    # 4-subset is a candidate (133,423 searches when each one went
+    # through the bond test); none is a minimal cut
+    g = Graph(40, [((i - 1) // 2, i) for i in range(1, 40)])
+    calls = []
+    search = TF._connected_after_removal
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(TF, "_connected_after_removal", counted)
+    cuts = minimal_small_cuts(g)
+    assert cuts == [] and len(calls) <= g.m + 1 + 2 * len(cuts)
+
+
 def test_trivial_cuts_never_decide_the_cut_test():
     # a vertex star or the four edges around an edge has two edges at one
     # vertex, so no matching holds it; _cut_sets leaves such cuts out
