@@ -277,8 +277,17 @@ def classify_chord(g: Graph, tf: TwoFactor, u: int) -> DeficiencyRecord:
 
 
 def _analyze(g: Graph, tf: TwoFactor) -> tuple[DeficiencyRecord, ...]:
+    """The deficiency records of every vertex, computed once per two-factor
+    and kept in ``tf.derived`` (the records are frozen)."""
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
+    recs = tf.derived.get("deficiency")
+    if recs is None:
+        recs = tf.derived["deficiency"] = _classify_all(g, tf)
+    return recs
+
+
+def _classify_all(g: Graph, tf: TwoFactor) -> tuple[DeficiencyRecord, ...]:
     recs: list[DeficiencyRecord] = []
     for u in range(g.n):
         v = tf.mate[u]

@@ -12,7 +12,11 @@ rational law of the output set together with per-vertex inclusion
 probabilities; the per-situation records it keeps on the two-factor (in
 ``tf.derived``, so they live exactly as long as ``tf``) also answer event
 queries (``event_probability``, ``forces``, ``admissible``, ``exact_q``).
-It is the oracle and shares no code with the sampler.  Sampling runs
+The law is computed in integers: every situation has probability ``1/d``
+with ``d = 2^m * d1 * d3``, the masses are summed as integers over one
+common denominator (the lcm of the distinct ``d``), and each
+``Fraction`` is built once, per support set and per vertex.  It is the
+oracle and shares no code with the sampler.  Sampling runs
 the one mask-level trial of ``_mcphases_py.trial_masks``:
 ``run_phases_1_4`` draws a single situation, and ``monte_carlo``
 estimates the marginals in one seeded, reproducible loop, optionally
@@ -271,43 +275,43 @@ def _mask_runs(cycles, mask: int):
 
 
 def _run_branches(tf: TwoFactor, is_cycle: bool, seq):
-    """All selection outcomes for one run, as (mask, probability) pairs.
+    """All selection outcomes for one run, as (mask, d) pairs.
 
-    The order is significant: samplers map their random bits to indices
-    in this list (paths and even cycles use one bit for index 0/1, odd
-    cycles draw a uniform index by rejection).
+    Every outcome of a run is equally likely, so each has probability
+    ``1/d``: ``d`` is 2 on a path or an even cycle and the length on an
+    odd cycle.  The order is significant: samplers map their random bits
+    to indices in this list (paths and even cycles use one bit for index
+    0/1, odd cycles draw a uniform index by rejection).
     """
     length = len(seq)
     evens = _mask_of(seq[0::2])
     odds = _mask_of(seq[1::2])
-    half = Fraction(1, 2)
     if not is_cycle:
         if length % 2 == 1:
-            return [(evens, half), (odds, half)]
+            return [(evens, 2), (odds, 2)]
         if tf.pos[seq[0]] < tf.pos[seq[-1]]:
-            return [(evens, half), (odds, half)]
-        return [(odds, half), (evens, half)]
+            return [(evens, 2), (odds, 2)]
+        return [(odds, 2), (evens, 2)]
     if length % 2 == 0:
-        return [(evens, half), (odds, half)]
-    p = Fraction(1, length)
+        return [(evens, 2), (odds, 2)]
     picks = (length - 1) // 2
     return [
-        (_mask_of(seq[(i + 2 * j) % length] for j in range(picks)), p)
+        (_mask_of(seq[(i + 2 * j) % length] for j in range(picks)), length)
         for i in range(length)
     ]
 
 
 def _selection_prob(tf: TwoFactor, mask: int, selected: int) -> Fraction:
     """Probability that the selection step on ``mask`` picks ``selected``."""
-    prob = Fraction(1)
+    d = 1
     for is_cycle, seq in _mask_runs(tf.cycles, mask):
         pick = selected & _mask_of(seq)
-        probs = [p for m, p in _run_branches(tf, is_cycle, seq) if m == pick]
-        if not probs:
+        ds = [dr for m, dr in _run_branches(tf, is_cycle, seq) if m == pick]
+        if not ds:
             raise RuntimeError("selection %r is not a branch of the run %r"
                                % (_mask_vertices(pick), list(seq)))
-        prob *= probs[0]
-    return prob
+        d *= ds[0]
+    return Fraction(1, d)
 
 
 def phi_outcomes(X, tf: TwoFactor):
@@ -324,8 +328,8 @@ def phi_outcomes(X, tf: TwoFactor):
         if not (0 <= v < n):
             raise GraphError("vertex %r out of range" % (v,))
         members.add(v)
-    return [(frozenset(_mask_vertices(m)), p)
-            for m, p in _branch_products(tf, _mask_of(members))]
+    return [(frozenset(_mask_vertices(m)), Fraction(1, d))
+            for m, d in _branch_products(tf, _mask_of(members))]
 
 
 def _mask_vertices(mask: int):
@@ -353,11 +357,14 @@ def active_runs(o: Orientation, tf: TwoFactor):
 
 
 def _feasible_mask(n, adj_mask, covered: int) -> int:
-    feas = 0
-    for v in range(n):
-        if not (covered >> v) & 1 and not adj_mask[v] & covered:
-            feas |= 1 << v
-    return feas
+    """Vertices neither in ``covered`` nor adjacent to it."""
+    blocked = covered
+    rest = covered
+    while rest:
+        low = rest & -rest
+        blocked |= adj_mask[low.bit_length() - 1]
+        rest ^= low
+    return ((1 << n) - 1) & ~blocked
 
 
 def _phase_4(adj_mask, mask: int) -> int:
@@ -449,60 +456,76 @@ def _check_guards(orientations, branches, max_orientations, max_branches):
 
 
 def _branch_products(tf, mask):
-    """Cartesian product of the per-run selection branches on ``mask``."""
-    outcomes = [(0, Fraction(1))]
+    """Cartesian product of the per-run selection branches on ``mask``, as
+    (selection, d) pairs: the selection has probability ``1/d``."""
+    outcomes = [(0, 1)]
     for is_cycle, seq in _mask_runs(tf.cycles, mask):
         branches = _run_branches(tf, is_cycle, seq)
-        outcomes = [(acc | pick, ap * p)
-                    for acc, ap in outcomes for pick, p in branches]
+        outcomes = [(acc | pick, ad * d)
+                    for acc, ad in outcomes for pick, d in branches]
     return outcomes
 
 
 def _compute_law(g, tf, phase4, max_orientations, max_branches):
     m = len(tf.m_edges)
     _check_guards(1 << m, 0, max_orientations, max_branches)
+    n = g.n
     adj_mask = _adj_masks(g)
     m_edges = sorted(tf.m_edges)
+    start = phase4 == "start"
+    # Every situation has probability 1/d with d = 2^m * d1 * d3.  The
+    # phase-3 branches, and under "start" the phase-4 addition, depend on
+    # the feasible mask alone, so each feasible mask is expanded once.
+    phase3 = {}      # feasible mask -> [(s3, d3, s3 | phase-4 addition)]
+    unit = {}        # d -> Fraction(1, d), shared by the records
+    tally = {}       # (out, d) -> number of situations
     recs = []
     branch_count = 0
-    base = Fraction(1, 1 << m)
     for bits in range(1 << m):
         heads = 0
         for i, (a, b) in enumerate(m_edges):
             heads |= (1 << b) if (bits >> i) & 1 else (1 << a)
-        for s1, p1 in _branch_products(tf, heads):
-            covered1 = s1 | _phase_4(adj_mask, heads)
-            feasible = _feasible_mask(g.n, adj_mask, covered1)
-            for s3, p3 in _branch_products(tf, feasible):
-                branch_count += 1
-                _check_guards(0, branch_count, max_orientations, max_branches)
-                covered = covered1 | s3
-                if phase4 == "start":
-                    covered |= _phase_4(adj_mask, feasible)
-                else:
-                    feas2 = _feasible_mask(g.n, adj_mask, covered)
-                    covered |= _phase_4(adj_mask, feas2)
-                recs.append(_SitRec(heads, s1, feasible, s3, covered,
-                                    base * p1 * p3))
+        isolated = _phase_4(adj_mask, heads)
+        for s1, d1 in _branch_products(tf, heads):
+            covered1 = s1 | isolated
+            feasible = _feasible_mask(n, adj_mask, covered1)
+            branches = phase3.get(feasible)
+            if branches is None:
+                added = _phase_4(adj_mask, feasible) if start else 0
+                branches = phase3[feasible] = [
+                    (s3, d3, s3 | added)
+                    for s3, d3 in _branch_products(tf, feasible)]
+            branch_count += len(branches)
+            _check_guards(0, branch_count, max_orientations, max_branches)
+            d01 = d1 << m
+            for s3, d3, add in branches:
+                out = covered1 | add
+                if not start:
+                    out |= _phase_4(adj_mask, _feasible_mask(n, adj_mask, out))
+                d = d01 * d3
+                prob = unit.get(d)
+                if prob is None:
+                    prob = unit[d] = Fraction(1, d)
+                recs.append(_SitRec(heads, s1, feasible, s3, out, prob))
+                key = (out, d)
+                tally[key] = tally.get(key, 0) + 1
 
-    pmf_masks = {}
-    marginals = {v: Fraction(0) for v in range(g.n)}
-    for rec in recs:
-        pmf_masks[rec.out] = pmf_masks.get(rec.out, Fraction(0)) + rec.prob
-        out = rec.out
-        v = 0
-        while out:
-            if out & 1:
-                marginals[v] += rec.prob
-            out >>= 1
-            v += 1
+    # integer masses over one common denominator, in first-seen order
+    denom = math.lcm(*unit)
+    mass = {}
+    for (out, d), count in tally.items():
+        mass[out] = mass.get(out, 0) + count * (denom // d)
+    weight = [0] * n
     pmf = {}
-    for mask, prob in pmf_masks.items():
-        members = frozenset(_mask_vertices(mask))
+    for out, w in mass.items():
+        members = _mask_vertices(out)
         if not is_independent(g, members):
             raise RuntimeError("the enumeration produced the dependent set %r"
-                               % sorted(members))
-        pmf[IndependentSet(members)] = prob
+                               % members)
+        for v in members:
+            weight[v] += w
+        pmf[IndependentSet(members)] = Fraction(w, denom)
+    marginals = {v: Fraction(weight[v], denom) for v in range(n)}
     result = EnumerationResult(Distribution(pmf), marginals)
     return _Law(recs, result, 1 << m, branch_count)
 
@@ -538,15 +561,25 @@ def enumerate_situations(g: Graph, tf: TwoFactor, *, phase4: str = "start",
                          max_branches: int = None):
     """Every situation with positive probability, with its output set."""
     law = _law(g, tf, phase4, max_orientations, max_branches)
+    # situations share their immutable parts: one orientation per head
+    # set and one frozenset per vertex mask
+    orientations = {}
+    sets = {}
+
+    def vertex_set(mask):
+        members = sets.get(mask)
+        if members is None:
+            members = sets[mask] = frozenset(_mask_vertices(mask))
+        return members
+
     out = []
     for rec in law.recs:
-        sit = Situation(
-            orientation_from_heads(tf, _mask_vertices(rec.heads)),
-            frozenset(_mask_vertices(rec.s1)),
-            frozenset(_mask_vertices(rec.s3)),
-            rec.prob,
-        )
-        out.append((sit, IndependentSet(frozenset(_mask_vertices(rec.out)))))
+        o = orientations.get(rec.heads)
+        if o is None:
+            o = orientations[rec.heads] = orientation_from_heads(
+                tf, _mask_vertices(rec.heads))
+        sit = Situation(o, vertex_set(rec.s1), vertex_set(rec.s3), rec.prob)
+        out.append((sit, IndependentSet(vertex_set(rec.out))))
     return out
 
 
@@ -583,6 +616,8 @@ def forces(t: Template, u: int, g: Graph, tf: TwoFactor, *,
            phase4: str = "start", max_orientations: int = None,
            max_branches: int = None) -> bool:
     """True when every situation conforming to ``t`` outputs ``u``."""
+    if not 0 <= u < tf.graph.n:
+        raise GraphError("vertex %r out of range" % (u,))
     heads, d1, d1bar, d3, d3bar = _template_masks(t, tf)
     bit = 1 << u
     for rec in _law(g, tf, phase4, max_orientations, max_branches).recs:

@@ -256,6 +256,29 @@ class TestReceptivity:
             expect = focus not in J and set(g.adj[focus]) & J.members == {s}
             assert A.favourable(g, tf, focus, J) == expect
 
+    def test_records_are_computed_once_per_two_factor(self, monkeypatch):
+        calls = []
+        classify = A._classify_all
+
+        def counted(g, tf):
+            calls.append(tf)
+            return classify(g, tf)
+
+        monkeypatch.setattr(A, "_classify_all", counted)
+        # a fresh build: the cached fixture's two-factor may hold records
+        g, tf, focus = type_III_fixture.__wrapped__()
+        assert g.n == 18
+        dist = S.enumerate_distribution(g, tf).distribution
+        assert len(dist) > 1
+        for J in dist.pmf:
+            A.favourable(g, tf, focus, J)
+        A.sponsor(g, tf, focus)
+        A.receptivity(g, tf, focus, dist)
+        A.epsilon_full(g, tf)
+        A.deficiency_report(g, tf)
+        A.build_phase5_plan(g, tf, dist)
+        assert calls == [tf]
+
     def test_receptivity_matches_support_sum(self):
         g, tf, focus = type_0_fixture()
         base = S.enumerate_distribution(g, tf)

@@ -1,4 +1,4 @@
-"""Two stdlib-only lint rules over the modules of the package.
+"""Three stdlib-only lint rules over the modules of the package.
 
 Every name a module imports at top level is used there: a stand-in for a
 linter's unused-import rule, where a name counts as used when it is read
@@ -8,6 +8,11 @@ purpose.
 
 No module catches ``ImportError`` (or ``ModuleNotFoundError``) to fall
 back to something else: a missing import fails loudly.
+
+No module binds a dict, list or set at top level, apart from a short
+allow-list of constant tables: a result worth keeping lives on the object
+it was computed from (``Graph.derived``, ``TwoFactor.derived``), and
+scratch state lives in a local that dies with the call.
 """
 
 import ast
@@ -19,26 +24,38 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fracchrom"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 _IMPORT_ERRORS = {"ImportError", "ModuleNotFoundError"}
+_CONTAINER_DISPLAYS = (ast.Dict, ast.List, ast.Set,
+                       ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                    "Counter", "deque"}
+# constant tables, filled once at import and only read afterwards
+_CONSTANT_TABLES = {"__all__", "EPSILON_BY_TYPE", "_COMMANDS", "_NAME_ALIASES"}
 
 
-def _top_level_imports(tree):
-    """(name, line) for each import outside function and class bodies."""
-    out = []
+def _module_statements(tree):
+    """Statements run at import time: those outside function and class
+    bodies, including the bodies of top-level ``if``/``try``/``with``."""
     stack = list(tree.body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if isinstance(child, ast.stmt)
+                     or isinstance(child, ast.excepthandler))
+
+
+def _top_level_imports(tree):
+    """(name, line) for each import outside function and class bodies."""
+    out = []
+    for node in _module_statements(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 out.append((name, node.lineno))
-            continue
-        stack.extend(child for child in ast.iter_child_nodes(node)
-                     if isinstance(child, ast.stmt)
-                     or isinstance(child, ast.excepthandler))
     return out
 
 
@@ -75,6 +92,48 @@ def import_fallbacks(path):
     return out
 
 
+def _is_container(value):
+    if isinstance(value, _CONTAINER_DISPLAYS):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        return name in _CONTAINER_CALLS
+    return False
+
+
+def _bindings(target, value):
+    """(name, value) pairs bound by one assignment target, unpacking a
+    tuple or list display on the right when the left matches it."""
+    if isinstance(target, ast.Name):
+        yield target.id, value
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        if (isinstance(value, (ast.Tuple, ast.List))
+                and len(value.elts) == len(target.elts)):
+            for t, v in zip(target.elts, value.elts):
+                yield from _bindings(t, v)
+
+
+def module_containers(path):
+    """(line, name) for each top-level name bound to a dict, list or set
+    that is not on the constant-table allow-list."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in _module_statements(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name, value in _bindings(target, node.value):
+                if _is_container(value) and name not in _CONSTANT_TABLES:
+                    out.append((node.lineno, name))
+    return sorted(out)
+
+
 def test_modules_found():
     assert {"cli.py", "sampler.py", "augment.py"} <= {p.name for p in MODULES}
 
@@ -108,3 +167,26 @@ def test_checker_flags_an_import_fallback(tmp_path):
                    "try:\n    import b\nexcept ValueError:\n    pass\n"
                    "try:\n    import c\nexcept:\n    raise\n")
     assert import_fallbacks(src) == [3, 7]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_level_containers(path):
+    assert module_containers(path) == []
+
+
+def test_checker_flags_a_module_level_container(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import collections\n"
+                   "__all__ = ['f']\n"
+                   "CACHE = {}\n"
+                   "_SEEN: set = set()\n"
+                   "TABLE = [i for i in range(3)]\n"
+                   "if True:\n    _MEMO = collections.defaultdict(list)\n"
+                   "EPSILON_BY_TYPE = {}\n"
+                   "a, b = [], 0\n"
+                   "FROZEN = frozenset({1})\n"
+                   "PAIRS = ((1, 2),)\n"
+                   "def f():\n    local = {}\n    return local\n"
+                   "class C:\n    attr = []\n")
+    assert module_containers(src) == [
+        (3, "CACHE"), (4, "_SEEN"), (5, "TABLE"), (7, "_MEMO"), (9, "a")]

@@ -1,5 +1,7 @@
 """Tests for the four-phase construction: exact law, events, Monte Carlo."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,8 @@ from fracchrom import sampler as S
 from fracchrom import templates as T
 
 from sweeps import check_lemma4_rows, collect_candidates, lemma4_sweep
-from util_graphs import circular_ladder, gp72, k33, moebius_ladder, petersen
+from util_graphs import (circular_ladder, generalized_petersen, gp72, k33,
+                         moebius_ladder, petersen)
 
 
 def petersen_tf():
@@ -409,6 +412,69 @@ class TestEnumerate:
             S.Distribution({one: Fraction(0)})
 
 
+# sha256 of the law and of the situation list, recorded from the
+# Fraction-per-situation enumerator; the two phase-4 readings agree on
+# every graph here, so each graph has one pair of digests
+_GOLDEN_LAW = {
+    "GP(7,2)": (
+        2512,
+        "197c339f586df0c22ffd33c47a2fec13183c712a0ecba92888bc1e152c2f094e",
+        "3621028e008a89d1ef678e4b83f737cfa159283faaada793a3270a0abae96c7b"),
+    "GP(9,2)": (
+        25545,
+        "6e6b422edbee9f368d8ca0d881ce93a79921ea0a10cd0360978b38e81f164197",
+        "b38d932657753f93cf4492dff61a1914460a011a69f3be3e232a04b95ffc4ebc"),
+    "GP(10,3)": (
+        125650,
+        "928b0d7a690e02e51d58a67e0f934227c81e9b17bc03e9dc88f25ae3d46069ba",
+        "1822809e1193e38d1ea63107cc7a93b2899bbca78b031f0c0dfc11874b1fae80"),
+    "DEFICIENT_N10": (
+        336,
+        "fc5c591ef455effb9800c8d9bef378878552a1513db3219d2d17e5b83eb1a7d9",
+        "63ee756a1852ae3865281ebefc1e16c98fa6be111c543f8c43e26655040ad2a7"),
+}
+
+
+def _golden_graph(name):
+    if name == "DEFICIENT_N10":
+        return parse_graph6("IlDGHCH_g")
+    n, k = (int(x) for x in name[3:-1].split(","))
+    return generalized_petersen(n, k)
+
+
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenLaw:
+    @pytest.mark.parametrize("phase4", S.PHASE4_MODES)
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_LAW))
+    def test_law_and_situations_digests(self, name, phase4):
+        branches, law_digest, sit_digest = _GOLDEN_LAW[name]
+        g = _golden_graph(name)
+        tf = select_two_factor(g)
+        res = S.enumerate_distribution(g, tf, phase4=phase4)
+        assert _sha256(res.to_json_dict()) == law_digest
+        rows = sorted(
+            (sorted(sit.orientation.heads), sorted(sit.s1), sorted(sit.s3),
+             str(sit.prob), iset.to_json_list())
+            for sit, iset in S.enumerate_situations(g, tf, phase4=phase4))
+        assert len(rows) == branches
+        assert _sha256(rows) == sit_digest
+
+    @pytest.mark.parametrize("phase4", S.PHASE4_MODES)
+    def test_branch_guard_boundary(self, phase4):
+        g = _golden_graph("GP(7,2)")
+        branches = _GOLDEN_LAW["GP(7,2)"][0]
+        S.enumerate_distribution(g, select_two_factor(g), phase4=phase4,
+                                 max_branches=branches)
+        with pytest.raises(S.ExplosionGuard) as err:
+            S.enumerate_distribution(g, select_two_factor(g), phase4=phase4,
+                                     max_branches=branches - 1)
+        assert str(err.value) == (
+            "situation count passed the limit of %d branches" % (branches - 1))
+
+
 # ---------------------------------------------------------------------------
 # template events against the exact law
 
@@ -462,6 +528,12 @@ class TestEvents:
         g, tf = petersen_tf()
         for name in T.FORCING_NAMES:
             assert S.forces(T.builtin(name, tf, 0), 0, g, tf)
+
+    @pytest.mark.parametrize("u", [-1, 10, 11])
+    def test_forces_rejects_out_of_range_vertex(self, u):
+        g, tf = petersen_tf()
+        with pytest.raises(GraphError, match="vertex %d out of range" % u):
+            S.forces(T.builtin("E0", tf, 0), u, g, tf)
 
     def test_phase3_requirement_forces_trivially(self):
         g, tf = petersen_tf()
