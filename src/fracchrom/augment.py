@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graph_core import Graph, GraphError
+from .graph_core import Graph, GraphError, vertex_mask
 from .sampler import (
     Distribution,
     EnumerationResult,
@@ -505,7 +505,7 @@ def build_phase5_plan(g: Graph, tf: TwoFactor, dist: Distribution) -> Phase5Plan
     epsilon = {r.vertex: r.epsilon for r in deficient}
     sponsors = {r.vertex: r.sponsor for r in deficient}
 
-    set_order = sorted(dist.pmf, key=lambda J: sum(1 << v for v in J.members))
+    set_order = sorted(dist.pmf, key=lambda J: vertex_mask(J.members))
     set_probs = [dist.pmf[J] for J in set_order]
 
     nbrx: dict = {}

@@ -119,11 +119,14 @@ def _read_graph(path: str) -> Graph:
     return _parse_graph_text(_read_text(path), path)
 
 
+def _data_lines(text: str) -> list[str]:
+    """The stripped lines of ``text`` that are neither blank nor comments."""
+    return [s for s in (line.strip() for line in text.splitlines())
+            if s and not s.startswith("#")]
+
+
 def _parse_graph_text(text: str, origin: str) -> Graph:
-    lines = [
-        s for s in (line.strip() for line in text.splitlines())
-        if s and not s.startswith("#")
-    ]
+    lines = _data_lines(text)
     if not lines:
         raise GraphError(f"{origin}: no graph data")
     head = lines[0].split()
@@ -318,10 +321,7 @@ def cmd_corpus(cfg: RunConfig) -> dict:
         raise GraphError(f"{root}: not a directory")
     rows = []
     for path in sorted(root.glob("*.g6")):
-        lines = [
-            s for s in (line.strip() for line in _read_text(path).splitlines())
-            if s and not s.startswith("#")
-        ]
+        lines = _data_lines(_read_text(path))
         for i, line in enumerate(lines, start=1):
             origin = f"{path.name}:{i}" if len(lines) > 1 else path.name
             rows.append(_corpus_row(origin, parse_graph6(line), cfg))
@@ -364,34 +364,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, path_help):
+    # every option once; each command takes only those it reads, and
+    # the rest keep their defaults so that every RunConfig field is set
+    options = {
+        "--seed": dict(dest="seed", type=int, default=None,
+                       help="64-bit seed; drawn and echoed when omitted"),
+        "--trials": dict(dest="trials", type=int, default=10000),
+        "--exact": dict(dest="exact", action="store_true", default=False,
+                        help="exact enumeration instead of Monte Carlo"),
+        "--max-orient": dict(dest="max_orient", type=int, default=None),
+        "--max-branches": dict(dest="max_branches", type=int, default=None),
+        "--two-factor": dict(dest="two_factor", default=None, metavar="FILE",
+                             help="pin the two-factor from a JSON file"),
+        "--phase4-feasibility": dict(dest="phase4", choices=("start", "recompute"),
+                                     default="start"),
+        "--format": dict(dest="format", choices=("json", "text"), default="json"),
+        "--workers": dict(dest="workers", type=int, default=None,
+                          help="accepted and ignored: Monte Carlo runs on one thread"),
+        "--require-cubic-triangle-free": dict(
+            dest="require_cubic_triangle_free", action="store_true", default=False),
+        "--search": dict(
+            dest="search", action="store_true", default=False,
+            help="keep only graphs whose selected two-factor has deficient vertices"),
+    }
+
+    def add(name, help_, path_help, *flags):
         p = sub.add_parser(name, help=help_)
         p.add_argument("path", help=path_help)
-        p.add_argument("--seed", type=int, default=None,
-                       help="64-bit seed; drawn and echoed when omitted")
-        p.add_argument("--trials", type=int, default=10000)
-        p.add_argument("--exact", action="store_true",
-                       help="exact enumeration instead of Monte Carlo")
-        p.add_argument("--max-orient", type=int, default=None, dest="max_orient")
-        p.add_argument("--max-branches", type=int, default=None, dest="max_branches")
-        p.add_argument("--two-factor", default=None, dest="two_factor",
-                       metavar="FILE", help="pin the two-factor from a JSON file")
-        p.add_argument("--phase4-feasibility", choices=("start", "recompute"),
-                       default="start", dest="phase4")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted and ignored: Monte Carlo runs on one thread")
-        return p
+        for flag, spec in options.items():
+            if flag == "--format" or flag in flags:
+                p.add_argument(flag, **spec)
+            else:
+                p.set_defaults(**{spec["dest"]: spec["default"]})
 
-    v = add("validate", "parse a graph and report its structure", "graph file")
-    v.add_argument("--require-cubic-triangle-free", action="store_true")
-    add("two-factor", "select (or load) a qualifying two-factor", "graph file")
-    add("prob", "per-vertex inclusion probabilities, exact or sampled", "graph file")
+    law = ("--max-orient", "--max-branches", "--phase4-feasibility")
+    add("validate", "parse a graph and report its structure", "graph file",
+        "--require-cubic-triangle-free")
+    add("two-factor", "select (or load) a qualifying two-factor", "graph file",
+        "--two-factor")
+    add("prob", "per-vertex inclusion probabilities, exact or sampled", "graph file",
+        "--seed", "--trials", "--exact", *law, "--two-factor", "--workers")
     add("chif", "exact fractional chromatic number with certificates", "graph file")
-    add("certify", "32/11 multiset certificate for a subcubic graph", "graph file")
-    c = add("corpus", "summarize every graph6 file in a directory", "directory")
-    c.add_argument("--search", action="store_true",
-                   help="keep only graphs whose selected two-factor has deficient vertices")
+    add("certify", "32/11 multiset certificate for a subcubic graph", "graph file",
+        *law)
+    add("corpus", "summarize every graph6 file in a directory", "directory",
+        *law, "--search")
     return parser
 
 
@@ -410,9 +427,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         phase4=args.phase4,
         fmt=args.format,
         two_factor_path=args.two_factor,
-        require_cubic_triangle_free=getattr(
-            args, "require_cubic_triangle_free", False),
-        search=getattr(args, "search", False),
+        require_cubic_triangle_free=args.require_cubic_triangle_free,
+        search=args.search,
     )
 
 

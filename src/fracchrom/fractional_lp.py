@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .augment import exact_phase5_distribution
-from .graph_core import Graph, GraphError, GuardExceeded, analyze, reduce_subcubic, suppress_vertex
+from .graph_core import Graph, GraphError, GuardExceeded, analyze, mask_vertices, reduce_subcubic, suppress_vertex
 from .sampler import Distribution, is_independent
 from .two_factor import TwoFactor, select_two_factor
 
@@ -98,14 +98,7 @@ def maximal_independent_sets(g: Graph, max_n: int = DEFAULT_MAX_N) -> list[froze
         raise GuardExceeded(
             f"maximal_independent_sets guard: n = {g.n} > {max_n}"
         )
-    return [frozenset(_bits(m)) for m in _mis_masks(g)]
-
-
-def _bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        yield bit.bit_length() - 1
-        mask &= mask - 1
+    return [frozenset(mask_vertices(m)) for m in _mis_masks(g)]
 
 
 # -- the covering LP --------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Graph representation, structure analysis and subcubic reductions.
 
 Vertices are dense integers 0..n-1.  Adjacency is kept both as sorted
-neighbour tuples and (for n <= 64) as per-vertex bitmasks, which is what the
-exact enumeration engines operate on.  A `Graph` is immutable after
-construction and safe to share across threads, except for ``derived``:
-results computed from the graph (its small cuts), kept as long as the
-graph lives.  Threads asking at once may each compute one; they are equal.
+neighbour tuples and as per-vertex bitmasks, which is what the exact
+enumeration engines operate on.  A vertex set as a mask has bit v set for
+each member v; `vertex_mask` and `mask_vertices` convert between the two,
+and `reach` is the one search for the component of a vertex after removing
+edges.  A `Graph` is immutable after construction and safe to share across
+threads, except for ``derived``: results computed from the graph (its
+small cuts), kept as long as the graph lives.  Threads asking at once may
+each compute one; they are equal.
 
 The reduction machinery (`reduce_subcubic`) turns a connected subcubic graph
 into a tree of constructions whose leaves are cubic graphs, recording vertex
@@ -60,14 +63,11 @@ class Graph:
             lists[u].append(v)
             lists[v].append(u)
         self.adj = tuple(tuple(sorted(l)) for l in lists)
-        if n <= 64:
-            masks = [0] * n
-            for u, v in canon:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            self.adj_mask = tuple(masks)
-        else:
-            self.adj_mask = None
+        masks = [0] * n
+        for u, v in canon:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self.adj_mask = tuple(masks)
         self.derived = {}
         self._hash = hash((n, self.edges))
 
@@ -96,6 +96,38 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The bitmask with bit v set for each v in ``vertices``."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def mask_vertices(mask: int) -> list[int]:
+    """The vertices of ``mask`` in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def reach(g: Graph, start: int, removed: frozenset = frozenset()) -> set[int]:
+    """Vertex set of the component of ``start`` in g minus the edges
+    ``removed`` (sorted pairs)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w in g.adj[u]:
+            if w not in seen and (min(u, w), max(u, w)) not in removed:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -258,26 +290,6 @@ class StructureReport:
         }
 
 
-def _components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _find_triangle(g: Graph) -> Optional[tuple[int, int, int]]:
     for u, v in g.edges:
         nu = set(g.adj[u])
@@ -365,7 +377,7 @@ def analyze(g: Graph) -> StructureReport:
     return StructureReport(
         n=g.n,
         m=g.m,
-        is_connected=len(_components(g)) <= 1,
+        is_connected=g.n == 0 or len(reach(g, 0)) == g.n,
         is_subcubic=is_subcubic,
         is_cubic=is_cubic,
         is_triangle_free=witness is None,
@@ -458,22 +470,12 @@ def _split_bridge(g: Graph, bridges: list[tuple[int, int]]):
     """Pick a bridge one side of which contains no further bridge."""
     bridge_set = set(bridges)
     for x1, x2 in bridges:
-        # component of g - bridge containing x1
-        seen = {x1}
-        stack = [x1]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if (min(u, w), max(u, w)) == (min(x1, x2), max(x1, x2)):
-                    continue
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+        side = reach(g, x1, frozenset([(x1, x2)]))
         side_edges = {
-            (u, v) for u, v in g.edges if u in seen and v in seen
+            (u, v) for u, v in g.edges if u in side and v in side
         }
         if not (side_edges & bridge_set):
-            return (x1, x2), sorted(seen)
+            return (x1, x2), sorted(side)
     raise GraphError("no bridge with a bridge-free side (impossible)")
 
 

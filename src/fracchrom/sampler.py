@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _mcphases_py
-from .graph_core import Graph, GraphError, GuardExceeded
+from .graph_core import Graph, GraphError, GuardExceeded, mask_vertices, vertex_mask
 from .templates import Template, validate_in
 from .two_factor import TwoFactor, TwoFactorError
 
@@ -200,9 +200,6 @@ class Distribution:
     def items(self):
         return self.pmf.items()
 
-    def support(self):
-        return self.pmf.keys()
-
     def marginal(self, v: int) -> Fraction:
         return sum((p for s, p in self.pmf.items() if v in s), Fraction(0))
 
@@ -243,13 +240,6 @@ def is_independent(g: Graph, members) -> bool:
 # ``run_phases_1_4`` checks every draw against it)
 
 
-def _mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def _mask_runs(cycles, mask: int):
     """Maximal stretches of mask-vertices along each cycle, in fixed order.
 
@@ -284,8 +274,8 @@ def _run_branches(tf: TwoFactor, is_cycle: bool, seq):
     0/1, odd cycles draw a uniform index by rejection).
     """
     length = len(seq)
-    evens = _mask_of(seq[0::2])
-    odds = _mask_of(seq[1::2])
+    evens = vertex_mask(seq[0::2])
+    odds = vertex_mask(seq[1::2])
     if not is_cycle:
         if length % 2 == 1:
             return [(evens, 2), (odds, 2)]
@@ -296,7 +286,7 @@ def _run_branches(tf: TwoFactor, is_cycle: bool, seq):
         return [(evens, 2), (odds, 2)]
     picks = (length - 1) // 2
     return [
-        (_mask_of(seq[(i + 2 * j) % length] for j in range(picks)), length)
+        (vertex_mask(seq[(i + 2 * j) % length] for j in range(picks)), length)
         for i in range(length)
     ]
 
@@ -305,11 +295,11 @@ def _selection_prob(tf: TwoFactor, mask: int, selected: int) -> Fraction:
     """Probability that the selection step on ``mask`` picks ``selected``."""
     d = 1
     for is_cycle, seq in _mask_runs(tf.cycles, mask):
-        pick = selected & _mask_of(seq)
+        pick = selected & vertex_mask(seq)
         ds = [dr for m, dr in _run_branches(tf, is_cycle, seq) if m == pick]
         if not ds:
             raise RuntimeError("selection %r is not a branch of the run %r"
-                               % (_mask_vertices(pick), list(seq)))
+                               % (mask_vertices(pick), list(seq)))
         d *= ds[0]
     return Fraction(1, d)
 
@@ -328,19 +318,8 @@ def phi_outcomes(X, tf: TwoFactor):
         if not (0 <= v < n):
             raise GraphError("vertex %r out of range" % (v,))
         members.add(v)
-    return [(frozenset(_mask_vertices(m)), Fraction(1, d))
-            for m, d in _branch_products(tf, _mask_of(members))]
-
-
-def _mask_vertices(mask: int):
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
+    return [(frozenset(mask_vertices(m)), Fraction(1, d))
+            for m, d in _branch_products(tf, vertex_mask(members))]
 
 
 def active_runs(o: Orientation, tf: TwoFactor):
@@ -349,7 +328,7 @@ def active_runs(o: Orientation, tf: TwoFactor):
     if edges != set(tf.m_edges):
         raise GraphError("orientation does not orient this matching")
     return [frozenset(seq)
-            for _, seq in _mask_runs(tf.cycles, _mask_of(o.heads))]
+            for _, seq in _mask_runs(tf.cycles, vertex_mask(o.heads))]
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +359,6 @@ def _phase_4(adj_mask, mask: int) -> int:
     return added
 
 
-def _adj_masks(g: Graph):
-    if g.adj_mask is not None:
-        return g.adj_mask
-    return [_mask_of(g.adj[v]) for v in range(g.n)]
-
-
 def _check_phase4(phase4):
     if phase4 not in PHASE4_MODES:
         raise GraphError("phase4 must be one of %r, got %r"
@@ -405,14 +378,14 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng, phase4: str = "start"):
         raise TwoFactorError("two-factor belongs to a different graph")
     heads, s1, feasible, s3, out = _mcphases_py.trial_masks(
         g.n, *_kernel_args(g, tf), phase4 == "recompute", rng.getrandbits)
-    members = frozenset(_mask_vertices(out))
+    members = frozenset(mask_vertices(out))
     if not is_independent(g, members):
         raise RuntimeError("phases 1-4 produced the dependent set %r"
                            % sorted(members))
     situation = Situation(
-        orientation_from_heads(tf, _mask_vertices(heads)),
-        frozenset(_mask_vertices(s1)),
-        frozenset(_mask_vertices(s3)),
+        orientation_from_heads(tf, mask_vertices(heads)),
+        frozenset(mask_vertices(s1)),
+        frozenset(mask_vertices(s3)),
         Fraction(1, 1 << len(tf.m_edges)) * _selection_prob(tf, heads, s1)
         * _selection_prob(tf, feasible, s3),
     )
@@ -470,7 +443,7 @@ def _compute_law(g, tf, phase4, max_orientations, max_branches):
     m = len(tf.m_edges)
     _check_guards(1 << m, 0, max_orientations, max_branches)
     n = g.n
-    adj_mask = _adj_masks(g)
+    adj_mask = g.adj_mask
     m_edges = sorted(tf.m_edges)
     start = phase4 == "start"
     # Every situation has probability 1/d with d = 2^m * d1 * d3.  The
@@ -518,7 +491,7 @@ def _compute_law(g, tf, phase4, max_orientations, max_branches):
     weight = [0] * n
     pmf = {}
     for out, w in mass.items():
-        members = _mask_vertices(out)
+        members = mask_vertices(out)
         if not is_independent(g, members):
             raise RuntimeError("the enumeration produced the dependent set %r"
                                % members)
@@ -569,7 +542,7 @@ def enumerate_situations(g: Graph, tf: TwoFactor, *, phase4: str = "start",
     def vertex_set(mask):
         members = sets.get(mask)
         if members is None:
-            members = sets[mask] = frozenset(_mask_vertices(mask))
+            members = sets[mask] = frozenset(mask_vertices(mask))
         return members
 
     out = []
@@ -577,7 +550,7 @@ def enumerate_situations(g: Graph, tf: TwoFactor, *, phase4: str = "start",
         o = orientations.get(rec.heads)
         if o is None:
             o = orientations[rec.heads] = orientation_from_heads(
-                tf, _mask_vertices(rec.heads))
+                tf, mask_vertices(rec.heads))
         sit = Situation(o, vertex_set(rec.s1), vertex_set(rec.s3), rec.prob)
         out.append((sit, IndependentSet(vertex_set(rec.out))))
     return out
@@ -589,8 +562,8 @@ def enumerate_situations(g: Graph, tf: TwoFactor, *, phase4: str = "start",
 
 def _template_masks(t: Template, tf: TwoFactor):
     validate_in(t, tf)
-    return (_mask_of(t.heads), _mask_of(t.d1), _mask_of(t.d1bar),
-            _mask_of(t.d3), _mask_of(t.d3bar))
+    return (vertex_mask(t.heads), vertex_mask(t.d1), vertex_mask(t.d1bar),
+            vertex_mask(t.d3), vertex_mask(t.d3bar))
 
 
 def _weakly_conforms(rec, heads, d1, d1bar):
@@ -659,7 +632,7 @@ def exact_q(t: Template, g: Graph, tf: TwoFactor, *,
     cycle = tf.cycles[tf.cycle_of[t.focus]]
     if len(cycle) % 2 == 0:
         return Fraction(0)
-    cycle_mask = _mask_of(cycle)
+    cycle_mask = vertex_mask(cycle)
     heads, d1, d1bar, d3, d3bar = _template_masks(t, tf)
     hit = Fraction(0)
     total = Fraction(0)
@@ -731,7 +704,7 @@ def _kernel_args(g: Graph, tf: TwoFactor):
     for cycle in tf.cycles:
         cycle_verts.extend(cycle)
         cycle_starts.append(len(cycle_verts))
-    return edges_a, edges_b, cycle_starts, cycle_verts, list(_adj_masks(g))
+    return edges_a, edges_b, cycle_starts, cycle_verts, list(g.adj_mask)
 
 
 def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
@@ -762,8 +735,8 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
         out = trial_masks(g.n, edges_a, edges_b, cycle_starts, cycle_verts,
                           adj_mask, recompute, rng.getrandbits)[4]
         if plan is not None:
-            J = run_phase5(IndependentSet(_mask_vertices(out)), plan, rng)
-            out = _mask_of(J.members)
+            J = run_phase5(IndependentSet(mask_vertices(out)), plan, rng)
+            out = vertex_mask(J.members)
         bad = False
         v = 0
         rest = out

@@ -89,6 +89,7 @@ class Template:
 
     @property
     def weight(self):
+        """Number of oriented edges plus number of membership constraints."""
         return len(self.arcs) + len(self.marked)
 
     def __eq__(self, other):
@@ -98,10 +99,6 @@ class Template:
                 and self.d1bar == other.d1bar and self.d3 == other.d3
                 and self.d3bar == other.d3bar and self.focus == other.focus)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return self._hash
 
@@ -109,11 +106,6 @@ class Template:
         return ("Template(arcs=%r, d1=%r, d1bar=%r, d3=%r, d3bar=%r, focus=%r)"
                 % (sorted(self.arcs), sorted(self.d1), sorted(self.d1bar),
                    sorted(self.d3), sorted(self.d3bar), self.focus))
-
-
-def weight(t: Template) -> int:
-    """Number of oriented edges plus number of membership constraints."""
-    return t.weight
 
 
 def validate_in(t: Template, tf: TwoFactor) -> None:

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graph_core import Graph, GraphError, GuardExceeded
+from .graph_core import Graph, GraphError, GuardExceeded, reach
 
 
 _LABEL_SEED = 0x6672616363687230  # fixes the labels; the cuts do not depend on it
@@ -150,10 +150,8 @@ class TwoFactor:
 
     # -- navigation helpers --------------------------------------------------
 
-    def cycle_len(self, u: int) -> int:
-        return len(self.cycles[self.cycle_of[u]])
-
     def step(self, u: int, k: int) -> int:
+        """Vertex reached from u by k signed steps along its cycle."""
         cyc = self.cycles[self.cycle_of[u]]
         return cyc[(self.pos[u] + k) % len(cyc)]
 
@@ -186,11 +184,6 @@ class TwoFactor:
 
     def __repr__(self) -> str:
         return f"TwoFactor(cycles={[len(c) for c in self.cycles]})"
-
-
-def navigate(tf: TwoFactor, u: int, k: int) -> int:
-    """Vertex reached from u by k signed steps along its cycle."""
-    return tf.step(u, k)
 
 
 def _complement_cycles(g: Graph, m_set) -> list[list[int]]:
@@ -283,21 +276,6 @@ class EdgeCut:
     side: tuple[int, ...]  # component of vertex 0 after removal
 
 
-def _connected_after_removal(g: Graph, removed: frozenset, start: int = 0) -> set[int]:
-    """Vertex set of the component of ``start`` in g minus ``removed``."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if (min(u, w), max(u, w)) in removed:
-                continue
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def _cycle_space_labels(g: Graph) -> Optional[list[int]]:
     """A 64-bit label per edge index whose every bit, read across the edges,
     is a random element of the cycle space of the connected graph g; None
@@ -364,7 +342,7 @@ def _zero_xor_sets(labels: list[int], keep: list[int]) -> list[tuple[int, ...]]:
 
 
 def _disconnects(g: Graph, removed: frozenset) -> bool:
-    return len(_connected_after_removal(g, removed)) < g.n
+    return len(reach(g, 0, removed)) < g.n
 
 
 def minimal_small_cuts(g: Graph) -> list[EdgeCut]:
@@ -404,13 +382,13 @@ def minimal_small_cuts(g: Graph) -> list[EdgeCut]:
             continue
         combo = tuple(g.edges[i] for i in idx)
         removed = frozenset(combo)
-        side = _connected_after_removal(g, removed)
+        side = reach(g, 0, removed)
         if len(side) == g.n:
             continue
         if any((u in side) == (v in side) for u, v in combo):
             continue
         other = next(v for v in range(g.n) if v not in side)
-        if len(side) + len(_connected_after_removal(g, removed, other)) == g.n:
+        if len(side) + len(reach(g, other, removed)) == g.n:
             cuts.append(EdgeCut(edges=combo, side=tuple(sorted(side))))
     return cuts
 

@@ -396,8 +396,19 @@ class TestPlumbing:
 
     def test_bad_seed_rejected(self, files):
         code, out, err = invoke(
-            "validate", files("p.g6", petersen()), "--seed", str(1 << 64))
-        assert code == 2
+            "prob", files("p.g6", petersen()), "--seed", str(1 << 64))
+        assert code == 2 and "seed must fit in 64 bits" in err
+
+    @pytest.mark.parametrize("command, option", [
+        ("certify", ["--two-factor", "tf.json"]),
+        ("chif", ["--max-orient", "1"]),
+        ("validate", ["--seed", "5"]),
+        ("corpus", ["--trials", "10"]),
+    ])
+    def test_option_a_command_does_not_read_is_refused(self, files, command, option):
+        with pytest.raises(SystemExit) as exc:
+            invoke(command, files("p.g6", petersen()), *option)
+        assert exc.value.code == 2
 
     def test_bad_trials_rejected(self, files):
         code, out, err = invoke(

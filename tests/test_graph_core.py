@@ -63,10 +63,10 @@ def test_adjacency_is_sorted_and_symmetric():
 
 
 def test_adj_mask_matches_adj():
-    g = gp72()
-    for u in range(g.n):
-        mask = g.adj_mask[u]
-        assert {w for w in range(g.n) if mask >> w & 1} == set(g.adj[u])
+    for g in (gp72(), circular_ladder(33)):
+        for u in range(g.n):
+            mask = g.adj_mask[u]
+            assert {w for w in range(g.n) if mask >> w & 1} == set(g.adj[u])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Three stdlib-only lint rules over the modules of the package.
+"""Four stdlib-only lint rules over the modules of the package.
 
 Every name a module imports at top level is used there: a stand-in for a
 linter's unused-import rule, where a name counts as used when it is read
@@ -13,6 +13,10 @@ No module binds a dict, list or set at top level, apart from a short
 allow-list of constant tables: a result worth keeping lives on the object
 it was computed from (``Graph.derived``, ``TwoFactor.derived``), and
 scratch state lives in a local that dies with the call.
+
+Every private top-level function or class is referenced somewhere in the
+package (read by name, as an attribute, or imported): a helper whose last
+caller is gone is deleted with it.
 """
 
 import ast
@@ -134,6 +138,29 @@ def module_containers(path):
     return sorted(out)
 
 
+def unreferenced_private_definitions(paths):
+    """(file name, line, name) for each private top-level function or class
+    of ``paths`` that no module of ``paths`` reads, by name, as an attribute
+    or through an import."""
+    defined = []
+    used = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined.extend(
+            (path.name, node.lineno, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(d for d in defined if d[2] not in used)
+
+
 def test_modules_found():
     assert {"cli.py", "sampler.py", "augment.py"} <= {p.name for p in MODULES}
 
@@ -190,3 +217,23 @@ def test_checker_flags_a_module_level_container(tmp_path):
                    "class C:\n    attr = []\n")
     assert module_containers(src) == [
         (3, "CACHE"), (4, "_SEEN"), (5, "TABLE"), (7, "_MEMO"), (9, "a")]
+
+
+def test_private_definitions_are_referenced():
+    assert unreferenced_private_definitions(ALL_MODULES) == []
+
+
+def test_checker_flags_an_unreferenced_private_definition(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("def _called():\n    pass\n"
+                 "def _orphan():\n    pass\n"
+                 "class _Imported:\n    pass\n"
+                 "class _Unused:\n    def _method(self):\n        pass\n"
+                 "def _by_attribute():\n    pass\n"
+                 "def __getattr__(name):\n    pass\n"
+                 "def public():\n    return _called()\n")
+    b = tmp_path / "b.py"
+    b.write_text("import a\nfrom a import _Imported\n"
+                 "def f():\n    return a._by_attribute, _Imported\n")
+    assert unreferenced_private_definitions([a, b]) == [
+        ("a.py", 3, "_orphan"), ("a.py", 7, "_Unused")]

@@ -22,7 +22,6 @@ from fracchrom.templates import (
     sigma_library,
     template_to_json_dict,
     validate_in,
-    weight,
 )
 from fracchrom.two_factor import two_factor_from_matching
 
@@ -94,7 +93,7 @@ def test_template_value_semantics():
 
 def test_weight_counts_arcs_and_marks():
     t = Template([(0, 5), (1, 6)], d1=[5], d3bar=[1], focus=0)
-    assert weight(t) == t.weight == 4
+    assert t.weight == 4
     assert Template([], focus=3).weight == 0
 
 

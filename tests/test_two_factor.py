@@ -16,7 +16,6 @@ from fracchrom.two_factor import (
     check_split_cycle,
     enumerate_perfect_matchings,
     minimal_small_cuts,
-    navigate,
     satisfies_ks_condition,
     select_two_factor,
     two_factor_from_json_dict,
@@ -163,19 +162,19 @@ def test_two_factor_canonical_orientation():
 
 
 # ---------------------------------------------------------------------------
-# navigate
+# TwoFactor.step
 
 
 def test_navigate_identity_and_wrap():
     tf = two_factor_from_matching(petersen(), SPOKES)
-    assert navigate(tf, 3, 0) == 3
-    assert navigate(tf, 0, 7) == 3  # cycle (0,4,3,2,1) plus seven steps
+    assert tf.step(3, 0) == 3
+    assert tf.step(0, 7) == 3  # cycle (0,4,3,2,1) plus seven steps
 
 
 @given(st.integers(0, 9), st.integers(-20, 20))
 def test_navigate_inverse(u, k):
     tf = two_factor_from_matching(petersen(), SPOKES)
-    assert navigate(tf, navigate(tf, u, k), -k) == u
+    assert tf.step(tf.step(u, k), -k) == u
 
 
 def test_forward_path_and_dist():
@@ -238,13 +237,13 @@ def test_cut_search_tests_only_candidates(monkeypatch):
     # the subset scan made one or two searches per 3- and 4-subset
     # (about 212,000 on this graph)
     calls = []
-    search = TF._connected_after_removal
+    search = TF.reach
 
     def counted(*args):
         calls.append(args)
         return search(*args)
 
-    monkeypatch.setattr(TF, "_connected_after_removal", counted)
+    monkeypatch.setattr(TF, "reach", counted)
     cuts = minimal_small_cuts(generalized_petersen(16, 3))
     assert cuts and len(calls) <= 1 + 2 * len(cuts)
 
@@ -255,13 +254,13 @@ def test_cut_search_confirms_each_bridge_once(monkeypatch):
     # through the bond test); none is a minimal cut
     g = Graph(40, [((i - 1) // 2, i) for i in range(1, 40)])
     calls = []
-    search = TF._connected_after_removal
+    search = TF.reach
 
     def counted(*args):
         calls.append(args)
         return search(*args)
 
-    monkeypatch.setattr(TF, "_connected_after_removal", counted)
+    monkeypatch.setattr(TF, "reach", counted)
     cuts = minimal_small_cuts(g)
     assert cuts == [] and len(calls) <= g.m + 1 + 2 * len(cuts)
 
