@@ -11,7 +11,6 @@ from .graph_core import (  # noqa: F401
     StructureReport,
     ReductionStep,
     analyze,
-    boundary,
     encode_graph6,
     parse_edge_list,
     parse_graph6,
@@ -22,7 +21,6 @@ from .two_factor import (  # noqa: F401
     NoQualifyingTwoFactor,
     TwoFactor,
     TwoFactorError,
-    check_split_cycle,
     enumerate_perfect_matchings,
     minimal_small_cuts,
     satisfies_ks_condition,

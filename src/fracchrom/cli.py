@@ -195,7 +195,7 @@ def _epsilon_payload(g: Graph, tf) -> tuple[dict, list]:
 
 
 def _exact_prob(cfg: RunConfig, g: Graph, tf) -> dict:
-    plan, result = exact_phase5_distribution(g, tf, **_law_options(cfg))
+    _, result = exact_phase5_distribution(g, tf, **_law_options(cfg))
     eps_table, deficient = _epsilon_payload(g, tf)
     marginals = {str(v): str(result.marginals[v]) for v in range(g.n)}
     lo = min(result.marginals[v] for v in range(g.n)) if g.n else Fraction(1)

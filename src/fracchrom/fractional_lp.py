@@ -285,8 +285,7 @@ def certificate_from_json_dict(data: dict, n_vertices: int) -> MultisetCertifica
     return cert
 
 
-def weighting_to_multiset(w: FractionalColouring,
-                          max_sets: int = DEFAULT_MAX_MULTISET) -> MultisetCertificate:
+def weighting_to_multiset(w: FractionalColouring) -> MultisetCertificate:
     """Clear denominators and trim overcoverage down to exactly N.
 
     N is the least common denominator of the weights; each set enters
@@ -301,9 +300,9 @@ def weighting_to_multiset(w: FractionalColouring,
             raise ColouringError("negative weight")
         N = math.lcm(N, q.denominator)
     total = sum(int(q * N) for q in w.weights.values() if q > 0)
-    if total > max_sets:
+    if total > DEFAULT_MAX_MULTISET:
         raise GuardExceeded(
-            f"certificate would hold {total} sets (> {max_sets})"
+            f"certificate would hold {total} sets (> {DEFAULT_MAX_MULTISET})"
         )
     copies: list[set] = []
     for s in sorted(w.weights, key=sorted):

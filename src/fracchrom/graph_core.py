@@ -532,7 +532,6 @@ def reduce_subcubic(g: Graph) -> ReductionStep:
             g,
             children=(child,),
             child_maps=(cmap,),
-            detail={"linked": tuple(deg2)},
         )
 
     if len(deg2) == 1:
@@ -551,7 +550,6 @@ def reduce_subcubic(g: Graph) -> ReductionStep:
             g,
             children=(child,),
             child_maps=(cmap,),
-            detail={"v0": v0, "v0_neighbours": tuple(g.adj[v0])},
         )
 
     # No bridge, no degree-2 vertex, connected, n >= 4: cubic.

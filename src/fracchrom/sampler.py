@@ -11,13 +11,14 @@ every orientation and every selection branch, producing the exact
 rational law of the output set together with per-vertex inclusion
 probabilities; the per-situation records it keeps on the two-factor (in
 ``tf.derived``, so they live exactly as long as ``tf``) also answer event
-queries (``event_probability``, ``forces``, ``admissible``, ``exact_q``).
-The law is computed in integers: every situation has probability ``1/d``
-with ``d = 2^m * d1 * d3``, the masses are summed as integers over one
-common denominator (the lcm of the distinct ``d``), and each
-``Fraction`` is built once, per support set and per vertex.  It is the
-oracle and shares no code with the sampler.  Sampling runs
-the one mask-level trial of ``_mcphases_py.trial_masks``:
+queries (``event_probability``, ``forces``, ``admissible``, ``exact_q``)
+through one scan of the records.  The law is computed in integers: every
+situation has probability ``1/d`` with ``d = 2^m * d1 * d3``, each record
+carries its ``d``, the masses are summed as integers over one common
+denominator (the lcm of the distinct ``d``, kept with the records), and
+each ``Fraction`` is built once, per support set, per vertex and per
+event query.  It is the oracle and shares no code with the sampler.
+Sampling runs the one mask-level trial of ``_mcphases_py.trial_masks``:
 ``run_phases_1_4`` draws a single situation, and ``monte_carlo``
 estimates the marginals in one seeded, reproducible loop, optionally
 followed by the phase-5 repair.
@@ -25,6 +26,7 @@ followed by the phase-5 repair.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +40,7 @@ __all__ = [
     "ExplosionGuard", "SplitMix64", "trial_stream",
     "Orientation", "orientation_from_heads", "Situation", "IndependentSet",
     "Distribution", "EnumerationResult", "MonteCarloReport",
-    "is_independent", "phi_outcomes", "active_runs", "run_phases_1_4",
+    "is_independent", "run_phases_1_4",
     "enumerate_distribution", "enumerate_situations", "event_probability",
     "forces", "admissible", "exact_q", "monte_carlo", "kernel_backend",
     "DEFAULT_MAX_ORIENTATIONS", "DEFAULT_MAX_BRANCHES", "PHASE4_MODES",
@@ -291,8 +293,9 @@ def _run_branches(tf: TwoFactor, is_cycle: bool, seq):
     ]
 
 
-def _selection_prob(tf: TwoFactor, mask: int, selected: int) -> Fraction:
-    """Probability that the selection step on ``mask`` picks ``selected``."""
+def _selection_d(tf: TwoFactor, mask: int, selected: int) -> int:
+    """The ``d`` with which the selection step on ``mask`` picks
+    ``selected`` with probability ``1/d``."""
     d = 1
     for is_cycle, seq in _mask_runs(tf.cycles, mask):
         pick = selected & vertex_mask(seq)
@@ -301,7 +304,7 @@ def _selection_prob(tf: TwoFactor, mask: int, selected: int) -> Fraction:
             raise RuntimeError("selection %r is not a branch of the run %r"
                                % (mask_vertices(pick), list(seq)))
         d *= ds[0]
-    return Fraction(1, d)
+    return d
 
 
 def phi_outcomes(X, tf: TwoFactor):
@@ -386,8 +389,8 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng, phase4: str = "start"):
         orientation_from_heads(tf, mask_vertices(heads)),
         frozenset(mask_vertices(s1)),
         frozenset(mask_vertices(s3)),
-        Fraction(1, 1 << len(tf.m_edges)) * _selection_prob(tf, heads, s1)
-        * _selection_prob(tf, feasible, s3),
+        Fraction(1, (_selection_d(tf, heads, s1) << len(tf.m_edges))
+                 * _selection_d(tf, feasible, s3)),
     )
     return situation, IndependentSet(members)
 
@@ -397,25 +400,31 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng, phase4: str = "start"):
 
 
 class _SitRec:
-    __slots__ = ("heads", "s1", "feasible", "s3", "out", "prob")
+    """One situation as vertex masks; it has probability ``1/d``."""
 
-    def __init__(self, heads, s1, feasible, s3, out, prob):
+    __slots__ = ("heads", "s1", "feasible", "s3", "out", "d")
+
+    def __init__(self, heads, s1, feasible, s3, out, d):
         self.heads = heads
         self.s1 = s1
         self.feasible = feasible
         self.s3 = s3
         self.out = out
-        self.prob = prob
+        self.d = d
 
 
 class _Law:
-    __slots__ = ("recs", "result", "orientations", "branches")
+    """The situation records, the law they sum to, and ``denom``: the lcm
+    of the records' ``d``, over which every mass is an integer."""
 
-    def __init__(self, recs, result, orientations, branches):
+    __slots__ = ("recs", "result", "orientations", "branches", "denom")
+
+    def __init__(self, recs, result, orientations, branches, denom):
         self.recs = recs
         self.result = result
         self.orientations = orientations
         self.branches = branches
+        self.denom = denom
 
 
 def _check_guards(orientations, branches, max_orientations, max_branches):
@@ -450,8 +459,8 @@ def _compute_law(g, tf, phase4, max_orientations, max_branches):
     # phase-3 branches, and under "start" the phase-4 addition, depend on
     # the feasible mask alone, so each feasible mask is expanded once.
     phase3 = {}      # feasible mask -> [(s3, d3, s3 | phase-4 addition)]
-    unit = {}        # d -> Fraction(1, d), shared by the records
     tally = {}       # (out, d) -> number of situations
+    shared = {}      # d -> d: the records hold one int object per distinct d
     recs = []
     branch_count = 0
     for bits in range(1 << m):
@@ -476,15 +485,13 @@ def _compute_law(g, tf, phase4, max_orientations, max_branches):
                 if not start:
                     out |= _phase_4(adj_mask, _feasible_mask(n, adj_mask, out))
                 d = d01 * d3
-                prob = unit.get(d)
-                if prob is None:
-                    prob = unit[d] = Fraction(1, d)
-                recs.append(_SitRec(heads, s1, feasible, s3, out, prob))
+                d = shared.setdefault(d, d)
+                recs.append(_SitRec(heads, s1, feasible, s3, out, d))
                 key = (out, d)
                 tally[key] = tally.get(key, 0) + 1
 
     # integer masses over one common denominator, in first-seen order
-    denom = math.lcm(*unit)
+    denom = math.lcm(*shared)
     mass = {}
     for (out, d), count in tally.items():
         mass[out] = mass.get(out, 0) + count * (denom // d)
@@ -500,7 +507,7 @@ def _compute_law(g, tf, phase4, max_orientations, max_branches):
         pmf[IndependentSet(members)] = Fraction(w, denom)
     marginals = {v: Fraction(weight[v], denom) for v in range(n)}
     result = EnumerationResult(Distribution(pmf), marginals)
-    return _Law(recs, result, 1 << m, branch_count)
+    return _Law(recs, result, 1 << m, branch_count, denom)
 
 
 def _law(g, tf, phase4="start", max_orientations=None, max_branches=None):
@@ -535,54 +542,47 @@ def enumerate_situations(g: Graph, tf: TwoFactor, *, phase4: str = "start",
     """Every situation with positive probability, with its output set."""
     law = _law(g, tf, phase4, max_orientations, max_branches)
     # situations share their immutable parts: one orientation per head
-    # set and one frozenset per vertex mask
-    orientations = {}
-    sets = {}
-
-    def vertex_set(mask):
-        members = sets.get(mask)
-        if members is None:
-            members = sets[mask] = frozenset(mask_vertices(mask))
-        return members
-
-    out = []
-    for rec in law.recs:
-        o = orientations.get(rec.heads)
-        if o is None:
-            o = orientations[rec.heads] = orientation_from_heads(
-                tf, mask_vertices(rec.heads))
-        sit = Situation(o, vertex_set(rec.s1), vertex_set(rec.s3), rec.prob)
-        out.append((sit, IndependentSet(vertex_set(rec.out))))
-    return out
+    # set, one frozenset per vertex mask and one Fraction per d
+    orientation = functools.cache(
+        lambda heads: orientation_from_heads(tf, mask_vertices(heads)))
+    vertex_set = functools.cache(lambda mask: frozenset(mask_vertices(mask)))
+    unit = functools.cache(lambda d: Fraction(1, d))
+    return [(Situation(orientation(rec.heads), vertex_set(rec.s1),
+                       vertex_set(rec.s3), unit(rec.d)),
+             IndependentSet(vertex_set(rec.out)))
+            for rec in law.recs]
 
 
 # ---------------------------------------------------------------------------
 # template events against the exact law
 
 
-def _template_masks(t: Template, tf: TwoFactor):
+def _conforming(t, g, tf, phase4, max_orientations, max_branches,
+                phase3=True):
+    """The law, and its records whose situation conforms to ``t``.
+
+    This is the one scan behind the four template events; with
+    ``phase3=False`` it tests only the orientation and phase-1
+    requirements.
+    """
     validate_in(t, tf)
-    return (vertex_mask(t.heads), vertex_mask(t.d1), vertex_mask(t.d1bar),
-            vertex_mask(t.d3), vertex_mask(t.d3bar))
-
-
-def _weakly_conforms(rec, heads, d1, d1bar):
-    return (rec.heads & heads == heads
-            and rec.s1 & d1 == d1
-            and not rec.s1 & d1bar)
+    heads, d1, d1bar = (vertex_mask(t.heads), vertex_mask(t.d1),
+                        vertex_mask(t.d1bar))
+    d3, d3bar = (vertex_mask(t.d3), vertex_mask(t.d3bar)) if phase3 else (0, 0)
+    law = _law(g, tf, phase4, max_orientations, max_branches)
+    return law, (rec for rec in law.recs
+                 if rec.heads & heads == heads
+                 and rec.s1 & d1 == d1 and not rec.s1 & d1bar
+                 and rec.s3 & d3 == d3 and not rec.s3 & d3bar)
 
 
 def event_probability(t: Template, g: Graph, tf: TwoFactor, *,
                       phase4: str = "start", max_orientations: int = None,
                       max_branches: int = None) -> Fraction:
     """Exact probability that a random situation conforms to ``t``."""
-    heads, d1, d1bar, d3, d3bar = _template_masks(t, tf)
-    total = Fraction(0)
-    for rec in _law(g, tf, phase4, max_orientations, max_branches).recs:
-        if (_weakly_conforms(rec, heads, d1, d1bar)
-                and rec.s3 & d3 == d3 and not rec.s3 & d3bar):
-            total += rec.prob
-    return total
+    law, recs = _conforming(t, g, tf, phase4, max_orientations, max_branches)
+    denom = law.denom
+    return Fraction(sum(denom // rec.d for rec in recs), denom)
 
 
 def forces(t: Template, u: int, g: Graph, tf: TwoFactor, *,
@@ -591,14 +591,9 @@ def forces(t: Template, u: int, g: Graph, tf: TwoFactor, *,
     """True when every situation conforming to ``t`` outputs ``u``."""
     if not 0 <= u < tf.graph.n:
         raise GraphError("vertex %r out of range" % (u,))
-    heads, d1, d1bar, d3, d3bar = _template_masks(t, tf)
     bit = 1 << u
-    for rec in _law(g, tf, phase4, max_orientations, max_branches).recs:
-        if (_weakly_conforms(rec, heads, d1, d1bar)
-                and rec.s3 & d3 == d3 and not rec.s3 & d3bar):
-            if not rec.out & bit:
-                return False
-    return True
+    _, recs = _conforming(t, g, tf, phase4, max_orientations, max_branches)
+    return all(rec.out & bit for rec in recs)
 
 
 def admissible(t: Template, g: Graph, tf: TwoFactor, *,
@@ -611,13 +606,10 @@ def admissible(t: Template, g: Graph, tf: TwoFactor, *,
         return True
     if t.focus is None or constrained != {t.focus}:
         return False
-    heads, d1, d1bar, _, _ = _template_masks(t, tf)
     bit = 1 << t.focus
-    for rec in _law(g, tf, phase4, max_orientations, max_branches).recs:
-        if _weakly_conforms(rec, heads, d1, d1bar):
-            if not rec.feasible & bit:
-                return False
-    return True
+    _, recs = _conforming(t, g, tf, phase4, max_orientations, max_branches,
+                          phase3=False)
+    return all(rec.feasible & bit for rec in recs)
 
 
 def exact_q(t: Template, g: Graph, tf: TwoFactor, *,
@@ -633,18 +625,17 @@ def exact_q(t: Template, g: Graph, tf: TwoFactor, *,
     if len(cycle) % 2 == 0:
         return Fraction(0)
     cycle_mask = vertex_mask(cycle)
-    heads, d1, d1bar, d3, d3bar = _template_masks(t, tf)
-    hit = Fraction(0)
-    total = Fraction(0)
-    for rec in _law(g, tf, phase4, max_orientations, max_branches).recs:
-        if (_weakly_conforms(rec, heads, d1, d1bar)
-                and rec.s3 & d3 == d3 and not rec.s3 & d3bar):
-            total += rec.prob
-            if rec.feasible & cycle_mask == cycle_mask:
-                hit += rec.prob
+    law, recs = _conforming(t, g, tf, phase4, max_orientations, max_branches)
+    denom = law.denom
+    hit = total = 0
+    for rec in recs:
+        w = denom // rec.d
+        total += w
+        if rec.feasible & cycle_mask == cycle_mask:
+            hit += w
     if total == 0:
         return Fraction(0)
-    return hit / total
+    return Fraction(hit, total)
 
 
 # ---------------------------------------------------------------------------

@@ -228,11 +228,9 @@ def two_factor_from_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> T
 # Matching enumeration
 
 
-def enumerate_perfect_matchings(
-    g: Graph, limit: Optional[int] = None
-) -> list[tuple[tuple[int, int], ...]]:
+def enumerate_perfect_matchings(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     """All perfect matchings as sorted edge tuples, by backtracking on the
-    lowest unmatched vertex.  `limit` caps the number returned."""
+    lowest unmatched vertex."""
     n = g.n
     if n % 2:
         return []
@@ -240,27 +238,21 @@ def enumerate_perfect_matchings(
     matched = [False] * n
     cur: list[tuple[int, int]] = []
 
-    def rec() -> bool:
-        if limit is not None and len(out) >= limit:
-            return False
+    def rec() -> None:
         u = next((v for v in range(n) if not matched[v]), None)
         if u is None:
             out.append(tuple(sorted(cur)))
-            return limit is None or len(out) < limit
+            return
         matched[u] = True
         for w in g.adj[u]:
             if matched[w]:
                 continue
             matched[w] = True
             cur.append((min(u, w), max(u, w)))
-            keep_going = rec()
+            rec()
             cur.pop()
             matched[w] = False
-            if not keep_going:
-                matched[u] = False
-                return False
         matched[u] = False
-        return True
 
     rec()
     return out

@@ -510,13 +510,67 @@ class TestEvents:
             assert sum(1 for t in templates if conforms(sit, t)) <= 1
 
     def test_event_probability_agrees_with_situation_filter(self):
-        g, tf = petersen_tf()
-        sits = S.enumerate_situations(g, tf)
-        for name in ("E0", "B", "C1", "D-"):
-            t = T.builtin(name, tf, 0)
-            want = sum((sit.prob for sit, _ in sits if conforms(sit, t)),
-                       Fraction(0))
-            assert S.event_probability(t, g, tf) == want
+        # all four event queries against a reference built from the public
+        # situation list, for every template at every vertex
+        def feasible_of(g, sit):
+            heads = sit.orientation.heads
+            covered = set(sit.s1) | {h for h in heads
+                                     if not heads & set(g.adj[h])}
+            return {v for v in range(g.n) if v not in covered
+                    and not covered & set(g.adj[v])}
+
+        def templates_at(tf, u):
+            for name in T.BUILTIN_NAMES:
+                try:
+                    yield name, T.builtin(name, tf, u)
+                except T.TemplateError:
+                    pass
+            for name, t in T.sigma_library(tf, u):
+                if t is not T.INVALID:
+                    yield name, t
+
+        checked = 0
+        for g, tf in (petersen_tf(), tri2sq_tf()):
+            for phase4 in S.PHASE4_MODES:
+                sits = [(sit, iset.members, feasible_of(g, sit))
+                        for sit, iset in S.enumerate_situations(
+                            g, tf, phase4=phase4)]
+                for u in range(g.n):
+                    for name, t in templates_at(tf, u):
+                        label = (name, u, phase4)
+                        hits = [(sit.prob, out, feas)
+                                for sit, out, feas in sits
+                                if conforms(sit, t)]
+                        assert S.event_probability(
+                            t, g, tf, phase4=phase4) == sum(
+                            (p for p, _, _ in hits), Fraction(0)), label
+                        for w in range(g.n):
+                            assert S.forces(t, w, g, tf, phase4=phase4) == all(
+                                w in out for _, out, _ in hits), (label, w)
+
+                        constrained = t.d3 | t.d3bar
+                        if not constrained:
+                            adm = True
+                        elif constrained != {t.focus}:
+                            adm = False
+                        else:
+                            adm = all(
+                                t.focus in feas for sit, _, feas in sits
+                                if t.heads <= sit.orientation.heads
+                                and t.d1 <= sit.s1 and not t.d1bar & sit.s1)
+                        assert S.admissible(t, g, tf, phase4=phase4) == adm, \
+                            label
+
+                        cycle = set(tf.cycles[tf.cycle_of[t.focus]])
+                        total = sum((p for p, _, _ in hits), Fraction(0))
+                        if t.focus in t.d3 and len(cycle) % 2 and total:
+                            q = sum((p for p, _, feas in hits
+                                     if cycle <= feas), Fraction(0)) / total
+                        else:
+                            q = Fraction(0)
+                        assert S.exact_q(t, g, tf, phase4=phase4) == q, label
+                        checked += bool(q)
+        assert checked  # tri2sq's odd cycles give some positive q
 
     def test_focus_only_template_is_the_sure_event(self):
         g, tf = petersen_tf()

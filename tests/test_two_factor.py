@@ -119,10 +119,6 @@ def test_matching_counts_against_bruteforce(g):
     assert len(got) == count_perfect_matchings_bruteforce(g)
 
 
-def test_matching_limit():
-    assert len(enumerate_perfect_matchings(petersen(), limit=2)) == 2
-
-
 def test_matching_odd_order_empty():
     assert enumerate_perfect_matchings(Graph(3, [(0, 1), (1, 2), (0, 2)])) == []
 
