@@ -2,10 +2,11 @@
 
 The fractional chromatic number is the optimum of the covering LP over
 independent sets.  This module enumerates the maximal independent sets
-(the only columns an optimal solution needs), solves the LP in exact
-rational arithmetic, and converts between the three equivalent shapes a
-fractional colouring comes in: a weighting of independent sets, a
-distribution with all vertex marginals at least 1/k, and a multiset of
+(the only columns an optimal solution needs) and solves the LP exactly
+by the simplex method on a condensed integral tableau (Edmonds–Bareiss
+fraction-free pivoting).  It also converts between the three equivalent
+shapes a fractional colouring comes in: a weighting of independent sets,
+a distribution with all vertex marginals at least 1/k, and a multiset of
 kN independent sets covering every vertex exactly N times.
 
 ``chi_f_upper_subcubic`` assembles a 32/11-sized certificate for any
@@ -179,54 +180,49 @@ def _solve_covering_lp(n: int, cols: list[frozenset]):
     The dual — maximize Σy over Σ_{v∈I} y_v ≤ 1, y ≥ 0 — starts feasible
     at the slack basis, so a single-phase simplex with Bland's rule
     suffices; the primal optimum is read off the slack reduced costs.
+
+    The tableau is condensed: one row per independent set plus the
+    objective row, one column per nonbasic variable plus the right-hand
+    side, with labels naming the variable of each row and column
+    (variable v < n is y_v, variable n + i the slack of set i).  Every
+    entry is an int over the common denominator d, the previous pivot (1
+    at the start), and each pivot divides exactly by d (Edmonds 1967;
+    Bareiss 1968).
+    Pivots stay positive, so d > 0 and every sign test and ratio
+    comparison reads as it would on the rational tableau.
     """
     m = len(cols)
-    width = n + m + 1
-    # tableau rows: one per independent set; objective row last
-    rows = []
-    for s in cols:
-        row = [Fraction(0)] * width
-        for v in s:
-            row[v] = Fraction(1)
-        rows.append(row)
-    for i in range(m):
-        rows[i][n + i] = Fraction(1)
-        rows[i][-1] = Fraction(1)
-    obj = [Fraction(1)] * n + [Fraction(0)] * m + [Fraction(0)]
-    basis = list(range(n, n + m))
-
+    rows = [[int(v in s) for v in range(n)] + [1] for s in cols] + [[1] * n + [0]]
+    basic, nonbasic, d = list(range(n, n + m)), list(range(n)), 1
     while True:
-        enter = next((j for j in range(n + m) if obj[j] > 0), None)
+        enter = min(((nonbasic[j], j) for j in range(n) if rows[m][j] > 0),
+                    default=None)
         if enter is None:
             break
-        leave, ratio = None, None
-        for i in range(m):
-            a = rows[i][enter]
-            if a > 0:
-                r = rows[i][-1] / a
-                if (ratio is None or r < ratio
-                        or (r == ratio and basis[i] < basis[leave])):
-                    leave, ratio = i, r
-        if leave is None:
+        c = enter[1]
+        r = min((i for i in range(m) if rows[i][c] > 0), default=None,
+                key=lambda i: (Fraction(rows[i][n], rows[i][c]), basic[i]))
+        if r is None:
             raise RuntimeError("unbounded dual: the graph has no vertices?")
-        piv = rows[leave][enter]
-        rows[leave] = [a / piv for a in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, rows[leave])]
-        basis[leave] = enter
+        pivot_row, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                new = [a * p - f * b for a, b in zip(row, pivot_row)]
+                if any(e % d for e in new):
+                    raise RuntimeError("integer pivot left a remainder")
+                rows[i] = [e // d for e in new]
+                rows[i][c] = -f
+        pivot_row[c] = d
+        basic[r], nonbasic[c] = nonbasic[c], basic[r]
+        d = p
 
-    value = -obj[-1]
-    y = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            y[b] = rows[i][-1]
-    x = [-obj[n + i] for i in range(m)]
-    return value, y, x
+    # basic variables sit at their rhs; nonbasic slacks give x as -cost
+    at = {b: Fraction(rows[i][n], d) for i, b in enumerate(basic)}
+    cost = {b: Fraction(-rows[m][j], d) for j, b in enumerate(nonbasic)}
+    y = [at.get(v, Fraction(0)) for v in range(n)]
+    x = [cost.get(n + i, Fraction(0)) for i in range(m)]
+    return Fraction(-rows[m][n], d), y, x
 
 
 # -- the three shapes of a colouring ---------------------------------------------
@@ -273,15 +269,24 @@ class MultisetCertificate:
 
 
 def certificate_from_json_dict(data: dict, n_vertices: int) -> MultisetCertificate:
-    cert = MultisetCertificate(
-        n_vertices=n_vertices,
-        N=int(data["N"]),
-        sets=tuple(frozenset(s) for s in data["sets"]),
-    )
-    if str(cert.k) != data["k"]:
-        raise ColouringError(
-            f"certificate claims k = {data['k']} but holds {cert.k}"
-        )
+    """Read back the shape ``MultisetCertificate.to_json_dict`` writes.
+
+    The input comes from outside, so its shape is checked: a dict whose
+    N is a positive int and whose ``sets`` is a list of lists of ints.
+    Whether the sets form a certificate is ``verify_certificate``'s
+    question.
+    """
+    if not isinstance(data, dict):
+        raise ColouringError("a certificate must be a JSON object")
+    N, sets, k = data.get("N"), data.get("sets"), data.get("k")
+    if type(N) is not int or N <= 0:
+        raise ColouringError(f"certificate N must be a positive integer, not {N!r}")
+    if not (isinstance(sets, list) and all(
+            isinstance(s, list) and all(type(v) is int for v in s) for s in sets)):
+        raise ColouringError("certificate sets must be a list of lists of vertex integers")
+    cert = MultisetCertificate(n_vertices, N, tuple(frozenset(s) for s in sets))
+    if str(cert.k) != k:
+        raise ColouringError(f"certificate claims k = {k} but holds {cert.k}")
     return cert
 
 

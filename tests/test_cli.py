@@ -22,6 +22,7 @@ from util_graphs import (
     complete,
     cycle,
     disjoint_union,
+    generalized_petersen,
     gp72,
     k33,
     petersen,
@@ -31,6 +32,16 @@ from util_graphs import (
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SRC = Path(__file__).resolve().parent.parent / "src"
 CERTIFY_GOLDEN = "a512b7794e05728804655332394206efa168d9a8de31bc83fcee746f071202b0"
+# sha256 of `chif g.g6` for GP(n, k) before the LP moved to an integer tableau;
+# they pin the weighting and the dual clique, and with them the pivot path
+CHIF_GOLDEN = {
+    (5, 2): "f0ce1b8f91bb22b478f5999219c7c8126390bb52908d1ee5ede3ff0354587c13",
+    (4, 1): "084faac79234206a8d99a1bfdd39641240415feb1dc83f4531d015d25d2333cb",
+    (7, 2): "8d71997cf9623a32f79f4a2b5c3856bbfa6d77011b464d1392959152904d906e",
+    (10, 2): "0f30f8844a37c51ae3250aa39c3bb156b6f1eb05d15b79980ad9799980f045ed",
+    (10, 3): "8c208bc886b0b88d72bfb182f94b18ea418a4038f68905b257c65072bcb4228e",
+    (12, 5): "d9c8a2db06dc562fc8273961db8bfa287c37ab93b945a7ae9dd5352866f22d49",
+}
 DEFICIENT_N10 = "IlDGHCH_g"  # the one n=10 graph with deficient vertices
 
 
@@ -221,6 +232,15 @@ class TestChif:
         payload = invoke_json("chif", files("c5.g6", cycle(5)))
         assert payload["weighting"]["size"] == "5/2"
         assert payload["dual_clique"]
+
+    @pytest.mark.parametrize("nk", sorted(CHIF_GOLDEN), ids=str)
+    def test_generalized_petersen_golden(self, nk, tmp_path, monkeypatch):
+        (tmp_path / "g.g6").write_text(
+            encode_graph6(generalized_petersen(*nk)) + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke("chif", "g.g6")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == CHIF_GOLDEN[nk]
 
 
 class TestCertify:

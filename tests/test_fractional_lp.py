@@ -4,7 +4,9 @@ import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from fracchrom.fractional_lp import (
     verify_certificate,
     weighting_to_multiset,
 )
-from fracchrom.graph_core import Graph, GraphError, GuardExceeded, reduce_subcubic
+from fracchrom.graph_core import Graph, GraphError, GuardExceeded, parse_graph6, reduce_subcubic
 from fracchrom.sampler import enumerate_distribution, is_independent
 from fracchrom.two_factor import select_two_factor
 
@@ -37,6 +39,8 @@ from util_graphs import (
     petersen,
     subdivide_edge,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 GOLDENS = [
     ("K2", complete(2), F(2)),
@@ -149,6 +153,22 @@ class TestChiFExact:
             keep = [e for e in g.edges if rng.random() < 0.6]
             sub = Graph(g.n, keep)
             assert chi_f_exact(sub)[0] <= chi_f_exact(g)[0]
+
+    def test_shipped_corpus_between_n_over_alpha_and_14_5(self):
+        # 14/5 bounds chi_f of every subcubic triangle-free graph
+        # (Dvořák, Sereni & Volec); GP(7,2) attains it
+        graphs = [parse_graph6(line) for path in sorted(CORPUS.glob("*.g6"))
+                  for line in path.read_text().split()]
+        assert len(graphs) == 140
+        tight = []
+        for g in graphs:
+            value = chi_f_exact(g)[0]
+            alpha = max(len(s) for s in maximal_independent_sets(g))
+            assert F(g.n, alpha) <= value <= F(14, 5)
+            if value == F(14, 5):
+                tight.append(nx.Graph(g.edges))
+        assert len(tight) == 2
+        assert any(nx.is_isomorphic(h, nx.Graph(gp72().edges)) for h in tight)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3, 9), st.randoms(use_true_random=False))
@@ -279,6 +299,37 @@ class TestVerifyCertificate:
         data["k"] = "3"
         with pytest.raises(ColouringError, match="claims k = 3"):
             certificate_from_json_dict(data, g.n)
+
+    @pytest.mark.parametrize("N", [0, -1, None, "4", 4.0, True],
+                             ids=["zero", "negative", "missing", "string",
+                                  "float", "bool"])
+    def test_json_N_must_be_a_positive_int(self, N):
+        g, cert = self.good()
+        data = cert.to_json_dict()
+        if N is None:
+            del data["N"]
+        else:
+            data["N"] = N
+        with pytest.raises(ColouringError, match="positive integer"):
+            certificate_from_json_dict(data, g.n)
+
+    @pytest.mark.parametrize("sets", [["01"], [[0, "1"]], [(0, 2)], None, "02"],
+                             ids=["string-set", "string-vertex", "tuple",
+                                  "missing", "string"])
+    def test_json_sets_must_be_lists_of_ints(self, sets):
+        g, cert = self.good()
+        data = cert.to_json_dict()
+        if sets is None:
+            del data["sets"]
+        else:
+            data["sets"] = sets
+        with pytest.raises(ColouringError, match="list of lists"):
+            certificate_from_json_dict(data, g.n)
+
+    def test_json_must_be_an_object(self):
+        g, cert = self.good()
+        with pytest.raises(ColouringError, match="JSON object"):
+            certificate_from_json_dict([cert.to_json_dict()], g.n)
 
 
 class TestUpperSubcubic:

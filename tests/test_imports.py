@@ -1,4 +1,4 @@
-"""Four stdlib-only lint rules over the modules of the package.
+"""Five stdlib-only lint rules over the modules of the package.
 
 Every name a module imports at top level is used there: a stand-in for a
 linter's unused-import rule, where a name counts as used when it is read
@@ -17,6 +17,9 @@ scratch state lives in a local that dies with the call.
 Every private top-level function or class is referenced somewhere in the
 package (read by name, as an attribute, or imported): a helper whose last
 caller is gone is deleted with it.
+
+No module holds an ``assert`` statement: ``python -O`` strips them, so a
+runtime invariant is an ``if ...: raise`` that holds on every run.
 """
 
 import ast
@@ -161,6 +164,13 @@ def unreferenced_private_definitions(paths):
     return sorted(d for d in defined if d[2] not in used)
 
 
+def assert_statements(path):
+    """Lines of the ``assert`` statements of one module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert))
+
+
 def test_modules_found():
     assert {"cli.py", "sampler.py", "augment.py"} <= {p.name for p in MODULES}
 
@@ -237,3 +247,17 @@ def test_checker_flags_an_unreferenced_private_definition(tmp_path):
                  "def f():\n    return a._by_attribute, _Imported\n")
     assert unreferenced_private_definitions([a, b]) == [
         ("a.py", 3, "_orphan"), ("a.py", 7, "_Unused")]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path) == []
+
+
+def test_checker_flags_an_assert_statement(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("assert True\n"
+                   "def f(x):\n    if x % 2:\n        raise RuntimeError(x)\n"
+                   "    assert x, 'even'\n    return 'assert x'\n"
+                   "class C:\n    def g(self):\n        assert self\n")
+    assert assert_statements(src) == [1, 5, 9]
