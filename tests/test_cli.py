@@ -43,6 +43,25 @@ CHIF_GOLDEN = {
     (12, 5): "d9c8a2db06dc562fc8273961db8bfa287c37ab93b945a7ae9dd5352866f22d49",
 }
 DEFICIENT_N10 = "IlDGHCH_g"  # the one n=10 graph with deficient vertices
+# corpus graphs whose deficient vertices are of type 0, I, Ia and Ib*
+DEFICIENT_BY_TYPE = {
+    "0": DEFICIENT_N10,
+    "I": "KlSHGC@@GAoD",
+    "Ia": "MlSgGC@?GC_D?D_O_",
+    "Ib*": "MlSHGC@@G?_H?H_A_",
+}
+# sha256 of `prob g.g6 --exact --phase4-feasibility MODE` before the phase-5
+# plan kept only its coins; they pin the plan and the repaired law
+PROB_EXACT_GOLDEN = {
+    ("0", "start"): "28180af36a7f256fb6e0d17ee5d8388fd382bc2396160dbcbe7e79f05cc746d3",
+    ("0", "recompute"): "41261751e5567efff47b29f12b208762b55e780e5aa0b4cb234eff6c4df5d202",
+    ("I", "start"): "9826b8ed8edfe1995827a4d97c1d693b92561c2f93ec90c39557b8d37e4f5e52",
+    ("I", "recompute"): "4669df7c848c0cf844cf7053444d68eabd70d8404c4044cd148d5997943ecdd3",
+    ("Ia", "start"): "9eda59f5c257ec4b71cfe2076fa0a03a7971648e1ddf5ab0ddf44b39a2f2e4cd",
+    ("Ia", "recompute"): "0e0fe081a50d4f1d5e5d91e9716a40727337116e5f19eb62fb9da5629f50b347",
+    ("Ib*", "start"): "40251f190bb312a8bc457421b8cf084bdaebfdfd049ad9faeb8d0faf2d12c2c1",
+    ("Ib*", "recompute"): "27b80d173c563edde2539ba4aa58d22b59f896778012cc3758382c962cde0f11",
+}
 
 
 def invoke(*argv):
@@ -194,6 +213,32 @@ class TestProb:
         assert payload["counts"] == [1113, 1059, 1108, 1071, 1127, 1076, 1138,
                                      1112, 1094, 1052]
         assert payload["min_frequency"] == "263/750"
+
+    @pytest.mark.parametrize("key", sorted(PROB_EXACT_GOLDEN), ids=str)
+    def test_exact_repaired_law_golden(self, key, tmp_path, monkeypatch):
+        dtype, mode = key
+        (tmp_path / "g.g6").write_text(DEFICIENT_BY_TYPE[dtype] + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(
+            "prob", "g.g6", "--exact", "--phase4-feasibility", mode)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == PROB_EXACT_GOLDEN[key]
+
+    @pytest.mark.parametrize("dtype,counts", [
+        # at 2000 trials the plan swaps 7 times on the type-I graph and
+        # 19 times on the type-Ia graph
+        ("I", [861, 851, 829, 851, 806, 656, 720, 763, 891, 799, 891, 803]),
+        ("Ia", [793, 955, 878, 955, 878, 848, 706, 735, 711, 915, 818, 915,
+                812, 704]),
+    ])
+    def test_monte_carlo_with_swaps_golden_counts(self, dtype, counts,
+                                                  tmp_path):
+        p = tmp_path / "d.g6"
+        p.write_text(DEFICIENT_BY_TYPE[dtype] + "\n")
+        payload = invoke_json("prob", str(p), "--seed", "7", "--trials", "2000")
+        assert payload["backend"] == "five-phase-reference"
+        assert payload["violations"] == 0
+        assert payload["counts"] == counts
 
     def test_monte_carlo_emits_seed(self, files):
         payload = invoke_json(
