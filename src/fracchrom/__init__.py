@@ -41,7 +41,6 @@ from .sampler import (  # noqa: F401
     Distribution,
     EnumerationResult,
     ExplosionGuard,
-    IndependentSet,
     MonteCarloReport,
     SplitMix64,
     enumerate_distribution,

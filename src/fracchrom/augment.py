@@ -16,10 +16,12 @@ their reflections, and the catch-all type I); ``epsilon_nochord``
 handles matching edges that cross between cycles; ``epsilon_full`` glues
 both together with the mate-negation rule for the remaining vertices.
 ``build_phase5_plan`` runs the greedy water-filling that decides, for
-every (deficient vertex, support set) pair, the probability of the swap,
-and the plan walks every support set through the swap cascade when it is
-built; ``run_phase5`` applies a plan to one sampled set and
-``exact_phase5_distribution`` pushes the whole exact law through it.
+every (deficient vertex, support set) pair, the probability of the swap.
+When it is built, the plan turns each support set's positive
+probabilities into coins, one ``(vertex, bias)`` pair each, and walks the
+set through the swap cascade; ``run_phase5`` flips a set's coins on one
+sampled set and ``exact_phase5_distribution`` pushes the whole exact law
+through the cascades.  Sampled and support sets are plain frozensets.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .graph_core import Graph, GraphError, vertex_mask
 from .sampler import (
     Distribution,
     EnumerationResult,
-    IndependentSet,
     SplitMix64,
     enumerate_distribution,
     is_independent,
@@ -355,12 +356,12 @@ def sponsor(g: Graph, tf: TwoFactor, u: int) -> int:
     return rec.sponsor
 
 
-def _favourable(g: Graph, u: int, s: int, J: IndependentSet) -> bool:
+def _favourable(g: Graph, u: int, s: int, J: frozenset) -> bool:
     """u is not in J and J meets N(u) in exactly the sponsor s."""
     return u not in J and {w for w in g.adj[u] if w in J} == {s}
 
 
-def favourable(g: Graph, tf: TwoFactor, u: int, J: IndependentSet) -> bool:
+def favourable(g: Graph, tf: TwoFactor, u: int, J: frozenset) -> bool:
     """Does J meet u's closed neighbourhood in exactly its sponsor?"""
     return _favourable(g, u, sponsor(g, tf, u), J)
 
@@ -379,22 +380,24 @@ class Phase5Plan:
     """A complete schedule for the probability-repair phase.
 
     Holds the processing order of the deficient vertices, the support of
-    the phase-4 law in a fixed order, and the planned swap probability
-    for every (vertex, support set) pair, together with the bookkeeping
-    (sponsors, correction terms, earlier-neighbour lists) that both the
-    single-run executor and the exact enumerator need.  ``walks[j]`` is
-    the exact swap cascade on support set ``j``; building it raises
-    ``BiasInfeasible`` when no coin can realize a planned probability, so
-    every plan can be executed.
+    the phase-4 law in a fixed order (``index`` maps a support set to its
+    position), and the planned swap probability for every (vertex,
+    support set) pair, together with the bookkeeping (sponsors,
+    correction terms, earlier-neighbour lists) that both the single-run
+    executor and the exact enumerator need.  ``walks[j]`` is the exact
+    swap cascade on support set ``j``: one ``(vertex, bias)`` coin per
+    positive planned probability, and the law over subsets of
+    swapped-in vertices.  Building it raises ``BiasInfeasible`` when a
+    planned probability sits on a set that is not favourable for its
+    vertex or no coin can realize it, so every plan can be executed.
     """
 
-    __slots__ = ("graph", "tf", "deficient_order", "set_order", "set_probs",
+    __slots__ = ("tf", "deficient_order", "set_order", "set_probs",
                  "p", "sponsors", "epsilon", "nbrx", "eta", "rho",
-                 "_set_index", "walks")
+                 "index", "walks")
 
-    def __init__(self, graph, tf, deficient_order, set_order, set_probs,
+    def __init__(self, tf, deficient_order, set_order, set_probs,
                  p, sponsors, epsilon, nbrx, eta, rho):
-        self.graph = graph
         self.tf = tf
         self.deficient_order = tuple(deficient_order)
         self.set_order = tuple(set_order)
@@ -405,14 +408,11 @@ class Phase5Plan:
         self.nbrx = {u: tuple(ws) for u, ws in nbrx.items()}
         self.eta = dict(eta)
         self.rho = dict(rho)
-        self._set_index = {J: j for j, J in enumerate(self.set_order)}
+        self.index = {J: j for j, J in enumerate(self.set_order)}
         self.walks = tuple(self._walk(j) for j in range(len(self.set_order)))
 
-    def index_of(self, J: IndependentSet):
-        return self._set_index.get(J)
-
-    def p_of(self, u: int, J: IndependentSet) -> Fraction:
-        j = self.index_of(J)
+    def p_of(self, u: int, J: frozenset) -> Fraction:
+        j = self.index.get(J)
         if j is None:
             return Fraction(0)
         return self.p.get((u, j), Fraction(0))
@@ -420,29 +420,28 @@ class Phase5Plan:
     def nbrxc(self, u: int) -> tuple:
         return self.nbrx[u] + (u,)
 
-    def _favourable(self, u: int, J: IndependentSet) -> bool:
-        return _favourable(self.graph, u, self.sponsors[u], J)
-
     def _walk(self, j: int):
         """Exact per-set simulation of the swap cascade.
 
-        Returns (steps, states): one (vertex, planned, clear_prob, bias)
-        tuple per coin the executor may flip on this set, and the final
-        law over subsets of swapped-in vertices.
+        Returns (coins, states): one (vertex, bias) coin per positive
+        planned probability on this set, in processing order, and the
+        final law over subsets of swapped-in vertices.
         """
         J = self.set_order[j]
         states = {frozenset(): Fraction(1)}
-        steps = []
+        coins = []
         for u in self.deficient_order:
-            if not self._favourable(u, J):
+            planned = self.p.get((u, j))
+            if not planned:
                 continue
-            planned = self.p.get((u, j), Fraction(0))
+            if not _favourable(self.tf.graph, u, self.sponsors[u], J):
+                raise BiasInfeasible(
+                    f"vertex {u} on set index {j}: swap probability "
+                    f"{planned} is planned on a set that is not favourable"
+                )
             blockers = frozenset(self.nbrx[u])
             clear = sum((pr for st, pr in states.items() if not (st & blockers)),
                         Fraction(0))
-            if planned == 0:
-                steps.append((u, planned, clear, Fraction(0)))
-                continue
             if clear < planned:
                 raise BiasInfeasible(
                     f"vertex {u} on set index {j}: planned swap probability "
@@ -459,32 +458,15 @@ class Phase5Plan:
                 if bias != 1:
                     nxt[st] = nxt.get(st, Fraction(0)) + pr * (1 - bias)
             states = nxt
-            steps.append((u, planned, clear, bias))
-        return tuple(steps), states
+            coins.append((u, bias))
+        return tuple(coins), states
 
-    def apply_swaps(self, J: IndependentSet, added) -> IndependentSet:
-        members = set(J.members)
+    def apply_swaps(self, J: frozenset, added) -> frozenset:
+        members = set(J)
         for u in added:
             members.discard(self.sponsors[u])
             members.add(u)
-        return IndependentSet(frozenset(members))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "deficient": [
-                {"vertex": u, "epsilon": str(self.epsilon[u]),
-                 "sponsor": self.sponsors[u], "eta": str(self.eta[u]),
-                 "receptivity": str(self.rho[u])}
-                for u in self.deficient_order
-            ],
-            "sets": [sorted(J.members) for J in self.set_order],
-            "set_probs": [str(p) for p in self.set_probs],
-            "p": [
-                {"vertex": u, "set": j, "value": str(val)}
-                for (u, j), val in sorted(self.p.items(),
-                                          key=lambda kv: (kv[0][1], kv[0][0]))
-            ],
-        }
+        return frozenset(members)
 
 
 def build_phase5_plan(g: Graph, tf: TwoFactor, dist: Distribution) -> Phase5Plan:
@@ -505,7 +487,7 @@ def build_phase5_plan(g: Graph, tf: TwoFactor, dist: Distribution) -> Phase5Plan
     epsilon = {r.vertex: r.epsilon for r in deficient}
     sponsors = {r.vertex: r.sponsor for r in deficient}
 
-    set_order = sorted(dist.pmf, key=lambda J: vertex_mask(J.members))
+    set_order = sorted(dist.pmf, key=vertex_mask)
     set_probs = [dist.pmf[J] for J in set_order]
 
     nbrx: dict = {}
@@ -548,7 +530,7 @@ def build_phase5_plan(g: Graph, tf: TwoFactor, dist: Distribution) -> Phase5Plan
                 f"vertex {u}: swap mass {row} placed of the required {target}"
             )
 
-    return Phase5Plan(g, tf, order, set_order, set_probs, p,
+    return Phase5Plan(tf, order, set_order, set_probs, p,
                       sponsors, epsilon, nbrx, eta, rho)
 
 
@@ -577,27 +559,27 @@ def _bernoulli(rng: SplitMix64, q: Fraction) -> bool:
     return _rand_below(rng, q.denominator) < q.numerator
 
 
-def run_phase5(J: IndependentSet, plan: Phase5Plan, rng: SplitMix64) -> IndependentSet:
+def run_phase5(J: frozenset, plan: Phase5Plan, rng: SplitMix64) -> frozenset:
     """Apply the repair phase to one sampled set.
 
     Sets outside the plan's support pass through unchanged.  Swapped-in
     vertices displace exactly their sponsors, so the result is again an
     independent set.
     """
-    j = plan.index_of(J)
+    j = plan.index.get(J)
     if j is None:
         return J
-    steps, _ = plan.walks[j]
+    coins, _ = plan.walks[j]
     added: list = []
-    for u, planned, _clear, bias in steps:
-        if planned == 0 or any(w in added for w in plan.nbrx[u]):
+    for u, bias in coins:
+        if any(w in added for w in plan.nbrx[u]):
             continue
         if _bernoulli(rng, bias):
             added.append(u)
     out = plan.apply_swaps(J, added)
-    if not is_independent(plan.graph, out.members):
+    if not is_independent(plan.tf.graph, out):
         raise RuntimeError("the repair phase produced the dependent set %r"
-                           % sorted(out.members))
+                           % sorted(out))
     return out
 
 
@@ -624,14 +606,14 @@ def exact_phase5_distribution(
         _, states = plan.walks[j]
         for added, pr in states.items():
             out = plan.apply_swaps(J, added)
-            if not is_independent(g, out.members):
+            if not is_independent(g, out):
                 raise GraphError(
-                    f"repair produced a dependent set from {sorted(J.members)}"
+                    f"repair produced a dependent set from {sorted(J)}"
                 )
             pmf[out] = pmf.get(out, Fraction(0)) + pJ * pr
     dist = Distribution({J: p for J, p in pmf.items() if p > 0})
     marginals = {v: Fraction(0) for v in range(g.n)}
     for J, p in dist.pmf.items():
-        for v in J.members:
+        for v in J:
             marginals[v] += p
     return plan, EnumerationResult(dist, marginals)

@@ -198,7 +198,7 @@ def _exact_prob(cfg: RunConfig, g: Graph, tf) -> dict:
     _, result = exact_phase5_distribution(g, tf, **_law_options(cfg))
     eps_table, deficient = _epsilon_payload(g, tf)
     marginals = {str(v): str(result.marginals[v]) for v in range(g.n)}
-    lo = min(result.marginals[v] for v in range(g.n)) if g.n else Fraction(1)
+    lo = min((result.marginals[v] for v in range(g.n)), default=Fraction(1))
     return {
         "mode": "exact",
         "phase4": cfg.phase4,
@@ -222,7 +222,7 @@ def _monte_carlo_prob(cfg: RunConfig, g: Graph, tf) -> dict:
         g, tf, cfg.trials, cfg.seed,
         phase4=cfg.phase4, plan=plan,
     )
-    lo = min(report.frequency(v) for v in range(g.n))
+    lo = min((report.frequency(v) for v in range(g.n)), default=Fraction(1))
     return {
         "mode": "monte-carlo",
         "phase4": cfg.phase4,

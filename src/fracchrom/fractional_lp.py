@@ -241,11 +241,7 @@ def distribution_to_weighting(g: Graph, dist: Distribution, k: Fraction) -> Frac
             raise ColouringError(
                 f"vertex {v} has marginal {dist.marginal(v)} < 1/k = {1 / k}"
             )
-    weights: dict = {}
-    for J, p in dist.pmf.items():
-        s = frozenset(J.members)
-        weights[s] = weights.get(s, Fraction(0)) + k * p
-    return FractionalColouring(g, weights)
+    return FractionalColouring(g, {J: k * p for J, p in dist.pmf.items()})
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ sets inside the runs of matching-heads (phase 1), promotes isolated heads
 (phase 2), repeats the run selection on the still-eligible "feasible"
 vertices (phase 3) and promotes isolated feasible vertices (phase 4).
 
-Two execution engines are provided.  ``enumerate_distribution`` walks
-every orientation and every selection branch, producing the exact
-rational law of the output set together with per-vertex inclusion
+An output set is a plain ``frozenset`` of vertices.  Two execution
+engines are provided.  ``enumerate_distribution`` walks every orientation
+and every selection branch, producing the exact rational law of the
+output set (keyed by the frozensets) together with per-vertex inclusion
 probabilities; the per-situation records it keeps on the two-factor (in
 ``tf.derived``, so they live exactly as long as ``tf``) also answer event
 queries (``event_probability``, ``forces``, ``admissible``, ``exact_q``)
@@ -38,7 +39,7 @@ from .two_factor import TwoFactor, TwoFactorError
 
 __all__ = [
     "ExplosionGuard", "SplitMix64", "trial_stream",
-    "Orientation", "orientation_from_heads", "Situation", "IndependentSet",
+    "Orientation", "orientation_from_heads", "Situation",
     "Distribution", "EnumerationResult", "MonteCarloReport",
     "is_independent", "run_phases_1_4",
     "enumerate_distribution", "enumerate_situations", "event_probability",
@@ -144,25 +145,6 @@ def orientation_from_heads(tf: TwoFactor, heads) -> Orientation:
 
 
 @dataclass(frozen=True)
-class IndependentSet:
-    """Output value of the construction: a set of mutually non-adjacent vertices."""
-
-    members: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-
-    def __contains__(self, v):
-        return v in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-    def to_json_list(self):
-        return sorted(self.members)
-
-
-@dataclass(frozen=True)
 class Situation:
     """The random choices of one run: orientation plus both selection sets."""
 
@@ -179,7 +161,7 @@ class Situation:
 
 
 class Distribution:
-    """Exact probability law over output independent sets."""
+    """Exact probability law over output independent sets (frozensets)."""
 
     __slots__ = ("pmf",)
 
@@ -207,7 +189,7 @@ class Distribution:
 
     def to_json_dict(self):
         rows = sorted(
-            (s.to_json_list(), str(p)) for s, p in self.pmf.items())
+            (sorted(s), str(p)) for s, p in self.pmf.items())
         return {"outcomes": [{"set": s, "prob": p} for s, p in rows]}
 
 
@@ -372,9 +354,9 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng, phase4: str = "start"):
     """Run the construction once, driving all choices from ``rng``.
 
     ``rng`` needs a ``getrandbits`` method.  Returns the full record of
-    random choices and the output set.  The choices are those of the
-    mask-level trial that every sampler runs; the probability is read off
-    the enumerator's own run branches.
+    random choices and the output set, a frozenset.  The choices are those
+    of the mask-level trial that every sampler runs; the probability is
+    read off the enumerator's own run branches.
     """
     _check_phase4(phase4)
     if tf.graph != g:
@@ -392,7 +374,7 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng, phase4: str = "start"):
         Fraction(1, (_selection_d(tf, heads, s1) << len(tf.m_edges))
                  * _selection_d(tf, feasible, s3)),
     )
-    return situation, IndependentSet(members)
+    return situation, members
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +486,7 @@ def _compute_law(g, tf, phase4, max_orientations, max_branches):
                                % members)
         for v in members:
             weight[v] += w
-        pmf[IndependentSet(members)] = Fraction(w, denom)
+        pmf[frozenset(members)] = Fraction(w, denom)
     marginals = {v: Fraction(weight[v], denom) for v in range(n)}
     result = EnumerationResult(Distribution(pmf), marginals)
     return _Law(recs, result, 1 << m, branch_count, denom)
@@ -549,7 +531,7 @@ def enumerate_situations(g: Graph, tf: TwoFactor, *, phase4: str = "start",
     unit = functools.cache(lambda d: Fraction(1, d))
     return [(Situation(orientation(rec.heads), vertex_set(rec.s1),
                        vertex_set(rec.s3), unit(rec.d)),
-             IndependentSet(vertex_set(rec.out)))
+             vertex_set(rec.out))
             for rec in law.recs]
 
 
@@ -672,19 +654,6 @@ class MonteCarloReport:
         f = self.counts[v] / self.trials
         return math.sqrt(f * (1.0 - f) / self.trials)
 
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "phase4": self.phase4,
-            "backend": self.backend,
-            "violations": self.violations,
-            "counts": list(self.counts),
-            "frequencies": [str(self.frequency(v)) for v in range(self.n)],
-            "stderr": [self.stderr(v) for v in range(self.n)],
-        }
-
 
 def _kernel_args(g: Graph, tf: TwoFactor):
     m_edges = sorted(tf.m_edges)
@@ -726,8 +695,8 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
         out = trial_masks(g.n, edges_a, edges_b, cycle_starts, cycle_verts,
                           adj_mask, recompute, rng.getrandbits)[4]
         if plan is not None:
-            J = run_phase5(IndependentSet(mask_vertices(out)), plan, rng)
-            out = vertex_mask(J.members)
+            out = vertex_mask(
+                run_phase5(frozenset(mask_vertices(out)), plan, rng))
         bad = False
         v = 0
         rest = out

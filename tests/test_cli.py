@@ -240,6 +240,19 @@ class TestProb:
         assert payload["violations"] == 0
         assert payload["counts"] == counts
 
+    def test_empty_graph_has_minimum_one_in_both_modes(self, tmp_path):
+        graph = tmp_path / "empty.edges"
+        graph.write_text("0 0\n")
+        pin = tmp_path / "tf.json"
+        pin.write_text(json.dumps({"cycles": [], "matching": []}))
+        common = ("prob", str(graph), "--two-factor", str(pin))
+        exact = invoke_json(*common, "--exact")
+        assert exact["min_marginal"] == "1"
+        sampled = invoke_json(*common, "--seed", "3", "--trials", "10")
+        assert sampled["counts"] == [] and sampled["frequencies"] == []
+        assert sampled["min_frequency"] == "1"
+        assert sampled["meets_threshold"] is True
+
     def test_monte_carlo_emits_seed(self, files):
         payload = invoke_json(
             "prob", files("p.g6", petersen()), "--trials", "64")

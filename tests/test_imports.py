@@ -1,4 +1,4 @@
-"""Five stdlib-only lint rules over the modules of the package.
+"""Six stdlib-only lint rules over the modules of the package.
 
 Every name a module imports at top level is used there: a stand-in for a
 linter's unused-import rule, where a name counts as used when it is read
@@ -20,6 +20,10 @@ caller is gone is deleted with it.
 
 No module holds an ``assert`` statement: ``python -O`` strips them, so a
 runtime invariant is an ``if ...: raise`` that holds on every run.
+
+Every name in a module's ``__all__`` is bound at the module's top level
+(defined, assigned or imported there): an export whose definition is gone
+goes out of ``__all__`` with it.
 """
 
 import ast
@@ -171,6 +175,29 @@ def assert_statements(path):
                   if isinstance(node, ast.Assert))
 
 
+def _top_level_names(tree):
+    """Names bound by the top level of a module: definitions, imports and
+    assignment targets."""
+    names = {node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))}
+    for node in _module_statements(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def stale_exports(path):
+    """Names of ``__all__`` that the module does not bind at top level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(_exported(tree) - _top_level_names(tree))
+
+
 def test_modules_found():
     assert {"cli.py", "sampler.py", "augment.py"} <= {p.name for p in MODULES}
 
@@ -261,3 +288,21 @@ def test_checker_flags_an_assert_statement(tmp_path):
                    "    assert x, 'even'\n    return 'assert x'\n"
                    "class C:\n    def g(self):\n        assert self\n")
     assert assert_statements(src) == [1, 5, 9]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_exports_are_bound(path):
+    assert stale_exports(path) == []
+
+
+def test_checker_flags_a_stale_export(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import os\n"
+                   "from math import pi as PI\n"
+                   "__all__ = ['os', 'PI', 'f', 'C', 'X', 'Y', 'Z', 'Gone',\n"
+                   "           'nested']\n"
+                   "X: int = 1\n"
+                   "Y, Z = 2, 3\n"
+                   "def f():\n    nested = 1\n    return nested\n"
+                   "class C:\n    pass\n")
+    assert stale_exports(src) == ["Gone", "nested"]

@@ -36,7 +36,7 @@ def reference_counts(g, tf, trials, seed, phase4):
     counts = [0] * g.n
     for t in range(trials):
         _, iset = S.run_phases_1_4(g, tf, S.trial_stream(seed, t), phase4)
-        for v in iset.members:
+        for v in iset:
             counts[v] += 1
     return counts
 

@@ -31,7 +31,7 @@ CASES = {
     # the repair hands back a set holding every vertex
     "run_phase5": """
 plan, _ = A.exact_phase5_distribution(g, tf)
-A.Phase5Plan.apply_swaps = lambda self, J, added: S.IndependentSet(range(g.n))
+A.Phase5Plan.apply_swaps = lambda self, J, added: frozenset(range(g.n))
 A.run_phase5(plan.set_order[0], plan, S.SplitMix64(0))
 """,
     # phase 4 of the enumerator promotes every vertex

@@ -242,8 +242,8 @@ class TestRunPhases:
             assert 0 < sit.prob <= 1
             assert sit.s1 <= sit.orientation.heads
             assert not sit.s3 & sit.orientation.heads  # feasible = inactive
-            assert sit.s1 | sit.s3 <= iset.members
-            assert is_maximal_independent(g, iset.members)
+            assert sit.s1 | sit.s3 <= iset
+            assert is_maximal_independent(g, iset)
 
     def test_phase2_rule(self):
         g, tf = petersen_tf()
@@ -252,14 +252,14 @@ class TestRunPhases:
             heads = sit.orientation.heads
             for v in heads:
                 if not heads.intersection(g.adj[v]):
-                    assert v in iset.members
+                    assert v in iset
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**63))
     def test_output_always_maximal_independent(self, seed):
         g, tf = cl_tf(5)
         _, iset = S.run_phases_1_4(g, tf, S.SplitMix64(seed))
-        assert is_maximal_independent(g, iset.members)
+        assert is_maximal_independent(g, iset)
 
     def test_rejects_foreign_two_factor(self):
         g, tf = petersen_tf()
@@ -296,7 +296,7 @@ class TestEnumerate:
         assert set(res.marginals.values()) == {Fraction(117, 320)}
         for iset, p in res.distribution.items():
             assert p > 0
-            assert is_maximal_independent(g, iset.members)
+            assert is_maximal_independent(g, iset)
 
     def test_k33_law_is_the_two_sides(self):
         # hand-derived: every orientation of the three matching edges ends
@@ -307,7 +307,7 @@ class TestEnumerate:
         # 3 and 4.  Symmetry gives sides with probability 1/2 each.
         g, tf = k33_tf()
         res = S.enumerate_distribution(g, tf)
-        law = {frozenset(s.members): p for s, p in res.distribution.items()}
+        law = dict(res.distribution.items())
         assert law == {frozenset({0, 1, 2}): Fraction(1, 2),
                        frozenset({3, 4, 5}): Fraction(1, 2)}
         assert set(res.marginals.values()) == {Fraction(1, 2)}
@@ -375,7 +375,7 @@ class TestEnumerate:
         for sit, iset in sits:
             assert sit.s1 <= sit.orientation.heads
             assert not sit.s3 & sit.orientation.heads
-            assert sit.s1 | sit.s3 <= iset.members
+            assert sit.s1 | sit.s3 <= iset
 
     def test_default_orientation_guard(self):
         g, tf = cl_tf(17)  # 2^17 orientations
@@ -405,7 +405,7 @@ class TestEnumerate:
         assert issubclass(S.ExplosionGuard, GuardExceeded)
 
     def test_distribution_validates(self):
-        one = S.IndependentSet(frozenset({0}))
+        one = frozenset({0})
         with pytest.raises(GraphError):
             S.Distribution({one: Fraction(1, 2)})
         with pytest.raises(GraphError):
@@ -457,7 +457,7 @@ class TestGoldenLaw:
         assert _sha256(res.to_json_dict()) == law_digest
         rows = sorted(
             (sorted(sit.orientation.heads), sorted(sit.s1), sorted(sit.s3),
-             str(sit.prob), iset.to_json_list())
+             str(sit.prob), sorted(iset))
             for sit, iset in S.enumerate_situations(g, tf, phase4=phase4))
         assert len(rows) == branches
         assert _sha256(rows) == sit_digest
@@ -532,7 +532,7 @@ class TestEvents:
         checked = 0
         for g, tf in (petersen_tf(), tri2sq_tf()):
             for phase4 in S.PHASE4_MODES:
-                sits = [(sit, iset.members, feasible_of(g, sit))
+                sits = [(sit, iset, feasible_of(g, sit))
                         for sit, iset in S.enumerate_situations(
                             g, tf, phase4=phase4)]
                 for u in range(g.n):
@@ -690,9 +690,6 @@ class TestMonteCarlo:
         assert rep.backend == "pure-python"
         assert rep.frequency(0) == Fraction(rep.counts[0], 1_000)
         assert 0.0 <= rep.stderr(0) < 1.0
-        d = rep.to_json_dict()
-        assert set(d) == {"n", "trials", "seed", "phase4", "backend",
-                          "violations", "counts", "frequencies", "stderr"}
 
     def test_large_graph_uses_reference_path(self):
         k = 33  # 66 vertices, beyond one 64-bit word
@@ -719,15 +716,7 @@ class TestMonteCarlo:
         assert S.kernel_backend() == "pure-python"
 
 
-class TestIndependentSetType:
-    def test_coercion_and_protocol(self):
-        s = S.IndependentSet({3, 1})
-        assert isinstance(s.members, frozenset)
-        assert 1 in s and 2 not in s
-        assert len(s) == 2
-        assert s.to_json_list() == [1, 3]
-        assert s == S.IndependentSet(frozenset({1, 3}))
-
+class TestSituationType:
     def test_situation_probability_range(self):
         o = S.Orientation([(5, 0)])
         with pytest.raises(GraphError):
