@@ -1,6 +1,7 @@
-"""Phases 1-4 of the construction on vertex bitmasks.
+"""Phases 1-4 of the construction on vertex bitmasks, as memoized run
+programs.
 
-``trial_masks`` is the one implementation of phases 1-4 that sampling
+``TrialTable`` is the one implementation of phases 1-4 that sampling
 runs: ``sampler.run_phases_1_4`` draws one situation with it, and
 ``sampler.monte_carlo`` runs it once per trial, with or without the
 phase-5 repair.  Random bits are consumed in a fixed order: one bit per
@@ -9,28 +10,136 @@ the head), then for each selection pass one bit per path or even-cycle
 run and a rejection-sampled index per odd-cycle run, runs taken cycle by
 cycle in order of their starting position.  Vertex sets are Python-int
 bitmasks, so any number of vertices works.
+
+The runs of a selection pass depend only on the mask it selects from,
+and a sampling call meets the same few masks over and over, so the table
+works each mask out once: as a *run program*, a tuple of ``(k, outcomes)``
+pairs, one per run.  A run draws ``bits(k)``, redraws while the index is
+not below ``len(outcomes)`` and selects ``outcomes[index]``.
 """
 
+# entries per memo of a table, and distinct output masks that
+# ``sampler.monte_carlo`` tallies before it flushes them into its counts
+CAPACITY = 1 << 12
 
-def trial_masks(n, edges_a, edges_b, cycle_starts, cycle_verts, adj_mask,
-                phase4_recompute, bits):
-    """One run of phases 1-4, every choice drawn from ``bits(k)`` (an
-    integer of ``k`` random bits).
 
-    Returns the bitmasks ``(heads, s1, feasible, s3, out)``: the active
-    vertices, the phase-1 selection, the vertices feasible for phase 3,
-    the phase-3 selection and the output set.
+class TrialTable:
+    """The trial of one two-factor in one phase-4 mode, with three memos:
+    the heads mask to its phase-1 program and isolated heads, and the mask
+    covered after phase 2 to its feasible set, phase-3 program and (under
+    ``"start"``) phase-4 addition.  The memos live as long as the table;
+    a full memo is emptied before it takes a new entry.
     """
-    heads = 0
-    for a, b in zip(edges_a, edges_b):
-        heads |= 1 << (b if bits(1) else a)
-    s1 = _select(cycle_starts, cycle_verts, heads, bits)
-    covered = s1 | _isolated(adj_mask, heads)
-    feasible = _free(n, adj_mask, covered)
-    s3 = _select(cycle_starts, cycle_verts, feasible, bits)
-    covered |= s3
-    pool = _free(n, adj_mask, covered) if phase4_recompute else feasible
-    return heads, s1, feasible, s3, covered | _isolated(adj_mask, pool)
+
+    __slots__ = ("n", "adj_mask", "edges", "cycles", "recompute",
+                 "by_heads", "by_covered")
+
+    def __init__(self, n, edges_a, edges_b, cycle_starts, cycle_verts,
+                 adj_mask, phase4_recompute):
+        self.n = n
+        self.adj_mask = adj_mask
+        self.edges = tuple((1 << a, 1 << b) for a, b in zip(edges_a, edges_b))
+        self.cycles = tuple(tuple(cycle_verts[lo:hi])
+                            for lo, hi in zip(cycle_starts, cycle_starts[1:]))
+        self.recompute = phase4_recompute
+        self.by_heads = {}
+        self.by_covered = {}
+
+    def trial(self, bits):
+        """One run of phases 1-4, every choice drawn from ``bits(k)`` (an
+        integer of ``k`` random bits).
+
+        Returns the bitmasks ``(heads, s1, feasible, s3, out)``: the active
+        vertices, the phase-1 selection, the vertices feasible for phase 3,
+        the phase-3 selection and the output set.
+        """
+        heads = 0
+        for a, b in self.edges:
+            heads |= b if bits(1) else a
+        entry = self.by_heads.get(heads)
+        if entry is None:
+            entry = self._remember(self.by_heads, heads, (
+                self._program(heads), _isolated(self.adj_mask, heads)))
+        program, isolated = entry
+        s1 = _run(program, bits)
+        covered = s1 | isolated
+        entry = self.by_covered.get(covered)
+        if entry is None:
+            feasible = _free(self.n, self.adj_mask, covered)
+            added = 0 if self.recompute else _isolated(self.adj_mask, feasible)
+            entry = self._remember(self.by_covered, covered, (
+                feasible, self._program(feasible), added))
+        feasible, program, added = entry
+        s3 = _run(program, bits)
+        covered |= s3
+        if self.recompute:
+            added = _isolated(self.adj_mask,
+                              _free(self.n, self.adj_mask, covered))
+        return heads, s1, feasible, s3, covered | added
+
+    @staticmethod
+    def _remember(memo, key, entry):
+        if len(memo) >= CAPACITY:
+            memo.clear()
+        memo[key] = entry
+        return entry
+
+    def _program(self, mask):
+        """The run program of one selection pass over ``mask``, mirroring
+        the exact branch order of the enumerator."""
+        program = []
+        for cycle in self.cycles:
+            length = len(cycle)
+            hits = [(mask >> v) & 1 for v in cycle]
+            if not any(hits):
+                continue
+            if all(hits):
+                if length % 2 == 0:
+                    # bit set selects the vertices at even positions
+                    program.append((1, (_every_other(cycle, 1, length),
+                                        _every_other(cycle, 0, length))))
+                else:
+                    picks = length - 1
+                    program.append((length.bit_length(), tuple(
+                        _every_other(cycle[i:] + cycle[:i], 0, picks)
+                        for i in range(length))))
+                continue
+            for p in range(length):
+                if not hits[p] or hits[p - 1]:
+                    continue
+                run = [cycle[p]]
+                q = (p + 1) % length
+                while hits[q]:
+                    run.append(cycle[q])
+                    q = (q + 1) % length
+                evens = _every_other(run, 0, len(run))
+                odds = _every_other(run, 1, len(run))
+                # the canonical branch starts at the endpoint with the
+                # smaller position, and a set bit selects it
+                if len(run) % 2 == 1 or p < (p + len(run) - 1) % length:
+                    program.append((1, (odds, evens)))
+                else:
+                    program.append((1, (evens, odds)))
+        return tuple(program)
+
+
+def _every_other(seq, start, stop):
+    """The mask of ``seq[start:stop:2]``."""
+    out = 0
+    for v in seq[start:stop:2]:
+        out |= 1 << v
+    return out
+
+
+def _run(program, bits):
+    """The selection a run program makes with the bits of ``bits``."""
+    selected = 0
+    for k, outcomes in program:
+        idx = bits(k)
+        while idx >= len(outcomes):
+            idx = bits(k)
+        selected |= outcomes[idx]
+    return selected
 
 
 def _isolated(adj_mask, mask):
@@ -55,53 +164,3 @@ def _free(n, adj_mask, covered):
         if not adj_mask[v] & covered:
             out |= 1 << v
     return out
-
-
-def _select(cycle_starts, cycle_verts, mask, bits):
-    """One selection pass over the runs of ``mask``, mirroring the exact
-    branch order of the enumerator."""
-    selected = 0
-    for c in range(len(cycle_starts) - 1):
-        lo, hi = cycle_starts[c], cycle_starts[c + 1]
-        length = hi - lo
-        covered_all = True
-        any_hit = False
-        for i in range(lo, hi):
-            if (mask >> cycle_verts[i]) & 1:
-                any_hit = True
-            else:
-                covered_all = False
-        if not any_hit:
-            continue
-        if covered_all:
-            if length % 2 == 0:
-                start = 0 if bits(1) else 1
-                for j in range(start, length, 2):
-                    selected |= 1 << cycle_verts[lo + j]
-            else:
-                k = length.bit_length()
-                while True:
-                    idx = bits(k)
-                    if idx < length:
-                        break
-                for j in range((length - 1) // 2):
-                    selected |= 1 << cycle_verts[lo + (idx + 2 * j) % length]
-            continue
-        for p in range(length):
-            if not (mask >> cycle_verts[lo + p]) & 1:
-                continue
-            if (mask >> cycle_verts[lo + (p - 1) % length]) & 1:
-                continue
-            run_len = 1
-            q = (p + 1) % length
-            while (mask >> cycle_verts[lo + q]) & 1:
-                run_len += 1
-                q = (q + 1) % length
-            # canonical branch starts at the endpoint with smaller position
-            if run_len % 2 == 1 or p < (p + run_len - 1) % length:
-                start = 0 if bits(1) else 1
-            else:
-                start = 1 if bits(1) else 0
-            for j in range(start, run_len, 2):
-                selected |= 1 << cycle_verts[lo + (p + j) % length]
-    return selected

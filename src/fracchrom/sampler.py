@@ -19,10 +19,12 @@ carries its ``d``, the masses are summed as integers over one common
 denominator (the lcm of the distinct ``d``, kept with the records), and
 each ``Fraction`` is built once, per support set, per vertex and per
 event query.  It is the oracle and shares no code with the sampler.
-Sampling runs the one mask-level trial of ``_mcphases_py.trial_masks``:
-``run_phases_1_4`` draws a single situation, and ``monte_carlo``
-estimates the marginals in one seeded, reproducible loop, optionally
-followed by the phase-5 repair.
+Sampling runs the one mask-level trial of ``_mcphases_py.TrialTable``,
+which works out the runs of each vertex mask once per call and replays
+them as run programs: ``run_phases_1_4`` draws a single situation, and
+``monte_carlo`` estimates the marginals in one seeded, reproducible loop,
+optionally followed by the phase-5 repair, tallying the output masks and
+checking each distinct one once.
 """
 
 from __future__ import annotations
@@ -361,8 +363,8 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng, phase4: str = "start"):
     _check_phase4(phase4)
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
-    heads, s1, feasible, s3, out = _mcphases_py.trial_masks(
-        g.n, *_kernel_args(g, tf), phase4 == "recompute", rng.getrandbits)
+    heads, s1, feasible, s3, out = _trial_table(g, tf, phase4).trial(
+        rng.getrandbits)
     members = frozenset(mask_vertices(out))
     if not is_independent(g, members):
         raise RuntimeError("phases 1-4 produced the dependent set %r"
@@ -667,6 +669,27 @@ def _kernel_args(g: Graph, tf: TwoFactor):
     return edges_a, edges_b, cycle_starts, cycle_verts, list(g.adj_mask)
 
 
+def _trial_table(g: Graph, tf: TwoFactor, phase4: str):
+    return _mcphases_py.TrialTable(g.n, *_kernel_args(g, tf),
+                                   phase4 == "recompute")
+
+
+def _flush(tally, counts, adj_mask) -> int:
+    """Add the tallied output masks into ``counts``, empty the tally and
+    return the number of trials whose output was not independent."""
+    violations = 0
+    for out, times in tally.items():
+        bad = False
+        for v in mask_vertices(out):
+            counts[v] += times
+            if adj_mask[v] & out:
+                bad = True
+        if bad:
+            violations += times
+    tally.clear()
+    return violations
+
+
 def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
                 phase4: str = "start", plan=None) -> MonteCarloReport:
     """Estimate inclusion frequencies over ``trials`` independent runs.
@@ -685,29 +708,21 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
         raise GraphError("trials must be a positive integer")
     from .augment import run_phase5  # augment imports this module
 
-    edges_a, edges_b, cycle_starts, cycle_verts, adj_mask = _kernel_args(g, tf)
-    recompute = phase4 == "recompute"
-    trial_masks = _mcphases_py.trial_masks
+    trial = _trial_table(g, tf, phase4).trial
+    adj_mask = g.adj_mask
     counts = [0] * g.n
     violations = 0
+    tally = {}       # output mask -> number of trials that gave it
     for t in range(trials):
         rng = trial_stream(seed, t)
-        out = trial_masks(g.n, edges_a, edges_b, cycle_starts, cycle_verts,
-                          adj_mask, recompute, rng.getrandbits)[4]
+        out = trial(rng.getrandbits)[4]
         if plan is not None:
             out = vertex_mask(
                 run_phase5(frozenset(mask_vertices(out)), plan, rng))
-        bad = False
-        v = 0
-        rest = out
-        while rest:
-            if rest & 1:
-                counts[v] += 1
-                if adj_mask[v] & out:
-                    bad = True
-            rest >>= 1
-            v += 1
-        violations += bad
+        tally[out] = tally.get(out, 0) + 1
+        if len(tally) >= _mcphases_py.CAPACITY:
+            violations += _flush(tally, counts, adj_mask)
+    violations += _flush(tally, counts, adj_mask)
     backend = "pure-python" if plan is None else "five-phase-reference"
     return MonteCarloReport(g.n, trials, seed, phase4, backend,
                             tuple(counts), violations)

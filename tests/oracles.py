@@ -210,3 +210,82 @@ def chi_f_transitive_oracle(g):
     if not is_vertex_transitive_bruteforce(g):
         raise ValueError("graph is not vertex-transitive")
     return Fraction(g.n, alpha_bruteforce(g))
+
+
+def scanning_trial(n, edges_a, edges_b, cycle_starts, cycle_verts, adj_mask,
+                   phase4_recompute, bits):
+    """One run of phases 1-4 that re-derives every run by scanning each
+    cycle vertex, drawing from ``bits(k)`` in the package's bit order.
+
+    Takes the arguments of ``sampler._kernel_args`` and returns the
+    bitmasks ``(heads, s1, feasible, s3, out)``, like
+    ``_mcphases_py.TrialTable.trial``; it keeps no memo.
+    """
+
+    def isolated(mask):
+        return sum(1 << v for v in range(n)
+                   if (mask >> v) & 1 and not adj_mask[v] & mask)
+
+    def free(covered):
+        return sum(1 << v for v in range(n)
+                   if not (covered >> v) & 1 and not adj_mask[v] & covered)
+
+    heads = 0
+    for a, b in zip(edges_a, edges_b):
+        heads |= 1 << (b if bits(1) else a)
+    s1 = _scanning_select(cycle_starts, cycle_verts, heads, bits)
+    covered = s1 | isolated(heads)
+    feasible = free(covered)
+    s3 = _scanning_select(cycle_starts, cycle_verts, feasible, bits)
+    covered |= s3
+    pool = free(covered) if phase4_recompute else feasible
+    return heads, s1, feasible, s3, covered | isolated(pool)
+
+
+def _scanning_select(cycle_starts, cycle_verts, mask, bits):
+    """One selection pass over the runs of ``mask``, cycle by cycle."""
+    selected = 0
+    for c in range(len(cycle_starts) - 1):
+        lo, hi = cycle_starts[c], cycle_starts[c + 1]
+        length = hi - lo
+        covered_all = True
+        any_hit = False
+        for i in range(lo, hi):
+            if (mask >> cycle_verts[i]) & 1:
+                any_hit = True
+            else:
+                covered_all = False
+        if not any_hit:
+            continue
+        if covered_all:
+            if length % 2 == 0:
+                start = 0 if bits(1) else 1
+                for j in range(start, length, 2):
+                    selected |= 1 << cycle_verts[lo + j]
+            else:
+                k = length.bit_length()
+                while True:
+                    idx = bits(k)
+                    if idx < length:
+                        break
+                for j in range((length - 1) // 2):
+                    selected |= 1 << cycle_verts[lo + (idx + 2 * j) % length]
+            continue
+        for p in range(length):
+            if not (mask >> cycle_verts[lo + p]) & 1:
+                continue
+            if (mask >> cycle_verts[lo + (p - 1) % length]) & 1:
+                continue
+            run_len = 1
+            q = (p + 1) % length
+            while (mask >> cycle_verts[lo + q]) & 1:
+                run_len += 1
+                q = (q + 1) % length
+            # canonical branch starts at the endpoint with smaller position
+            if run_len % 2 == 1 or p < (p + run_len - 1) % length:
+                start = 0 if bits(1) else 1
+            else:
+                start = 1 if bits(1) else 0
+            for j in range(start, run_len, 2):
+                selected |= 1 << cycle_verts[lo + (p + j) % length]
+    return selected

@@ -1,13 +1,22 @@
 """One trial procedure: the Monte Carlo loop and the reference single-run
-API must consume random bits identically and produce identical counts."""
+API must consume random bits identically and produce identical counts, and
+the memoized trial table must draw exactly what a scan of every cycle
+vertex draws."""
+
+from pathlib import Path
 
 import pytest
 
-from fracchrom.graph_core import Graph
-from fracchrom.two_factor import two_factor_from_matching
-from fracchrom import sampler as S
+from fracchrom.augment import exact_phase5_distribution
+from fracchrom.graph_core import Graph, parse_graph6
+from fracchrom.two_factor import select_two_factor, two_factor_from_matching
+from fracchrom import _mcphases_py as K, sampler as S
 
+from oracles import scanning_trial
 from util_graphs import circular_ladder, gp72, petersen
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+DEFICIENT_N10 = "IlDGHCH_g"
 
 
 def fixtures():
@@ -64,3 +73,66 @@ def test_monte_carlo_matches_reference_on_64_vertices():
 
 def test_backend_names():
     assert S.kernel_backend() == "pure-python"
+
+
+def _corpus_cases():
+    cases = [(path.stem + ":" + line, parse_graph6(line))
+             for path in sorted(CORPUS.glob("*.g6"))
+             for line in path.read_text().split()]
+    return [(name, g, select_two_factor(g)) for name, g in cases]
+
+
+def _ladder66():
+    g = circular_ladder(33)
+    return g, two_factor_from_matching(g, [(i, 33 + i) for i in range(33)])
+
+
+def _assert_table_matches_scan(g, tf, phase4, trials, seed):
+    args = S._kernel_args(g, tf)
+    recompute = phase4 == "recompute"
+    table = K.TrialTable(g.n, *args, recompute)
+    for t in range(trials):
+        fast, slow = S.trial_stream(seed, t), S.trial_stream(seed, t)
+        got = table.trial(fast.getrandbits)
+        want = scanning_trial(g.n, *args, recompute, slow.getrandbits)
+        assert got == want, (t, got, want)
+        assert fast.state == slow.state, t
+
+
+@pytest.mark.parametrize("phase4", ["start", "recompute"])
+def test_trial_table_matches_scanning_oracle_on_corpus(phase4):
+    cases = _corpus_cases()
+    assert len(cases) == 140
+    for _, g, tf in cases:
+        _assert_table_matches_scan(g, tf, phase4, 100, 3)
+
+
+@pytest.mark.parametrize("phase4", ["start", "recompute"])
+def test_trial_table_matches_scanning_oracle_on_66_vertices(phase4):
+    g, tf = _ladder66()
+    _assert_table_matches_scan(g, tf, phase4, 300, 8)
+
+
+@pytest.mark.parametrize("phase4", ["start", "recompute"])
+def test_capacity_of_one_changes_no_count(phase4, monkeypatch):
+    deficient = parse_graph6(DEFICIENT_N10)
+    tf = select_two_factor(deficient)
+    plan = exact_phase5_distribution(deficient, tf, phase4=phase4)[0]
+    runs = [(deficient, tf, plan),
+            (petersen(), select_two_factor(petersen()), None)]
+    uncapped = [S.monte_carlo(g, tf, 2000, 4, phase4=phase4, plan=plan)
+                for g, tf, plan in runs]
+    monkeypatch.setattr(K, "CAPACITY", 1)
+    capped = [S.monte_carlo(g, tf, 2000, 4, phase4=phase4, plan=plan)
+              for g, tf, plan in runs]
+    assert capped == uncapped
+
+
+def test_violations_count_trials_not_distinct_sets(monkeypatch):
+    g = petersen()
+    tf = select_two_factor(g)
+    everything = (1 << g.n) - 1
+    monkeypatch.setattr(K, "_isolated", lambda adj_mask, mask: everything)
+    report = S.monte_carlo(g, tf, 250, 1)
+    assert report.violations == 250
+    assert report.counts == (250,) * g.n

@@ -14,6 +14,7 @@ from fracchrom.two_factor import (
 from fracchrom import sampler as S
 from fracchrom import templates as T
 
+from oracles import scanning_trial
 from sweeps import check_lemma4_rows, collect_candidates, lemma4_sweep
 from util_graphs import (circular_ladder, generalized_petersen, gp72, k33,
                          moebius_ladder, petersen)
@@ -698,9 +699,14 @@ class TestMonteCarlo:
         rep = S.monte_carlo(g, tf, 60, seed=8)
         assert rep.backend == "pure-python"
         assert rep.violations == 0
-        assert len(rep.counts) == 66
-        again = S.monte_carlo(g, tf, 60, seed=8)
-        assert rep.counts == again.counts
+        args = S._kernel_args(g, tf)
+        counts = [0] * g.n
+        for t in range(60):
+            rng = S.trial_stream(8, t)
+            out = scanning_trial(g.n, *args, False, rng.getrandbits)[4]
+            for v in range(g.n):
+                counts[v] += (out >> v) & 1
+        assert rep.counts == tuple(counts)
 
     def test_input_validation(self):
         g, tf = petersen_tf()
