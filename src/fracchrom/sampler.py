@@ -90,8 +90,12 @@ class SplitMix64:
 
 
 def trial_stream(seed: int, index: int) -> SplitMix64:
-    """The independent bit stream used for trial number ``index``."""
-    return SplitMix64(seed + (index + 1) * _GAMMA)
+    """The bit stream of trial number ``index``: a generator seeded with
+    the ``index``-th output of ``SplitMix64(seed)`` (counting from 0), as
+    in the split of Steele, Lea and Flood (OOPSLA 2014).  Seeding it with
+    the raw state ``seed + (index + 1) * gamma`` instead would make trial
+    ``index + 1`` replay trial ``index``'s draws one step later."""
+    return SplitMix64(SplitMix64(seed + index * _GAMMA).next_u64())
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +639,9 @@ def kernel_backend() -> str:
 class MonteCarloReport:
     """Sampled inclusion counts with exact frequencies and standard errors.
 
+    ``stderr`` is the binomial standard error, which holds because the
+    trials are independent: each draws from its own ``trial_stream``,
+    whose seeds are mixed outputs, so no trial reuses another's bits.
     ``violations`` counts trials whose output failed the independence
     check.  It is zero unless the construction is broken, and it is
     reported rather than raised so that a broken run still shows its

@@ -204,15 +204,15 @@ class TestProb:
         payload = invoke_json(
             "prob", str(deficient), "--seed", "11", "--trials", "500")
         assert payload["backend"] == "five-phase-reference"
-        assert payload["counts"] == [178, 192, 201, 199, 169, 166, 193, 183,
-                                     187, 206]
-        assert payload["min_frequency"] == "83/250"
+        assert payload["counts"] == [205, 180, 211, 177, 182, 163, 192, 191,
+                                     180, 197]
+        assert payload["min_frequency"] == "163/500"
         payload = invoke_json(
             "prob", files("p.g6", petersen()), "--seed", "5", "--trials", "3000")
         assert payload["backend"] == "pure-python"
-        assert payload["counts"] == [1113, 1059, 1108, 1071, 1127, 1076, 1138,
-                                     1112, 1094, 1052]
-        assert payload["min_frequency"] == "263/750"
+        assert payload["counts"] == [1095, 1089, 1103, 1093, 1089, 1117, 1127,
+                                     1096, 1099, 1085]
+        assert payload["min_frequency"] == "217/600"
 
     @pytest.mark.parametrize("key", sorted(PROB_EXACT_GOLDEN), ids=str)
     def test_exact_repaired_law_golden(self, key, tmp_path, monkeypatch):
@@ -225,11 +225,11 @@ class TestProb:
         assert hashlib.sha256(out.encode()).hexdigest() == PROB_EXACT_GOLDEN[key]
 
     @pytest.mark.parametrize("dtype,counts", [
-        # at 2000 trials the plan swaps 7 times on the type-I graph and
-        # 19 times on the type-Ia graph
-        ("I", [861, 851, 829, 851, 806, 656, 720, 763, 891, 799, 891, 803]),
-        ("Ia", [793, 955, 878, 955, 878, 848, 706, 735, 711, 915, 818, 915,
-                812, 704]),
+        # at 2000 trials the plan swaps 15 times on the type-I graph and
+        # 14 times on the type-Ia graph
+        ("I", [813, 898, 788, 898, 757, 670, 726, 746, 878, 833, 878, 860]),
+        ("Ia", [849, 880, 959, 880, 959, 781, 716, 719, 718, 885, 847, 885,
+                825, 722]),
     ])
     def test_monte_carlo_with_swaps_golden_counts(self, dtype, counts,
                                                   tmp_path):

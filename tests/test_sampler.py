@@ -91,14 +91,28 @@ class TestSplitMix64:
             rng.getrandbits(65)
         assert 0 <= rng.getrandbits(1) <= 1
 
-    def test_trial_streams_are_affine_jumps(self):
+    def test_trial_streams_start_from_mixed_outputs(self):
         seed = 999
-        s0 = S.trial_stream(seed, 0)
-        manual = S.SplitMix64(seed + 0x9E3779B97F4A7C15)
-        assert s0.next_u64() == manual.next_u64()
+        # trial t is seeded by the t-th output of SplitMix64(seed)
+        master = S.SplitMix64(seed)
+        for t in range(5):
+            assert (S.trial_stream(seed, t).next_u64()
+                    == S.SplitMix64(master.next_u64()).next_u64())
         # distinct trials give distinct streams
         outs = {S.trial_stream(seed, t).next_u64() for t in range(50)}
         assert len(outs) == 50
+
+    def test_trial_streams_share_no_outputs_with_their_neighbours(self):
+        # seeding trial t + 1 one gamma step after trial t makes its
+        # stream trial t's shifted by one draw
+        seed = 2024
+        draws = []
+        for t in range(1016):
+            rng = S.trial_stream(seed, t)
+            draws.append({rng.next_u64() for _ in range(64)})
+        for t in range(1000):
+            later = set().union(*draws[t + 1:t + 17])
+            assert not draws[t] & later, t
 
 
 # ---------------------------------------------------------------------------
