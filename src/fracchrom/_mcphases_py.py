@@ -18,6 +18,8 @@ pairs, one per run.  A run draws ``bits(k)``, redraws while the index is
 not below ``len(outcomes)`` and selects ``outcomes[index]``.
 """
 
+from .graph_core import vertex_mask
+
 # entries per memo of a table, and distinct output masks that
 # ``sampler.monte_carlo`` tallies before it flushes them into its counts
 CAPACITY = 1 << 12
@@ -96,12 +98,11 @@ class TrialTable:
             if all(hits):
                 if length % 2 == 0:
                     # bit set selects the vertices at even positions
-                    program.append((1, (_every_other(cycle, 1, length),
-                                        _every_other(cycle, 0, length))))
+                    program.append((1, (vertex_mask(cycle[1::2]),
+                                        vertex_mask(cycle[0::2]))))
                 else:
-                    picks = length - 1
                     program.append((length.bit_length(), tuple(
-                        _every_other(cycle[i:] + cycle[:i], 0, picks)
+                        vertex_mask((cycle[i:] + cycle[:i])[:-1:2])
                         for i in range(length))))
                 continue
             for p in range(length):
@@ -112,8 +113,7 @@ class TrialTable:
                 while hits[q]:
                     run.append(cycle[q])
                     q = (q + 1) % length
-                evens = _every_other(run, 0, len(run))
-                odds = _every_other(run, 1, len(run))
+                evens, odds = vertex_mask(run[0::2]), vertex_mask(run[1::2])
                 # the canonical branch starts at the endpoint with the
                 # smaller position, and a set bit selects it
                 if len(run) % 2 == 1 or p < (p + len(run) - 1) % length:
@@ -121,14 +121,6 @@ class TrialTable:
                 else:
                     program.append((1, (evens, odds)))
         return tuple(program)
-
-
-def _every_other(seq, start, stop):
-    """The mask of ``seq[start:stop:2]``."""
-    out = 0
-    for v in seq[start:stop:2]:
-        out |= 1 << v
-    return out
 
 
 def _run(program, bits):

@@ -641,7 +641,7 @@ class MonteCarloReport:
 
     ``stderr`` is the binomial standard error, which holds because the
     trials are independent: each draws from its own ``trial_stream``,
-    whose seeds are mixed outputs, so no trial reuses another's bits.
+    seeded with a mixed output, so no trial replays another's draws.
     ``violations`` counts trials whose output failed the independence
     check.  It is zero unless the construction is broken, and it is
     reported rather than raised so that a broken run still shows its

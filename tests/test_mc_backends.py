@@ -75,18 +75,6 @@ def test_backend_names():
     assert S.kernel_backend() == "pure-python"
 
 
-def _corpus_cases():
-    cases = [(path.stem + ":" + line, parse_graph6(line))
-             for path in sorted(CORPUS.glob("*.g6"))
-             for line in path.read_text().split()]
-    return [(name, g, select_two_factor(g)) for name, g in cases]
-
-
-def _ladder66():
-    g = circular_ladder(33)
-    return g, two_factor_from_matching(g, [(i, 33 + i) for i in range(33)])
-
-
 def _assert_table_matches_scan(g, tf, phase4, trials, seed):
     args = S._kernel_args(g, tf)
     recompute = phase4 == "recompute"
@@ -101,15 +89,18 @@ def _assert_table_matches_scan(g, tf, phase4, trials, seed):
 
 @pytest.mark.parametrize("phase4", ["start", "recompute"])
 def test_trial_table_matches_scanning_oracle_on_corpus(phase4):
-    cases = _corpus_cases()
-    assert len(cases) == 140
-    for _, g, tf in cases:
-        _assert_table_matches_scan(g, tf, phase4, 100, 3)
+    graphs = [parse_graph6(line) for path in sorted(CORPUS.glob("*.g6"))
+              for line in path.read_text().split()]
+    assert len(graphs) == 140
+    for g in graphs:
+        _assert_table_matches_scan(g, select_two_factor(g), phase4, 100, 3)
 
 
 @pytest.mark.parametrize("phase4", ["start", "recompute"])
 def test_trial_table_matches_scanning_oracle_on_66_vertices(phase4):
-    g, tf = _ladder66()
+    k = 33
+    g = circular_ladder(k)
+    tf = two_factor_from_matching(g, [(i, k + i) for i in range(k)])
     _assert_table_matches_scan(g, tf, phase4, 300, 8)
 
 
