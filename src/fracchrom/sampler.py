@@ -95,7 +95,7 @@ def trial_stream(seed: int, index: int) -> SplitMix64:
     in the split of Steele, Lea and Flood (OOPSLA 2014).  Seeding it with
     the raw state ``seed + (index + 1) * gamma`` instead would make trial
     ``index + 1`` replay trial ``index``'s draws one step later."""
-    return SplitMix64(SplitMix64(seed + index * _GAMMA).next_u64())
+    return SplitMix64(SplitMix64(seed + index * _GAMMA).getrandbits(64))
 
 
 # ---------------------------------------------------------------------------
