@@ -1,10 +1,12 @@
 """Phases 1-4 of the construction on vertex bitmasks, as memoized run
 programs.
 
-``TrialTable`` is the one implementation of phases 1-4 that sampling
-runs: ``sampler.run_phases_1_4`` draws one situation with it, and
+``TrialTable`` is the one implementation of phases 1-4:
+``sampler.run_phases_1_4`` draws one situation with it,
 ``sampler.monte_carlo`` runs it once per trial, with or without the
-phase-5 repair.  Random bits are consumed in a fixed order: one bit per
+phase-5 repair, and ``sampler._compute_law`` expands its run programs
+and calls ``_isolated`` and ``_free`` for every situation of the exact
+law.  Random bits are consumed in a fixed order: one bit per
 matching edge in sorted edge order (bit set = larger endpoint becomes
 the head), then for each selection pass one bit per path or even-cycle
 run and a rejection-sampled index per odd-cycle run, runs taken cycle by
@@ -87,8 +89,9 @@ class TrialTable:
         return entry
 
     def _program(self, mask):
-        """The run program of one selection pass over ``mask``, mirroring
-        the exact branch order of the enumerator."""
+        """The run program of one selection pass over ``mask``: the trial
+        replays it with random bits, and the exact law in ``sampler``
+        expands the product of its runs' outcomes."""
         program = []
         for cycle in self.cycles:
             length = len(cycle)
@@ -148,11 +151,10 @@ def _isolated(adj_mask, mask):
 
 def _free(n, adj_mask, covered):
     """The vertices outside ``covered`` with no neighbour in it."""
-    out = 0
-    rest = ((1 << n) - 1) & ~covered
+    blocked = covered
+    rest = covered
     while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        if not adj_mask[v] & covered:
-            out |= 1 << v
-    return out
+        low = rest & -rest
+        blocked |= adj_mask[low.bit_length() - 1]
+        rest ^= low
+    return ((1 << n) - 1) & ~blocked

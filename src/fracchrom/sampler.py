@@ -6,22 +6,25 @@ sets inside the runs of matching-heads (phase 1), promotes isolated heads
 (phase 2), repeats the run selection on the still-eligible "feasible"
 vertices (phase 3) and promotes isolated feasible vertices (phase 4).
 
-An output set is a plain ``frozenset`` of vertices.  Two execution
-engines are provided.  ``enumerate_distribution`` walks every orientation
-and every selection branch, producing the exact rational law of the
-output set (keyed by the frozensets) together with per-vertex inclusion
-probabilities; the per-situation records it keeps on the two-factor (in
-``tf.derived``, so they live exactly as long as ``tf``) also answer event
-queries (``event_probability``, ``forces``, ``admissible``, ``exact_q``)
-through one scan of the records.  The law is computed in integers: every
-situation has probability ``1/d`` with ``d = 2^m * d1 * d3``, each record
-carries its ``d``, the masses are summed as integers over one common
-denominator (the lcm of the distinct ``d``, kept with the records), and
-each ``Fraction`` is built once, per support set, per vertex and per
-event query.  It is the oracle and shares no code with the sampler.
-Sampling runs the one mask-level trial of ``_mcphases_py.TrialTable``,
-which works out the runs of each vertex mask once per call and replays
-them as run programs: ``run_phases_1_4`` draws a single situation, and
+An output set is a plain ``frozenset`` of vertices.  Both engines take
+their runs from one place: the run programs of ``_mcphases_py.TrialTable``,
+which works out the runs of a vertex mask as a tuple of ``(k, outcomes)``
+pairs.  ``enumerate_distribution`` walks every orientation and expands
+the product of the outcomes of every run, producing the exact rational
+law of the output set (keyed by the frozensets) together with per-vertex
+inclusion probabilities; the per-situation records it keeps on the
+two-factor (in ``tf.derived``, so they live exactly as long as ``tf``)
+also answer event queries (``event_probability``, ``forces``,
+``admissible``, ``exact_q``) through one scan of the records.  The law
+is computed in integers: every situation has probability ``1/d`` with
+``d = 2^m * d1 * d3``, d1 and d3 the products of ``len(outcomes)`` over
+the runs of the phase-1 and phase-3 programs; each record carries its
+``d``, the masses are summed as integers over one common denominator (the
+lcm of the distinct ``d``, kept with the records), and each ``Fraction``
+is built once, per support set, per vertex and per event query.  Its
+oracle, a separate derivation of the runs, lives with the tests.
+Sampling runs the table's trial, which replays the same programs with
+random bits: ``run_phases_1_4`` draws a single situation, and
 ``monte_carlo`` estimates the marginals in one seeded, reproducible loop,
 optionally followed by the phase-5 repair, tallying the output masks and
 checking each distinct one once.
@@ -74,9 +77,6 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        return self.getrandbits(64)
 
     def getrandbits(self, k: int) -> int:
         # the whole step in one call: the Monte Carlo loop draws every
@@ -225,129 +225,7 @@ def is_independent(g: Graph, members) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# run decomposition and the selection law (single source of truth for the
-# branch order: the mask-level trial maps its bits to it, and
-# ``run_phases_1_4`` checks every draw against it)
-
-
-def _mask_runs(cycles, mask: int):
-    """Maximal stretches of mask-vertices along each cycle, in fixed order.
-
-    Yields ``(is_cycle, seq)`` where ``seq`` is the stretch in forward
-    cycle order; a fully covered cycle is one cyclic run.
-    """
-    runs = []
-    for cycle in cycles:
-        length = len(cycle)
-        hits = [(mask >> v) & 1 for v in cycle]
-        if all(hits):
-            runs.append((True, cycle))
-            continue
-        for p in range(length):
-            if hits[p] and not hits[p - 1]:
-                seq = [cycle[p]]
-                q = (p + 1) % length
-                while hits[q]:
-                    seq.append(cycle[q])
-                    q = (q + 1) % length
-                runs.append((False, tuple(seq)))
-    return runs
-
-
-def _run_branches(tf: TwoFactor, is_cycle: bool, seq):
-    """All selection outcomes for one run, as (mask, d) pairs.
-
-    Every outcome of a run is equally likely, so each has probability
-    ``1/d``: ``d`` is 2 on a path or an even cycle and the length on an
-    odd cycle.  The order is significant: samplers map their random bits
-    to indices in this list (paths and even cycles use one bit for index
-    0/1, odd cycles draw a uniform index by rejection).
-    """
-    length = len(seq)
-    evens = vertex_mask(seq[0::2])
-    odds = vertex_mask(seq[1::2])
-    if not is_cycle:
-        if length % 2 == 1:
-            return [(evens, 2), (odds, 2)]
-        if tf.pos[seq[0]] < tf.pos[seq[-1]]:
-            return [(evens, 2), (odds, 2)]
-        return [(odds, 2), (evens, 2)]
-    if length % 2 == 0:
-        return [(evens, 2), (odds, 2)]
-    picks = (length - 1) // 2
-    return [
-        (vertex_mask(seq[(i + 2 * j) % length] for j in range(picks)), length)
-        for i in range(length)
-    ]
-
-
-def _selection_d(tf: TwoFactor, mask: int, selected: int) -> int:
-    """The ``d`` with which the selection step on ``mask`` picks
-    ``selected`` with probability ``1/d``."""
-    d = 1
-    for is_cycle, seq in _mask_runs(tf.cycles, mask):
-        pick = selected & vertex_mask(seq)
-        ds = [dr for m, dr in _run_branches(tf, is_cycle, seq) if m == pick]
-        if not ds:
-            raise RuntimeError("selection %r is not a branch of the run %r"
-                               % (mask_vertices(pick), list(seq)))
-        d *= ds[0]
-    return d
-
-
-def phi_outcomes(X, tf: TwoFactor):
-    """Full law of the run-selection operation applied to vertex set ``X``.
-
-    Returns all (subset, probability) outcomes; per run, a path yields its
-    canonical alternating set or the complement (half each), an even cycle
-    its two alternating sets (half each) and an odd cycle each of its
-    maximum independent sets uniformly.
-    """
-    members = set()
-    n = tf.graph.n
-    for v in X:
-        if not (0 <= v < n):
-            raise GraphError("vertex %r out of range" % (v,))
-        members.add(v)
-    return [(frozenset(mask_vertices(m)), Fraction(1, d))
-            for m, d in _branch_products(tf, vertex_mask(members))]
-
-
-def active_runs(o: Orientation, tf: TwoFactor):
-    """Maximal stretches of active (head) vertices along the two-factor."""
-    edges = {tuple(sorted(a)) for a in o.arcs}
-    if edges != set(tf.m_edges):
-        raise GraphError("orientation does not orient this matching")
-    return [frozenset(seq)
-            for _, seq in _mask_runs(tf.cycles, vertex_mask(o.heads))]
-
-
-# ---------------------------------------------------------------------------
 # the four phases
-
-
-def _feasible_mask(n, adj_mask, covered: int) -> int:
-    """Vertices neither in ``covered`` nor adjacent to it."""
-    blocked = covered
-    rest = covered
-    while rest:
-        low = rest & -rest
-        blocked |= adj_mask[low.bit_length() - 1]
-        rest ^= low
-    return ((1 << n) - 1) & ~blocked
-
-
-def _phase_4(adj_mask, mask: int) -> int:
-    """Vertices of ``mask`` with no neighbour in it.  Phase 4 applies this
-    to the feasible set, and phase 2 applies the same rule to the heads."""
-    added = 0
-    rest = mask
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        if not adj_mask[v] & mask:
-            added |= 1 << v
-    return added
 
 
 def _check_phase4(phase4):
@@ -361,24 +239,27 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng, phase4: str = "start"):
 
     ``rng`` needs a ``getrandbits`` method.  Returns the full record of
     random choices and the output set, a frozenset.  The choices are those
-    of the mask-level trial that every sampler runs; the probability is
-    read off the enumerator's own run branches.
+    of the mask-level trial that every sampler runs, and the probability
+    is ``1/(2^m * d)``: each run of the two run programs the trial drew
+    from picks one of its ``outcomes`` uniformly, so ``d`` is the product
+    of their ``len(outcomes)``.
     """
     _check_phase4(phase4)
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
-    heads, s1, feasible, s3, out = _trial_table(g, tf, phase4).trial(
-        rng.getrandbits)
+    table = _trial_table(g, tf, phase4)
+    heads, s1, feasible, s3, out = table.trial(rng.getrandbits)
     members = frozenset(mask_vertices(out))
     if not is_independent(g, members):
         raise RuntimeError("phases 1-4 produced the dependent set %r"
                            % sorted(members))
+    d = math.prod(len(outcomes) for _, outcomes
+                  in table._program(heads) + table._program(feasible))
     situation = Situation(
         orientation_from_heads(tf, mask_vertices(heads)),
         frozenset(mask_vertices(s1)),
         frozenset(mask_vertices(s3)),
-        Fraction(1, (_selection_d(tf, heads, s1) << len(tf.m_edges))
-                 * _selection_d(tf, feasible, s3)),
+        Fraction(1, d << len(tf.m_edges)),
     )
     return situation, members
 
@@ -425,15 +306,14 @@ def _check_guards(orientations, branches, max_orientations, max_branches):
             "situation count passed the limit of %d branches" % max_branches)
 
 
-def _branch_products(tf, mask):
-    """Cartesian product of the per-run selection branches on ``mask``, as
-    (selection, d) pairs: the selection has probability ``1/d``."""
-    outcomes = [(0, 1)]
-    for is_cycle, seq in _mask_runs(tf.cycles, mask):
-        branches = _run_branches(tf, is_cycle, seq)
-        outcomes = [(acc | pick, ad * d)
-                    for acc, ad in outcomes for pick, d in branches]
-    return outcomes
+def _expand(program):
+    """Every selection a run program can make, one per combination of its
+    runs' outcomes (the first run varies slowest).  They are equally
+    likely, so each has probability ``1/len`` of the list."""
+    selections = [0]
+    for _, outcomes in program:
+        selections = [acc | pick for acc in selections for pick in outcomes]
+    return selections
 
 
 def _compute_law(g, tf, phase4, max_orientations, max_branches):
@@ -441,39 +321,42 @@ def _compute_law(g, tf, phase4, max_orientations, max_branches):
     _check_guards(1 << m, 0, max_orientations, max_branches)
     n = g.n
     adj_mask = g.adj_mask
-    m_edges = sorted(tf.m_edges)
-    start = phase4 == "start"
+    table = _trial_table(g, tf, phase4)
+    isolated, free = _mcphases_py._isolated, _mcphases_py._free
+    start = not table.recompute
     # Every situation has probability 1/d with d = 2^m * d1 * d3.  The
-    # phase-3 branches, and under "start" the phase-4 addition, depend on
-    # the feasible mask alone, so each feasible mask is expanded once.
-    phase3 = {}      # feasible mask -> [(s3, d3, s3 | phase-4 addition)]
+    # phase-3 selections, and under "start" the phase-4 addition, depend
+    # on the feasible mask alone, so each feasible mask is expanded once.
+    phase3 = {}      # feasible mask -> (d3, [(s3, s3 | phase-4 addition)])
     tally = {}       # (out, d) -> number of situations
     shared = {}      # d -> d: the records hold one int object per distinct d
     recs = []
     branch_count = 0
     for bits in range(1 << m):
         heads = 0
-        for i, (a, b) in enumerate(m_edges):
-            heads |= (1 << b) if (bits >> i) & 1 else (1 << a)
-        isolated = _phase_4(adj_mask, heads)
-        for s1, d1 in _branch_products(tf, heads):
-            covered1 = s1 | isolated
-            feasible = _feasible_mask(n, adj_mask, covered1)
-            branches = phase3.get(feasible)
-            if branches is None:
-                added = _phase_4(adj_mask, feasible) if start else 0
-                branches = phase3[feasible] = [
-                    (s3, d3, s3 | added)
-                    for s3, d3 in _branch_products(tf, feasible)]
-            branch_count += len(branches)
+        for i, (a, b) in enumerate(table.edges):
+            heads |= b if (bits >> i) & 1 else a
+        lone = isolated(adj_mask, heads)
+        phase1 = _expand(table._program(heads))
+        d01 = len(phase1) << m
+        for s1 in phase1:
+            covered1 = s1 | lone
+            feasible = free(n, adj_mask, covered1)
+            entry = phase3.get(feasible)
+            if entry is None:
+                added = isolated(adj_mask, feasible) if start else 0
+                selections = _expand(table._program(feasible))
+                entry = phase3[feasible] = (
+                    len(selections), [(s3, s3 | added) for s3 in selections])
+            d3, branches = entry
+            branch_count += d3
             _check_guards(0, branch_count, max_orientations, max_branches)
-            d01 = d1 << m
-            for s3, d3, add in branches:
+            d = d01 * d3
+            d = shared.setdefault(d, d)
+            for s3, add in branches:
                 out = covered1 | add
                 if not start:
-                    out |= _phase_4(adj_mask, _feasible_mask(n, adj_mask, out))
-                d = d01 * d3
-                d = shared.setdefault(d, d)
+                    out |= isolated(adj_mask, free(n, adj_mask, out))
                 recs.append(_SitRec(heads, s1, feasible, s3, out, d))
                 key = (out, d)
                 tally[key] = tally.get(key, 0) + 1

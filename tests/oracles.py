@@ -7,6 +7,8 @@ package's, so agreement is meaningful.
 import itertools
 from fractions import Fraction
 
+from fracchrom.graph_core import GraphError
+
 
 def count_perfect_matchings_bruteforce(g):
     """Count perfect matchings by scanning all edge subsets of size n/2."""
@@ -289,3 +291,134 @@ def _scanning_select(cycle_starts, cycle_verts, mask, bits):
             for j in range(start, run_len, 2):
                 selected |= 1 << cycle_verts[lo + (p + j) % length]
     return selected
+
+
+# ---------------------------------------------------------------------------
+# the run decomposition, derived a second way, and the exact law built on it
+
+
+def _mask_runs(cycles, mask):
+    """Maximal stretches of mask-vertices along each cycle, in fixed order,
+    as ``(is_cycle, seq)`` pairs: ``seq`` is the stretch in forward cycle
+    order, and a fully covered cycle is one cyclic run."""
+    runs = []
+    for cycle in cycles:
+        length = len(cycle)
+        hits = [(mask >> v) & 1 for v in cycle]
+        if all(hits):
+            runs.append((True, cycle))
+            continue
+        for p in range(length):
+            if hits[p] and not hits[p - 1]:
+                seq = [cycle[p]]
+                q = (p + 1) % length
+                while hits[q]:
+                    seq.append(cycle[q])
+                    q = (q + 1) % length
+                runs.append((False, tuple(seq)))
+    return runs
+
+
+def _bits(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def _run_branches(tf, is_cycle, seq):
+    """The equally likely selections of one run, canonical branch first,
+    as ``(mask, d)`` pairs: ``d`` is 2 on a path or an even cycle and the
+    length on an odd cycle."""
+    length = len(seq)
+    evens, odds = _bits(seq[0::2]), _bits(seq[1::2])
+    if not is_cycle:
+        # the canonical branch starts at the endpoint with smaller position
+        if length % 2 == 1 or tf.pos[seq[0]] < tf.pos[seq[-1]]:
+            return [(evens, 2), (odds, 2)]
+        return [(odds, 2), (evens, 2)]
+    if length % 2 == 0:
+        return [(evens, 2), (odds, 2)]
+    picks = (length - 1) // 2
+    return [(_bits(seq[(i + 2 * j) % length] for j in range(picks)), length)
+            for i in range(length)]
+
+
+def _branch_products(tf, mask):
+    """Every selection on ``mask`` as ``(selection, d)``: the product of
+    the per-run branches, each selection with probability ``1/d``."""
+    outcomes = [(0, 1)]
+    for is_cycle, seq in _mask_runs(tf.cycles, mask):
+        branches = _run_branches(tf, is_cycle, seq)
+        outcomes = [(acc | pick, ad * d)
+                    for acc, ad in outcomes for pick, d in branches]
+    return outcomes
+
+
+def phi_outcomes(X, tf):
+    """Full law of the run-selection operation applied to vertex set ``X``.
+
+    Returns all (subset, probability) outcomes; per run, a path yields its
+    canonical alternating set or the complement (half each), an even cycle
+    its two alternating sets (half each) and an odd cycle each of its
+    maximum independent sets uniformly.
+    """
+    for v in X:
+        if not 0 <= v < tf.graph.n:
+            raise GraphError("vertex %r out of range" % (v,))
+    return [(frozenset(v for v in range(tf.graph.n) if (m >> v) & 1),
+             Fraction(1, d))
+            for m, d in _branch_products(tf, _bits(set(X)))]
+
+
+def active_runs(o, tf):
+    """Maximal stretches of active (head) vertices along the two-factor."""
+    if {tuple(sorted(a)) for a in o.arcs} != set(tf.m_edges):
+        raise GraphError("orientation does not orient this matching")
+    return [frozenset(seq) for _, seq in _mask_runs(tf.cycles, _bits(o.heads))]
+
+
+def law_oracle(g, tf, phase4):
+    """The exact law of phases 1-4 from the runs derived above, with no
+    guard and no memo: every orientation, every phase-1 branch and every
+    phase-3 branch, each situation weighted by a ``Fraction``.
+
+    Returns ``(records, pmf, marginals, branches)``: the sorted
+    ``(heads, s1, feasible, s3, out, d)`` tuples of the situations (all
+    bitmasks but ``d``, the situation having probability ``1/d``), the
+    law of the output set keyed by frozensets, the vertex marginals and
+    the number of situations.
+    """
+    n, adj_mask = g.n, g.adj_mask
+
+    def isolated(mask):
+        return sum(1 << v for v in range(n)
+                   if (mask >> v) & 1 and not adj_mask[v] & mask)
+
+    def free(covered):
+        return sum(1 << v for v in range(n)
+                   if not (covered >> v) & 1 and not adj_mask[v] & covered)
+
+    m_edges = sorted(tf.m_edges)
+    m = len(m_edges)
+    records = []
+    for bits in range(1 << m):
+        heads = sum(1 << (b if (bits >> i) & 1 else a)
+                    for i, (a, b) in enumerate(m_edges))
+        lone = isolated(heads)
+        for s1, d1 in _branch_products(tf, heads):
+            covered = s1 | lone
+            feasible = free(covered)
+            added = isolated(feasible)
+            for s3, d3 in _branch_products(tf, feasible):
+                if phase4 == "recompute":
+                    added = isolated(free(covered | s3))
+                out = covered | s3 | added
+                records.append((heads, s1, feasible, s3, out, (d1 << m) * d3))
+    tally = {}
+    for *_, out, d in records:
+        tally[out, d] = tally.get((out, d), 0) + 1
+    pmf = {}
+    for (out, d), count in tally.items():
+        key = frozenset(v for v in range(n) if (out >> v) & 1)
+        pmf[key] = pmf.get(key, 0) + Fraction(count, d)
+    marginals = {v: sum((p for s, p in pmf.items() if v in s), Fraction(0))
+                 for v in range(n)}
+    return sorted(records), pmf, marginals, len(records)

@@ -1,4 +1,5 @@
-"""Six stdlib-only lint rules over the modules of the package.
+"""Six stdlib-only lint rules over the modules of the package, and a
+guard for the names of the package that the benchmark reads.
 
 Every name a module imports at top level is used there: a stand-in for a
 linter's unused-import rule, where a name counts as used when it is read
@@ -24,9 +25,18 @@ runtime invariant is an ``if ...: raise`` that holds on every run.
 Every name in a module's ``__all__`` is bound at the module's top level
 (defined, assigned or imported there): an export whose definition is gone
 goes out of ``__all__`` with it.
+
+Every name the benchmark in ``perfbench/`` reads from the package still
+resolves: the probes of ``perfbench/layers.py`` and the ``from fracchrom
+... import`` lines of ``perfbench/*.py``, leaving out an import that an
+``ImportError`` handler guards.  The benchmark's tracer turns a probe
+whose function is gone into metrics that read zero, and a worker whose
+import fails into a failed run, so without this test a rename shows only
+when the benchmark runs.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -34,6 +44,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fracchrom"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 _IMPORT_ERRORS = {"ImportError", "ModuleNotFoundError"}
 _CONTAINER_DISPLAYS = (ast.Dict, ast.List, ast.Set,
                        ast.DictComp, ast.ListComp, ast.SetComp)
@@ -91,16 +102,17 @@ def unused_imports(path):
 def import_fallbacks(path):
     """Lines of the ``except`` handlers that catch an import failure."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    out = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ExceptHandler) or node.type is None:
-            continue
-        caught = (node.type.elts if isinstance(node.type, ast.Tuple)
-                  else [node.type])
-        if any(isinstance(c, ast.Name) and c.id in _IMPORT_ERRORS
-               for c in caught):
-            out.append(node.lineno)
-    return out
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and _catches_import_error(node)]
+
+
+def _catches_import_error(handler):
+    if handler.type is None:
+        return False
+    caught = (handler.type.elts if isinstance(handler.type, ast.Tuple)
+              else [handler.type])
+    return any(isinstance(c, ast.Name) and c.id in _IMPORT_ERRORS
+               for c in caught)
 
 
 def _is_container(value):
@@ -306,3 +318,69 @@ def test_checker_flags_a_stale_export(tmp_path):
                    "def f():\n    nested = 1\n    return nested\n"
                    "class C:\n    pass\n")
     assert stale_exports(src) == ["Gone", "nested"]
+
+
+def benchmark_names(directory):
+    """(module, name) for each name of the package that the benchmark in
+    ``directory`` reads: the ``Probe(module, name)`` calls of its
+    ``layers.py`` and the unguarded ``from fracchrom... import`` lines of
+    its modules."""
+    out = set()
+    for path in sorted(directory.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        guarded = {id(node) for attempt in ast.walk(tree)
+                   if isinstance(attempt, ast.Try)
+                   and any(map(_catches_import_error, attempt.handlers))
+                   for stmt in attempt.body for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "fracchrom"
+                    and id(node) not in guarded):
+                out.update((node.module, alias.name) for alias in node.names)
+            elif (path.name == "layers.py" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "Probe"):
+                out.add(tuple(arg.value for arg in node.args[:2]))
+    return sorted(out)
+
+
+def resolves(module, name):
+    """True when ``name`` is an attribute or a submodule of ``module``."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return True
+    return (hasattr(mod, "__path__")
+            and importlib.util.find_spec(module + "." + name) is not None)
+
+
+def test_benchmark_names_resolve():
+    names = benchmark_names(PERFBENCH)
+    assert {("fracchrom.sampler", "_compute_law"),
+            ("fracchrom.sampler", "_kernel_args"),
+            ("fracchrom", "kernel_backend"),
+            ("fracchrom", "_mcphases_py")} <= set(names)
+    assert ("fracchrom", "_mcphases") not in names
+    assert [(module, name) for module, name in names
+            if not resolves(module, name)] == []
+
+
+def test_checker_reads_probes_and_unguarded_imports(tmp_path):
+    (tmp_path / "layers.py").write_text(
+        "from tracer import Probe\n"
+        "PROBES = (Probe('fracchrom.sampler', 'gone', None),\n"
+        "          Probe('fracchrom.cli', 'run'))\n")
+    (tmp_path / "worker.py").write_text(
+        "import fracchrom\n"
+        "from fracchrom import cli, kernel_backend\n"
+        "def f():\n"
+        "    from fracchrom.sampler import _kernel_args\n"
+        "    try:\n        from fracchrom import _fast\n"
+        "    except ImportError:\n        _fast = None\n"
+        "    Probe('fracchrom.sampler', 'not_in_layers')\n")
+    names = benchmark_names(tmp_path)
+    assert names == [("fracchrom", "cli"), ("fracchrom", "kernel_backend"),
+                     ("fracchrom.cli", "run"),
+                     ("fracchrom.sampler", "_kernel_args"),
+                     ("fracchrom.sampler", "gone")]
+    assert [n for n in names if not resolves(*n)] == [
+        ("fracchrom.sampler", "gone")]

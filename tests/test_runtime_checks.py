@@ -34,9 +34,9 @@ plan, _ = A.exact_phase5_distribution(g, tf)
 A.Phase5Plan.apply_swaps = lambda self, J, added: frozenset(range(g.n))
 A.run_phase5(plan.set_order[0], plan, S.SplitMix64(0))
 """,
-    # phase 4 of the enumerator promotes every vertex
+    # phases 2 and 4 of the exact law promote every vertex
     "compute_law": """
-S._phase_4 = lambda adj_mask, feasible: everything
+K._isolated = lambda adj_mask, mask: everything
 S.enumerate_distribution(g, tf)
 """,
     # phase 2 of the mask-level trial promotes every vertex

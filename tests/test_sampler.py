@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from fracchrom.two_factor import (
 from fracchrom import sampler as S
 from fracchrom import templates as T
 
-from oracles import scanning_trial
+from oracles import active_runs, law_oracle, phi_outcomes, scanning_trial
 from sweeps import check_lemma4_rows, collect_candidates, lemma4_sweep
 from util_graphs import (circular_ladder, generalized_petersen, gp72, k33,
                          moebius_ladder, petersen)
@@ -74,13 +76,13 @@ class TestSplitMix64:
     def test_reference_vectors(self):
         # published outputs of the standard splitmix64 for seed 0
         rng = S.SplitMix64(0)
-        assert [rng.next_u64() for _ in range(3)] == [
+        assert [rng.getrandbits(64) for _ in range(3)] == [
             0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
     def test_getrandbits_takes_top_bits(self):
         a = S.SplitMix64(12345)
         b = S.SplitMix64(12345)
-        full = a.next_u64()
+        full = a.getrandbits(64)
         assert b.getrandbits(7) == full >> 57
 
     def test_getrandbits_range(self):
@@ -96,10 +98,10 @@ class TestSplitMix64:
         # trial t is seeded by the t-th output of SplitMix64(seed)
         master = S.SplitMix64(seed)
         for t in range(5):
-            assert (S.trial_stream(seed, t).next_u64()
-                    == S.SplitMix64(master.next_u64()).next_u64())
+            assert (S.trial_stream(seed, t).getrandbits(64)
+                    == S.SplitMix64(master.getrandbits(64)).getrandbits(64))
         # distinct trials give distinct streams
-        outs = {S.trial_stream(seed, t).next_u64() for t in range(50)}
+        outs = {S.trial_stream(seed, t).getrandbits(64) for t in range(50)}
         assert len(outs) == 50
 
     def test_trial_streams_share_no_outputs_with_their_neighbours(self):
@@ -109,7 +111,7 @@ class TestSplitMix64:
         draws = []
         for t in range(1016):
             rng = S.trial_stream(seed, t)
-            draws.append({rng.next_u64() for _ in range(64)})
+            draws.append({rng.getrandbits(64) for _ in range(64)})
         for t in range(1000):
             later = set().union(*draws[t + 1:t + 17])
             assert not draws[t] & later, t
@@ -152,31 +154,31 @@ class TestOrientation:
 class TestPhiOutcomes:
     def test_singleton(self):
         g, tf = petersen_tf()
-        law = dict(S.phi_outcomes({0}, tf))
+        law = dict(phi_outcomes({0}, tf))
         assert law == {frozenset({0}): Fraction(1, 2),
                        frozenset(): Fraction(1, 2)}
 
     def test_three_path(self):
         g, tf = petersen_tf()
         # outer cycle is (0, 4, 3, 2, 1); {0,4,3} is a path run
-        law = dict(S.phi_outcomes({0, 4, 3}, tf))
+        law = dict(phi_outcomes({0, 4, 3}, tf))
         assert law == {frozenset({0, 3}): Fraction(1, 2),
                        frozenset({4}): Fraction(1, 2)}
 
     def test_even_path_canonical_branch_holds_smaller_position(self):
         g, tf = petersen_tf()
         # run (0, 4): positions 0 and 1 -> canonical branch is {0}
-        out = S.phi_outcomes({0, 4}, tf)
+        out = phi_outcomes({0, 4}, tf)
         assert out[0] == (frozenset({0}), Fraction(1, 2))
         assert out[1] == (frozenset({4}), Fraction(1, 2))
         # run (1, 0) wraps: positions 4 and 0 -> canonical branch is {0}
-        out = S.phi_outcomes({1, 0}, tf)
+        out = phi_outcomes({1, 0}, tf)
         assert out[0] == (frozenset({0}), Fraction(1, 2))
         assert out[1] == (frozenset({1}), Fraction(1, 2))
 
     def test_full_odd_cycle_uniform_over_maximum_sets(self):
         g, tf = petersen_tf()
-        law = dict(S.phi_outcomes({0, 1, 2, 3, 4}, tf))
+        law = dict(phi_outcomes({0, 1, 2, 3, 4}, tf))
         assert len(law) == 5
         for members, p in law.items():
             assert p == Fraction(1, 5)
@@ -186,13 +188,13 @@ class TestPhiOutcomes:
     def test_full_even_cycle_two_alternating_sets(self):
         g, tf = k33_tf()
         # the whole two-factor is the 6-cycle (0, 5, 1, 3, 2, 4)
-        law = dict(S.phi_outcomes(range(6), tf))
+        law = dict(phi_outcomes(range(6), tf))
         assert law == {frozenset({0, 1, 2}): Fraction(1, 2),
                        frozenset({5, 3, 4}): Fraction(1, 2)}
 
     def test_disconnected_parts_multiply(self):
         g, tf = petersen_tf()
-        law = dict(S.phi_outcomes({0, 3, 5}, tf))  # two runs: {0,3} apart? ...
+        law = dict(phi_outcomes({0, 3, 5}, tf))  # two runs: {0,3} apart? ...
         # 0 and 3 are non-adjacent on the outer cycle, 5 is inner: three
         # singleton runs -> eight outcomes collapsing to 2^3 products
         assert sum(law.values()) == 1
@@ -203,13 +205,13 @@ class TestPhiOutcomes:
     def test_out_of_range_vertex(self):
         g, tf = petersen_tf()
         with pytest.raises(GraphError):
-            S.phi_outcomes({0, 99}, tf)
+            phi_outcomes({0, 99}, tf)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sets(st.integers(min_value=0, max_value=9)))
     def test_law_properties(self, xs):
         g, tf = petersen_tf()
-        law = S.phi_outcomes(xs, tf)
+        law = phi_outcomes(xs, tf)
         assert sum(p for _, p in law) == 1
         for members, p in law:
             assert members <= xs
@@ -224,19 +226,19 @@ class TestActiveRuns:
     def test_all_outward(self):
         g, tf = petersen_tf()
         o = S.orientation_from_heads(tf, range(5))
-        assert S.active_runs(o, tf) == [frozenset(range(5))]
+        assert active_runs(o, tf) == [frozenset(range(5))]
 
     def test_mixed(self):
         g, tf = petersen_tf()
         o = S.orientation_from_heads(tf, [0, 6, 7, 8, 9])
-        assert S.active_runs(o, tf) == [frozenset({0}),
-                                        frozenset({6, 7, 8, 9})]
+        assert active_runs(o, tf) == [frozenset({0}),
+                                      frozenset({6, 7, 8, 9})]
 
     def test_foreign_orientation(self):
         g, tf = petersen_tf()
         o = S.Orientation([(5, 0)])
         with pytest.raises(GraphError):
-            S.active_runs(o, tf)
+            active_runs(o, tf)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +490,30 @@ class TestGoldenLaw:
                                      max_branches=branches - 1)
         assert str(err.value) == (
             "situation count passed the limit of %d branches" % (branches - 1))
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+class TestLawOracle:
+    @pytest.mark.parametrize("phase4", S.PHASE4_MODES)
+    def test_law_matches_oracle_on_corpus(self, phase4):
+        # the law expands the trial table's run programs; the oracle
+        # derives the runs and their branches on its own
+        graphs = [parse_graph6(line) for path in sorted(CORPUS.glob("*.g6"))
+                  for line in path.read_text().split()]
+        assert len(graphs) == 140
+        for g in graphs:
+            tf = select_two_factor(g)
+            law = S._compute_law(g, tf, phase4, S.DEFAULT_MAX_ORIENTATIONS,
+                                 S.DEFAULT_MAX_BRANCHES)
+            records, pmf, marginals, branches = law_oracle(g, tf, phase4)
+            assert sorted((r.heads, r.s1, r.feasible, r.s3, r.out, r.d)
+                          for r in law.recs) == records
+            assert law.result.distribution.pmf == pmf
+            assert law.result.marginals == marginals
+            assert law.branches == branches
+            assert law.denom == math.lcm(*(r[-1] for r in records))
 
 
 # ---------------------------------------------------------------------------
