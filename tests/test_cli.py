@@ -32,6 +32,22 @@ from util_graphs import (
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SRC = Path(__file__).resolve().parent.parent / "src"
 CERTIFY_GOLDEN = "a512b7794e05728804655332394206efa168d9a8de31bc83fcee746f071202b0"
+# sha256 of `certify g.g6` for GP(n, k) while the certificate was built,
+# verified and encoded one copy of each independent set at a time
+CERTIFY_LADDER_GOLDEN = {
+    (5, 2): "dd177862532304b94e9995d3ed2ccf9b73e53b2c1221e81e0269eb9bf8547d9b",
+    (7, 2): "6e52a40c07a723de9bebb0bb5229d9b93d28220d3da6099c0fc8093574cfc19a",
+    (8, 3): "839fca2635331ee6c24278f996285548d597b731cb27a6b02fc82b42f1fabcfb",
+    (9, 2): "2af40e8f72dd4ab62c88cea4678d9a79cfaa0f29eac7e4189994005b81579ca0",
+    (10, 3): "dc8f6e3cd96af6043f3fa483cfa1fa280569e7f048a399152106e2c769e9fb09",
+}
+# the same for `certify composite.g6` on K3,3 and the 3-cube, each with
+# the given edge subdivided and the two new vertices joined by a bridge
+CERTIFY_BRIDGED_GOLDEN = {
+    ((0, 4), (0, 4)): "b350fb3b7ee6eaf9ac8ffca6b3dcd617fb3866c0b77bcc52dfea73fdcc32010d",
+    ((1, 5), (4, 5)): "0d675a2edf7b90445c78a118f73c691f3f18ee9bc1b3cc3f5c40c7b4e75b4593",
+    ((2, 3), (1, 2)): "16195c52fc53f4a94b4c7c0e959f0d8567d5d114e403f828c2cfb8add129233b",
+}
 # sha256 of `chif g.g6` for GP(n, k) before the LP moved to an integer tableau;
 # they pin the weighting and the dual clique, and with them the pivot path
 CHIF_GOLDEN = {
@@ -351,6 +367,27 @@ class TestCertify:
         assert code == 0, err
         # sha256 of the output when the one-bridge leaf had its own selection loop
         assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_GOLDEN
+
+    @pytest.mark.parametrize("nk", sorted(CERTIFY_LADDER_GOLDEN), ids=str)
+    def test_generalized_petersen_golden(self, nk, tmp_path, monkeypatch):
+        (tmp_path / "g.g6").write_text(
+            encode_graph6(generalized_petersen(*nk)) + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke("certify", "g.g6")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_LADDER_GOLDEN[nk]
+
+    @pytest.mark.parametrize("edges", sorted(CERTIFY_BRIDGED_GOLDEN), ids=str)
+    def test_bridged_six_cube_golden(self, edges, tmp_path, monkeypatch):
+        a = subdivide_edge(k33(), *edges[0])
+        b = subdivide_edge(circular_ladder(4), *edges[1])
+        both = disjoint_union(a, b)
+        g = Graph(both.n, list(both.edges) + [(a.n - 1, both.n - 1)])
+        (tmp_path / "composite.g6").write_text(encode_graph6(g) + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke("certify", "composite.g6")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_BRIDGED_GOLDEN[edges]
 
 
 class TestCorpus:
