@@ -453,9 +453,62 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _json_text(payload) -> str:
+    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True)``.
+
+    The standard encoder runs in pure Python whenever it indents, and a
+    certificate repeats each of its few distinct sets thousands of
+    times.  Here a list of str, int and None values is encoded once per
+    content and depth; equal such lists hold equal values of equal types,
+    so their text is equal too.  A key that is not a str raises
+    ``TypeError`` (the standard encoder would coerce it).
+    """
+    flat = {str, int, type(None)}
+    memo = {}
+    parts = []
+
+    def emit(value, pad):
+        inner = pad + "  "
+        if isinstance(value, dict):
+            if not value:
+                parts.append("{}")
+                return
+            for key in value:
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            sep = "{\n" + inner
+            for key in sorted(value):
+                parts.append(sep + json.dumps(key) + ": ")
+                emit(value[key], inner)
+                sep = ",\n" + inner
+            parts.append("\n" + pad + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                parts.append("[]")
+            elif set(map(type, value)) <= flat:
+                key = (pad, tuple(value))
+                text = memo.get(key)
+                if text is None:
+                    text = memo[key] = ("[\n" + inner + (",\n" + inner).join(map(json.dumps, value))
+                                        + "\n" + pad + "]")
+                parts.append(text)
+            else:
+                sep = "[\n" + inner
+                for item in value:
+                    parts.append(sep)
+                    emit(item, inner)
+                    sep = ",\n" + inner
+                parts.append("\n" + pad + "]")
+        else:
+            parts.append(json.dumps(value))
+
+    emit(payload, "")
+    return "".join(parts)
+
+
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json_text(payload) + "\n"
     if payload.get("command") == "corpus":
         return _render_corpus_csv(payload)
     lines = []

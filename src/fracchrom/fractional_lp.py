@@ -16,11 +16,20 @@ certificate from the sampled five-phase law, doubled constructions
 restrict the double's certificate back to one copy, and bridge joins
 align two certificates on a common N and re-index one side so the bridge
 endpoints never share a set.
+
+A certificate holds its kN sets in full, but they are copies of few
+distinct sets (305 of 819,200 on the dodecahedron).  Each step does its
+work once per distinct set and repeats the result: the trim works on
+runs of copies, relabelling and restriction map each distinct set once,
+a bridge merge joins each distinct pair of sets once, and the verifier
+checks each distinct set once and counts its copies.  The sets and their
+order are what a copy-by-copy construction gives.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -257,10 +266,13 @@ class MultisetCertificate:
         return Fraction(len(self.sets), self.N)
 
     def to_json_dict(self) -> dict:
+        """Each set as a sorted list: one sort per distinct set, and a list
+        of its own for every entry."""
+        order = {s: sorted(s) for s in set(self.sets)}
         return {
             "k": str(self.k),
             "N": self.N,
-            "sets": [sorted(s) for s in self.sets],
+            "sets": [order[s].copy() for s in self.sets],
         }
 
 
@@ -292,7 +304,10 @@ def weighting_to_multiset(w: FractionalColouring) -> MultisetCertificate:
     N is the least common denominator of the weights; each set enters
     with multiplicity N·w(I), and any vertex covered more than N times
     is removed from the surplus copies (subsets of independent sets stay
-    independent, so the certificate remains sound).
+    independent, so the certificate remains sound).  The copies are held
+    as runs of one set and a count, in certificate order: trimming a
+    vertex from the first copies that hold it takes it out of whole runs
+    and splits at most one run in two.
     """
     g = w.graph
     N = 1
@@ -305,25 +320,30 @@ def weighting_to_multiset(w: FractionalColouring) -> MultisetCertificate:
         raise GuardExceeded(
             f"certificate would hold {total} sets (> {DEFAULT_MAX_MULTISET})"
         )
-    copies: list[set] = []
-    for s in sorted(w.weights, key=sorted):
-        q = w.weights[s]
-        if q > 0:
-            copies.extend(set(s) for _ in range(int(q * N)))
+    runs = [[s, int(w.weights[s] * N)] for s in sorted(w.weights, key=sorted)
+            if w.weights[s] > 0]
     for v in range(g.n):
-        cover = sum(1 for s in copies if v in s)
+        cover = sum(c for s, c in runs if v in s)
         if cover < N:
             raise ColouringError(
                 f"vertex {v} gathers weight {Fraction(cover, N)} < 1"
             )
         excess = cover - N
-        for s in copies:
-            if not excess:
-                break
+        i = 0
+        while excess:
+            s, c = runs[i]
             if v in s:
-                s.discard(v)
-                excess -= 1
-    return MultisetCertificate(g.n, N, tuple(frozenset(s) for s in copies))
+                if c > excess:
+                    # the first `excess` copies lose v, the rest keep it
+                    runs.insert(i + 1, [s, c - excess])
+                    c = runs[i][1] = excess
+                runs[i][0] = s - {v}
+                excess -= c
+            i += 1
+    sets = []
+    for s, c in runs:
+        sets += [s] * c
+    return MultisetCertificate(g.n, N, tuple(sets))
 
 
 @dataclass(frozen=True)
@@ -336,23 +356,25 @@ class CertificateVerdict:
 
 
 def verify_certificate(g: Graph, cert: MultisetCertificate) -> CertificateVerdict:
-    """Recount everything; trusts nothing about the producer."""
+    """Recount everything; trusts nothing about the producer.
+
+    Equal sets are checked once, under the index of their first copy,
+    and count toward coverage as often as they occur.
+    """
     problems = []
     if cert.n_vertices != g.n:
         problems.append(f"certificate is for {cert.n_vertices} vertices, graph has {g.n}")
-    for idx, s in enumerate(cert.sets):
-        for u in s:
-            if not (0 <= u < g.n):
-                problems.append(f"set {idx} mentions foreign vertex {u}")
-        for u in s:
-            for v in s:
-                if u < v and g.has_edge(u, v):
-                    problems.append(f"set {idx} contains edge ({u}, {v})")
     count = [0] * g.n
-    for s in cert.sets:
+    for s, mult in Counter(cert.sets).items():
+        bad = [f"mentions foreign vertex {u}" for u in s if not (0 <= u < g.n)]
+        bad += [f"contains edge ({u}, {v})"
+                for u in s for v in s if u < v and g.has_edge(u, v)]
+        if bad:
+            idx = cert.sets.index(s)
+            problems += [f"set {idx} {b}" for b in bad]
         for u in s:
             if 0 <= u < g.n:
-                count[u] += 1
+                count[u] += mult
     for v in range(g.n):
         if count[v] != cert.N:
             problems.append(
@@ -378,16 +400,25 @@ def _pad(cert: MultisetCertificate, count: int) -> MultisetCertificate:
     return MultisetCertificate(cert.n_vertices, cert.N, cert.sets + empty)
 
 
+def _map_distinct(f, items) -> tuple:
+    """``tuple(map(f, items))``, calling f once per distinct item."""
+    image = {}
+    for item in items:
+        if item not in image:
+            image[item] = f(item)
+    return tuple(map(image.__getitem__, items))
+
+
 def _relabel(cert: MultisetCertificate, n: int, vmap) -> MultisetCertificate:
     """Push a child certificate through child-vertex -> parent-vertex map."""
-    return MultisetCertificate(
-        n, cert.N, tuple(frozenset(vmap[v] for v in s) for s in cert.sets))
+    return MultisetCertificate(n, cert.N, _map_distinct(
+        lambda s: frozenset(vmap[v] for v in s), cert.sets))
 
 
 def _restrict(cert: MultisetCertificate, n: int) -> MultisetCertificate:
     """Keep only the vertices below n (the first copy of a doubled graph)."""
-    return MultisetCertificate(
-        n, cert.N, tuple(frozenset(v for v in s if v < n) for s in cert.sets))
+    return MultisetCertificate(n, cert.N, _map_distinct(
+        lambda s: frozenset(v for v in s if v < n), cert.sets))
 
 
 def _merge_on_bridge(n: int, a: MultisetCertificate, b: MultisetCertificate,
@@ -399,11 +430,13 @@ def _merge_on_bridge(n: int, a: MultisetCertificate, b: MultisetCertificate,
     whose a-set holds x1.  Unions along indices are then independent.
     """
     N = math.lcm(a.N, b.N)
-    a = _replicate(a, N // a.N)
-    b = _replicate(b, N // b.N)
-    count = max(len(a.sets), len(b.sets), 2 * N)
-    a = _pad(a, count)
-    b = _pad(b, count)
+    count = max(len(a.sets) * (N // a.N), len(b.sets) * (N // b.N), 2 * N)
+    if count > DEFAULT_MAX_MULTISET:
+        raise GuardExceeded(
+            f"bridge merge would hold {count} sets (> {DEFAULT_MAX_MULTISET})"
+        )
+    a = _pad(_replicate(a, N // a.N), count)
+    b = _pad(_replicate(b, N // b.N), count)
 
     blocked = {i for i, s in enumerate(a.sets) if x1 in s}
     movers = [i for i, s in enumerate(b.sets) if x2 in s]
@@ -432,7 +465,7 @@ def _merge_on_bridge(n: int, a: MultisetCertificate, b: MultisetCertificate,
     merged = [None] * count
     for i in range(count):
         merged[perm[i]] = b.sets[i]
-    sets = tuple(a.sets[i] | merged[i] for i in range(count))
+    sets = _map_distinct(lambda pair: pair[0] | pair[1], tuple(zip(a.sets, merged)))
     return MultisetCertificate(n, N, sets)
 
 

@@ -5,8 +5,10 @@ package's, so agreement is meaningful.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
+from fracchrom.fractional_lp import ColouringError, MultisetCertificate
 from fracchrom.graph_core import GraphError
 
 
@@ -422,3 +424,57 @@ def law_oracle(g, tf, phase4):
     marginals = {v: sum((p for s, p in pmf.items() if v in s), Fraction(0))
                  for v in range(n)}
     return sorted(records), pmf, marginals, len(records)
+
+
+def multiset_oracle(w):
+    """The multiset certificate of a weighting, one copy at a time: every
+    set enters as N·w(I) mutable copies, in the order of its sorted
+    vertices, and each vertex covered more than N times is discarded from
+    the first copies that hold it."""
+    g = w.graph
+    N = 1
+    for q in w.weights.values():
+        N = math.lcm(N, q.denominator)
+    copies = []
+    for s in sorted(w.weights, key=sorted):
+        q = w.weights[s]
+        if q > 0:
+            copies.extend(set(s) for _ in range(int(q * N)))
+    for v in range(g.n):
+        cover = sum(1 for s in copies if v in s)
+        if cover < N:
+            raise ColouringError(f"vertex {v} gathers weight {Fraction(cover, N)} < 1")
+        excess = cover - N
+        for s in copies:
+            if not excess:
+                break
+            if v in s:
+                s.discard(v)
+                excess -= 1
+    return MultisetCertificate(g.n, N, tuple(frozenset(s) for s in copies))
+
+
+def verify_oracle(g, cert):
+    """The problems of a multiset certificate, one copy at a time: each
+    copy's foreign vertices and edges under its own index, then every
+    vertex whose cover is not N."""
+    problems = []
+    if cert.n_vertices != g.n:
+        problems.append(f"certificate is for {cert.n_vertices} vertices, graph has {g.n}")
+    for idx, s in enumerate(cert.sets):
+        for u in s:
+            if not (0 <= u < g.n):
+                problems.append(f"set {idx} mentions foreign vertex {u}")
+        for u in s:
+            for v in s:
+                if u < v and g.has_edge(u, v):
+                    problems.append(f"set {idx} contains edge ({u}, {v})")
+    count = [0] * g.n
+    for s in cert.sets:
+        for u in s:
+            if 0 <= u < g.n:
+                count[u] += 1
+    for v in range(g.n):
+        if count[v] != cert.N:
+            problems.append(f"vertex {v} is covered {count[v]} times, not N = {cert.N}")
+    return tuple(problems)

@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracchrom import cli, fractional_lp, sampler
 from fracchrom.augment import BiasInfeasible
@@ -25,6 +27,7 @@ from util_graphs import (
     generalized_petersen,
     gp72,
     k33,
+    path_graph,
     petersen,
     subdivide_edge,
 )
@@ -388,6 +391,84 @@ class TestCertify:
         code, out, err = invoke("certify", "composite.g6")
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_BRIDGED_GOLDEN[edges]
+
+    def test_bridge_merge_guard(self, files, monkeypatch):
+        # C5 (160 sets, N = 55) bridged to subdivided K3,3 (512 sets,
+        # N = 176): both leaves fit under 1000 sets, the merge needs 2560
+        a, b = cycle(5), subdivide_edge(k33(), 0, 3)
+        both = disjoint_union(a, b)
+        g = Graph(both.n, list(both.edges) + [(0, a.n + b.n - 1)])
+        path = files("b.g6", g)
+        assert invoke_json("certify", path)["certificate"]["N"] == 880
+        monkeypatch.setattr(fractional_lp, "DEFAULT_MAX_MULTISET", 1000)
+        code, out, err = invoke("certify", path)
+        assert (code, out) == (3, "")
+        assert "bridge merge would hold 2560 sets (> 1000)" in err
+
+
+class TestJsonWriter:
+    """``_render(p, "json")`` must print ``json.dumps(p, indent=2,
+    sort_keys=True)`` and a newline, byte for byte."""
+
+    COMMANDS = {
+        "validate": (["validate", "{p}"], 0),
+        "validate-failure": (["validate", "{path}", "--require-cubic-triangle-free"], 2),
+        "two-factor": (["two-factor", "{p}"], 0),
+        "chif": (["chif", "{p}"], 0),
+        "prob-exact": (["prob", "{d}", "--exact"], 0),
+        "prob-trials": (["prob", "{d}", "--trials", "500", "--seed", "5"], 0),
+        "certify": (["certify", "{b}"], 0),
+        "corpus": (["corpus", "{corpus}"], 0),
+        "corpus-search": (["corpus", "{corpus}", "--search"], 0),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_command_payload(self, command, files, tmp_path, monkeypatch):
+        (tmp_path / "d.g6").write_text(DEFICIENT_BY_TYPE["I"] + "\n")
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(CORPUS / "cubic_tf_bridgeless_n10.g6", corpus)
+        paths = {"p": files("p.g6", petersen()), "path": files("q.g6", path_graph(4)),
+                 "b": files("b.g6", bridged_composite()), "d": str(tmp_path / "d.g6"),
+                 "corpus": str(corpus)}
+        argv, want_code = self.COMMANDS[command]
+        seen = []
+        render = cli._render
+
+        def spy(payload, fmt):
+            seen.append(payload)
+            return render(payload, fmt)
+
+        monkeypatch.setattr(cli, "_render", spy)
+        code, out, err = invoke(*(a.format(**paths) for a in argv))
+        assert code == want_code, err
+        [payload] = seen
+        assert out == render(payload, "json") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_repeated_lists_at_several_depths(self):
+        payload = {"b": [[1, 2], [1, 2], [], {}], "a": {"c": [1, 2], "d": [[1, 2]]},
+                   "e": [1, True], "f": [0, False, None, "1"], "g": [[1], [True], [1.0]],
+                   "h": [0.0, -0.0], "i": ["x", "x\u00e9\n\"\\"]}
+        assert cli._render(payload, "json") == (
+            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text()
+        | st.floats(allow_nan=True, allow_infinity=True),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=20))
+    def test_matches_json_dumps(self, value):
+        payload = {"value": value, "again": value, "nested": {"value": value}}
+        assert cli._render(payload, "json") == (
+            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    @pytest.mark.parametrize("payload", [{1: "a"}, {"a": [{"b": 1, 2: "c"}]}, {"a": {None: 0}}],
+                             ids=["top", "nested", "none"])
+    def test_non_str_key_raises(self, payload):
+        with pytest.raises(TypeError, match="keys must be str"):
+            cli._render(payload, "json")
 
 
 class TestCorpus:

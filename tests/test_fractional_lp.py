@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracchrom.fractional_lp import (
+    DEFAULT_MAX_MULTISET,
     ColouringError,
     FractionalColouring,
     MultisetCertificate,
@@ -24,6 +26,7 @@ from fracchrom.fractional_lp import (
     verify_certificate,
     weighting_to_multiset,
 )
+from fracchrom.augment import exact_phase5_distribution
 from fracchrom.graph_core import Graph, GraphError, GuardExceeded, parse_graph6, reduce_subcubic
 from fracchrom.sampler import enumerate_distribution, is_independent
 from fracchrom.two_factor import select_two_factor
@@ -33,6 +36,7 @@ from util_graphs import (
     bridged_composite,
     complete,
     cycle,
+    generalized_petersen,
     gp72,
     k33,
     path_graph,
@@ -247,6 +251,64 @@ class TestConversions:
         with pytest.raises(GuardExceeded):
             weighting_to_multiset(w)
 
+    def test_trim_splits_a_run(self):
+        # vertex 0 is covered 3 times with N = 1: the first two copies of
+        # {0, 2} lose it, the third keeps it
+        g = cycle(4)
+        w = FractionalColouring(g, {frozenset({0, 2}): F(3), frozenset({1, 3}): F(1)})
+        cert = weighting_to_multiset(w)
+        assert cert.sets == (frozenset(), frozenset(), frozenset({0, 2}),
+                             frozenset({1, 3}))
+        assert cert.sets == oracles.multiset_oracle(w).sets
+
+    def test_to_json_dict_entries_are_independent_lists(self):
+        s = frozenset({0, 2})
+        data = MultisetCertificate(5, 4, (s, frozenset({2, 0}), s)).to_json_dict()
+        assert data["sets"] == [[0, 2]] * 3
+        assert len({id(entry) for entry in data["sets"]}) == 3
+        data["sets"][0].append(4)
+        assert data["sets"][1:] == [[0, 2], [0, 2]]
+
+
+def _law_weighting(g):
+    """The size-32/11 weighting the pipeline draws from the repaired law
+    of a cubic bridgeless graph."""
+    _, result = exact_phase5_distribution(g, select_two_factor(g))
+    return distribution_to_weighting(g, result.distribution, TARGET_BOUND)
+
+
+class TestAgainstCopyOracle:
+    """The certificate of a cubic bridgeless graph is its law weighting's
+    multiset: built per run it must equal the copy-by-copy oracle's, set
+    for set and in order, and the verifiers must agree on it.  A weighting
+    of more than ``DEFAULT_MAX_MULTISET`` sets is refused instead."""
+
+    @staticmethod
+    def check(g):
+        w = _law_weighting(g)
+        N = math.lcm(*(q.denominator for q in w.weights.values()))
+        if sum(q * N for q in w.weights.values()) > DEFAULT_MAX_MULTISET:
+            with pytest.raises(GuardExceeded):
+                chi_f_upper_subcubic(g)
+            return False
+        _, cert = chi_f_upper_subcubic(g)
+        want = oracles.multiset_oracle(w)
+        assert (cert.n_vertices, cert.N) == (want.n_vertices, want.N)
+        assert cert.sets == want.sets
+        assert verify_certificate(g, cert).problems == oracles.verify_oracle(g, cert) == ()
+        return True
+
+    def test_corpus(self):
+        graphs = [parse_graph6(line) for path in sorted(CORPUS.glob("*.g6"))
+                  for line in path.read_text().split()]
+        assert len(graphs) == 140
+        # two n = 14 graphs need 2,549,760 and 4,974,592 sets
+        assert sum(self.check(g) for g in graphs) == 138
+
+    @pytest.mark.parametrize("nk", [(5, 2), (7, 2), (8, 3), (9, 2), (10, 3)], ids=str)
+    def test_ladder(self, nk):
+        assert self.check(generalized_petersen(*nk))
+
 
 class TestVerifyCertificate:
     def good(self):
@@ -284,6 +346,40 @@ class TestVerifyCertificate:
     def test_wrong_vertex_count_is_reported(self):
         g, cert = self.good()
         assert not verify_certificate(Graph(6, list(g.edges)), cert)
+
+    def parsed(self, changes=()):
+        """``good()`` read back from JSON, so equal sets are distinct
+        objects, with the sets at the indices of ``changes`` replaced."""
+        g, cert = self.good()
+        data = cert.to_json_dict()
+        for i, s in changes:
+            data["sets"][i] = s
+        data["k"] = str(F(len(data["sets"]), data["N"]))
+        back = certificate_from_json_dict(data, g.n)
+        assert len({id(s) for s in back.sets}) == len(back.sets)
+        return g, back
+
+    def test_altered_copy_of_a_repeated_set_is_reported(self):
+        # the second copy of {0, 3} gains vertex 2, and with it edge (2, 3)
+        g, cert = self.parsed([(8, [0, 2, 3])])
+        assert verify_certificate(g, cert).problems == (
+            "set 8 contains edge (2, 3)",
+            "vertex 2 is covered 5 times, not N = 4",
+        )
+
+    def test_repeated_foreign_set_is_reported_at_its_first_copy(self):
+        g, cert = self.parsed([(3, [0, 3, 7]), (8, [0, 3, 7])])
+        assert verify_certificate(g, cert).problems == (
+            "set 3 mentions foreign vertex 7",)
+
+    def test_multiplicities_count_toward_coverage(self):
+        # {1, 3} three times, {0, 3} once: vertex 1 gains a cover, 0 loses one
+        g, cert = self.parsed([(8, [1, 3])])
+        assert Counter(cert.sets)[frozenset({1, 3})] == 3
+        assert verify_certificate(g, cert).problems == (
+            "vertex 0 is covered 3 times, not N = 4",
+            "vertex 1 is covered 5 times, not N = 4",
+        )
 
     def test_json_round_trip(self):
         g, cert = self.good()

@@ -1,4 +1,4 @@
-"""Six stdlib-only lint rules over the modules of the package, and a
+"""Seven stdlib-only lint rules over the modules of the package, and a
 guard for the names of the package that the benchmark reads.
 
 Every name a module imports at top level is used there: a stand-in for a
@@ -25,6 +25,11 @@ runtime invariant is an ``if ...: raise`` that holds on every run.
 Every name in a module's ``__all__`` is bound at the module's top level
 (defined, assigned or imported there): an export whose definition is gone
 goes out of ``__all__`` with it.
+
+No module calls ``json.dump``/``json.dumps`` or builds a ``JSONEncoder``
+with an ``indent``: the standard encoder runs in pure Python when it
+indents, so the CLI's own writer, which prints the same bytes, is the one
+place indented JSON comes from.
 
 Every name the benchmark in ``perfbench/`` reads from the package still
 resolves: the probes of ``perfbench/layers.py`` and the ``from fracchrom
@@ -318,6 +323,44 @@ def test_checker_flags_a_stale_export(tmp_path):
                    "def f():\n    nested = 1\n    return nested\n"
                    "class C:\n    pass\n")
     assert stale_exports(src) == ["Gone", "nested"]
+
+
+def indented_json_calls(path):
+    """Lines of the ``dump``/``dumps``/``JSONEncoder`` calls of one module
+    that pass an ``indent`` other than ``None``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name in {"dump", "dumps", "JSONEncoder"} and any(
+                k.arg == "indent" and not (isinstance(k.value, ast.Constant)
+                                           and k.value.value is None)
+                for k in node.keywords):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_indented_json_encoder(path):
+    assert indented_json_calls(path) == []
+
+
+def test_checker_flags_an_indented_json_call(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import json\n"
+                   "from json import dumps, JSONEncoder\n"
+                   "a = json.dumps({}, indent=2, sort_keys=True)\n"
+                   "b = json.dumps({}, sort_keys=True)\n"
+                   "def f(x, out):\n"
+                   "    json.dump(x, out, indent=None)\n"
+                   "    return dumps(x,\n                 indent=4)\n"
+                   "c = JSONEncoder(indent=1).encode\n"
+                   "d = json.loads('{}')\n")
+    assert indented_json_calls(src) == [3, 7, 9]
 
 
 def benchmark_names(directory):
