@@ -473,9 +473,8 @@ def _json_text(payload) -> str:
             if not value:
                 parts.append("{}")
                 return
-            for key in value:
-                if not isinstance(key, str):
-                    raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            if not all(isinstance(key, str) for key in value):
+                raise TypeError("JSON keys must be str")
             sep = "{\n" + inner
             for key in sorted(value):
                 parts.append(sep + json.dumps(key) + ": ")
