@@ -5,8 +5,10 @@ programs.
 ``sampler.run_phases_1_4`` draws one situation with it,
 ``sampler.monte_carlo`` runs it once per trial, with or without the
 phase-5 repair, and ``sampler._compute_law`` expands its run programs
-and calls ``_isolated`` and ``_free`` for every situation of the exact
-law.  Random bits are consumed in a fixed order: one bit per
+for the exact law, calling ``_isolated`` and ``_free`` once per
+orientation or per mask covered after phase 2, not per situation (under
+``"recompute"`` the phase-4 addition still takes one call of each per
+phase-3 branch of a covered mask).  Random bits are consumed in a fixed order: one bit per
 matching edge in sorted edge order (bit set = larger endpoint becomes
 the head), then for each selection pass one bit per path or even-cycle
 run and a rejection-sampled index per odd-cycle run, runs taken cycle by

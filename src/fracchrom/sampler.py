@@ -12,19 +12,25 @@ which works out the runs of a vertex mask as a tuple of ``(k, outcomes)``
 pairs.  ``enumerate_distribution`` walks every orientation and expands
 the product of the outcomes of every run, producing the exact rational
 law of the output set (keyed by the frozensets) together with per-vertex
-inclusion probabilities; the per-situation records it keeps on the
-two-factor (in ``tf.derived``, so they live exactly as long as ``tf``)
-also answer event queries (``event_probability``, ``forces``,
-``admissible``, ``exact_q``) through one scan of the records.  The law
-is computed in integers: every situation has probability ``1/d`` with
+inclusion probabilities.  What follows phase 2 depends on the mask
+covered after it alone, so the walk only counts the phase-1 selections
+per covered mask, and each covered mask has its phase 3 expanded once,
+from a memo keyed by the feasible mask.  The law and that memo are kept
+on the two-factor (in ``tf.derived``, so they live exactly as long as
+``tf``).  The per-situation records are built from the same walk and
+memo, once, when an event query (``event_probability``, ``forces``,
+``admissible``, ``exact_q``, each one scan of the records) or
+``enumerate_situations`` first asks for them.  The law is computed in
+integers: every situation has probability ``1/d`` with
 ``d = 2^m * d1 * d3``, d1 and d3 the products of ``len(outcomes)`` over
-the runs of the phase-1 and phase-3 programs; each record carries its
-``d``, the masses are summed as integers over one common denominator (the
-lcm of the distinct ``d``, kept with the records), and each ``Fraction``
-is built once, per support set, per vertex and per event query.  Its
-oracle, a separate derivation of the runs, lives with the tests.
+the runs of the phase-1 and phase-3 programs; the masses are summed as
+integers over one common denominator (the lcm of the distinct ``d``,
+kept with the law), and each ``Fraction`` is built once, per support
+set, per vertex and per event query.  Its oracle, a separate derivation
+of the runs, lives with the tests.
 Sampling runs the table's trial, which replays the same programs with
-random bits: ``run_phases_1_4`` draws a single situation, and
+random bits, from one table per two-factor and phase-4 mode kept next to
+the law: ``run_phases_1_4`` draws a single situation, and
 ``monte_carlo`` estimates the marginals in one seeded, reproducible loop,
 optionally followed by the phase-5 repair, tallying the output masks and
 checking each distinct one once.
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -248,13 +255,15 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng, phase4: str = "start"):
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
     table = _trial_table(g, tf, phase4)
-    heads, s1, feasible, s3, out = table.trial(rng.getrandbits)
+    heads, s1, _, s3, out = table.trial(rng.getrandbits)
     members = frozenset(mask_vertices(out))
     if not is_independent(g, members):
         raise RuntimeError("phases 1-4 produced the dependent set %r"
                            % sorted(members))
-    d = math.prod(len(outcomes) for _, outcomes
-                  in table._program(heads) + table._program(feasible))
+    # the trial has just looked both programs up in the table's memos
+    program1, lone = table.by_heads[heads]
+    program3 = table.by_covered[s1 | lone][1]
+    d = math.prod(len(outcomes) for _, outcomes in program1 + program3)
     situation = Situation(
         orientation_from_heads(tf, mask_vertices(heads)),
         frozenset(mask_vertices(s1)),
@@ -283,17 +292,29 @@ class _SitRec:
 
 
 class _Law:
-    """The situation records, the law they sum to, and ``denom``: the lcm
-    of the records' ``d``, over which every mass is an integer."""
+    """The law of one two-factor in one phase-4 mode, with ``denom``: the
+    lcm of the situations' ``d``, over which every mass is an integer.
+    It keeps its trial table and phase-3 memo (the feasible mask to
+    ``(d3, [(s3, s3 | phase-4 addition)])``), from which ``records``
+    builds the situation records the first time it is called."""
 
-    __slots__ = ("recs", "result", "orientations", "branches", "denom")
+    __slots__ = ("table", "phase3", "result", "orientations", "branches",
+                 "denom", "recs")
 
-    def __init__(self, recs, result, orientations, branches, denom):
-        self.recs = recs
+    def __init__(self, table, phase3, result, orientations, branches, denom):
+        self.table = table
+        self.phase3 = phase3
         self.result = result
         self.orientations = orientations
         self.branches = branches
         self.denom = denom
+        self.recs = None
+
+    def records(self):
+        """One ``_SitRec`` per situation, in the order of the walk."""
+        if self.recs is None:
+            self.recs = _situation_records(self.table, self.phase3)
+        return self.recs
 
 
 def _check_guards(orientations, branches, max_orientations, max_branches):
@@ -316,56 +337,80 @@ def _expand(program):
     return selections
 
 
-def _compute_law(g, tf, phase4, max_orientations, max_branches):
-    m = len(tf.m_edges)
-    _check_guards(1 << m, 0, max_orientations, max_branches)
-    n = g.n
-    adj_mask = g.adj_mask
-    table = _trial_table(g, tf, phase4)
-    isolated, free = _mcphases_py._isolated, _mcphases_py._free
-    start = not table.recompute
-    # Every situation has probability 1/d with d = 2^m * d1 * d3.  The
-    # phase-3 selections, and under "start" the phase-4 addition, depend
-    # on the feasible mask alone, so each feasible mask is expanded once.
-    phase3 = {}      # feasible mask -> (d3, [(s3, s3 | phase-4 addition)])
-    tally = {}       # (out, d) -> number of situations
-    shared = {}      # d -> d: the records hold one int object per distinct d
-    recs = []
-    branch_count = 0
+def _phase1(table):
+    """Phases 1 and 2 under every orientation, in the order of its bits:
+    yields ``(heads, isolated heads, phase-1 selections, d01)``, the
+    selections being equally likely and ``d01 = 2^m * d1`` with ``d1``
+    their number."""
+    m = len(table.edges)
     for bits in range(1 << m):
         heads = 0
         for i, (a, b) in enumerate(table.edges):
             heads |= b if (bits >> i) & 1 else a
-        lone = isolated(adj_mask, heads)
         phase1 = _expand(table._program(heads))
-        d01 = len(phase1) << m
-        for s1 in phase1:
-            covered1 = s1 | lone
-            feasible = free(n, adj_mask, covered1)
-            entry = phase3.get(feasible)
-            if entry is None:
-                added = isolated(adj_mask, feasible) if start else 0
-                selections = _expand(table._program(feasible))
-                entry = phase3[feasible] = (
-                    len(selections), [(s3, s3 | added) for s3 in selections])
-            d3, branches = entry
-            branch_count += d3
-            _check_guards(0, branch_count, max_orientations, max_branches)
-            d = d01 * d3
-            d = shared.setdefault(d, d)
-            for s3, add in branches:
-                out = covered1 | add
-                if not start:
-                    out |= isolated(adj_mask, free(n, adj_mask, out))
-                recs.append(_SitRec(heads, s1, feasible, s3, out, d))
-                key = (out, d)
-                tally[key] = tally.get(key, 0) + 1
+        yield (heads, _mcphases_py._isolated(table.adj_mask, heads), phase1,
+               len(phase1) << m)
+
+
+def _after_phase2(table, phase3, covered1):
+    """What follows the mask ``covered1`` covered after phase 2: the
+    feasible mask, its memo entry ``(d3, branches)`` in ``phase3`` and
+    the output mask of each branch."""
+    isolated, free = _mcphases_py._isolated, _mcphases_py._free
+    n, adj_mask = table.n, table.adj_mask
+    feasible = free(n, adj_mask, covered1)
+    entry = phase3.get(feasible)
+    if entry is None:
+        # under "start" the phase-4 addition depends on feasible alone
+        added = 0 if table.recompute else isolated(adj_mask, feasible)
+        selections = _expand(table._program(feasible))
+        entry = phase3[feasible] = (
+            len(selections), [(s3, s3 | added) for s3 in selections])
+    d3, branches = entry
+    outs = [covered1 | add for _, add in branches]
+    if table.recompute:
+        outs = [out | isolated(adj_mask, free(n, adj_mask, out))
+                for out in outs]
+    return feasible, d3, branches, outs
+
+
+def _compute_law(g, tf, phase4, max_orientations, max_branches):
+    n = g.n
+    m = len(tf.m_edges)
+    _check_guards(1 << m, 0, max_orientations, max_branches)
+    table = _trial_table(g, tf, phase4)
+    # Every situation has probability 1/d with d = d01 * d3, and what
+    # follows phase 2 depends on the covered mask alone, so the walk only
+    # counts the phase-1 selections per covered1, in first-seen order,
+    # and per (covered1, d01); each covered1 is expanded once.
+    total = Counter()
+    by_d01 = {}      # d01 -> Counter of covered1
+    pairs = 0        # each has at least one phase-3 branch
+    for _, lone, phase1, d01 in _phase1(table):
+        pairs += len(phase1)
+        _check_guards(0, pairs, max_orientations, max_branches)
+        covered = [s1 | lone for s1 in phase1]
+        total.update(covered)
+        by_d01.setdefault(d01, Counter()).update(covered)
+    phase3 = {}
+    expanded = []    # (covered1, d3, outputs) in first-seen order
+    ds = set()
+    branch_count = 0
+    for covered1, count in total.items():
+        _, d3, _, outs = _after_phase2(table, phase3, covered1)
+        branch_count += d3 * count
+        _check_guards(0, branch_count, max_orientations, max_branches)
+        ds.update(d01 * d3 for d01, c in by_d01.items() if covered1 in c)
+        expanded.append((covered1, d3, outs))
 
     # integer masses over one common denominator, in first-seen order
-    denom = math.lcm(*shared)
+    denom = math.lcm(*ds)
     mass = {}
-    for (out, d), count in tally.items():
-        mass[out] = mass.get(out, 0) + count * (denom // d)
+    for covered1, d3, outs in expanded:
+        w = sum(c[covered1] * (denom // (d01 * d3))
+                for d01, c in by_d01.items() if covered1 in c)
+        for out in outs:
+            mass[out] = mass.get(out, 0) + w
     weight = [0] * n
     pmf = {}
     for out, w in mass.items():
@@ -378,7 +423,32 @@ def _compute_law(g, tf, phase4, max_orientations, max_branches):
         pmf[frozenset(members)] = Fraction(w, denom)
     marginals = {v: Fraction(weight[v], denom) for v in range(n)}
     result = EnumerationResult(Distribution(pmf), marginals)
-    return _Law(recs, result, 1 << m, branch_count, denom)
+    return _Law(table, phase3, result, 1 << m, branch_count, denom)
+
+
+def _situation_records(table, phase3):
+    """One ``_SitRec`` per situation: the walk of ``_compute_law`` again,
+    each phase-1 selection expanded through the phase-3 memo."""
+    after = {}       # covered1 -> (feasible, d3, [(s3, output)])
+    shared = {}      # d -> d: the records hold one int object per distinct d
+    recs = []
+    append = recs.append
+    for heads, lone, phase1, d01 in _phase1(table):
+        for s1 in phase1:
+            covered1 = s1 | lone
+            entry = after.get(covered1)
+            if entry is None:
+                feasible, d3, branches, outs = _after_phase2(
+                    table, phase3, covered1)
+                entry = after[covered1] = (
+                    feasible, d3, [(s3, out) for (s3, _), out
+                                   in zip(branches, outs)])
+            feasible, d3, branches = entry
+            d = d01 * d3
+            d = shared.setdefault(d, d)
+            for s3, out in branches:
+                append(_SitRec(heads, s1, feasible, s3, out, d))
+    return recs
 
 
 def _law(g, tf, phase4="start", max_orientations=None, max_branches=None):
@@ -421,7 +491,7 @@ def enumerate_situations(g: Graph, tf: TwoFactor, *, phase4: str = "start",
     return [(Situation(orientation(rec.heads), vertex_set(rec.s1),
                        vertex_set(rec.s3), unit(rec.d)),
              vertex_set(rec.out))
-            for rec in law.recs]
+            for rec in law.records()]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +511,7 @@ def _conforming(t, g, tf, phase4, max_orientations, max_branches,
                         vertex_mask(t.d1bar))
     d3, d3bar = (vertex_mask(t.d3), vertex_mask(t.d3bar)) if phase3 else (0, 0)
     law = _law(g, tf, phase4, max_orientations, max_branches)
-    return law, (rec for rec in law.recs
+    return law, (rec for rec in law.records()
                  if rec.heads & heads == heads
                  and rec.s1 & d1 == d1 and not rec.s1 & d1bar
                  and rec.s3 & d3 == d3 and not rec.s3 & d3bar)
@@ -560,8 +630,14 @@ def _kernel_args(g: Graph, tf: TwoFactor):
 
 
 def _trial_table(g: Graph, tf: TwoFactor, phase4: str):
-    return _mcphases_py.TrialTable(g.n, *_kernel_args(g, tf),
-                                   phase4 == "recompute")
+    """The trial table of ``tf`` in one phase-4 mode, kept in
+    ``tf.derived`` next to the law, so its memos serve every call."""
+    key = ("table", phase4)
+    table = tf.derived.get(key)
+    if table is None:
+        table = tf.derived[key] = _mcphases_py.TrialTable(
+            g.n, *_kernel_args(g, tf), phase4 == "recompute")
+    return table
 
 
 def _flush(tally, counts, adj_mask) -> int:

@@ -57,7 +57,8 @@ class TwoFactor:
     minimum vertex and proceeds toward the larger-id of that vertex's two
     cycle neighbours; cycles are sorted by their starting vertex.
     ``derived`` keeps results computed from the two-factor (its exact law
-    in `sampler`); it takes no part in equality or hashing.
+    and trial tables in `sampler`); it takes no part in equality or
+    hashing.
     """
 
     __slots__ = (

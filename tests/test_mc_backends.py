@@ -71,6 +71,29 @@ def test_monte_carlo_matches_reference_on_64_vertices():
     assert list(report.counts) == reference_counts(g, tf, 300, 5, "start")
 
 
+def test_one_trial_table_per_two_factor_and_mode(monkeypatch):
+    built = []
+
+    class Counted(K.TrialTable):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[-1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(K, "TrialTable", Counted)
+    g = petersen()
+    tf = select_two_factor(g)
+    S.run_phases_1_4(g, tf, S.trial_stream(3, 0))
+    S.run_phases_1_4(g, tf, S.trial_stream(3, 1))
+    S.monte_carlo(g, tf, 50, 3)
+    S.enumerate_distribution(g, tf)
+    assert built == [False]
+    S.run_phases_1_4(g, tf, S.trial_stream(3, 0), "recompute")
+    S.monte_carlo(g, tf, 50, 3, phase4="recompute")
+    assert built == [False, True]
+
+
 def test_backend_names():
     assert S.kernel_backend() == "pure-python"
 

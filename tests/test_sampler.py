@@ -1,6 +1,7 @@
 """Tests for the four-phase construction: exact law, events, Monte Carlo."""
 
 import hashlib
+import io
 import json
 import math
 from fractions import Fraction
@@ -367,23 +368,63 @@ class TestEnumerate:
     def test_law_is_computed_once_per_two_factor(self, monkeypatch):
         from fracchrom.augment import exact_phase5_distribution
         calls = []
-        compute = S._compute_law
+        builds = []
+        compute, build = S._compute_law, S._situation_records
 
         def counted(*args):
             calls.append(args[1])
             return compute(*args)
 
+        def counted_build(*args):
+            builds.append(args)
+            return build(*args)
+
         monkeypatch.setattr(S, "_compute_law", counted)
+        monkeypatch.setattr(S, "_situation_records", counted_build)
         g, tf = petersen_tf()
         S.enumerate_distribution(g, tf)
-        S.event_probability(T.builtin("E0", tf, 0), g, tf)
+        assert builds == []
+        # the first template query builds the records, later ones reuse them
+        t = T.builtin("E0", tf, 0)
+        S.event_probability(t, g, tf)
+        assert len(builds) == 1
+        recs = tf.derived[("law", "start")].recs
+        S.forces(t, 0, g, tf)
+        S.exact_q(t, g, tf)
+        S.enumerate_situations(g, tf)
         exact_phase5_distribution(g, tf)
         assert calls == [tf]
+        assert len(builds) == 1
+        assert tf.derived[("law", "start")].recs is recs
         # an equal but distinct two-factor owns (and computes) its own law
         _, twin = petersen_tf()
         assert twin == tf and twin is not tf
         S.enumerate_distribution(g, twin)
         assert len(calls) == 2 and calls[1] is twin
+
+    def test_pmf_path_builds_no_records(self, monkeypatch, tmp_path):
+        from fracchrom import cli
+        from fracchrom.augment import exact_phase5_distribution
+        from fracchrom.graph_core import encode_graph6
+
+        def refuse(*args):
+            raise AssertionError("situation records built")
+
+        monkeypatch.setattr(S, "_situation_records", refuse)
+        graphs = {"petersen": petersen(),
+                  "deficient": parse_graph6("KlSHGC@@GAoD")}
+        for name, g in graphs.items():
+            for phase4 in S.PHASE4_MODES:
+                tf = select_two_factor(g)
+                S.enumerate_distribution(g, tf, phase4=phase4)
+                exact_phase5_distribution(g, tf, phase4=phase4)
+            (tmp_path / (name + ".g6")).write_text(encode_graph6(g) + "\n")
+        for name in graphs:
+            path = str(tmp_path / (name + ".g6"))
+            for argv in (["certify", path], ["prob", path, "--exact"]):
+                assert cli.run(argv, io.StringIO(), io.StringIO()) == 0, argv
+        assert cli.run(["corpus", str(tmp_path)],
+                       io.StringIO(), io.StringIO()) == 0
 
     def test_situations_consistent(self):
         g, tf = petersen_tf()
@@ -479,6 +520,19 @@ class TestGoldenLaw:
         assert len(rows) == branches
         assert _sha256(rows) == sit_digest
 
+    def test_gp125_law_with_a_raised_guard(self):
+        g = generalized_petersen(12, 5)
+        tf = select_two_factor(g)
+        with pytest.raises(S.ExplosionGuard) as err:
+            S.enumerate_distribution(g, tf)
+        assert str(err.value) == (
+            "situation count passed the limit of %d branches"
+            % S.DEFAULT_MAX_BRANCHES)
+        res = S.enumerate_distribution(g, tf, max_branches=2**26)
+        assert tf.derived[("law", "start")].branches == 1_241_124
+        assert len(res.distribution) == 588
+        assert min(res.marginals.values()) == Fraction(12339, 32768)
+
     @pytest.mark.parametrize("phase4", S.PHASE4_MODES)
     def test_branch_guard_boundary(self, phase4):
         g = _golden_graph("GP(7,2)")
@@ -498,18 +552,20 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 class TestLawOracle:
     @pytest.mark.parametrize("phase4", S.PHASE4_MODES)
     def test_law_matches_oracle_on_corpus(self, phase4):
-        # the law expands the trial table's run programs; the oracle
-        # derives the runs and their branches on its own
+        # the law sums over the masks covered after phase 2 and builds its
+        # records on demand from the same walk; the oracle derives the
+        # runs and their branches on its own, one situation at a time
         graphs = [parse_graph6(line) for path in sorted(CORPUS.glob("*.g6"))
                   for line in path.read_text().split()]
         assert len(graphs) == 140
+        graphs += [generalized_petersen(7, 2), generalized_petersen(8, 3)]
         for g in graphs:
             tf = select_two_factor(g)
             law = S._compute_law(g, tf, phase4, S.DEFAULT_MAX_ORIENTATIONS,
                                  S.DEFAULT_MAX_BRANCHES)
             records, pmf, marginals, branches = law_oracle(g, tf, phase4)
             assert sorted((r.heads, r.s1, r.feasible, r.s3, r.out, r.d)
-                          for r in law.recs) == records
+                          for r in law.records()) == records
             assert law.result.distribution.pmf == pmf
             assert law.result.marginals == marginals
             assert law.branches == branches
