@@ -31,14 +31,15 @@ CAPACITY = 1 << 12
 
 class TrialTable:
     """The trial of one two-factor in one phase-4 mode, with three memos:
-    the heads mask to its phase-1 program and isolated heads, and the mask
+    the heads mask to its phase-1 program and isolated heads, the mask
     covered after phase 2 to its feasible set, phase-3 program and (under
-    ``"start"``) phase-4 addition.  The memos live as long as the table;
-    a full memo is emptied before it takes a new entry.
+    ``"start"``) phase-4 addition, and the part of a selection mask on one
+    cycle to that cycle's runs.  The memos live as long as the table; a
+    full memo is emptied before it takes a new entry.
     """
 
-    __slots__ = ("n", "adj_mask", "edges", "cycles", "recompute",
-                 "by_heads", "by_covered")
+    __slots__ = ("n", "adj_mask", "edges", "cycles", "cycle_masks",
+                 "recompute", "by_heads", "by_covered", "by_part")
 
     def __init__(self, n, edges_a, edges_b, cycle_starts, cycle_verts,
                  adj_mask, phase4_recompute):
@@ -47,9 +48,11 @@ class TrialTable:
         self.edges = tuple((1 << a, 1 << b) for a, b in zip(edges_a, edges_b))
         self.cycles = tuple(tuple(cycle_verts[lo:hi])
                             for lo, hi in zip(cycle_starts, cycle_starts[1:]))
+        self.cycle_masks = tuple(vertex_mask(cycle) for cycle in self.cycles)
         self.recompute = phase4_recompute
         self.by_heads = {}
         self.by_covered = {}
+        self.by_part = {}  # the cycles are disjoint, so a part names its cycle
 
     def trial(self, bits):
         """One run of phases 1-4, every choice drawn from ``bits(k)`` (an
@@ -93,39 +96,48 @@ class TrialTable:
     def _program(self, mask):
         """The run program of one selection pass over ``mask``: the trial
         replays it with random bits, and the exact law in ``sampler``
-        expands the product of its runs' outcomes."""
+        expands the product of its runs' outcomes.  A cycle's runs depend
+        only on the part of ``mask`` on it, which is worked out once."""
         program = []
-        for cycle in self.cycles:
-            length = len(cycle)
-            hits = [(mask >> v) & 1 for v in cycle]
-            if not any(hits):
-                continue
-            if all(hits):
-                if length % 2 == 0:
-                    # bit set selects the vertices at even positions
-                    program.append((1, (vertex_mask(cycle[1::2]),
-                                        vertex_mask(cycle[0::2]))))
-                else:
-                    program.append((length.bit_length(), tuple(
-                        vertex_mask((cycle[i:] + cycle[:i])[:-1:2])
-                        for i in range(length))))
-                continue
-            for p in range(length):
-                if not hits[p] or hits[p - 1]:
-                    continue
-                run = [cycle[p]]
-                q = (p + 1) % length
-                while hits[q]:
-                    run.append(cycle[q])
-                    q = (q + 1) % length
-                evens, odds = vertex_mask(run[0::2]), vertex_mask(run[1::2])
-                # the canonical branch starts at the endpoint with the
-                # smaller position, and a set bit selects it
-                if len(run) % 2 == 1 or p < (p + len(run) - 1) % length:
-                    program.append((1, (odds, evens)))
-                else:
-                    program.append((1, (evens, odds)))
+        for cycle, cycle_mask in zip(self.cycles, self.cycle_masks):
+            part = mask & cycle_mask
+            if part:
+                runs = self.by_part.get(part)
+                if runs is None:
+                    runs = self._remember(self.by_part, part, _cycle_runs(cycle, part))
+                program += runs
         return tuple(program)
+
+
+def _cycle_runs(cycle, part):
+    """The runs of a selection pass over the vertices ``part`` of
+    ``cycle``, in order of their starting position."""
+    length = len(cycle)
+    hits = [(part >> v) & 1 for v in cycle]
+    if all(hits):
+        if length % 2 == 0:
+            # bit set selects the vertices at even positions
+            return ((1, (vertex_mask(cycle[1::2]), vertex_mask(cycle[0::2]))),)
+        return ((length.bit_length(), tuple(
+            vertex_mask((cycle[i:] + cycle[:i])[:-1:2])
+            for i in range(length))),)
+    runs = []
+    for p in range(length):
+        if not hits[p] or hits[p - 1]:
+            continue
+        run = [cycle[p]]
+        q = (p + 1) % length
+        while hits[q]:
+            run.append(cycle[q])
+            q = (q + 1) % length
+        evens, odds = vertex_mask(run[0::2]), vertex_mask(run[1::2])
+        # the canonical branch starts at the endpoint with the smaller
+        # position, and a set bit selects it
+        if len(run) % 2 == 1 or p < (p + len(run) - 1) % length:
+            runs.append((1, (odds, evens)))
+        else:
+            runs.append((1, (evens, odds)))
+    return tuple(runs)
 
 
 def _run(program, bits):

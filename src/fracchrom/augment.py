@@ -18,10 +18,10 @@ both together with the mate-negation rule for the remaining vertices.
 ``build_phase5_plan`` runs the greedy water-filling that decides, for
 every (deficient vertex, support set) pair, the probability of the swap.
 When it is built, the plan turns each support set's positive
-probabilities into coins, one ``(vertex, bias)`` pair each, and walks the
-set through the swap cascade; ``run_phase5`` flips a set's coins on one
-sampled set and ``exact_phase5_distribution`` pushes the whole exact law
-through the cascades.  Sampled and support sets are plain frozensets.
+probabilities into coins and walks the set through the swap cascade;
+``run_phase5`` flips a set's coins on one sampled set and
+``exact_phase5_distribution`` sums the whole exact law through the
+cascades.  The repair works on vertex masks, from support to output.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graph_core import Graph, GraphError, vertex_mask
+from .graph_core import Graph, GraphError, mask_vertices, vertex_mask
 from .sampler import (
     Distribution,
     EnumerationResult,
@@ -356,21 +356,21 @@ def sponsor(g: Graph, tf: TwoFactor, u: int) -> int:
     return rec.sponsor
 
 
-def _favourable(g: Graph, u: int, s: int, J: frozenset) -> bool:
-    """u is not in J and J meets N(u) in exactly the sponsor s."""
-    return u not in J and {w for w in g.adj[u] if w in J} == {s}
+def _favourable(g: Graph, u: int, s: int, J: int) -> bool:
+    """u is not in the mask J and J meets N(u) in exactly the sponsor s."""
+    return not (J >> u) & 1 and g.adj_mask[u] & J == 1 << s
 
 
 def favourable(g: Graph, tf: TwoFactor, u: int, J: frozenset) -> bool:
     """Does J meet u's closed neighbourhood in exactly its sponsor?"""
-    return _favourable(g, u, sponsor(g, tf, u), J)
+    return _favourable(g, u, sponsor(g, tf, u), vertex_mask(J))
 
 
 def receptivity(g: Graph, tf: TwoFactor, u: int, dist: Distribution) -> Fraction:
     """Probability that a sampled set is favourable for u."""
     s = sponsor(g, tf, u)
-    return sum((p for J, p in dist.pmf.items() if _favourable(g, u, s, J)),
-               Fraction(0))
+    return sum((p for J, p in dist.pmf.items()
+                if _favourable(g, u, s, vertex_mask(J))), Fraction(0))
 
 
 # -- the repair plan ------------------------------------------------------------
@@ -380,16 +380,16 @@ class Phase5Plan:
     """A complete schedule for the probability-repair phase.
 
     Holds the processing order of the deficient vertices, the support of
-    the phase-4 law in a fixed order (``index`` maps a support set to its
-    position), and the planned swap probability for every (vertex,
+    the phase-4 law as ascending vertex masks (``index`` maps a mask to
+    its position), and the planned swap probability for every (vertex,
     support set) pair, together with the bookkeeping (sponsors,
     correction terms, earlier-neighbour lists) that both the single-run
     executor and the exact enumerator need.  ``walks[j]`` is the exact
-    swap cascade on support set ``j``: one ``(vertex, bias)`` coin per
-    positive planned probability, and the law over subsets of
-    swapped-in vertices.  Building it raises ``BiasInfeasible`` when a
-    planned probability sits on a set that is not favourable for its
-    vertex or no coin can realize it, so every plan can be executed.
+    swap cascade on support set ``j``: its coins and the law of the
+    repaired mask.  Building it raises ``BiasInfeasible`` when a planned
+    probability sits on a set that is not favourable for its vertex or no
+    coin can realize it, and ``RuntimeError`` when a reachable repaired
+    set is dependent, so every plan runs and yields independent sets.
     """
 
     __slots__ = ("tf", "deficient_order", "set_order", "set_probs",
@@ -411,62 +411,58 @@ class Phase5Plan:
         self.index = {J: j for j, J in enumerate(self.set_order)}
         self.walks = tuple(self._walk(j) for j in range(len(self.set_order)))
 
-    def p_of(self, u: int, J: frozenset) -> Fraction:
-        j = self.index.get(J)
-        if j is None:
-            return Fraction(0)
-        return self.p.get((u, j), Fraction(0))
-
     def nbrxc(self, u: int) -> tuple:
         return self.nbrx[u] + (u,)
 
     def _walk(self, j: int):
         """Exact per-set simulation of the swap cascade.
 
-        Returns (coins, states): one (vertex, bias) coin per positive
-        planned probability on this set, in processing order, and the
-        final law over subsets of swapped-in vertices.
+        Returns (coins, law): one (bit, blockers, keep, bias) coin per
+        positive planned probability on this set, in processing order,
+        and the law of the repaired mask, each one checked independent.
+        A state is (swapped-in mask, repaired mask).
         """
-        J = self.set_order[j]
-        states = {frozenset(): Fraction(1)}
+        g, J = self.tf.graph, self.set_order[j]
+        states = {(0, J): Fraction(1)}
         coins = []
         for u in self.deficient_order:
             planned = self.p.get((u, j))
             if not planned:
                 continue
-            if not _favourable(self.tf.graph, u, self.sponsors[u], J):
+            if not _favourable(g, u, self.sponsors[u], J):
                 raise BiasInfeasible(
                     f"vertex {u} on set index {j}: swap probability "
                     f"{planned} is planned on a set that is not favourable"
                 )
-            blockers = frozenset(self.nbrx[u])
-            clear = sum((pr for st, pr in states.items() if not (st & blockers)),
-                        Fraction(0))
+            blockers = vertex_mask(self.nbrx[u])
+            clear = sum((pr for (added, _), pr in states.items()
+                         if not added & blockers), Fraction(0))
             if clear < planned:
                 raise BiasInfeasible(
                     f"vertex {u} on set index {j}: planned swap probability "
                     f"{planned} exceeds the clear probability {clear}"
                 )
             bias = planned / clear
+            bit, keep = 1 << u, ~(1 << self.sponsors[u])
             nxt: dict = {}
             for st, pr in states.items():
-                if st & blockers:
+                added, out = st
+                if added & blockers:
                     nxt[st] = nxt.get(st, Fraction(0)) + pr
                     continue
-                took = st | {u}
+                took = (added | bit, out & keep | bit)
                 nxt[took] = nxt.get(took, Fraction(0)) + pr * bias
                 if bias != 1:
                     nxt[st] = nxt.get(st, Fraction(0)) + pr * (1 - bias)
             states = nxt
-            coins.append((u, bias))
-        return tuple(coins), states
-
-    def apply_swaps(self, J: frozenset, added) -> frozenset:
-        members = set(J)
-        for u in added:
-            members.discard(self.sponsors[u])
-            members.add(u)
-        return frozenset(members)
+            coins.append((bit, blockers, keep, bias))
+        law: dict = {}
+        for (_, out), pr in states.items():
+            if out not in law and not is_independent(g, mask_vertices(out)):
+                raise RuntimeError("the repair phase produced the dependent "
+                                   "set %r" % mask_vertices(out))
+            law[out] = law.get(out, Fraction(0)) + pr
+        return tuple(coins), law
 
 
 def build_phase5_plan(g: Graph, tf: TwoFactor, dist: Distribution) -> Phase5Plan:
@@ -487,8 +483,9 @@ def build_phase5_plan(g: Graph, tf: TwoFactor, dist: Distribution) -> Phase5Plan
     epsilon = {r.vertex: r.epsilon for r in deficient}
     sponsors = {r.vertex: r.sponsor for r in deficient}
 
-    set_order = sorted(dist.pmf, key=vertex_mask)
-    set_probs = [dist.pmf[J] for J in set_order]
+    by_mask = {vertex_mask(J): pJ for J, pJ in dist.pmf.items()}
+    set_order = sorted(by_mask)
+    set_probs = [by_mask[J] for J in set_order]
 
     nbrx: dict = {}
     eta: dict = {}
@@ -559,28 +556,22 @@ def _bernoulli(rng: SplitMix64, q: Fraction) -> bool:
     return _rand_below(rng, q.denominator) < q.numerator
 
 
-def run_phase5(J: frozenset, plan: Phase5Plan, rng: SplitMix64) -> frozenset:
-    """Apply the repair phase to one sampled set.
+def run_phase5(J: int, plan: Phase5Plan, rng: SplitMix64) -> int:
+    """Apply the repair phase to one sampled set, given as a vertex mask.
 
-    Sets outside the plan's support pass through unchanged.  Swapped-in
-    vertices displace exactly their sponsors, so the result is again an
-    independent set.
+    Masks outside the plan's support pass through unchanged.  Every mask
+    the repair can return was checked independent when the plan was
+    built, so none is checked here.
     """
     j = plan.index.get(J)
     if j is None:
         return J
-    coins, _ = plan.walks[j]
-    added: list = []
-    for u, bias in coins:
-        if any(w in added for w in plan.nbrx[u]):
-            continue
-        if _bernoulli(rng, bias):
-            added.append(u)
-    out = plan.apply_swaps(J, added)
-    if not is_independent(plan.tf.graph, out):
-        raise RuntimeError("the repair phase produced the dependent set %r"
-                           % sorted(out))
-    return out
+    added = 0
+    for bit, blockers, keep, bias in plan.walks[j][0]:
+        if not added & blockers and _bernoulli(rng, bias):
+            added |= bit
+            J = J & keep | bit
+    return J
 
 
 def exact_phase5_distribution(
@@ -593,25 +584,20 @@ def exact_phase5_distribution(
 ) -> tuple[Phase5Plan, EnumerationResult]:
     """Exact law of the repaired set, with its plan.
 
-    Enumerates the four-phase law, builds the plan, then pushes every
-    support set through the exact swap cascade.  Inherits the two
-    explosion guards of the base enumeration.
+    Enumerates the four-phase law, builds the plan, then sums every
+    support set's probability times the law of its swap cascade.
+    Inherits the two explosion guards of the base enumeration.
     """
     base = enumerate_distribution(
         g, tf, phase4=phase4,
         max_orientations=max_orientations, max_branches=max_branches)
     plan = build_phase5_plan(g, tf, base.distribution)
     pmf: dict = {}
-    for j, (J, pJ) in enumerate(zip(plan.set_order, plan.set_probs)):
-        _, states = plan.walks[j]
-        for added, pr in states.items():
-            out = plan.apply_swaps(J, added)
-            if not is_independent(g, out):
-                raise GraphError(
-                    f"repair produced a dependent set from {sorted(J)}"
-                )
+    for pJ, (_, law) in zip(plan.set_probs, plan.walks):
+        for out, pr in law.items():
             pmf[out] = pmf.get(out, Fraction(0)) + pJ * pr
-    dist = Distribution({J: p for J, p in pmf.items() if p > 0})
+    dist = Distribution({frozenset(mask_vertices(out)): p
+                         for out, p in pmf.items() if p > 0})
     marginals = {v: Fraction(0) for v in range(g.n)}
     for J, p in dist.pmf.items():
         for v in J:

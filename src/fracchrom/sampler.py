@@ -663,7 +663,9 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
     Fully deterministic for a given seed: trial number ``t`` draws every
     choice from ``trial_stream(seed, t)``.  With a phase-5 ``plan`` (an
     ``augment.Phase5Plan`` for this two-factor) each trial runs phases
-    1-4 and then the repair phase on the same stream.
+    1-4 and then the repair phase on the same stream, mask to mask, so
+    no trial converts a set; the tally turns each distinct output mask
+    into vertices once, when it is flushed.
     """
     _check_phase4(phase4)
     if tf.graph != g:
@@ -683,8 +685,7 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
         rng = trial_stream(seed, t)
         out = trial(rng.getrandbits)[4]
         if plan is not None:
-            out = vertex_mask(
-                run_phase5(frozenset(mask_vertices(out)), plan, rng))
+            out = run_phase5(out, plan, rng)
         tally[out] = tally.get(out, 0) + 1
         if len(tally) >= _mcphases_py.CAPACITY:
             violations += _flush(tally, counts, adj_mask)

@@ -16,7 +16,7 @@ from fracchrom import cli
 from fracchrom import fractional_lp as L
 from fracchrom import sampler as S
 from fracchrom import templates as T
-from fracchrom.graph_core import Graph, encode_graph6, parse_graph6
+from fracchrom.graph_core import Graph, encode_graph6, mask_vertices, parse_graph6
 from fracchrom.two_factor import select_two_factor
 
 import oracles
@@ -169,17 +169,18 @@ def test_criterion_07_phase5_plan_properties():
         for u in plan.deficient_order:
             row = F(0)
             for j, J in enumerate(plan.set_order):
-                p = plan.p_of(u, J)
+                p = plan.p.get((u, j))
                 if p:
                     # (i) mass sits only on favourable sets
-                    assert A.favourable(g, tf, u, J)
+                    assert A.favourable(g, tf, u, frozenset(mask_vertices(J)))
                     assert 0 < p <= 1
                     row += p * plan.set_probs[j]
             # (ii) each row gathers exactly |epsilon|/256
             assert row == abs(plan.epsilon[u]) / 256
             # (iii) no column of earlier neighbours plus u exceeds 1
-            for J in plan.set_order:
-                col = sum((plan.p_of(w, J) for w in plan.nbrxc(u)), F(0))
+            for j in range(len(plan.set_order)):
+                col = sum((plan.p.get((w, j), F(0)) for w in plan.nbrxc(u)),
+                          F(0))
                 assert col <= 1
         for v in range(g.n):
             assert result.marginals[v] >= LOWER

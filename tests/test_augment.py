@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fracchrom.graph_core import GraphError
+from fracchrom.graph_core import GraphError, mask_vertices, vertex_mask
 from fracchrom import augment as A
 from fracchrom import sampler as S
 from fracchrom import templates as T
@@ -27,6 +27,10 @@ from fixtures_deficiency import (
 from util_graphs import circular_ladder, gp72, k33, petersen
 
 F = Fraction
+
+
+def _members(mask):
+    return frozenset(mask_vertices(mask))
 
 ALL_FIXTURES = [
     ("0", type_0_fixture),
@@ -322,14 +326,13 @@ class TestPlan:
         # ordering disciplines
         keyed = [(abs(plan.epsilon[u]), u) for u in plan.deficient_order]
         assert keyed == sorted(keyed)
-        masks = [sum(1 << v for v in J) for J in sets]
-        assert masks == sorted(masks)
+        assert list(sets) == sorted(sets)
 
         for u in plan.deficient_order:
             # (i) no mass outside favourable sets
             for j, J in enumerate(sets):
                 if plan.p.get((u, j)):
-                    assert A.favourable(g, tf, u, J)
+                    assert A.favourable(g, tf, u, _members(J))
                     assert 0 < plan.p[(u, j)] <= 1
             # (ii) the row sums exactly to |epsilon|/256
             row = sum((plan.p.get((u, j), F(0)) * probs[j]
@@ -375,14 +378,15 @@ class TestRunPhase5:
         for trial in range(300):
             rng = S.trial_stream(99, trial)
             _, J = S.run_phases_1_4(g, tf, rng)
-            out = A.run_phase5(J, plan, rng)
-            again = A.run_phase5(J, plan, S.trial_stream(99, trial + 10**6))
+            out = _members(A.run_phase5(vertex_mask(J), plan, rng))
+            again = _members(A.run_phase5(vertex_mask(J), plan,
+                                          S.trial_stream(99, trial + 10**6)))
             # replaying phases 1-4 with the same trial stream reproduces J,
             # so the repair must be a function of (J, remaining stream)
             rng2 = S.trial_stream(99, trial)
             _, J2 = S.run_phases_1_4(g, tf, rng2)
             assert J2 == J
-            assert A.run_phase5(J, plan, rng2) == out
+            assert A.run_phase5(vertex_mask(J), plan, rng2) == vertex_mask(out)
             assert S.is_independent(g, out)
             assert out - J <= deficient
             assert J - out <= sponsors
@@ -396,7 +400,7 @@ class TestRunPhase5:
         for trial in range(4000):
             rng = S.trial_stream(7, trial)
             _, J = S.run_phases_1_4(g, tf, rng)
-            out = A.run_phase5(J, plan, rng)
+            out = _members(A.run_phase5(vertex_mask(J), plan, rng))
             if focus in out and focus not in J:
                 hits += 1
         # expected rate 1/256; in 4000 trials zero hits would be a miracle
@@ -406,15 +410,15 @@ class TestRunPhase5:
         g, tf, _ = type_0_fixture()
         base = S.enumerate_distribution(g, tf)
         plan = A.build_phase5_plan(g, tf, base.distribution)
-        stranger = frozenset()
-        assert A.run_phase5(stranger, plan, S.trial_stream(0, 0)) is stranger
+        assert 0 not in plan.index
+        assert A.run_phase5(0, plan, S.trial_stream(0, 0)) == 0
 
     def test_tampered_plan_detects_infeasible_bias(self):
         g, tf, _ = type_0_fixture()
         base = S.enumerate_distribution(g, tf)
         plan = A.build_phase5_plan(g, tf, base.distribution)
         j = next(j for j, J in enumerate(plan.set_order)
-                 if A.favourable(g, tf, 0, J))
+                 if A.favourable(g, tf, 0, _members(J)))
         with pytest.raises(A.BiasInfeasible):
             A.Phase5Plan(
                 tf, plan.deficient_order, plan.set_order, plan.set_probs,
@@ -426,7 +430,7 @@ class TestRunPhase5:
         base = S.enumerate_distribution(g, tf)
         plan = A.build_phase5_plan(g, tf, base.distribution)
         j = next(j for j, J in enumerate(plan.set_order)
-                 if not A.favourable(g, tf, 0, J))
+                 if not A.favourable(g, tf, 0, _members(J)))
         with pytest.raises(A.BiasInfeasible, match="not favourable"):
             A.Phase5Plan(
                 tf, plan.deficient_order, plan.set_order, plan.set_probs,
@@ -489,7 +493,7 @@ class TestExactPhase5:
         for trial in range(trials):
             rng = S.trial_stream(3, trial)
             _, J = S.run_phases_1_4(g, tf, rng)
-            out = A.run_phase5(J, plan, rng)
+            out = _members(A.run_phase5(vertex_mask(J), plan, rng))
             if focus in out:
                 hits += 1
         p = float(result.marginals[focus])
@@ -504,12 +508,28 @@ class TestExactPhase5:
         for trial in range(300):
             rng = S.trial_stream(21, trial)
             _, J = S.run_phases_1_4(g, tf, rng, phase4)
-            for v in A.run_phase5(J, plan, rng):
+            for v in mask_vertices(A.run_phase5(vertex_mask(J), plan, rng)):
                 counts[v] += 1
         report = S.monte_carlo(g, tf, 300, 21, phase4=phase4, plan=plan)
         assert report.backend == "five-phase-reference"
         assert list(report.counts) == counts
         assert report.violations == 0
+
+    def test_monte_carlo_converts_no_set_per_trial(self, monkeypatch):
+        g, tf, _ = mixed_deficiency_fixture()
+        plan, result = A.exact_phase5_distribution(g, tf)
+        converted = []
+        convert = S.mask_vertices
+
+        def counted(mask):
+            converted.append(mask)
+            return convert(mask)
+
+        monkeypatch.setattr(S, "mask_vertices", counted)
+        report = S.monte_carlo(g, tf, 2000, 5, plan=plan)
+        assert report.violations == 0
+        # the tally turns each distinct output into vertices once
+        assert len(converted) == len(set(converted)) <= len(result.distribution)
 
     def test_monte_carlo_rejects_plan_of_another_two_factor(self):
         g, tf, _ = type_0_fixture()

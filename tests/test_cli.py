@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracchrom import cli, fractional_lp, sampler
+from fracchrom import augment, cli, fractional_lp, sampler
 from fracchrom.augment import BiasInfeasible
 from fracchrom.graph_core import Graph, GraphError, GuardExceeded, encode_graph6, to_edge_list_text
 
@@ -258,6 +258,18 @@ class TestProb:
         assert payload["backend"] == "five-phase-reference"
         assert payload["violations"] == 0
         assert payload["counts"] == counts
+
+    def test_dependent_repaired_set_is_an_invariant_failure(self, tmp_path,
+                                                           monkeypatch):
+        # a repair that may swap on any set reaches dependent sets: a broken
+        # invariant (exit 4), not an input that failed validation (exit 2)
+        p = tmp_path / "d.g6"
+        p.write_text(DEFICIENT_N10 + "\n")
+        monkeypatch.setattr(augment, "_favourable", lambda g, u, s, J: True)
+        for mode in (["--exact"], ["--seed", "1", "--trials", "10"]):
+            code, out, err = invoke("prob", str(p), *mode)
+            assert code == 4, err
+            assert "RuntimeError" in err and "dependent set" in err
 
     def test_empty_graph_has_minimum_one_in_both_modes(self, tmp_path):
         graph = tmp_path / "empty.edges"

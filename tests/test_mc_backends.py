@@ -94,6 +94,22 @@ def test_one_trial_table_per_two_factor_and_mode(monkeypatch):
     assert built == [False, True]
 
 
+def test_each_cycle_part_is_worked_out_once(monkeypatch):
+    parts = []
+    cycle_runs = K._cycle_runs
+
+    def counted(cycle, part):
+        parts.append(part)
+        return cycle_runs(cycle, part)
+
+    monkeypatch.setattr(K, "_cycle_runs", counted)
+    g = gp72()
+    tf = select_two_factor(g)
+    S.enumerate_distribution(g, tf)
+    S.monte_carlo(g, tf, 500, 2)
+    assert parts and len(parts) == len(set(parts))
+
+
 def test_backend_names():
     assert S.kernel_backend() == "pure-python"
 
