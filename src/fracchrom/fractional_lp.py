@@ -280,9 +280,9 @@ def certificate_from_json_dict(data: dict, n_vertices: int) -> MultisetCertifica
     """Read back the shape ``MultisetCertificate.to_json_dict`` writes.
 
     The input comes from outside, so its shape is checked: a dict whose
-    N is a positive int and whose ``sets`` is a list of lists of ints.
-    Whether the sets form a certificate is ``verify_certificate``'s
-    question.
+    N is a positive int and whose ``sets`` is a list of lists of ints,
+    none listing a vertex twice.  Whether the sets form a certificate is
+    ``verify_certificate``'s question.
     """
     if not isinstance(data, dict):
         raise ColouringError("a certificate must be a JSON object")
@@ -292,7 +292,11 @@ def certificate_from_json_dict(data: dict, n_vertices: int) -> MultisetCertifica
     if not (isinstance(sets, list) and all(
             isinstance(s, list) and all(type(v) is int for v in s) for s in sets)):
         raise ColouringError("certificate sets must be a list of lists of vertex integers")
-    cert = MultisetCertificate(n_vertices, N, tuple(frozenset(s) for s in sets))
+    frozen = tuple(frozenset(s) for s in sets)
+    for s, members in zip(sets, frozen):
+        if len(members) != len(s):
+            raise ColouringError(f"certificate set {s} repeats a vertex")
+    cert = MultisetCertificate(n_vertices, N, frozen)
     if str(cert.k) != k:
         raise ColouringError(f"certificate claims k = {k} but holds {cert.k}")
     return cert

@@ -6,31 +6,34 @@ sets inside the runs of matching-heads (phase 1), promotes isolated heads
 (phase 2), repeats the run selection on the still-eligible "feasible"
 vertices (phase 3) and promotes isolated feasible vertices (phase 4).
 
-An output set is a plain ``frozenset`` of vertices.  Both engines take
-their runs from one place: the run programs of ``_mcphases_py.TrialTable``,
-which works out the runs of a vertex mask as a tuple of ``(k, outcomes)``
-pairs.  ``enumerate_distribution`` walks every orientation and expands
-the product of the outcomes of every run, producing the exact rational
-law of the output set (keyed by the frozensets) together with per-vertex
+A ``Situation`` holds one run's random choices (the heads of the
+orientation and the phase-1 and phase-3 selections), the vertices still
+feasible for phase 3, the output set and the integer ``d`` of its
+probability ``1/d``, every set as a vertex mask; the exact law keys its
+output sets by ``frozenset``.  Both engines take their runs from one
+place: the run programs of ``_mcphases_py.TrialTable``, which works out
+the runs of a vertex mask as a tuple of ``(k, outcomes)`` pairs.
+``enumerate_distribution`` walks every orientation and expands the
+product of the outcomes of every run, producing the exact rational law
+of the output set (keyed by the frozensets) together with per-vertex
 inclusion probabilities.  What follows phase 2 depends on the mask
 covered after it alone, so the walk only counts the phase-1 selections
 per covered mask, and each covered mask has its phase 3 expanded once,
 from a memo keyed by the feasible mask.  The law and that memo are kept
 on the two-factor (in ``tf.derived``, so they live exactly as long as
-``tf``).  The per-situation records are built from the same walk and
-memo, once, when an event query (``event_probability``, ``forces``,
-``admissible``, ``exact_q``, each one scan of the records) or
-``enumerate_situations`` first asks for them.  The law is computed in
-integers: every situation has probability ``1/d`` with
-``d = 2^m * d1 * d3``, d1 and d3 the products of ``len(outcomes)`` over
-the runs of the phase-1 and phase-3 programs; the masses are summed as
-integers over one common denominator (the lcm of the distinct ``d``,
-kept with the law), and each ``Fraction`` is built once, per support
-set, per vertex and per event query.  Its oracle, a separate derivation
-of the runs, lives with the tests.
+``tf``).  The situations are built from the same walk and memo, once,
+when an event query (``event_probability``, ``forces``, ``admissible``,
+``exact_q``, each one scan of the situations) or ``enumerate_situations``
+(a new list of the same objects) first asks for them.  The law is
+computed in integers: ``d = 2^m * d1 * d3``, d1 and d3 the products of
+``len(outcomes)`` over the runs of the phase-1 and phase-3 programs; the
+masses are summed as integers over one common denominator (the lcm of
+the distinct ``d``, kept with the law), and each ``Fraction`` is built
+once, per support set, per vertex and per event query.  Its oracle, a
+separate derivation of the runs, lives with the tests.
 Sampling runs the table's trial, which replays the same programs with
 random bits, from one table per two-factor and phase-4 mode kept next to
-the law: ``run_phases_1_4`` draws a single situation, and
+the law: ``run_phases_1_4`` draws a single ``Situation``, and
 ``monte_carlo`` estimates the marginals in one seeded, reproducible loop,
 optionally followed by the phase-5 repair, tallying the output masks and
 checking each distinct one once.
@@ -38,7 +41,6 @@ checking each distinct one once.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -51,7 +53,7 @@ from .two_factor import TwoFactor, TwoFactorError
 
 __all__ = [
     "ExplosionGuard", "SplitMix64", "trial_stream",
-    "Orientation", "orientation_from_heads", "Situation",
+    "Situation",
     "Distribution", "EnumerationResult", "MonteCarloReport",
     "is_independent", "run_phases_1_4",
     "enumerate_distribution", "enumerate_situations", "event_probability",
@@ -109,68 +111,37 @@ def trial_stream(seed: int, index: int) -> SplitMix64:
 # value types
 
 
-class Orientation:
-    """A direction for every matching edge; heads are the active vertices."""
+class Situation:
+    """One situation: the random choices of one run and its output set,
+    as vertex masks.  ``heads`` holds the head of every matching edge (the
+    orientation), ``s1`` and ``s3`` the phase-1 and phase-3 selections,
+    ``feasible`` the vertices still eligible for phase 3 and ``out`` the
+    output set; the situation has probability ``1/d``."""
 
-    __slots__ = ("arcs", "heads", "_hash")
+    __slots__ = ("heads", "s1", "feasible", "s3", "out", "d")
 
-    def __init__(self, arcs):
-        arc_list = sorted((int(t), int(h)) for t, h in arcs)
-        seen = set()
-        for tail, head in arc_list:
-            edge = (tail, head) if tail < head else (head, tail)
-            if edge in seen:
-                raise GraphError("edge %r oriented twice" % (edge,))
-            seen.add(edge)
-        self.arcs = tuple(arc_list)
-        self.heads = frozenset(h for _, h in arc_list)
-        self._hash = hash(self.arcs)
+    def __init__(self, heads, s1, feasible, s3, out, d):
+        self.heads = heads
+        self.s1 = s1
+        self.feasible = feasible
+        self.s3 = s3
+        self.out = out
+        self.d = d
 
-    def active(self, v: int) -> bool:
-        return v in self.heads
+    @property
+    def prob(self) -> Fraction:
+        return Fraction(1, self.d)
+
+    def _fields(self):
+        return (self.heads, self.s1, self.feasible, self.s3, self.out, self.d)
 
     def __eq__(self, other):
-        if not isinstance(other, Orientation):
+        if not isinstance(other, Situation):
             return NotImplemented
-        return self.arcs == other.arcs
+        return self._fields() == other._fields()
 
     def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return "Orientation(%r)" % (list(self.arcs),)
-
-
-def orientation_from_heads(tf: TwoFactor, heads) -> Orientation:
-    """Build the orientation of ``tf``'s matching with the given head set."""
-    heads = frozenset(heads)
-    arcs = []
-    for a, b in tf.m_edges:
-        in_a, in_b = a in heads, b in heads
-        if in_a == in_b:
-            raise GraphError(
-                "edge (%d, %d) needs exactly one endpoint among heads" % (a, b))
-        arcs.append((a, b) if in_b else (b, a))
-    stray = heads - {h for _, h in arcs}
-    if stray:
-        raise GraphError("heads %r not matched vertices" % sorted(stray))
-    return Orientation(arcs)
-
-
-@dataclass(frozen=True)
-class Situation:
-    """The random choices of one run: orientation plus both selection sets."""
-
-    orientation: Orientation
-    s1: frozenset
-    s3: frozenset
-    prob: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "s1", frozenset(self.s1))
-        object.__setattr__(self, "s3", frozenset(self.s3))
-        if not 0 < self.prob <= 1:
-            raise GraphError("situation probability %s out of range" % self.prob)
+        return hash(self._fields())
 
 
 class Distribution:
@@ -241,54 +212,35 @@ def _check_phase4(phase4):
                          % (PHASE4_MODES, phase4))
 
 
-def run_phases_1_4(g: Graph, tf: TwoFactor, rng, phase4: str = "start"):
+def run_phases_1_4(g: Graph, tf: TwoFactor, rng,
+                   phase4: str = "start") -> Situation:
     """Run the construction once, driving all choices from ``rng``.
 
-    ``rng`` needs a ``getrandbits`` method.  Returns the full record of
-    random choices and the output set, a frozenset.  The choices are those
-    of the mask-level trial that every sampler runs, and the probability
-    is ``1/(2^m * d)``: each run of the two run programs the trial drew
-    from picks one of its ``outcomes`` uniformly, so ``d`` is the product
-    of their ``len(outcomes)``.
+    ``rng`` needs a ``getrandbits`` method.  Returns the ``Situation``
+    drawn, its output mask included.  The choices are those of the
+    mask-level trial that every sampler runs, and ``d`` is ``2^m`` times
+    the product of the ``len(outcomes)`` over the runs of the two run
+    programs the trial drew from, each run picking one of its
+    ``outcomes`` uniformly.
     """
     _check_phase4(phase4)
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
     table = _trial_table(g, tf, phase4)
-    heads, s1, _, s3, out = table.trial(rng.getrandbits)
-    members = frozenset(mask_vertices(out))
-    if not is_independent(g, members):
+    heads, s1, feasible, s3, out = table.trial(rng.getrandbits)
+    adj_mask = g.adj_mask
+    if any(adj_mask[v] & out for v in mask_vertices(out)):
         raise RuntimeError("phases 1-4 produced the dependent set %r"
-                           % sorted(members))
+                           % mask_vertices(out))
     # the trial has just looked both programs up in the table's memos
     program1, lone = table.by_heads[heads]
     program3 = table.by_covered[s1 | lone][1]
     d = math.prod(len(outcomes) for _, outcomes in program1 + program3)
-    situation = Situation(
-        orientation_from_heads(tf, mask_vertices(heads)),
-        frozenset(mask_vertices(s1)),
-        frozenset(mask_vertices(s3)),
-        Fraction(1, d << len(tf.m_edges)),
-    )
-    return situation, members
+    return Situation(heads, s1, feasible, s3, out, d << len(tf.m_edges))
 
 
 # ---------------------------------------------------------------------------
 # exact enumeration
-
-
-class _SitRec:
-    """One situation as vertex masks; it has probability ``1/d``."""
-
-    __slots__ = ("heads", "s1", "feasible", "s3", "out", "d")
-
-    def __init__(self, heads, s1, feasible, s3, out, d):
-        self.heads = heads
-        self.s1 = s1
-        self.feasible = feasible
-        self.s3 = s3
-        self.out = out
-        self.d = d
 
 
 class _Law:
@@ -311,7 +263,7 @@ class _Law:
         self.recs = None
 
     def records(self):
-        """One ``_SitRec`` per situation, in the order of the walk."""
+        """The situations, in the order of the walk."""
         if self.recs is None:
             self.recs = _situation_records(self.table, self.phase3)
         return self.recs
@@ -427,7 +379,7 @@ def _compute_law(g, tf, phase4, max_orientations, max_branches):
 
 
 def _situation_records(table, phase3):
-    """One ``_SitRec`` per situation: the walk of ``_compute_law`` again,
+    """The situations: the walk of ``_compute_law`` again,
     each phase-1 selection expanded through the phase-3 memo."""
     after = {}       # covered1 -> (feasible, d3, [(s3, output)])
     shared = {}      # d -> d: the records hold one int object per distinct d
@@ -447,7 +399,7 @@ def _situation_records(table, phase3):
             d = d01 * d3
             d = shared.setdefault(d, d)
             for s3, out in branches:
-                append(_SitRec(heads, s1, feasible, s3, out, d))
+                append(Situation(heads, s1, feasible, s3, out, d))
     return recs
 
 
@@ -479,19 +431,10 @@ def enumerate_distribution(g: Graph, tf: TwoFactor, *, phase4: str = "start",
 
 def enumerate_situations(g: Graph, tf: TwoFactor, *, phase4: str = "start",
                          max_orientations: int = None,
-                         max_branches: int = None):
-    """Every situation with positive probability, with its output set."""
-    law = _law(g, tf, phase4, max_orientations, max_branches)
-    # situations share their immutable parts: one orientation per head
-    # set, one frozenset per vertex mask and one Fraction per d
-    orientation = functools.cache(
-        lambda heads: orientation_from_heads(tf, mask_vertices(heads)))
-    vertex_set = functools.cache(lambda mask: frozenset(mask_vertices(mask)))
-    unit = functools.cache(lambda d: Fraction(1, d))
-    return [(Situation(orientation(rec.heads), vertex_set(rec.s1),
-                       vertex_set(rec.s3), unit(rec.d)),
-             vertex_set(rec.out))
-            for rec in law.records()]
+                         max_branches: int = None) -> list:
+    """Every situation with positive probability, in the order of the
+    law's walk: a new list of the law's own ``Situation`` records."""
+    return list(_law(g, tf, phase4, max_orientations, max_branches).records())
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +443,13 @@ def enumerate_situations(g: Graph, tf: TwoFactor, *, phase4: str = "start",
 
 def _conforming(t, g, tf, phase4, max_orientations, max_branches,
                 phase3=True):
-    """The law, and its records whose situation conforms to ``t``.
+    """The law, and its situations that conform to ``t``, a template the
+    caller has checked against ``tf``.
 
     This is the one scan behind the four template events; with
     ``phase3=False`` it tests only the orientation and phase-1
     requirements.
     """
-    validate_in(t, tf)
     heads, d1, d1bar = (vertex_mask(t.heads), vertex_mask(t.d1),
                         vertex_mask(t.d1bar))
     d3, d3bar = (vertex_mask(t.d3), vertex_mask(t.d3bar)) if phase3 else (0, 0)
@@ -521,6 +464,7 @@ def event_probability(t: Template, g: Graph, tf: TwoFactor, *,
                       phase4: str = "start", max_orientations: int = None,
                       max_branches: int = None) -> Fraction:
     """Exact probability that a random situation conforms to ``t``."""
+    validate_in(t, tf)
     law, recs = _conforming(t, g, tf, phase4, max_orientations, max_branches)
     denom = law.denom
     return Fraction(sum(denom // rec.d for rec in recs), denom)
@@ -530,6 +474,7 @@ def forces(t: Template, u: int, g: Graph, tf: TwoFactor, *,
            phase4: str = "start", max_orientations: int = None,
            max_branches: int = None) -> bool:
     """True when every situation conforming to ``t`` outputs ``u``."""
+    validate_in(t, tf)
     if not 0 <= u < tf.graph.n:
         raise GraphError("vertex %r out of range" % (u,))
     bit = 1 << u
@@ -542,6 +487,7 @@ def admissible(t: Template, g: Graph, tf: TwoFactor, *,
                max_branches: int = None) -> bool:
     """Phase-3 constraints limited to the focus, and the focus is feasible
     whenever the orientation and phase-1 constraints are met."""
+    validate_in(t, tf)
     constrained = t.d3 | t.d3bar
     if not constrained:
         return True
@@ -560,6 +506,7 @@ def exact_q(t: Template, g: Graph, tf: TwoFactor, *,
     feasible, given that the situation conforms to ``t``; zero when the
     template carries no phase-3 requirement on the focus or the cycle is
     even."""
+    validate_in(t, tf)
     if t.focus is None or t.focus not in t.d3:
         return Fraction(0)
     cycle = tf.cycles[tf.cycle_of[t.focus]]

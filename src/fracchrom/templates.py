@@ -109,8 +109,11 @@ class Template:
 
 
 def validate_in(t: Template, tf: TwoFactor) -> None:
-    """Check that every arc of ``t`` orients a matching edge of ``tf``."""
+    """Check that every arc of ``t`` orients a matching edge of ``tf`` and
+    that its focus, if any, is a vertex of ``tf``'s graph."""
     n = tf.graph.n
+    if t.focus is not None and not 0 <= t.focus < n:
+        raise TemplateError("focus %d out of range" % t.focus)
     for tail, head in t.arcs:
         if not (0 <= tail < n and 0 <= head < n):
             raise TemplateError("arc (%d, %d) out of range" % (tail, head))
@@ -317,6 +320,7 @@ def sensitive_pairs(t: Template, g, tf: TwoFactor) -> list:
     vertices and the parity/tail conditions below hold; such pairs are
     exactly the ones whose selection events are correlated.
     """
+    validate_in(t, tf)
     marked = t.marked
     candidates = sorted(t.d1 | t.d1bar)
     pairs = []
@@ -365,6 +369,7 @@ def q_upper(t: Template, g, tf: TwoFactor) -> Fraction:
     head; it is then at most ``1/2**k`` where ``k`` counts the cycle's
     non-tail vertices.
     """
+    validate_in(t, tf)
     if t.focus is None or t.focus not in t.d3:
         return Fraction(0)
     cycle = tf.cycles[tf.cycle_of[t.focus]]

@@ -370,11 +370,14 @@ def phi_outcomes(X, tf):
             for m, d in _branch_products(tf, _bits(set(X)))]
 
 
-def active_runs(o, tf):
-    """Maximal stretches of active (head) vertices along the two-factor."""
-    if {tuple(sorted(a)) for a in o.arcs} != set(tf.m_edges):
-        raise GraphError("orientation does not orient this matching")
-    return [frozenset(seq) for _, seq in _mask_runs(tf.cycles, _bits(o.heads))]
+def active_runs(heads, tf):
+    """Maximal stretches of active vertices along the two-factor, for a
+    head set holding exactly one endpoint of each matching edge."""
+    heads = set(heads)
+    if (len(heads) != len(tf.m_edges)
+            or any((a in heads) == (b in heads) for a, b in tf.m_edges)):
+        raise GraphError("heads do not orient this matching")
+    return [frozenset(seq) for _, seq in _mask_runs(tf.cycles, _bits(heads))]
 
 
 def law_oracle(g, tf, phase4):

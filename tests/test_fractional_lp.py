@@ -422,6 +422,12 @@ class TestVerifyCertificate:
         with pytest.raises(ColouringError, match="list of lists"):
             certificate_from_json_dict(data, g.n)
 
+    def test_json_set_must_not_repeat_a_vertex(self):
+        # read as {0, 1}, it would cover the edgeless pair once each
+        data = {"N": 1, "k": "1", "sets": [[0, 0, 1]]}
+        with pytest.raises(ColouringError, match=r"set \[0, 0, 1\] repeats"):
+            certificate_from_json_dict(data, 2)
+
     def test_json_must_be_an_object(self):
         g, cert = self.good()
         with pytest.raises(ColouringError, match="JSON object"):

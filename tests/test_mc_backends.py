@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from fracchrom.augment import exact_phase5_distribution
-from fracchrom.graph_core import Graph, parse_graph6
+from fracchrom.graph_core import Graph, mask_vertices, parse_graph6
 from fracchrom.two_factor import select_two_factor, two_factor_from_matching
 from fracchrom import _mcphases_py as K, sampler as S
 
@@ -44,8 +44,8 @@ def fixtures():
 def reference_counts(g, tf, trials, seed, phase4):
     counts = [0] * g.n
     for t in range(trials):
-        _, iset = S.run_phases_1_4(g, tf, S.trial_stream(seed, t), phase4)
-        for v in iset:
+        out = S.run_phases_1_4(g, tf, S.trial_stream(seed, t), phase4).out
+        for v in mask_vertices(out):
             counts[v] += 1
     return counts
 

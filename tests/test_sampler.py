@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracchrom.graph_core import Graph, GraphError, parse_graph6
+from fracchrom.graph_core import Graph, GraphError, mask_vertices, parse_graph6
 from fracchrom.two_factor import (
     TwoFactorError, select_two_factor, two_factor_from_matching)
 from fracchrom import sampler as S
@@ -119,36 +119,6 @@ class TestSplitMix64:
 
 
 # ---------------------------------------------------------------------------
-# orientations
-
-
-class TestOrientation:
-    def test_from_heads_roundtrip(self):
-        g, tf = petersen_tf()
-        o = S.orientation_from_heads(tf, range(5))
-        assert o.heads == frozenset(range(5))
-        assert o.arcs == tuple((5 + i, i) for i in range(5))
-        assert o.active(0) and not o.active(5)
-
-    def test_from_heads_needs_one_endpoint_per_edge(self):
-        g, tf = petersen_tf()
-        with pytest.raises(GraphError):
-            S.orientation_from_heads(tf, [0, 5, 1, 2, 3, 4])  # both of a spoke
-        with pytest.raises(GraphError):
-            S.orientation_from_heads(tf, [0, 1, 2, 3])  # spoke 4-9 unset
-
-    def test_value_semantics(self):
-        a = S.Orientation([(5, 0), (6, 1)])
-        b = S.Orientation([(6, 1), (5, 0)])
-        assert a == b and hash(a) == hash(b)
-        assert a.arcs == ((5, 0), (6, 1))
-
-    def test_double_orientation_rejected(self):
-        with pytest.raises(GraphError):
-            S.Orientation([(5, 0), (0, 5)])
-
-
-# ---------------------------------------------------------------------------
 # the run-selection law
 
 
@@ -226,20 +196,20 @@ class TestPhiOutcomes:
 class TestActiveRuns:
     def test_all_outward(self):
         g, tf = petersen_tf()
-        o = S.orientation_from_heads(tf, range(5))
-        assert active_runs(o, tf) == [frozenset(range(5))]
+        assert active_runs(range(5), tf) == [frozenset(range(5))]
 
     def test_mixed(self):
         g, tf = petersen_tf()
-        o = S.orientation_from_heads(tf, [0, 6, 7, 8, 9])
-        assert active_runs(o, tf) == [frozenset({0}),
-                                      frozenset({6, 7, 8, 9})]
+        assert active_runs([0, 6, 7, 8, 9], tf) == [frozenset({0}),
+                                                    frozenset({6, 7, 8, 9})]
 
     def test_foreign_orientation(self):
         g, tf = petersen_tf()
-        o = S.Orientation([(5, 0)])
-        with pytest.raises(GraphError):
-            active_runs(o, tf)
+        for heads in ([0],                   # four spokes unset
+                      [0, 5, 1, 2, 3, 4],    # both ends of a spoke
+                      [0, 1, 2, 3, 4, 99]):  # a vertex of no spoke
+            with pytest.raises(GraphError):
+                active_runs(heads, tf)
 
 
 # ---------------------------------------------------------------------------
@@ -256,28 +226,29 @@ class TestRunPhases:
     def test_situation_invariants(self):
         g, tf = petersen_tf()
         for t in range(200):
-            sit, iset = S.run_phases_1_4(g, tf, S.trial_stream(11, t))
+            sit = S.run_phases_1_4(g, tf, S.trial_stream(11, t))
             assert 0 < sit.prob <= 1
-            assert sit.s1 <= sit.orientation.heads
-            assert not sit.s3 & sit.orientation.heads  # feasible = inactive
-            assert sit.s1 | sit.s3 <= iset
-            assert is_maximal_independent(g, iset)
+            assert sit.s1 & ~sit.heads == 0
+            assert not sit.s3 & sit.heads  # feasible = inactive
+            assert sit.s3 & ~sit.feasible == 0
+            assert (sit.s1 | sit.s3) & ~sit.out == 0
+            assert is_maximal_independent(g, mask_vertices(sit.out))
 
     def test_phase2_rule(self):
         g, tf = petersen_tf()
         for t in range(200):
-            sit, iset = S.run_phases_1_4(g, tf, S.trial_stream(13, t))
-            heads = sit.orientation.heads
+            sit = S.run_phases_1_4(g, tf, S.trial_stream(13, t))
+            heads = set(mask_vertices(sit.heads))
             for v in heads:
                 if not heads.intersection(g.adj[v]):
-                    assert v in iset
+                    assert sit.out >> v & 1
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**63))
     def test_output_always_maximal_independent(self, seed):
         g, tf = cl_tf(5)
-        _, iset = S.run_phases_1_4(g, tf, S.SplitMix64(seed))
-        assert is_maximal_independent(g, iset)
+        sit = S.run_phases_1_4(g, tf, S.SplitMix64(seed))
+        assert is_maximal_independent(g, mask_vertices(sit.out))
 
     def test_rejects_foreign_two_factor(self):
         g, tf = petersen_tf()
@@ -295,11 +266,22 @@ class TestRunPhases:
     @pytest.mark.parametrize("phase4", S.PHASE4_MODES)
     def test_every_draw_is_an_enumerated_situation(self, make, phase4):
         g, tf = make()
-        law = {(sit.orientation, sit.s1, sit.s3): (sit.prob, out)
-               for sit, out in S.enumerate_situations(g, tf, phase4=phase4)}
+        law = {(sit.heads, sit.s1, sit.s3): sit
+               for sit in S.enumerate_situations(g, tf, phase4=phase4)}
         for seed in range(200):
-            sit, out = S.run_phases_1_4(g, tf, S.SplitMix64(seed), phase4)
-            assert law[(sit.orientation, sit.s1, sit.s3)] == (sit.prob, out)
+            sit = S.run_phases_1_4(g, tf, S.SplitMix64(seed), phase4)
+            # all six fields, feasible, out and d included
+            assert law[(sit.heads, sit.s1, sit.s3)] == sit
+
+    def test_situation_value_semantics(self):
+        a = S.Situation(0b11, 0b01, 0b100, 0b100, 0b101, 8)
+        b = S.Situation(0b11, 0b01, 0b100, 0b100, 0b101, 8)
+        assert a == b and hash(a) == hash(b)
+        assert a.prob == Fraction(1, 8)
+        for i in range(6):
+            fields = [0b11, 0b01, 0b100, 0b100, 0b101, 8]
+            fields[i] += 16
+            assert S.Situation(*fields) != a
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +411,21 @@ class TestEnumerate:
     def test_situations_consistent(self):
         g, tf = petersen_tf()
         sits = S.enumerate_situations(g, tf)
-        assert sum(s.prob for s, _ in sits) == 1
-        for sit, iset in sits:
-            assert sit.s1 <= sit.orientation.heads
-            assert not sit.s3 & sit.orientation.heads
-            assert sit.s1 | sit.s3 <= iset
+        assert sum(s.prob for s in sits) == 1
+        for sit in sits:
+            assert sit.s1 & ~sit.heads == 0
+            assert not sit.s3 & sit.heads
+            assert (sit.s1 | sit.s3) & ~sit.out == 0
+
+    def test_situations_are_the_law_records(self):
+        g, tf = petersen_tf()
+        sits = S.enumerate_situations(g, tf)
+        recs = tf.derived[("law", "start")].records()
+        assert sits is not recs and len(sits) == len(recs)
+        assert all(sit is rec for sit, rec in zip(sits, recs))
+        # the list is the caller's: emptying it leaves the law whole
+        sits.clear()
+        assert len(S.enumerate_situations(g, tf)) == len(recs)
 
     def test_default_orientation_guard(self):
         g, tf = cl_tf(17)  # 2^17 orientations
@@ -514,9 +506,9 @@ class TestGoldenLaw:
         res = S.enumerate_distribution(g, tf, phase4=phase4)
         assert _sha256(res.to_json_dict()) == law_digest
         rows = sorted(
-            (sorted(sit.orientation.heads), sorted(sit.s1), sorted(sit.s3),
-             str(sit.prob), sorted(iset))
-            for sit, iset in S.enumerate_situations(g, tf, phase4=phase4))
+            (mask_vertices(sit.heads), mask_vertices(sit.s1),
+             mask_vertices(sit.s3), str(sit.prob), mask_vertices(sit.out))
+            for sit in S.enumerate_situations(g, tf, phase4=phase4))
         assert len(rows) == branches
         assert _sha256(rows) == sit_digest
 
@@ -576,12 +568,19 @@ class TestLawOracle:
 # template events against the exact law
 
 
-def conforms(sit, t):
-    """Public-semantics conformance: orientation extends the template's
-    arcs, phase-1 and phase-3 requirements all hold."""
-    return (t.heads <= sit.orientation.heads
-            and t.d1 <= sit.s1 and not t.d1bar & sit.s1
-            and t.d3 <= sit.s3 and not t.d3bar & sit.s3)
+def vertex_sets(sit):
+    """The heads, phase-1 and phase-3 selections of ``sit`` as sets."""
+    return (set(mask_vertices(sit.heads)), set(mask_vertices(sit.s1)),
+            set(mask_vertices(sit.s3)))
+
+
+def conforms(sit, t, phase3=True):
+    """Set-level conformance: orientation extends the template's arcs,
+    phase-1 and (unless ``phase3`` is false) phase-3 requirements all
+    hold."""
+    heads, s1, s3 = vertex_sets(sit)
+    return (t.heads <= heads and t.d1 <= s1 and not t.d1bar & s1
+            and (not phase3 or (t.d3 <= s3 and not t.d3bar & s3)))
 
 
 class TestEvents:
@@ -597,22 +596,20 @@ class TestEvents:
         g, tf = petersen_tf()
         sits = S.enumerate_situations(g, tf)
         templates = [T.builtin(n, tf, 0) for n in T.FORCING_NAMES]
-        direct = sum((sit.prob for sit, iset in sits
-                      if 0 in sit.orientation.heads and 0 in iset),
-                     Fraction(0))
+        direct = sum((sit.prob for sit in sits
+                      if sit.heads & sit.out & 1), Fraction(0))
         total = sum((S.event_probability(t, g, tf) for t in templates),
                     Fraction(0))
         assert total == direct
-        for sit, _ in sits:
+        for sit in sits:
             assert sum(1 for t in templates if conforms(sit, t)) <= 1
 
     def test_event_probability_agrees_with_situation_filter(self):
         # all four event queries against a reference built from the public
         # situation list, for every template at every vertex
         def feasible_of(g, sit):
-            heads = sit.orientation.heads
-            covered = set(sit.s1) | {h for h in heads
-                                     if not heads & set(g.adj[h])}
+            heads, s1, _ = vertex_sets(sit)
+            covered = s1 | {h for h in heads if not heads & set(g.adj[h])}
             return {v for v in range(g.n) if v not in covered
                     and not covered & set(g.adj[v])}
 
@@ -629,9 +626,10 @@ class TestEvents:
         checked = 0
         for g, tf in (petersen_tf(), tri2sq_tf()):
             for phase4 in S.PHASE4_MODES:
-                sits = [(sit, iset, feasible_of(g, sit))
-                        for sit, iset in S.enumerate_situations(
-                            g, tf, phase4=phase4)]
+                sits = [(sit, set(mask_vertices(sit.out)), feasible_of(g, sit))
+                        for sit in S.enumerate_situations(g, tf, phase4=phase4)]
+                for sit, _, feas in sits:
+                    assert set(mask_vertices(sit.feasible)) == feas
                 for u in range(g.n):
                     for name, t in templates_at(tf, u):
                         label = (name, u, phase4)
@@ -653,8 +651,7 @@ class TestEvents:
                         else:
                             adm = all(
                                 t.focus in feas for sit, _, feas in sits
-                                if t.heads <= sit.orientation.heads
-                                and t.d1 <= sit.s1 and not t.d1bar & sit.s1)
+                                if conforms(sit, t, phase3=False))
                         assert S.admissible(t, g, tf, phase4=phase4) == adm, \
                             label
 
@@ -714,7 +711,7 @@ class TestEvents:
         g, tf = petersen_tf()
         members = [t for _, t in T.sigma_library(tf, 0) if t is not T.INVALID]
         sits = S.enumerate_situations(g, tf)
-        union = sum((sit.prob for sit, _ in sits
+        union = sum((sit.prob for sit in sits
                      if any(conforms(sit, t) for t in members)), Fraction(0))
         assert union == Fraction(67, 1280)
         assert union >= Fraction(8, 256)
@@ -746,11 +743,18 @@ class TestEvents:
         assert S.exact_q(T.parse_template_dsl("focus 0", tf), g, tf) == 0
 
     def test_foreign_template_rejected(self):
+        # each query checks the template first, before any early return
         g, tf = petersen_tf()
         _, tfk = k33_tf()
-        t = T.builtin("B", tfk, 0)
-        with pytest.raises(T.TemplateError):
-            S.event_probability(t, g, tf)
+        queries = (S.event_probability, S.admissible, S.exact_q, T.q_upper,
+                   T.sensitive_pairs, lambda t, g, tf: S.forces(t, 0, g, tf))
+        for t in (T.builtin("B", tfk, 0), T.builtin("E0", tfk, 0),
+                  T.Template([(99, 5)], d3=[99], focus=99),
+                  T.Template([(5, 99), (0, 98)], d1=[99, 98], focus=0),
+                  T.Template([], focus=99)):
+            for query in queries:
+                with pytest.raises(T.TemplateError):
+                    query(t, g, tf)
 
 
 # ---------------------------------------------------------------------------
@@ -816,10 +820,3 @@ class TestMonteCarlo:
 
     def test_kernel_backend_reports(self):
         assert S.kernel_backend() == "pure-python"
-
-
-class TestSituationType:
-    def test_situation_probability_range(self):
-        o = S.Orientation([(5, 0)])
-        with pytest.raises(GraphError):
-            S.Situation(o, frozenset(), frozenset(), Fraction(2))
