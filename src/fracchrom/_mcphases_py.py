@@ -6,14 +6,17 @@ programs.
 ``sampler.monte_carlo`` runs it once per trial, with or without the
 phase-5 repair, and ``sampler._compute_law`` expands its run programs
 for the exact law, calling ``_isolated`` and ``_free`` once per
-orientation or per mask covered after phase 2, not per situation (under
-``"recompute"`` the phase-4 addition still takes one call of each per
-phase-3 branch of a covered mask).  Random bits are consumed in a fixed order: one bit per
-matching edge in sorted edge order (bit set = larger endpoint becomes
-the head), then for each selection pass one bit per path or even-cycle
-run and a rejection-sampled index per odd-cycle run, runs taken cycle by
-cycle in order of their starting position.  Vertex sets are Python-int
-bitmasks, so any number of vertices works.
+orientation or per mask covered after phase 2, not per situation.  The
+phase-4 addition is the isolated vertices of the feasible set worked out
+before phase 3; the ``sampler`` docstring shows why working it out again
+after phase 3 would add nothing else.
+
+Random bits are consumed in a fixed order: one bit per matching edge in
+sorted edge order (bit set = larger endpoint becomes the head), then for
+each selection pass one bit per path or even-cycle run and a
+rejection-sampled index per odd-cycle run, runs taken cycle by cycle in
+order of their starting position.  Vertex sets are Python-int bitmasks,
+so any number of vertices works.
 
 The runs of a selection pass depend only on the mask it selects from,
 and a sampling call meets the same few masks over and over, so the table
@@ -30,26 +33,25 @@ CAPACITY = 1 << 12
 
 
 class TrialTable:
-    """The trial of one two-factor in one phase-4 mode, with three memos:
-    the heads mask to its phase-1 program and isolated heads, the mask
-    covered after phase 2 to its feasible set, phase-3 program and (under
-    ``"start"``) phase-4 addition, and the part of a selection mask on one
-    cycle to that cycle's runs.  The memos live as long as the table; a
-    full memo is emptied before it takes a new entry.
+    """The trial of one two-factor, with three memos: the heads mask to
+    its phase-1 program and isolated heads, the mask covered after phase 2
+    to its feasible set, phase-3 program and phase-4 addition, and the
+    part of a selection mask on one cycle to that cycle's runs.  The
+    memos live as long as the table; a full memo is emptied before it
+    takes a new entry.
     """
 
     __slots__ = ("n", "adj_mask", "edges", "cycles", "cycle_masks",
-                 "recompute", "by_heads", "by_covered", "by_part")
+                 "by_heads", "by_covered", "by_part")
 
     def __init__(self, n, edges_a, edges_b, cycle_starts, cycle_verts,
-                 adj_mask, phase4_recompute):
+                 adj_mask):
         self.n = n
         self.adj_mask = adj_mask
         self.edges = tuple((1 << a, 1 << b) for a, b in zip(edges_a, edges_b))
         self.cycles = tuple(tuple(cycle_verts[lo:hi])
                             for lo, hi in zip(cycle_starts, cycle_starts[1:]))
         self.cycle_masks = tuple(vertex_mask(cycle) for cycle in self.cycles)
-        self.recompute = phase4_recompute
         self.by_heads = {}
         self.by_covered = {}
         self.by_part = {}  # the cycles are disjoint, so a part names its cycle
@@ -75,16 +77,12 @@ class TrialTable:
         entry = self.by_covered.get(covered)
         if entry is None:
             feasible = _free(self.n, self.adj_mask, covered)
-            added = 0 if self.recompute else _isolated(self.adj_mask, feasible)
             entry = self._remember(self.by_covered, covered, (
-                feasible, self._program(feasible), added))
+                feasible, self._program(feasible),
+                _isolated(self.adj_mask, feasible)))
         feasible, program, added = entry
         s3 = _run(program, bits)
-        covered |= s3
-        if self.recompute:
-            added = _isolated(self.adj_mask,
-                              _free(self.n, self.adj_mask, covered))
-        return heads, s1, feasible, s3, covered | added
+        return heads, s1, feasible, s3, covered | s3 | added
 
     @staticmethod
     def _remember(memo, key, entry):

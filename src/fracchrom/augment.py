@@ -578,7 +578,6 @@ def exact_phase5_distribution(
     g: Graph,
     tf: TwoFactor,
     *,
-    phase4: str = "start",
     max_orientations: int = None,
     max_branches: int = None,
 ) -> tuple[Phase5Plan, EnumerationResult]:
@@ -589,8 +588,7 @@ def exact_phase5_distribution(
     Inherits the two explosion guards of the base enumeration.
     """
     base = enumerate_distribution(
-        g, tf, phase4=phase4,
-        max_orientations=max_orientations, max_branches=max_branches)
+        g, tf, max_orientations=max_orientations, max_branches=max_branches)
     plan = build_phase5_plan(g, tf, base.distribution)
     pmf: dict = {}
     for pJ, (_, law) in zip(plan.set_probs, plan.walks):

@@ -93,7 +93,6 @@ class RunConfig:
     exact: bool
     max_orientations: int | None
     max_branches: int | None
-    phase4: str
     fmt: str
     two_factor_path: str | None
     require_cubic_triangle_free: bool
@@ -146,7 +145,7 @@ def _load_two_factor(g: Graph, path: str):
 
 def _law_options(cfg: RunConfig) -> dict:
     """The options every exact-law computation of a command runs with."""
-    return {"phase4": cfg.phase4, "max_orientations": cfg.max_orientations,
+    return {"max_orientations": cfg.max_orientations,
             "max_branches": cfg.max_branches}
 
 
@@ -201,7 +200,7 @@ def _exact_prob(cfg: RunConfig, g: Graph, tf) -> dict:
     lo = min((result.marginals[v] for v in range(g.n)), default=Fraction(1))
     return {
         "mode": "exact",
-        "phase4": cfg.phase4,
+        "phase4": "start",  # the one reading; kept so the format is unchanged
         "marginals": marginals,
         "epsilon": eps_table,
         "deficiency_report": deficient,
@@ -218,14 +217,11 @@ def _monte_carlo_prob(cfg: RunConfig, g: Graph, tf) -> dict:
         # the repair phase needs the exact plan; each trial then runs it
         # after phases 1-4, on its own bit stream
         plan, _ = exact_phase5_distribution(g, tf, **_law_options(cfg))
-    report = monte_carlo(
-        g, tf, cfg.trials, cfg.seed,
-        phase4=cfg.phase4, plan=plan,
-    )
+    report = monte_carlo(g, tf, cfg.trials, cfg.seed, plan=plan)
     lo = min((report.frequency(v) for v in range(g.n)), default=Fraction(1))
     return {
         "mode": "monte-carlo",
-        "phase4": cfg.phase4,
+        "phase4": "start",  # as in _exact_prob
         "seed": cfg.seed,
         "trials": cfg.trials,
         "epsilon": eps_table,
@@ -376,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-branches": dict(dest="max_branches", type=int, default=None),
         "--two-factor": dict(dest="two_factor", default=None, metavar="FILE",
                              help="pin the two-factor from a JSON file"),
-        "--phase4-feasibility": dict(dest="phase4", choices=("start", "recompute"),
-                                     default="start"),
         "--format": dict(dest="format", choices=("json", "text"), default="json"),
         "--workers": dict(dest="workers", type=int, default=None,
                           help="accepted and ignored: Monte Carlo runs on one thread"),
@@ -397,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 p.set_defaults(**{spec["dest"]: spec["default"]})
 
-    law = ("--max-orient", "--max-branches", "--phase4-feasibility")
+    law = ("--max-orient", "--max-branches")
     add("validate", "parse a graph and report its structure", "graph file",
         "--require-cubic-triangle-free")
     add("two-factor", "select (or load) a qualifying two-factor", "graph file",
@@ -424,7 +418,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         exact=args.exact,
         max_orientations=args.max_orient,
         max_branches=args.max_branches,
-        phase4=args.phase4,
         fmt=args.format,
         two_factor_path=args.two_factor,
         require_cubic_triangle_free=args.require_cubic_triangle_free,

@@ -102,11 +102,11 @@ def _mis_masks(g: Graph) -> list[int]:
     return out
 
 
-def maximal_independent_sets(g: Graph, max_n: int = DEFAULT_MAX_N) -> list[frozenset]:
+def maximal_independent_sets(g: Graph) -> list[frozenset]:
     """All maximal independent sets, ascending by vertex bitmask."""
-    if g.n > max_n:
+    if g.n > DEFAULT_MAX_N:
         raise GuardExceeded(
-            f"maximal_independent_sets guard: n = {g.n} > {max_n}"
+            f"maximal_independent_sets guard: n = {g.n} > {DEFAULT_MAX_N}"
         )
     return [frozenset(mask_vertices(m)) for m in _mis_masks(g)]
 
@@ -148,7 +148,7 @@ class FractionalColouring:
         }
 
 
-def chi_f_exact(g: Graph, max_n: int = DEFAULT_MAX_N):
+def chi_f_exact(g: Graph):
     """Exact fractional chromatic number with both certificates.
 
     Returns ``(value, primal, dual)``: the optimum as a Fraction, an
@@ -159,7 +159,7 @@ def chi_f_exact(g: Graph, max_n: int = DEFAULT_MAX_N):
     """
     if g.n == 0:
         return Fraction(0), FractionalColouring(g, {}), {}
-    cols = maximal_independent_sets(g, max_n=max_n)
+    cols = maximal_independent_sets(g)
     value, y, x = _solve_covering_lp(g.n, cols)
 
     primal = FractionalColouring(
@@ -370,15 +370,15 @@ def verify_certificate(g: Graph, cert: MultisetCertificate) -> CertificateVerdic
         problems.append(f"certificate is for {cert.n_vertices} vertices, graph has {g.n}")
     count = [0] * g.n
     for s, mult in Counter(cert.sets).items():
+        inside = [u for u in s if 0 <= u < g.n]
         bad = [f"mentions foreign vertex {u}" for u in s if not (0 <= u < g.n)]
         bad += [f"contains edge ({u}, {v})"
-                for u in s for v in s if u < v and g.has_edge(u, v)]
+                for u in inside for v in inside if u < v and g.has_edge(u, v)]
         if bad:
             idx = cert.sets.index(s)
             problems += [f"set {idx} {b}" for b in bad]
-        for u in s:
-            if 0 <= u < g.n:
-                count[u] += mult
+        for u in inside:
+            count[u] += mult
     for v in range(g.n):
         if count[v] != cert.N:
             problems.append(

@@ -388,15 +388,6 @@ def analyze(g: Graph) -> StructureReport:
     )
 
 
-def boundary(g: Graph, X: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """Edges with exactly one endvertex in X, sorted canonically."""
-    xs = set(X)
-    for v in xs:
-        if not (0 <= v < g.n):
-            raise GraphError(f"vertex {v} out of range")
-    return tuple(e for e in g.edges if (e[0] in xs) != (e[1] in xs))
-
-
 # ---------------------------------------------------------------------------
 # Subcubic reductions
 

@@ -6,6 +6,16 @@ sets inside the runs of matching-heads (phase 1), promotes isolated heads
 (phase 2), repeats the run selection on the still-eligible "feasible"
 vertices (phase 3) and promotes isolated feasible vertices (phase 4).
 
+Phase 4 reads "feasible" as the set worked out before phase 3: it adds
+the vertices of that set with no neighbour in it.  Working the set out
+again after phase 3 would give the same output.  After phase 2 every
+head is covered or next to a covered vertex, so no head is feasible and
+a feasible vertex has feasible neighbours only on its own cycle.  A
+phase-3 run of two or more vertices leaves each of its unselected
+vertices next to a selected one.  So the vertices isolated in the set
+worked out again are exactly the isolated feasible vertices (the
+one-vertex runs) that phase 3 left unselected.
+
 A ``Situation`` holds one run's random choices (the heads of the
 orientation and the phase-1 and phase-3 selections), the vertices still
 feasible for phase 3, the output set and the integer ``d`` of its
@@ -32,8 +42,8 @@ the distinct ``d``, kept with the law), and each ``Fraction`` is built
 once, per support set, per vertex and per event query.  Its oracle, a
 separate derivation of the runs, lives with the tests.
 Sampling runs the table's trial, which replays the same programs with
-random bits, from one table per two-factor and phase-4 mode kept next to
-the law: ``run_phases_1_4`` draws a single ``Situation``, and
+random bits, from one table per two-factor kept next to the law:
+``run_phases_1_4`` draws a single ``Situation``, and
 ``monte_carlo`` estimates the marginals in one seeded, reproducible loop,
 optionally followed by the phase-5 repair, tallying the output masks and
 checking each distinct one once.
@@ -58,12 +68,11 @@ __all__ = [
     "is_independent", "run_phases_1_4",
     "enumerate_distribution", "enumerate_situations", "event_probability",
     "forces", "admissible", "exact_q", "monte_carlo", "kernel_backend",
-    "DEFAULT_MAX_ORIENTATIONS", "DEFAULT_MAX_BRANCHES", "PHASE4_MODES",
+    "DEFAULT_MAX_ORIENTATIONS", "DEFAULT_MAX_BRANCHES",
 ]
 
 DEFAULT_MAX_ORIENTATIONS = 1 << 16
 DEFAULT_MAX_BRANCHES = 1 << 20
-PHASE4_MODES = ("start", "recompute")
 
 
 class ExplosionGuard(GuardExceeded):
@@ -206,14 +215,7 @@ def is_independent(g: Graph, members) -> bool:
 # the four phases
 
 
-def _check_phase4(phase4):
-    if phase4 not in PHASE4_MODES:
-        raise GraphError("phase4 must be one of %r, got %r"
-                         % (PHASE4_MODES, phase4))
-
-
-def run_phases_1_4(g: Graph, tf: TwoFactor, rng,
-                   phase4: str = "start") -> Situation:
+def run_phases_1_4(g: Graph, tf: TwoFactor, rng) -> Situation:
     """Run the construction once, driving all choices from ``rng``.
 
     ``rng`` needs a ``getrandbits`` method.  Returns the ``Situation``
@@ -223,10 +225,9 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng,
     programs the trial drew from, each run picking one of its
     ``outcomes`` uniformly.
     """
-    _check_phase4(phase4)
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
-    table = _trial_table(g, tf, phase4)
+    table = _trial_table(g, tf)
     heads, s1, feasible, s3, out = table.trial(rng.getrandbits)
     adj_mask = g.adj_mask
     if any(adj_mask[v] & out for v in mask_vertices(out)):
@@ -244,8 +245,8 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng,
 
 
 class _Law:
-    """The law of one two-factor in one phase-4 mode, with ``denom``: the
-    lcm of the situations' ``d``, over which every mass is an integer.
+    """The law of one two-factor, with ``denom``: the lcm of the
+    situations' ``d``, over which every mass is an integer.
     It keeps its trial table and phase-3 memo (the feasible mask to
     ``(d3, [(s3, s3 | phase-4 addition)])``), from which ``records``
     builds the situation records the first time it is called."""
@@ -308,29 +309,23 @@ def _after_phase2(table, phase3, covered1):
     """What follows the mask ``covered1`` covered after phase 2: the
     feasible mask, its memo entry ``(d3, branches)`` in ``phase3`` and
     the output mask of each branch."""
-    isolated, free = _mcphases_py._isolated, _mcphases_py._free
-    n, adj_mask = table.n, table.adj_mask
-    feasible = free(n, adj_mask, covered1)
+    feasible = _mcphases_py._free(table.n, table.adj_mask, covered1)
     entry = phase3.get(feasible)
     if entry is None:
-        # under "start" the phase-4 addition depends on feasible alone
-        added = 0 if table.recompute else isolated(adj_mask, feasible)
+        # the phase-4 addition depends on feasible alone
+        added = _mcphases_py._isolated(table.adj_mask, feasible)
         selections = _expand(table._program(feasible))
         entry = phase3[feasible] = (
             len(selections), [(s3, s3 | added) for s3 in selections])
     d3, branches = entry
-    outs = [covered1 | add for _, add in branches]
-    if table.recompute:
-        outs = [out | isolated(adj_mask, free(n, adj_mask, out))
-                for out in outs]
-    return feasible, d3, branches, outs
+    return feasible, d3, branches, [covered1 | add for _, add in branches]
 
 
-def _compute_law(g, tf, phase4, max_orientations, max_branches):
+def _compute_law(g, tf, max_orientations, max_branches):
     n = g.n
     m = len(tf.m_edges)
     _check_guards(1 << m, 0, max_orientations, max_branches)
-    table = _trial_table(g, tf, phase4)
+    table = _trial_table(g, tf)
     # Every situation has probability 1/d with d = d01 * d3, and what
     # follows phase 2 depends on the covered mask alone, so the walk only
     # counts the phase-1 selections per covered1, in first-seen order,
@@ -403,46 +398,43 @@ def _situation_records(table, phase3):
     return recs
 
 
-def _law(g, tf, phase4="start", max_orientations=None, max_branches=None):
-    _check_phase4(phase4)
+def _law(g, tf, max_orientations=None, max_branches=None):
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
     if max_orientations is None:
         max_orientations = DEFAULT_MAX_ORIENTATIONS
     if max_branches is None:
         max_branches = DEFAULT_MAX_BRANCHES
-    key = ("law", phase4)
-    law = tf.derived.get(key)
+    law = tf.derived.get("law")
     if law is None:
-        law = tf.derived[key] = _compute_law(
-            g, tf, phase4, max_orientations, max_branches)
+        law = tf.derived["law"] = _compute_law(
+            g, tf, max_orientations, max_branches)
     # a kept law answers only callers whose guards it meets
     _check_guards(law.orientations, law.branches,
                   max_orientations, max_branches)
     return law
 
 
-def enumerate_distribution(g: Graph, tf: TwoFactor, *, phase4: str = "start",
+def enumerate_distribution(g: Graph, tf: TwoFactor, *,
                            max_orientations: int = None,
                            max_branches: int = None) -> EnumerationResult:
     """Exact law of the output set, plus per-vertex inclusion probabilities."""
-    return _law(g, tf, phase4, max_orientations, max_branches).result
+    return _law(g, tf, max_orientations, max_branches).result
 
 
-def enumerate_situations(g: Graph, tf: TwoFactor, *, phase4: str = "start",
+def enumerate_situations(g: Graph, tf: TwoFactor, *,
                          max_orientations: int = None,
                          max_branches: int = None) -> list:
     """Every situation with positive probability, in the order of the
     law's walk: a new list of the law's own ``Situation`` records."""
-    return list(_law(g, tf, phase4, max_orientations, max_branches).records())
+    return list(_law(g, tf, max_orientations, max_branches).records())
 
 
 # ---------------------------------------------------------------------------
 # template events against the exact law
 
 
-def _conforming(t, g, tf, phase4, max_orientations, max_branches,
-                phase3=True):
+def _conforming(t, g, tf, max_orientations, max_branches, phase3=True):
     """The law, and its situations that conform to ``t``, a template the
     caller has checked against ``tf``.
 
@@ -453,7 +445,7 @@ def _conforming(t, g, tf, phase4, max_orientations, max_branches,
     heads, d1, d1bar = (vertex_mask(t.heads), vertex_mask(t.d1),
                         vertex_mask(t.d1bar))
     d3, d3bar = (vertex_mask(t.d3), vertex_mask(t.d3bar)) if phase3 else (0, 0)
-    law = _law(g, tf, phase4, max_orientations, max_branches)
+    law = _law(g, tf, max_orientations, max_branches)
     return law, (rec for rec in law.records()
                  if rec.heads & heads == heads
                  and rec.s1 & d1 == d1 and not rec.s1 & d1bar
@@ -461,30 +453,28 @@ def _conforming(t, g, tf, phase4, max_orientations, max_branches,
 
 
 def event_probability(t: Template, g: Graph, tf: TwoFactor, *,
-                      phase4: str = "start", max_orientations: int = None,
+                      max_orientations: int = None,
                       max_branches: int = None) -> Fraction:
     """Exact probability that a random situation conforms to ``t``."""
     validate_in(t, tf)
-    law, recs = _conforming(t, g, tf, phase4, max_orientations, max_branches)
+    law, recs = _conforming(t, g, tf, max_orientations, max_branches)
     denom = law.denom
     return Fraction(sum(denom // rec.d for rec in recs), denom)
 
 
 def forces(t: Template, u: int, g: Graph, tf: TwoFactor, *,
-           phase4: str = "start", max_orientations: int = None,
-           max_branches: int = None) -> bool:
+           max_orientations: int = None, max_branches: int = None) -> bool:
     """True when every situation conforming to ``t`` outputs ``u``."""
     validate_in(t, tf)
     if not 0 <= u < tf.graph.n:
         raise GraphError("vertex %r out of range" % (u,))
     bit = 1 << u
-    _, recs = _conforming(t, g, tf, phase4, max_orientations, max_branches)
+    _, recs = _conforming(t, g, tf, max_orientations, max_branches)
     return all(rec.out & bit for rec in recs)
 
 
 def admissible(t: Template, g: Graph, tf: TwoFactor, *,
-               phase4: str = "start", max_orientations: int = None,
-               max_branches: int = None) -> bool:
+               max_orientations: int = None, max_branches: int = None) -> bool:
     """Phase-3 constraints limited to the focus, and the focus is feasible
     whenever the orientation and phase-1 constraints are met."""
     validate_in(t, tf)
@@ -494,14 +484,13 @@ def admissible(t: Template, g: Graph, tf: TwoFactor, *,
     if t.focus is None or constrained != {t.focus}:
         return False
     bit = 1 << t.focus
-    _, recs = _conforming(t, g, tf, phase4, max_orientations, max_branches,
+    _, recs = _conforming(t, g, tf, max_orientations, max_branches,
                           phase3=False)
     return all(rec.feasible & bit for rec in recs)
 
 
 def exact_q(t: Template, g: Graph, tf: TwoFactor, *,
-            phase4: str = "start", max_orientations: int = None,
-            max_branches: int = None) -> Fraction:
+            max_orientations: int = None, max_branches: int = None) -> Fraction:
     """Exact conditional probability that the focus's whole cycle is
     feasible, given that the situation conforms to ``t``; zero when the
     template carries no phase-3 requirement on the focus or the cycle is
@@ -513,7 +502,7 @@ def exact_q(t: Template, g: Graph, tf: TwoFactor, *,
     if len(cycle) % 2 == 0:
         return Fraction(0)
     cycle_mask = vertex_mask(cycle)
-    law, recs = _conforming(t, g, tf, phase4, max_orientations, max_branches)
+    law, recs = _conforming(t, g, tf, max_orientations, max_branches)
     denom = law.denom
     hit = total = 0
     for rec in recs:
@@ -551,7 +540,6 @@ class MonteCarloReport:
     n: int
     trials: int
     seed: int
-    phase4: str
     backend: str
     counts: tuple
     violations: int
@@ -576,14 +564,13 @@ def _kernel_args(g: Graph, tf: TwoFactor):
     return edges_a, edges_b, cycle_starts, cycle_verts, list(g.adj_mask)
 
 
-def _trial_table(g: Graph, tf: TwoFactor, phase4: str):
-    """The trial table of ``tf`` in one phase-4 mode, kept in
-    ``tf.derived`` next to the law, so its memos serve every call."""
-    key = ("table", phase4)
-    table = tf.derived.get(key)
+def _trial_table(g: Graph, tf: TwoFactor):
+    """The trial table of ``tf``, kept in ``tf.derived`` next to the law,
+    so its memos serve every call."""
+    table = tf.derived.get("table")
     if table is None:
-        table = tf.derived[key] = _mcphases_py.TrialTable(
-            g.n, *_kernel_args(g, tf), phase4 == "recompute")
+        table = tf.derived["table"] = _mcphases_py.TrialTable(
+            g.n, *_kernel_args(g, tf))
     return table
 
 
@@ -604,7 +591,7 @@ def _flush(tally, counts, adj_mask) -> int:
 
 
 def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
-                phase4: str = "start", plan=None) -> MonteCarloReport:
+                plan=None) -> MonteCarloReport:
     """Estimate inclusion frequencies over ``trials`` independent runs.
 
     Fully deterministic for a given seed: trial number ``t`` draws every
@@ -614,7 +601,6 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
     no trial converts a set; the tally turns each distinct output mask
     into vertices once, when it is flushed.
     """
-    _check_phase4(phase4)
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
     if plan is not None and plan.tf != tf:
@@ -623,7 +609,7 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
         raise GraphError("trials must be a positive integer")
     from .augment import run_phase5  # augment imports this module
 
-    trial = _trial_table(g, tf, phase4).trial
+    trial = _trial_table(g, tf).trial
     adj_mask = g.adj_mask
     counts = [0] * g.n
     violations = 0
@@ -638,5 +624,5 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
             violations += _flush(tally, counts, adj_mask)
     violations += _flush(tally, counts, adj_mask)
     backend = "pure-python" if plan is None else "five-phase-reference"
-    return MonteCarloReport(g.n, trials, seed, phase4, backend,
-                            tuple(counts), violations)
+    return MonteCarloReport(g.n, trials, seed, backend, tuple(counts),
+                            violations)

@@ -260,31 +260,6 @@ def parse_template_dsl(text: str, tf: TwoFactor) -> Template:
     return t
 
 
-def print_template(t: Template) -> str:
-    """Render a template in the canonical form accepted by the parser."""
-    lines = []
-    if t.focus is not None:
-        lines.append("focus %d" % t.focus)
-    for tail, head in sorted(t.arcs):
-        lines.append("arc %d->%d" % (tail, head))
-    for name, group in (("star", t.d1), ("xstar", t.d1bar),
-                        ("tri", t.d3), ("xtri", t.d3bar)):
-        for v in sorted(group):
-            lines.append("%s %d" % (name, v))
-    return "\n".join(lines)
-
-
-def template_to_json_dict(t: Template) -> dict:
-    return {
-        "focus": t.focus,
-        "arcs": [list(a) for a in sorted(t.arcs)],
-        "d1": sorted(t.d1),
-        "d1bar": sorted(t.d1bar),
-        "d3": sorted(t.d3),
-        "d3bar": sorted(t.d3bar),
-    }
-
-
 # ---------------------------------------------------------------------------
 # sensitive pairs and probability bounds
 

@@ -450,53 +450,6 @@ def select_two_factor(
 
 
 # ---------------------------------------------------------------------------
-# Split-cycle check
-
-
-@dataclass(frozen=True)
-class SplitCycleVerdict:
-    crossing: int
-    bounds_ok: bool  # 2 <= crossing <= 4
-    five_ok: bool  # crossing <= 3 whenever either part has length 5
-    ok: bool
-
-
-def check_split_cycle(
-    g: Graph,
-    tf: Optional[TwoFactor],
-    C: Sequence[int],
-    D1: Sequence[int],
-    D2: Sequence[int],
-) -> SplitCycleVerdict:
-    """Report the crossing-edge count between two vertex-disjoint cycles
-    covering V(C) and whether both split-cycle bounds hold.
-
-    If ``tf`` is given, C must be one of its cycles.  D1 and D2 are vertex
-    sequences that must each form a cycle of g and partition V(C).
-    """
-    cset = set(C)
-    if tf is not None and tuple(TwoFactor._canonicalize(list(C))) not in tf.cycles:
-        raise TwoFactorError("C is not a cycle of the given two-factor")
-    s1, s2 = set(D1), set(D2)
-    if s1 & s2 or (s1 | s2) != cset or not s1 or not s2:
-        raise TwoFactorError("D1, D2 do not partition V(C)")
-    for D in (D1, D2):
-        if len(D) < 3:
-            raise TwoFactorError("split parts must be cycles (length >= 3)")
-        for i, u in enumerate(D):
-            if not g.has_edge(u, D[(i + 1) % len(D)]):
-                raise TwoFactorError("split part is not a cycle of g")
-    crossing = sum(1 for u, v in g.edges if (u in s1) != (v in s1) and u in cset and v in cset)
-    bounds_ok = 2 <= crossing <= 4
-    five_ok = not (
-        (len(D1) == 5 or len(D2) == 5) and crossing > 3
-    )
-    return SplitCycleVerdict(
-        crossing=crossing, bounds_ok=bounds_ok, five_ok=five_ok, ok=bounds_ok and five_ok
-    )
-
-
-# ---------------------------------------------------------------------------
 # JSON round trip
 
 

@@ -59,6 +59,15 @@ def minimal_small_cuts_subset_scan(g):
     return out
 
 
+def boundary(g, X):
+    """Edges with exactly one endvertex in X, sorted canonically."""
+    xs = set(X)
+    for v in xs:
+        if not (0 <= v < g.n):
+            raise GraphError(f"vertex {v} out of range")
+    return tuple(e for e in g.edges if (e[0] in xs) != (e[1] in xs))
+
+
 def minimal_small_cuts_bruteforce(g):
     """Minimal 3-/4-edge-cuts via the boundary form: a cut is minimal iff it
     equals the boundary of a vertex set X with both g[X] and g[V-X] connected.
@@ -87,9 +96,7 @@ def minimal_small_cuts_bruteforce(g):
             Y = set(range(g.n)) - X
             if not Y:
                 continue
-            bd = frozenset(
-                e for e in g.edges if (e[0] in X) != (e[1] in X)
-            )
+            bd = frozenset(boundary(g, X))
             if len(bd) in (3, 4) and is_connected_sub(X) and is_connected_sub(Y):
                 out.add(bd)
     return out
@@ -223,7 +230,10 @@ def scanning_trial(n, edges_a, edges_b, cycle_starts, cycle_verts, adj_mask,
 
     Takes the arguments of ``sampler._kernel_args`` and returns the
     bitmasks ``(heads, s1, feasible, s3, out)``, like
-    ``_mcphases_py.TrialTable.trial``; it keeps no memo.
+    ``_mcphases_py.TrialTable.trial``; it keeps no memo.  Phase 4 adds
+    the isolated vertices of the feasible set, worked out after phase 3
+    when ``phase4_recompute`` is true and before it (as the package
+    does) otherwise; the two readings give the same output.
     """
 
     def isolated(mask):
@@ -383,7 +393,10 @@ def active_runs(heads, tf):
 def law_oracle(g, tf, phase4):
     """The exact law of phases 1-4 from the runs derived above, with no
     guard and no memo: every orientation, every phase-1 branch and every
-    phase-3 branch, each situation weighted by a ``Fraction``.
+    phase-3 branch, each situation weighted by a ``Fraction``.  ``phase4``
+    names the reading of phase 4, ``"start"`` (the package's: the
+    feasible set worked out before phase 3) or ``"recompute"`` (worked
+    out again after it); the two give the same situations.
 
     Returns ``(records, pmf, marginals, branches)``: the sorted
     ``(heads, s1, feasible, s3, out, d)`` tuples of the situations (all

@@ -24,6 +24,7 @@ from fixtures_deficiency import (
     type_IIa_fixture,
     type_III_fixture,
 )
+from oracles import law_oracle, scanning_trial
 from util_graphs import circular_ladder, gp72, k33, petersen
 
 F = Fraction
@@ -480,10 +481,12 @@ class TestExactPhase5:
             assert S.is_independent(g, J)
 
     def test_feasibility_reading_does_not_matter(self):
+        # the plan is built from the four-phase law, which is the oracle's
+        # law under either reading of phase 4
         g, tf, _ = type_0_fixture()
-        _, a = A.exact_phase5_distribution(g, tf, phase4="start")
-        _, b = A.exact_phase5_distribution(g, tf, phase4="recompute")
-        assert a.distribution.pmf == b.distribution.pmf
+        base = S.enumerate_distribution(g, tf)
+        for phase4 in ("start", "recompute"):
+            assert law_oracle(g, tf, phase4)[1] == base.distribution.pmf
 
     def test_simulation_converges_to_exact_law(self):
         g, tf, focus = type_0_fixture()
@@ -499,17 +502,20 @@ class TestExactPhase5:
         sigma = (p * (1 - p) / trials) ** 0.5
         assert abs(hits / trials - p) < 4 * sigma
 
-    @pytest.mark.parametrize("phase4", S.PHASE4_MODES)
+    @pytest.mark.parametrize("phase4", ["start", "recompute"])
     def test_monte_carlo_with_plan_runs_phase5_on_each_stream(self, phase4):
+        # phases 1-4 replayed by the oracle under either reading of phase 4
         g, tf, _ = mixed_deficiency_fixture()
-        plan, _ = A.exact_phase5_distribution(g, tf, phase4=phase4)
+        plan, _ = A.exact_phase5_distribution(g, tf)
+        args = S._kernel_args(g, tf)
         counts = [0] * g.n
         for trial in range(300):
             rng = S.trial_stream(21, trial)
-            J = S.run_phases_1_4(g, tf, rng, phase4).out
+            J = scanning_trial(g.n, *args, phase4 == "recompute",
+                               rng.getrandbits)[4]
             for v in mask_vertices(A.run_phase5(J, plan, rng)):
                 counts[v] += 1
-        report = S.monte_carlo(g, tf, 300, 21, phase4=phase4, plan=plan)
+        report = S.monte_carlo(g, tf, 300, 21, plan=plan)
         assert report.backend == "five-phase-reference"
         assert list(report.counts) == counts
         assert report.violations == 0

@@ -69,17 +69,13 @@ DEFICIENT_BY_TYPE = {
     "Ia": "MlSgGC@?GC_D?D_O_",
     "Ib*": "MlSHGC@@G?_H?H_A_",
 }
-# sha256 of `prob g.g6 --exact --phase4-feasibility MODE` before the phase-5
-# plan kept only its coins; they pin the plan and the repaired law
+# sha256 of `prob g.g6 --exact` before the phase-5 plan kept only its
+# coins; they pin the plan and the repaired law
 PROB_EXACT_GOLDEN = {
-    ("0", "start"): "28180af36a7f256fb6e0d17ee5d8388fd382bc2396160dbcbe7e79f05cc746d3",
-    ("0", "recompute"): "41261751e5567efff47b29f12b208762b55e780e5aa0b4cb234eff6c4df5d202",
-    ("I", "start"): "9826b8ed8edfe1995827a4d97c1d693b92561c2f93ec90c39557b8d37e4f5e52",
-    ("I", "recompute"): "4669df7c848c0cf844cf7053444d68eabd70d8404c4044cd148d5997943ecdd3",
-    ("Ia", "start"): "9eda59f5c257ec4b71cfe2076fa0a03a7971648e1ddf5ab0ddf44b39a2f2e4cd",
-    ("Ia", "recompute"): "0e0fe081a50d4f1d5e5d91e9716a40727337116e5f19eb62fb9da5629f50b347",
-    ("Ib*", "start"): "40251f190bb312a8bc457421b8cf084bdaebfdfd049ad9faeb8d0faf2d12c2c1",
-    ("Ib*", "recompute"): "27b80d173c563edde2539ba4aa58d22b59f896778012cc3758382c962cde0f11",
+    "0": "28180af36a7f256fb6e0d17ee5d8388fd382bc2396160dbcbe7e79f05cc746d3",
+    "I": "9826b8ed8edfe1995827a4d97c1d693b92561c2f93ec90c39557b8d37e4f5e52",
+    "Ia": "9eda59f5c257ec4b71cfe2076fa0a03a7971648e1ddf5ab0ddf44b39a2f2e4cd",
+    "Ib*": "40251f190bb312a8bc457421b8cf084bdaebfdfd049ad9faeb8d0faf2d12c2c1",
 }
 
 
@@ -233,15 +229,13 @@ class TestProb:
                                      1096, 1099, 1085]
         assert payload["min_frequency"] == "217/600"
 
-    @pytest.mark.parametrize("key", sorted(PROB_EXACT_GOLDEN), ids=str)
-    def test_exact_repaired_law_golden(self, key, tmp_path, monkeypatch):
-        dtype, mode = key
+    @pytest.mark.parametrize("dtype", sorted(PROB_EXACT_GOLDEN))
+    def test_exact_repaired_law_golden(self, dtype, tmp_path, monkeypatch):
         (tmp_path / "g.g6").write_text(DEFICIENT_BY_TYPE[dtype] + "\n")
         monkeypatch.chdir(tmp_path)
-        code, out, err = invoke(
-            "prob", "g.g6", "--exact", "--phase4-feasibility", mode)
+        code, out, err = invoke("prob", "g.g6", "--exact")
         assert code == 0, err
-        assert hashlib.sha256(out.encode()).hexdigest() == PROB_EXACT_GOLDEN[key]
+        assert hashlib.sha256(out.encode()).hexdigest() == PROB_EXACT_GOLDEN[dtype]
 
     @pytest.mark.parametrize("dtype,counts", [
         # at 2000 trials the plan swaps 15 times on the type-I graph and
@@ -612,6 +606,9 @@ class TestPlumbing:
         ("chif", ["--max-orient", "1"]),
         ("validate", ["--seed", "5"]),
         ("corpus", ["--trials", "10"]),
+        ("prob", ["--phase4-feasibility", "start"]),
+        ("certify", ["--phase4-feasibility", "start"]),
+        ("corpus", ["--phase4-feasibility", "start"]),
     ])
     def test_option_a_command_does_not_read_is_refused(self, files, command, option):
         with pytest.raises(SystemExit) as exc:
@@ -626,13 +623,13 @@ class TestPlumbing:
     def test_runconfig_defaults(self):
         cfg = cli.RunConfig(
             command="prob", paths=("x",), seed=1, trials=10, exact=False,
-            max_orientations=None, max_branches=None, phase4="start",
+            max_orientations=None, max_branches=None,
             fmt="json", two_factor_path=None,
             require_cubic_triangle_free=False, search=False)
         assert cfg.seed == 1
         with pytest.raises(GraphError):
             cli.RunConfig(
                 command="prob", paths=("x",), seed=-1, trials=10, exact=False,
-                max_orientations=None, max_branches=None, phase4="start",
+                max_orientations=None, max_branches=None,
                 fmt="json", two_factor_path=None,
                 require_cubic_triangle_free=False, search=False)

@@ -106,9 +106,11 @@ class TestMaximalIndependentSets:
         assert masks == sorted(masks)
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
+        assert len(maximal_independent_sets(Graph(40, []))) == 1
+        with pytest.raises(GuardExceeded, match=r"guard: n = 41 > 40$"):
             maximal_independent_sets(Graph(41, []))
-        assert len(maximal_independent_sets(Graph(41, []), max_n=64)) == 1
+        with pytest.raises(GuardExceeded, match=r"guard: n = 41 > 40$"):
+            chi_f_exact(Graph(41, []))
 
 
 class TestChiFExact:
@@ -371,6 +373,22 @@ class TestVerifyCertificate:
         g, cert = self.parsed([(3, [0, 3, 7]), (8, [0, 3, 7])])
         assert verify_certificate(g, cert).problems == (
             "set 3 mentions foreign vertex 7",)
+
+    def test_foreign_vertices_are_not_tested_for_edges(self):
+        # ids past n would index past the adjacency lists, and a negative
+        # id would index them from the end
+        g, cert = self.parsed([(3, [5, 6])])
+        assert verify_certificate(g, cert).problems == (
+            "set 3 mentions foreign vertex 5",
+            "set 3 mentions foreign vertex 6",
+            "vertex 0 is covered 3 times, not N = 4",
+            "vertex 3 is covered 3 times, not N = 4",
+        )
+        g, cert = self.parsed([(3, [-1, 3])])
+        assert verify_certificate(g, cert).problems == (
+            "set 3 mentions foreign vertex -1",
+            "vertex 0 is covered 3 times, not N = 4",
+        )
 
     def test_multiplicities_count_toward_coverage(self):
         # {1, 3} three times, {0, 3} once: vertex 1 gains a cover, 0 loses one

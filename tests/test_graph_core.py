@@ -1,4 +1,4 @@
-"""graph_core: parsers, analysis, boundary, reductions.
+"""graph_core: parsers, analysis, reductions, and the boundary oracle.
 
 The graph6 codec is checked against networkx as an independent oracle.
 """
@@ -12,7 +12,6 @@ from fracchrom.graph_core import (
     Graph,
     GraphError,
     analyze,
-    boundary,
     encode_graph6,
     parse_edge_list,
     parse_graph6,
@@ -21,6 +20,7 @@ from fracchrom.graph_core import (
     to_edge_list_text,
 )
 
+from oracles import boundary
 from util_graphs import (
     bridged_composite,
     circular_ladder,

@@ -1,7 +1,8 @@
 """One trial procedure: the Monte Carlo loop and the reference single-run
 API must consume random bits identically and produce identical counts, and
 the memoized trial table must draw exactly what a scan of every cycle
-vertex draws."""
+vertex draws, under either reading of phase 4 (the feasible set worked
+out before or after phase 3)."""
 
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from fracchrom.augment import exact_phase5_distribution
 from fracchrom.graph_core import Graph, mask_vertices, parse_graph6
 from fracchrom.two_factor import select_two_factor, two_factor_from_matching
-from fracchrom import _mcphases_py as K, sampler as S
+from fracchrom import _mcphases_py as K, sampler as S, templates as T
 
 from oracles import scanning_trial
 from util_graphs import circular_ladder, gp72, petersen
@@ -41,10 +42,22 @@ def fixtures():
     return out
 
 
-def reference_counts(g, tf, trials, seed, phase4):
+def reference_counts(g, tf, trials, seed):
     counts = [0] * g.n
     for t in range(trials):
-        out = S.run_phases_1_4(g, tf, S.trial_stream(seed, t), phase4).out
+        out = S.run_phases_1_4(g, tf, S.trial_stream(seed, t)).out
+        for v in mask_vertices(out):
+            counts[v] += 1
+    return counts
+
+
+def oracle_counts(g, tf, trials, seed, phase4):
+    """The counts of ``scanning_trial`` under one reading of phase 4."""
+    args = S._kernel_args(g, tf)
+    counts = [0] * g.n
+    for t in range(trials):
+        out = scanning_trial(g.n, *args, phase4 == "recompute",
+                             S.trial_stream(seed, t).getrandbits)[4]
         for v in mask_vertices(out):
             counts[v] += 1
     return counts
@@ -54,10 +67,11 @@ def reference_counts(g, tf, trials, seed, phase4):
                          ids=[f[0] for f in fixtures()])
 @pytest.mark.parametrize("phase4", ["start", "recompute"])
 def test_pure_kernel_matches_reference(name, g, tf, phase4):
-    report = S.monte_carlo(g, tf, 400, 17, phase4=phase4)
+    report = S.monte_carlo(g, tf, 400, 17)
     assert report.backend == "pure-python"
     assert report.violations == 0
-    assert list(report.counts) == reference_counts(g, tf, 400, 17, phase4)
+    assert list(report.counts) == reference_counts(g, tf, 400, 17)
+    assert list(report.counts) == oracle_counts(g, tf, 400, 17, phase4)
 
 
 def test_monte_carlo_matches_reference_on_64_vertices():
@@ -68,17 +82,17 @@ def test_monte_carlo_matches_reference_on_64_vertices():
     report = S.monte_carlo(g, tf, 300, 5)
     assert len(report.counts) == 64
     assert report.violations == 0
-    assert list(report.counts) == reference_counts(g, tf, 300, 5, "start")
+    assert list(report.counts) == reference_counts(g, tf, 300, 5)
 
 
-def test_one_trial_table_per_two_factor_and_mode(monkeypatch):
+def test_one_trial_table_per_two_factor(monkeypatch):
     built = []
 
     class Counted(K.TrialTable):
         __slots__ = ()
 
         def __init__(self, *args):
-            built.append(args[-1])
+            built.append(args)
             super().__init__(*args)
 
     monkeypatch.setattr(K, "TrialTable", Counted)
@@ -88,10 +102,8 @@ def test_one_trial_table_per_two_factor_and_mode(monkeypatch):
     S.run_phases_1_4(g, tf, S.trial_stream(3, 1))
     S.monte_carlo(g, tf, 50, 3)
     S.enumerate_distribution(g, tf)
-    assert built == [False]
-    S.run_phases_1_4(g, tf, S.trial_stream(3, 0), "recompute")
-    S.monte_carlo(g, tf, 50, 3, phase4="recompute")
-    assert built == [False, True]
+    S.event_probability(T.builtin("E0", tf, 0), g, tf)
+    assert len(built) == 1
 
 
 def test_each_cycle_part_is_worked_out_once(monkeypatch):
@@ -115,13 +127,14 @@ def test_backend_names():
 
 
 def _assert_table_matches_scan(g, tf, phase4, trials, seed):
+    """The table's trial against the oracle's under one reading of phase 4."""
     args = S._kernel_args(g, tf)
-    recompute = phase4 == "recompute"
-    table = K.TrialTable(g.n, *args, recompute)
+    table = K.TrialTable(g.n, *args)
     for t in range(trials):
         fast, slow = S.trial_stream(seed, t), S.trial_stream(seed, t)
         got = table.trial(fast.getrandbits)
-        want = scanning_trial(g.n, *args, recompute, slow.getrandbits)
+        want = scanning_trial(g.n, *args, phase4 == "recompute",
+                              slow.getrandbits)
         assert got == want, (t, got, want)
         assert fast.state == slow.state, t
 
@@ -143,17 +156,16 @@ def test_trial_table_matches_scanning_oracle_on_66_vertices(phase4):
     _assert_table_matches_scan(g, tf, phase4, 300, 8)
 
 
-@pytest.mark.parametrize("phase4", ["start", "recompute"])
-def test_capacity_of_one_changes_no_count(phase4, monkeypatch):
+def test_capacity_of_one_changes_no_count(monkeypatch):
     deficient = parse_graph6(DEFICIENT_N10)
     tf = select_two_factor(deficient)
-    plan = exact_phase5_distribution(deficient, tf, phase4=phase4)[0]
+    plan = exact_phase5_distribution(deficient, tf)[0]
     runs = [(deficient, tf, plan),
             (petersen(), select_two_factor(petersen()), None)]
-    uncapped = [S.monte_carlo(g, tf, 2000, 4, phase4=phase4, plan=plan)
+    uncapped = [S.monte_carlo(g, tf, 2000, 4, plan=plan)
                 for g, tf, plan in runs]
     monkeypatch.setattr(K, "CAPACITY", 1)
-    capped = [S.monte_carlo(g, tf, 2000, 4, phase4=phase4, plan=plan)
+    capped = [S.monte_carlo(g, tf, 2000, 4, plan=plan)
               for g, tf, plan in runs]
     assert capped == uncapped
 

@@ -256,22 +256,19 @@ class TestRunPhases:
         with pytest.raises(TwoFactorError):
             S.run_phases_1_4(h, tf, S.SplitMix64(0))
 
-    def test_rejects_bad_phase4(self):
-        g, tf = petersen_tf()
-        with pytest.raises(GraphError):
-            S.run_phases_1_4(g, tf, S.SplitMix64(0), phase4="never")
-
     @pytest.mark.parametrize("make", [petersen_tf, gp72_tf, deficient_n10_tf],
                              ids=["petersen", "gp72", "deficient-n10"])
-    @pytest.mark.parametrize("phase4", S.PHASE4_MODES)
+    @pytest.mark.parametrize("phase4", ["start", "recompute"])
     def test_every_draw_is_an_enumerated_situation(self, make, phase4):
+        # the oracle enumerates under either reading of phase 4
         g, tf = make()
-        law = {(sit.heads, sit.s1, sit.s3): sit
-               for sit in S.enumerate_situations(g, tf, phase4=phase4)}
+        law = {(rec[0], rec[1], rec[3]): rec
+               for rec in law_oracle(g, tf, phase4)[0]}
         for seed in range(200):
-            sit = S.run_phases_1_4(g, tf, S.SplitMix64(seed), phase4)
+            sit = S.run_phases_1_4(g, tf, S.SplitMix64(seed))
             # all six fields, feasible, out and d included
-            assert law[(sit.heads, sit.s1, sit.s3)] == sit
+            assert law[(sit.heads, sit.s1, sit.s3)] == (
+                sit.heads, sit.s1, sit.feasible, sit.s3, sit.out, sit.d)
 
     def test_situation_value_semantics(self):
         a = S.Situation(0b11, 0b01, 0b100, 0b100, 0b101, 8)
@@ -334,12 +331,14 @@ class TestEnumerate:
             assert res.marginals[v] == res.distribution.marginal(v)
 
     def test_phase4_readings_coincide_per_situation(self):
-        # the two feasibility readings of the last phase provably select
-        # the same vertices (the leftover singleton runs); lock that in
+        # working the feasible set out before or after phase 3 selects the
+        # same vertices in phase 4 (the one-vertex runs phase 3 left out);
+        # the law keeps the first reading
         for g, tf in (petersen_tf(), cl_tf(5), tri2sq_tf()):
-            a = S.enumerate_situations(g, tf, phase4="start")
-            b = S.enumerate_situations(g, tf, phase4="recompute")
-            assert a == b
+            recs = sorted((r.heads, r.s1, r.feasible, r.s3, r.out, r.d)
+                          for r in S.enumerate_situations(g, tf))
+            assert law_oracle(g, tf, "start")[0] == recs
+            assert law_oracle(g, tf, "recompute")[0] == recs
 
     def test_cache_returns_same_object(self):
         g, tf = petersen_tf()
@@ -370,14 +369,14 @@ class TestEnumerate:
         t = T.builtin("E0", tf, 0)
         S.event_probability(t, g, tf)
         assert len(builds) == 1
-        recs = tf.derived[("law", "start")].recs
+        recs = tf.derived["law"].recs
         S.forces(t, 0, g, tf)
         S.exact_q(t, g, tf)
         S.enumerate_situations(g, tf)
         exact_phase5_distribution(g, tf)
         assert calls == [tf]
         assert len(builds) == 1
-        assert tf.derived[("law", "start")].recs is recs
+        assert tf.derived["law"].recs is recs
         # an equal but distinct two-factor owns (and computes) its own law
         _, twin = petersen_tf()
         assert twin == tf and twin is not tf
@@ -396,10 +395,9 @@ class TestEnumerate:
         graphs = {"petersen": petersen(),
                   "deficient": parse_graph6("KlSHGC@@GAoD")}
         for name, g in graphs.items():
-            for phase4 in S.PHASE4_MODES:
-                tf = select_two_factor(g)
-                S.enumerate_distribution(g, tf, phase4=phase4)
-                exact_phase5_distribution(g, tf, phase4=phase4)
+            tf = select_two_factor(g)
+            S.enumerate_distribution(g, tf)
+            exact_phase5_distribution(g, tf)
             (tmp_path / (name + ".g6")).write_text(encode_graph6(g) + "\n")
         for name in graphs:
             path = str(tmp_path / (name + ".g6"))
@@ -420,7 +418,7 @@ class TestEnumerate:
     def test_situations_are_the_law_records(self):
         g, tf = petersen_tf()
         sits = S.enumerate_situations(g, tf)
-        recs = tf.derived[("law", "start")].records()
+        recs = tf.derived["law"].records()
         assert sits is not recs and len(sits) == len(recs)
         assert all(sit is rec for sit, rec in zip(sits, recs))
         # the list is the caller's: emptying it leaves the law whole
@@ -497,18 +495,17 @@ def _sha256(obj):
 
 
 class TestGoldenLaw:
-    @pytest.mark.parametrize("phase4", S.PHASE4_MODES)
     @pytest.mark.parametrize("name", sorted(_GOLDEN_LAW))
-    def test_law_and_situations_digests(self, name, phase4):
+    def test_law_and_situations_digests(self, name):
         branches, law_digest, sit_digest = _GOLDEN_LAW[name]
         g = _golden_graph(name)
         tf = select_two_factor(g)
-        res = S.enumerate_distribution(g, tf, phase4=phase4)
+        res = S.enumerate_distribution(g, tf)
         assert _sha256(res.to_json_dict()) == law_digest
         rows = sorted(
             (mask_vertices(sit.heads), mask_vertices(sit.s1),
              mask_vertices(sit.s3), str(sit.prob), mask_vertices(sit.out))
-            for sit in S.enumerate_situations(g, tf, phase4=phase4))
+            for sit in S.enumerate_situations(g, tf))
         assert len(rows) == branches
         assert _sha256(rows) == sit_digest
 
@@ -521,18 +518,16 @@ class TestGoldenLaw:
             "situation count passed the limit of %d branches"
             % S.DEFAULT_MAX_BRANCHES)
         res = S.enumerate_distribution(g, tf, max_branches=2**26)
-        assert tf.derived[("law", "start")].branches == 1_241_124
+        assert tf.derived["law"].branches == 1_241_124
         assert len(res.distribution) == 588
         assert min(res.marginals.values()) == Fraction(12339, 32768)
 
-    @pytest.mark.parametrize("phase4", S.PHASE4_MODES)
-    def test_branch_guard_boundary(self, phase4):
+    def test_branch_guard_boundary(self):
         g = _golden_graph("GP(7,2)")
         branches = _GOLDEN_LAW["GP(7,2)"][0]
-        S.enumerate_distribution(g, select_two_factor(g), phase4=phase4,
-                                 max_branches=branches)
+        S.enumerate_distribution(g, select_two_factor(g), max_branches=branches)
         with pytest.raises(S.ExplosionGuard) as err:
-            S.enumerate_distribution(g, select_two_factor(g), phase4=phase4,
+            S.enumerate_distribution(g, select_two_factor(g),
                                      max_branches=branches - 1)
         assert str(err.value) == (
             "situation count passed the limit of %d branches" % (branches - 1))
@@ -542,18 +537,19 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 class TestLawOracle:
-    @pytest.mark.parametrize("phase4", S.PHASE4_MODES)
+    @pytest.mark.parametrize("phase4", ["start", "recompute"])
     def test_law_matches_oracle_on_corpus(self, phase4):
         # the law sums over the masks covered after phase 2 and builds its
         # records on demand from the same walk; the oracle derives the
-        # runs and their branches on its own, one situation at a time
+        # runs and their branches on its own, one situation at a time,
+        # under either reading of phase 4
         graphs = [parse_graph6(line) for path in sorted(CORPUS.glob("*.g6"))
                   for line in path.read_text().split()]
         assert len(graphs) == 140
         graphs += [generalized_petersen(7, 2), generalized_petersen(8, 3)]
         for g in graphs:
             tf = select_two_factor(g)
-            law = S._compute_law(g, tf, phase4, S.DEFAULT_MAX_ORIENTATIONS,
+            law = S._compute_law(g, tf, S.DEFAULT_MAX_ORIENTATIONS,
                                  S.DEFAULT_MAX_BRANCHES)
             records, pmf, marginals, branches = law_oracle(g, tf, phase4)
             assert sorted((r.heads, r.s1, r.feasible, r.s3, r.out, r.d)
@@ -625,45 +621,42 @@ class TestEvents:
 
         checked = 0
         for g, tf in (petersen_tf(), tri2sq_tf()):
-            for phase4 in S.PHASE4_MODES:
-                sits = [(sit, set(mask_vertices(sit.out)), feasible_of(g, sit))
-                        for sit in S.enumerate_situations(g, tf, phase4=phase4)]
-                for sit, _, feas in sits:
-                    assert set(mask_vertices(sit.feasible)) == feas
-                for u in range(g.n):
-                    for name, t in templates_at(tf, u):
-                        label = (name, u, phase4)
-                        hits = [(sit.prob, out, feas)
-                                for sit, out, feas in sits
-                                if conforms(sit, t)]
-                        assert S.event_probability(
-                            t, g, tf, phase4=phase4) == sum(
-                            (p for p, _, _ in hits), Fraction(0)), label
-                        for w in range(g.n):
-                            assert S.forces(t, w, g, tf, phase4=phase4) == all(
-                                w in out for _, out, _ in hits), (label, w)
+            sits = [(sit, set(mask_vertices(sit.out)), feasible_of(g, sit))
+                    for sit in S.enumerate_situations(g, tf)]
+            for sit, _, feas in sits:
+                assert set(mask_vertices(sit.feasible)) == feas
+            for u in range(g.n):
+                for name, t in templates_at(tf, u):
+                    label = (name, u)
+                    hits = [(sit.prob, out, feas)
+                            for sit, out, feas in sits
+                            if conforms(sit, t)]
+                    assert S.event_probability(t, g, tf) == sum(
+                        (p for p, _, _ in hits), Fraction(0)), label
+                    for w in range(g.n):
+                        assert S.forces(t, w, g, tf) == all(
+                            w in out for _, out, _ in hits), (label, w)
 
-                        constrained = t.d3 | t.d3bar
-                        if not constrained:
-                            adm = True
-                        elif constrained != {t.focus}:
-                            adm = False
-                        else:
-                            adm = all(
-                                t.focus in feas for sit, _, feas in sits
-                                if conforms(sit, t, phase3=False))
-                        assert S.admissible(t, g, tf, phase4=phase4) == adm, \
-                            label
+                    constrained = t.d3 | t.d3bar
+                    if not constrained:
+                        adm = True
+                    elif constrained != {t.focus}:
+                        adm = False
+                    else:
+                        adm = all(
+                            t.focus in feas for sit, _, feas in sits
+                            if conforms(sit, t, phase3=False))
+                    assert S.admissible(t, g, tf) == adm, label
 
-                        cycle = set(tf.cycles[tf.cycle_of[t.focus]])
-                        total = sum((p for p, _, _ in hits), Fraction(0))
-                        if t.focus in t.d3 and len(cycle) % 2 and total:
-                            q = sum((p for p, _, feas in hits
-                                     if cycle <= feas), Fraction(0)) / total
-                        else:
-                            q = Fraction(0)
-                        assert S.exact_q(t, g, tf, phase4=phase4) == q, label
-                        checked += bool(q)
+                    cycle = set(tf.cycles[tf.cycle_of[t.focus]])
+                    total = sum((p for p, _, _ in hits), Fraction(0))
+                    if t.focus in t.d3 and len(cycle) % 2 and total:
+                        q = sum((p for p, _, feas in hits
+                                 if cycle <= feas), Fraction(0)) / total
+                    else:
+                        q = Fraction(0)
+                    assert S.exact_q(t, g, tf) == q, label
+                    checked += bool(q)
         assert checked  # tri2sq's odd cycles give some positive q
 
     def test_focus_only_template_is_the_sure_event(self):
@@ -812,8 +805,6 @@ class TestMonteCarlo:
         g, tf = petersen_tf()
         with pytest.raises(GraphError):
             S.monte_carlo(g, tf, 0, seed=1)
-        with pytest.raises(GraphError):
-            S.monte_carlo(g, tf, 100, seed=1, phase4="other")
         h = k33()
         with pytest.raises(TwoFactorError):
             S.monte_carlo(h, tf, 10, seed=1)

@@ -16,16 +16,40 @@ from fracchrom.templates import (
     compose_pqr,
     lemma4_lower_bound,
     parse_template_dsl,
-    print_template,
     q_upper,
     sensitive_pairs,
     sigma_library,
-    template_to_json_dict,
     validate_in,
 )
 from fracchrom.two_factor import two_factor_from_matching
 
 from util_graphs import circular_ladder, complete, gp72, k33, petersen
+
+
+def print_template(t):
+    """Render a template in the canonical form accepted by the parser."""
+    lines = []
+    if t.focus is not None:
+        lines.append("focus %d" % t.focus)
+    for tail, head in sorted(t.arcs):
+        lines.append("arc %d->%d" % (tail, head))
+    for name, group in (("star", t.d1), ("xstar", t.d1bar),
+                        ("tri", t.d3), ("xtri", t.d3bar)):
+        for v in sorted(group):
+            lines.append("%s %d" % (name, v))
+    return "\n".join(lines)
+
+
+def template_to_json_dict(t):
+    return {
+        "focus": t.focus,
+        "arcs": [list(a) for a in sorted(t.arcs)],
+        "d1": sorted(t.d1),
+        "d1bar": sorted(t.d1bar),
+        "d3": sorted(t.d3),
+        "d3bar": sorted(t.d3bar),
+    }
+
 
 SPOKES = [(i, 5 + i) for i in range(5)]
 
