@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _mcphases_py
@@ -534,7 +534,11 @@ class MonteCarloReport:
     ``violations`` counts trials whose output failed the independence
     check.  It is zero unless the construction is broken, and it is
     reported rather than raised so that a broken run still shows its
-    counts.
+    counts.  ``histogram`` holds the ``(output mask, trials)`` pairs in
+    increasing mask order, or ``None`` when the trials gave
+    ``_mcphases_py.CAPACITY`` or more distinct outputs, which the tally
+    does not keep; two reports with the same counts compare equal whether
+    or not they kept it.
     """
 
     n: int
@@ -543,6 +547,7 @@ class MonteCarloReport:
     backend: str
     counts: tuple
     violations: int
+    histogram: tuple | None = field(compare=False)
 
     def frequency(self, v: int) -> Fraction:
         return Fraction(self.counts[v], self.trials)
@@ -599,7 +604,8 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
     ``augment.Phase5Plan`` for this two-factor) each trial runs phases
     1-4 and then the repair phase on the same stream, mask to mask, so
     no trial converts a set; the tally turns each distinct output mask
-    into vertices once, when it is flushed.
+    into vertices once, when it is flushed, and becomes the report's
+    histogram unless it was flushed before the last trial.
     """
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
@@ -614,6 +620,7 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
     counts = [0] * g.n
     violations = 0
     tally = {}       # output mask -> number of trials that gave it
+    flushed = False
     for t in range(trials):
         rng = trial_stream(seed, t)
         out = trial(rng.getrandbits)[4]
@@ -622,7 +629,9 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
         tally[out] = tally.get(out, 0) + 1
         if len(tally) >= _mcphases_py.CAPACITY:
             violations += _flush(tally, counts, adj_mask)
+            flushed = True
+    histogram = None if flushed else tuple(sorted(tally.items()))
     violations += _flush(tally, counts, adj_mask)
     backend = "pure-python" if plan is None else "five-phase-reference"
     return MonteCarloReport(g.n, trials, seed, backend, tuple(counts),
-                            violations)
+                            violations, histogram)
