@@ -11,12 +11,16 @@ phase-4 addition is the isolated vertices of the feasible set worked out
 before phase 3; the ``sampler`` docstring shows why working it out again
 after phase 3 would add nothing else.
 
-Random bits are consumed in a fixed order: one bit per matching edge in
-sorted edge order (bit set = larger endpoint becomes the head), then for
-each selection pass one bit per path or even-cycle run and a
-rejection-sampled index per odd-cycle run, runs taken cycle by cycle in
-order of their starting position.  Vertex sets are Python-int bitmasks,
-so any number of vertices works.
+Random bits are consumed in a fixed order: the orientation first, one
+bit per matching edge in sorted edge order (bit set = larger endpoint
+becomes the head), drawn as ``bits(k)`` over chunks of up to 64 edges
+with edge ``lo + i`` in bit ``i`` of its chunk; then for each selection
+pass one bit per path or even-cycle run and a rejection-sampled index
+per odd-cycle run, runs taken cycle by cycle in order of their starting
+position.  ``sampler.SplitMix64`` hands out its bits low first, so on a
+fresh stream a chunk is the same bits as one ``bits(1)`` draw per edge,
+and a trial of a small graph reads one 64-bit output.  Vertex sets are
+Python-int bitmasks, so any number of vertices works.
 
 The runs of a selection pass depend only on the mask it selects from,
 and a sampling call meets the same few masks over and over, so the table
@@ -41,14 +45,23 @@ class TrialTable:
     takes a new entry.
     """
 
-    __slots__ = ("n", "adj_mask", "edges", "cycles", "cycle_masks",
-                 "by_heads", "by_covered", "by_part")
+    __slots__ = ("n", "adj_mask", "m", "draws", "tails", "flips", "cycles",
+                 "cycle_masks", "by_heads", "by_covered", "by_part")
 
     def __init__(self, n, edges_a, edges_b, cycle_starts, cycle_verts,
                  adj_mask):
         self.n = n
         self.adj_mask = adj_mask
-        self.edges = tuple((1 << a, 1 << b) for a, b in zip(edges_a, edges_b))
+        # bit i of the orientation makes the larger endpoint of matching
+        # edge i its head; it is drawn in chunks of up to 64 bits, and
+        # read 8 bits at a time, each byte indexing the XOR of the
+        # endpoint pairs a^b of the edges its set bits name
+        self.m = m = len(edges_a)
+        self.draws = tuple((lo, min(64, m - lo)) for lo in range(0, m, 64))
+        self.tails = vertex_mask(edges_a)
+        pairs = [(1 << a) ^ (1 << b) for a, b in zip(edges_a, edges_b)]
+        self.flips = tuple(_xor_table(pairs[lo:lo + 8])
+                           for lo in range(0, m, 8))
         self.cycles = tuple(tuple(cycle_verts[lo:hi])
                             for lo, hi in zip(cycle_starts, cycle_starts[1:]))
         self.cycle_masks = tuple(vertex_mask(cycle) for cycle in self.cycles)
@@ -64,9 +77,10 @@ class TrialTable:
         vertices, the phase-1 selection, the vertices feasible for phase 3,
         the phase-3 selection and the output set.
         """
-        heads = 0
-        for a, b in self.edges:
-            heads |= b if bits(1) else a
+        x = 0
+        for lo, k in self.draws:
+            x |= bits(k) << lo
+        heads = self.heads(x)
         entry = self.by_heads.get(heads)
         if entry is None:
             entry = self._remember(self.by_heads, heads, (
@@ -83,6 +97,14 @@ class TrialTable:
         feasible, program, added = entry
         s3 = _run(program, bits)
         return heads, s1, feasible, s3, covered | s3 | added
+
+    def heads(self, x):
+        """The heads mask of the orientation whose bits are ``x``."""
+        heads = self.tails
+        for table in self.flips:
+            heads ^= table[x & 255]
+            x >>= 8
+        return heads
 
     @staticmethod
     def _remember(memo, key, entry):
@@ -105,6 +127,14 @@ class TrialTable:
                     runs = self._remember(self.by_part, part, _cycle_runs(cycle, part))
                 program += runs
         return tuple(program)
+
+
+def _xor_table(pairs):
+    """The XOR of the ``pairs`` that the set bits of each index name."""
+    table = [0]
+    for pair in pairs:
+        table += [acc ^ pair for acc in table]
+    return tuple(table)
 
 
 def _cycle_runs(cycle, part):

@@ -535,8 +535,9 @@ def build_phase5_plan(g: Graph, tf: TwoFactor, dist: Distribution) -> Phase5Plan
 
 
 def _rand_below(rng: SplitMix64, bound: int) -> int:
-    """Uniform integer in [0, bound) by rejection, any bound >= 1."""
-    k = bound.bit_length()
+    """Uniform integer in [0, bound) by rejection, any bound >= 1: each
+    try draws the bits of ``bound - 1``, none when ``bound`` is 1."""
+    k = (bound - 1).bit_length()
     while True:
         x = 0
         left = k

@@ -86,25 +86,49 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+_LOW = tuple((1 << k) - 1 for k in range(65))  # the masks of k low bits
 
 
 class SplitMix64:
-    """Small deterministic 64-bit generator with splittable substreams."""
+    """Small deterministic 64-bit generator with splittable substreams.
 
-    __slots__ = ("state",)
+    ``getrandbits(k)`` hands out the bits of one 64-bit output ``k`` at a
+    time, low bits first, and draws a fresh output only when fewer than
+    ``k`` bits are left, discarding those.  So when at least ``k`` bits
+    are left, or none, one ``getrandbits(k)`` draw gives the bits of
+    ``k`` one-bit draws, the first in its lowest bit; and the first
+    ``getrandbits(64)`` of a stream is its whole first output.
+    """
+
+    __slots__ = ("state", "buffer", "left")
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
+        self.buffer = 0  # the unused bits of the last output
+        self.left = 0    # how many there are
 
     def getrandbits(self, k: int) -> int:
-        # the whole step in one call: the Monte Carlo loop draws every
-        # bit through here
+        # the Monte Carlo loop draws every choice through here
+        left = self.left - k
+        if left >= 0 and k > 0:
+            z = self.buffer
+            self.buffer = z >> k
+            self.left = left
+            return z & _LOW[k]
         if not 1 <= k <= 64:
             raise ValueError("k must be in 1..64")
-        z = self.state = (self.state + _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return (z ^ (z >> 31)) >> (64 - k)
+        self.state = (self.state + _GAMMA) & _MASK64
+        z = _mix(self.state)
+        self.buffer = z >> k
+        self.left = 64 - k
+        return z & _LOW[k]
+
+
+def _mix(z: int) -> int:
+    """The SplitMix64 output of the state ``z``."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
 
 
 def trial_stream(seed: int, index: int) -> SplitMix64:
@@ -113,7 +137,7 @@ def trial_stream(seed: int, index: int) -> SplitMix64:
     in the split of Steele, Lea and Flood (OOPSLA 2014).  Seeding it with
     the raw state ``seed + (index + 1) * gamma`` instead would make trial
     ``index + 1`` replay trial ``index``'s draws one step later."""
-    return SplitMix64(SplitMix64(seed + index * _GAMMA).getrandbits(64))
+    return SplitMix64(_mix((seed + (index + 1) * _GAMMA) & _MASK64))
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +319,9 @@ def _phase1(table):
     yields ``(heads, isolated heads, phase-1 selections, d01)``, the
     selections being equally likely and ``d01 = 2^m * d1`` with ``d1``
     their number."""
-    m = len(table.edges)
+    m = table.m
     for bits in range(1 << m):
-        heads = 0
-        for i, (a, b) in enumerate(table.edges):
-            heads |= b if (bits >> i) & 1 else a
+        heads = table.heads(bits)
         phase1 = _expand(table._program(heads))
         yield (heads, _mcphases_py._isolated(table.adj_mask, heads), phase1,
                len(phase1) << m)

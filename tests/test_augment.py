@@ -438,6 +438,33 @@ class TestRunPhase5:
                 {(0, j): F(1, 2)},  # the swap is not allowed on this set
                 plan.sponsors, plan.epsilon, plan.nbrx, plan.eta, plan.rho)
 
+    def test_rand_below_is_exactly_uniform_on_the_bits_it_draws(self):
+        class Scripted:
+            """Hands out ``values`` in order, noting each width asked."""
+
+            def __init__(self, *values):
+                self.values, self.widths = list(values), []
+
+            def getrandbits(self, k):
+                self.widths.append(k)
+                return self.values.pop(0)
+
+        assert A._rand_below(Scripted(), 1) == 0  # draws nothing
+        for bound in range(2, 10):
+            k = (bound - 1).bit_length()
+            assert 1 << k < 2 * bound  # a try is rejected less than half the time
+            results = []
+            for first in range(1 << k):
+                rng = Scripted(first, 0)
+                results.append(A._rand_below(rng, bound))
+                assert rng.widths == ([k] if first < bound else [k, k])
+            # each value below bound takes one first draw; the others retry
+            assert results == list(range(bound)) + [0] * ((1 << k) - bound)
+        for first, heads in ((0, True), (1, False)):
+            rng = Scripted(first)
+            assert A._bernoulli(rng, F(1, 2)) is heads
+            assert rng.widths == [1]
+
 
 # ---------------------------------------------------------------------------
 # the exact repaired law

@@ -219,15 +219,15 @@ class TestProb:
         payload = invoke_json(
             "prob", str(deficient), "--seed", "11", "--trials", "500")
         assert payload["backend"] == "five-phase-reference"
-        assert payload["counts"] == [205, 180, 211, 177, 182, 163, 192, 191,
-                                     180, 197]
+        assert payload["counts"] == [183, 197, 173, 212, 176, 163, 196, 199,
+                                     186, 189]
         assert payload["min_frequency"] == "163/500"
         payload = invoke_json(
             "prob", files("p.g6", petersen()), "--seed", "5", "--trials", "3000")
         assert payload["backend"] == "pure-python"
-        assert payload["counts"] == [1095, 1089, 1103, 1093, 1089, 1117, 1127,
-                                     1096, 1099, 1085]
-        assert payload["min_frequency"] == "217/600"
+        assert payload["counts"] == [1136, 1073, 1085, 1124, 1059, 1077, 1078,
+                                     1089, 1101, 1117]
+        assert payload["min_frequency"] == "353/1000"
 
     @pytest.mark.parametrize("dtype", sorted(PROB_EXACT_GOLDEN))
     def test_exact_repaired_law_golden(self, dtype, tmp_path, monkeypatch):
@@ -238,11 +238,11 @@ class TestProb:
         assert hashlib.sha256(out.encode()).hexdigest() == PROB_EXACT_GOLDEN[dtype]
 
     @pytest.mark.parametrize("dtype,counts", [
-        # at 2000 trials the plan swaps 15 times on the type-I graph and
-        # 14 times on the type-Ia graph
-        ("I", [813, 898, 788, 898, 757, 670, 726, 746, 878, 833, 878, 860]),
-        ("Ia", [849, 880, 959, 880, 959, 781, 716, 719, 718, 885, 847, 885,
-                825, 722]),
+        # at 2000 trials the plan swaps 11 times on the type-I graph and
+        # 12 times on the type-Ia graph
+        ("I", [851, 876, 798, 876, 776, 705, 715, 751, 895, 797, 895, 796]),
+        ("Ia", [831, 910, 939, 910, 939, 800, 707, 716, 710, 901, 853, 901,
+                848, 702]),
     ])
     def test_monte_carlo_with_swaps_golden_counts(self, dtype, counts,
                                                   tmp_path):

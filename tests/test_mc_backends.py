@@ -156,6 +156,15 @@ def test_trial_table_matches_scanning_oracle_on_66_vertices(phase4):
     _assert_table_matches_scan(g, tf, phase4, 300, 8)
 
 
+def test_trial_table_matches_scanning_oracle_beyond_64_matching_edges():
+    # 70 matching edges: the orientation takes a 64-bit and a 6-bit draw
+    k = 70
+    g = circular_ladder(k)
+    tf = two_factor_from_matching(g, [(i, k + i) for i in range(k)])
+    assert K.TrialTable(g.n, *S._kernel_args(g, tf)).draws == ((0, 64), (64, 6))
+    _assert_table_matches_scan(g, tf, "start", 100, 9)
+
+
 def test_capacity_of_one_changes_no_count(monkeypatch):
     deficient = parse_graph6(DEFICIENT_N10)
     tf = select_two_factor(deficient)
@@ -178,3 +187,34 @@ def test_violations_count_trials_not_distinct_sets(monkeypatch):
     report = S.monte_carlo(g, tf, 250, 1)
     assert report.violations == 250
     assert report.counts == (250,) * g.n
+
+
+@pytest.mark.parametrize("g", [petersen(), parse_graph6("KlSgGC@?gAoD")],
+                         ids=["petersen", "n12"])
+def test_a_trial_draws_about_two_outputs(monkeypatch, g):
+    # the seeding output and one buffered output carry a whole trial, and
+    # the orientation is one draw of all m matching-edge bits
+    tf = select_two_factor(g)
+    m, trials = len(tf.m_edges), 2_000
+    inverse = pow(S._GAMMA, -1, 1 << 64)  # each output steps the state once
+    streams = []
+    stream = S.trial_stream
+
+    class Counted(S.SplitMix64):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.start, self.widths = self.state, []
+            streams.append(self)
+
+        def getrandbits(self, k):
+            self.widths.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(S, "trial_stream",
+                        lambda seed, t: Counted(stream(seed, t).state))
+    S.monte_carlo(g, tf, trials, 17)
+    assert len(streams) == trials
+    drawn = sum((rng.state - rng.start) * inverse % (1 << 64)
+                for rng in streams)
+    assert (trials + drawn) / trials <= 2.1
+    assert all(rng.widths[0] == m for rng in streams)

@@ -80,11 +80,25 @@ class TestSplitMix64:
         assert [rng.getrandbits(64) for _ in range(3)] == [
             0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
-    def test_getrandbits_takes_top_bits(self):
-        a = S.SplitMix64(12345)
-        b = S.SplitMix64(12345)
-        full = a.getrandbits(64)
-        assert b.getrandbits(7) == full >> 57
+    def test_getrandbits_takes_low_bits_first(self):
+        first, second = S.SplitMix64(12345), S.SplitMix64(12345)
+        full = [first.getrandbits(64) for _ in range(3)]
+        # draws that fit share one output, low bits first
+        assert second.getrandbits(7) == full[0] & 0x7F
+        assert second.getrandbits(50) == (full[0] >> 7) & ((1 << 50) - 1)
+        # 7 bits are left, so a draw of 8 discards them for a fresh output
+        assert second.getrandbits(8) == full[1] & 0xFF
+        assert second.getrandbits(56) == full[1] >> 8
+        assert second.getrandbits(1) == full[2] & 1
+        # a draw out of 1..64 raises whether or not bits are left, and
+        # takes none of them
+        for k in (0, 65, -1):
+            with pytest.raises(ValueError):
+                second.getrandbits(k)
+        assert second.getrandbits(63) == full[2] >> 1
+        # one bit at a time gives the bits of one wide draw
+        third = S.SplitMix64(12345)
+        assert sum(third.getrandbits(1) << i for i in range(64)) == full[0]
 
     def test_getrandbits_range(self):
         rng = S.SplitMix64(1)
