@@ -19,20 +19,16 @@ import argparse
 import json
 import secrets
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .augment import (
-    BiasInfeasible,
     DeficiencyError,
-    PreconditionFailure,
     deficiency_report,
     exact_phase5_distribution,
 )
 from .fractional_lp import (
     ColouringError,
-    MergeFailure,
     chi_f_exact,
     chi_f_upper_subcubic,
 )
@@ -47,7 +43,7 @@ from .two_factor import (
     two_factor_to_json_dict,
 )
 
-__all__ = ["RunConfig", "main", "run",
+__all__ = ["main", "run",
            "cmd_validate", "cmd_two_factor", "cmd_prob",
            "cmd_chif", "cmd_certify", "cmd_corpus"]
 
@@ -67,44 +63,20 @@ _VALIDATION_ERRORS = (
     OSError,
     json.JSONDecodeError,
 )
-_INVARIANT_ERRORS = (
-    BiasInfeasible,
-    PreconditionFailure,
-    MergeFailure,
-    AssertionError,
-    RuntimeError,
-)
+# RuntimeError covers BiasInfeasible, PreconditionFailure and MergeFailure
+_INVARIANT_ERRORS = (AssertionError, RuntimeError)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on, resolved from argv.
-
-    ``seed`` is always concrete by the time a command runs: when the
-    user does not pass --seed, a fresh 64-bit seed is drawn and echoed
-    in the output.  Guards must be positive; ``format`` is ``json`` or
-    ``text``.
-    """
-
-    command: str
-    paths: tuple
-    seed: int
-    trials: int
-    exact: bool
-    max_orientations: int | None
-    max_branches: int | None
-    fmt: str
-    two_factor_path: str | None
-    require_cubic_triangle_free: bool
-    search: bool
-
-    def __post_init__(self):
-        if not 0 <= self.seed < 1 << 64:
-            raise GraphError("seed must fit in 64 bits")
-        for name in ("trials", "max_orientations", "max_branches"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise GraphError(f"{name} must be positive")
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Refuse a seed outside 64 bits and a guard or trial count below 1."""
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < 1 << 64:
+        raise GraphError("seed must fit in 64 bits")
+    for dest, name in (("trials", "trials"), ("max_orient", "max_orientations"),
+                       ("max_branches", "max_branches")):
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            raise GraphError(f"{name} must be positive")
 
 
 def _read_text(path) -> str:
@@ -139,44 +111,44 @@ def _parse_graph_text(text: str, origin: str) -> Graph:
 
 
 def _load_two_factor(g: Graph, path: str):
-    data = json.loads(_read_text(path))
+    try:
+        data = json.loads(_read_text(path))
+    except RecursionError:
+        raise TwoFactorError(f"{path}: JSON nested too deeply") from None
     return two_factor_from_json_dict(g, data)
 
 
-def _law_options(cfg: RunConfig) -> dict:
+def _law_options(args: argparse.Namespace) -> dict:
     """The options every exact-law computation of a command runs with."""
-    return {"max_orientations": cfg.max_orientations,
-            "max_branches": cfg.max_branches}
+    return {"max_orientations": args.max_orient,
+            "max_branches": args.max_branches}
 
 
-def _pick_two_factor(g: Graph, cfg: RunConfig):
-    if cfg.two_factor_path:
-        return _load_two_factor(g, cfg.two_factor_path), "pinned"
+def _pick_two_factor(g: Graph, args: argparse.Namespace):
+    if args.two_factor:
+        return _load_two_factor(g, args.two_factor), "pinned"
     return select_two_factor(g), "selected"
 
 
 # -- commands ---------------------------------------------------------------------
 
 
-def cmd_validate(cfg: RunConfig) -> dict:
-    g = _read_graph(cfg.paths[0])
+def cmd_validate(args: argparse.Namespace) -> dict:
+    g = _read_graph(args.path)
     report = analyze(g)
-    payload = {"command": "validate", "input": cfg.paths[0], **report.to_json_dict()}
-    if cfg.require_cubic_triangle_free and not (
-        report.is_cubic and report.is_triangle_free
-    ):
-        payload["verdict"] = "fail"
-        raise _Failure(payload)
-    payload["verdict"] = "pass"
+    payload = {"command": "validate", "input": args.path, **report.to_json_dict()}
+    passed = not args.require_cubic_triangle_free or (
+        report.is_cubic and report.is_triangle_free)
+    payload["verdict"] = "pass" if passed else "fail"
     return payload
 
 
-def cmd_two_factor(cfg: RunConfig) -> dict:
-    g = _read_graph(cfg.paths[0])
-    tf, origin = _pick_two_factor(g, cfg)
+def cmd_two_factor(args: argparse.Namespace) -> dict:
+    g = _read_graph(args.path)
+    tf, origin = _pick_two_factor(g, args)
     return {
         "command": "two-factor",
-        "input": cfg.paths[0],
+        "input": args.path,
         "origin": origin,
         "cycle_count": len(tf.cycles),
         "cycle_lengths": [len(c) for c in tf.cycles],
@@ -193,8 +165,8 @@ def _epsilon_payload(g: Graph, tf) -> tuple[dict, list]:
     return eps_table, deficient
 
 
-def _exact_prob(cfg: RunConfig, g: Graph, tf) -> dict:
-    _, result = exact_phase5_distribution(g, tf, **_law_options(cfg))
+def _exact_prob(args: argparse.Namespace, g: Graph, tf) -> dict:
+    _, result = exact_phase5_distribution(g, tf, **_law_options(args))
     eps_table, deficient = _epsilon_payload(g, tf)
     marginals = {str(v): str(result.marginals[v]) for v in range(g.n)}
     lo = min((result.marginals[v] for v in range(g.n)), default=Fraction(1))
@@ -210,20 +182,21 @@ def _exact_prob(cfg: RunConfig, g: Graph, tf) -> dict:
     }
 
 
-def _monte_carlo_prob(cfg: RunConfig, g: Graph, tf) -> dict:
+def _monte_carlo_prob(args: argparse.Namespace, g: Graph, tf) -> dict:
     eps_table, deficient = _epsilon_payload(g, tf)
     plan = None
     if deficient:
         # the repair phase needs the exact plan; each trial then runs it
         # after phases 1-4, on its own bit stream
-        plan, _ = exact_phase5_distribution(g, tf, **_law_options(cfg))
-    report = monte_carlo(g, tf, cfg.trials, cfg.seed, plan=plan)
+        plan, _ = exact_phase5_distribution(g, tf, **_law_options(args))
+    seed = secrets.randbits(64) if args.seed is None else args.seed
+    report = monte_carlo(g, tf, args.trials, seed, plan=plan)
     lo = min((report.frequency(v) for v in range(g.n)), default=Fraction(1))
     return {
         "mode": "monte-carlo",
         "phase4": "start",  # as in _exact_prob
-        "seed": cfg.seed,
-        "trials": cfg.trials,
+        "seed": seed,
+        "trials": args.trials,
         "epsilon": eps_table,
         "deficiency_report": deficient,
         "threshold": f"{LOWER_BOUND_NUM}/256",
@@ -236,44 +209,44 @@ def _monte_carlo_prob(cfg: RunConfig, g: Graph, tf) -> dict:
     }
 
 
-def cmd_prob(cfg: RunConfig) -> dict:
-    g = _read_graph(cfg.paths[0])
-    tf, origin = _pick_two_factor(g, cfg)
-    body = _exact_prob(cfg, g, tf) if cfg.exact else _monte_carlo_prob(cfg, g, tf)
+def cmd_prob(args: argparse.Namespace) -> dict:
+    g = _read_graph(args.path)
+    tf, origin = _pick_two_factor(g, args)
+    body = _exact_prob(args, g, tf) if args.exact else _monte_carlo_prob(args, g, tf)
     return {
         "command": "prob",
-        "input": cfg.paths[0],
+        "input": args.path,
         "two_factor": {"origin": origin, **two_factor_to_json_dict(tf)},
         **body,
     }
 
 
-def cmd_chif(cfg: RunConfig) -> dict:
-    g = _read_graph(cfg.paths[0])
+def cmd_chif(args: argparse.Namespace) -> dict:
+    g = _read_graph(args.path)
     value, primal, dual = chi_f_exact(g)
     return {
         "command": "chif",
-        "input": cfg.paths[0],
+        "input": args.path,
         "chi_f": str(value),
         "weighting": primal.to_json_dict(),
         "dual_clique": {str(v): str(q) for v, q in sorted(dual.items()) if q > 0},
     }
 
 
-def cmd_certify(cfg: RunConfig) -> dict:
-    g = _read_graph(cfg.paths[0])
-    bound, cert = chi_f_upper_subcubic(g, **_law_options(cfg))
+def cmd_certify(args: argparse.Namespace) -> dict:
+    g = _read_graph(args.path)
+    bound, cert = chi_f_upper_subcubic(g, **_law_options(args))
     # chi_f_upper_subcubic verifies the certificate and raises otherwise
     return {
         "command": "certify",
-        "input": cfg.paths[0],
+        "input": args.path,
         "bound": str(bound),
         "verified": True,
         "certificate": cert.to_json_dict(),
     }
 
 
-def _corpus_row(origin: str, g: Graph, cfg: RunConfig) -> dict:
+def _corpus_row(origin: str, g: Graph, args: argparse.Namespace) -> dict:
     report = analyze(g)
     row = {
         "graph": origin,
@@ -301,18 +274,18 @@ def _corpus_row(origin: str, g: Graph, cfg: RunConfig) -> dict:
         recs = deficiency_report(g, tf)
         deficient = [r for r in recs if r.deficient]
         row["deficient_count"] = len(deficient)
-        if cfg.search:
+        if args.search:
             row["deficient"] = [r.to_json_dict() for r in deficient]
         try:
-            _, result = exact_phase5_distribution(g, tf, **_law_options(cfg))
+            _, result = exact_phase5_distribution(g, tf, **_law_options(args))
         except GuardExceeded:
             return row
         row["min_marginal"] = str(min(result.marginals[v] for v in range(g.n)))
     return row
 
 
-def cmd_corpus(cfg: RunConfig) -> dict:
-    root = Path(cfg.paths[0])
+def cmd_corpus(args: argparse.Namespace) -> dict:
+    root = Path(args.path)
     if not root.is_dir():
         raise GraphError(f"{root}: not a directory")
     rows = []
@@ -320,27 +293,19 @@ def cmd_corpus(cfg: RunConfig) -> dict:
         lines = _data_lines(_read_text(path))
         for i, line in enumerate(lines, start=1):
             origin = f"{path.name}:{i}" if len(lines) > 1 else path.name
-            rows.append(_corpus_row(origin, parse_graph6(line), cfg))
-    if cfg.search:
+            rows.append(_corpus_row(origin, parse_graph6(line), args))
+    if args.search:
         rows = [r for r in rows if r.get("deficient_count") not in (0, None)]
     return {
         "command": "corpus",
-        "input": cfg.paths[0],
-        "search": cfg.search,
+        "input": args.path,
+        "search": args.search,
         "count": len(rows),
         "rows": rows,
     }
 
 
 # -- plumbing ---------------------------------------------------------------------
-
-
-class _Failure(Exception):
-    """A command-specific validation verdict that still carries a payload."""
-
-    def __init__(self, payload: dict):
-        super().__init__("validation failed")
-        self.payload = payload
 
 
 _COMMANDS = {
@@ -360,25 +325,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # every option once; each command takes only those it reads, and
-    # the rest keep their defaults so that every RunConfig field is set
+    # every option once, each stored under its own name (--max-orient in
+    # args.max_orient); each command adds only those it reads
     options = {
-        "--seed": dict(dest="seed", type=int, default=None,
-                       help="64-bit seed; drawn and echoed when omitted"),
-        "--trials": dict(dest="trials", type=int, default=10000),
-        "--exact": dict(dest="exact", action="store_true", default=False,
+        "--seed": dict(type=int, help="64-bit seed; drawn and echoed when omitted"),
+        "--trials": dict(type=int, default=10000),
+        "--exact": dict(action="store_true",
                         help="exact enumeration instead of Monte Carlo"),
-        "--max-orient": dict(dest="max_orient", type=int, default=None),
-        "--max-branches": dict(dest="max_branches", type=int, default=None),
-        "--two-factor": dict(dest="two_factor", default=None, metavar="FILE",
-                             help="pin the two-factor from a JSON file"),
-        "--format": dict(dest="format", choices=("json", "text"), default="json"),
-        "--workers": dict(dest="workers", type=int, default=None,
+        "--max-orient": dict(type=int),
+        "--max-branches": dict(type=int),
+        "--two-factor": dict(metavar="FILE", help="pin the two-factor from a JSON file"),
+        "--format": dict(choices=("json", "text"), default="json"),
+        "--workers": dict(type=int,
                           help="accepted and ignored: Monte Carlo runs on one thread"),
-        "--require-cubic-triangle-free": dict(
-            dest="require_cubic_triangle_free", action="store_true", default=False),
+        "--require-cubic-triangle-free": dict(action="store_true"),
         "--search": dict(
-            dest="search", action="store_true", default=False,
+            action="store_true",
             help="keep only graphs whose selected two-factor has deficient vertices"),
     }
 
@@ -388,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, spec in options.items():
             if flag == "--format" or flag in flags:
                 p.add_argument(flag, **spec)
-            else:
-                p.set_defaults(**{spec["dest"]: spec["default"]})
 
     law = ("--max-orient", "--max-branches")
     add("validate", "parse a graph and report its structure", "graph file",
@@ -404,25 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("corpus", "summarize every graph6 file in a directory", "directory",
         *law, "--search")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        seed = secrets.randbits(64)
-    return RunConfig(
-        command=args.command,
-        paths=(args.path,),
-        seed=seed,
-        trials=args.trials,
-        exact=args.exact,
-        max_orientations=args.max_orient,
-        max_branches=args.max_branches,
-        fmt=args.format,
-        two_factor_path=args.two_factor,
-        require_cubic_triangle_free=args.require_cubic_triangle_free,
-        search=args.search,
-    )
 
 
 _CSV_COLUMNS = (
@@ -535,11 +476,8 @@ def run(argv=None, out=None, err=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        payload = _COMMANDS[cfg.command](cfg)
-    except _Failure as exc:
-        out.write(_render(exc.payload, args.format))
-        return EXIT_VALIDATION
+        _check_ranges(args)
+        payload = _COMMANDS[args.command](args)
     except _VALIDATION_ERRORS as exc:
         err.write(f"error: {exc}\n")
         return EXIT_VALIDATION
@@ -549,8 +487,9 @@ def run(argv=None, out=None, err=None) -> int:
     except _INVARIANT_ERRORS as exc:
         err.write(f"internal invariant violated ({type(exc).__name__}): {exc}\n")
         return EXIT_INVARIANT
-    out.write(_render(payload, cfg.fmt))
-    return EXIT_OK
+    out.write(_render(payload, args.format))
+    # a failed verdict still prints its report
+    return EXIT_VALIDATION if payload.get("verdict") == "fail" else EXIT_OK
 
 
 def main() -> None:

@@ -544,25 +544,27 @@ def _leaf_certificate(step, host=None, **enum_kw) -> MultisetCertificate:
 
 
 def _certificate_for(step, **enum_kw) -> MultisetCertificate:
+    # the chain of bridge splits runs through second children only (see
+    # reduce_subcubic), so it is walked in a loop, first sides on the way
+    # down and merges on the way back up
+    splits = []
+    while step.kind == "bridge-split":
+        first = _certificate_for(step.children[0], **enum_kw)
+        splits.append((step, _relabel(first, step.graph.n, step.child_maps[0])))
+        step = step.children[1]
     if step.is_leaf:
-        return _leaf_certificate(step, **enum_kw)
-    if step.kind == "bridge-split":
-        (c1, c2), (m1, m2) = step.children, step.child_maps
-        a = _relabel(_certificate_for(c1, **enum_kw), step.graph.n, m1)
-        b = _relabel(_certificate_for(c2, **enum_kw), step.graph.n, m2)
-        x1, x2 = step.detail["bridge"]
-        if x1 not in {m1[v] for v in range(c1.graph.n)}:
-            a, b = b, a
-            x1, x2 = x2, x1
-        return _merge_on_bridge(step.graph.n, a, b, x1, x2)
-    if step.kind == "degree2-double":
-        child = _certificate_for(step.children[0], **enum_kw)
-        return _restrict(child, step.graph.n)
-    if step.kind == "degree2-single":
+        cert = _leaf_certificate(step, **enum_kw)
+    elif step.kind == "degree2-double":
+        cert = _restrict(_certificate_for(step.children[0], **enum_kw), step.graph.n)
+    elif step.kind == "degree2-single":
         leaf = step.children[0]
-        cert = _leaf_certificate(leaf, host=step.graph, **enum_kw)
-        return _restrict(cert, step.graph.n)
-    raise GraphError(f"unknown reduction kind {step.kind!r}")  # pragma: no cover
+        cert = _restrict(_leaf_certificate(leaf, host=step.graph, **enum_kw), step.graph.n)
+    else:  # pragma: no cover
+        raise GraphError(f"unknown reduction kind {step.kind!r}")
+    for split, a in reversed(splits):
+        b = _relabel(cert, split.graph.n, split.child_maps[1])
+        cert = _merge_on_bridge(split.graph.n, a, b, *split.detail["bridge"])
+    return cert
 
 
 def chi_f_upper_subcubic(g: Graph, **enum_kw):

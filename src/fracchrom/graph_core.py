@@ -29,6 +29,11 @@ class GuardExceeded(RuntimeError):
     """A configured size guard was exceeded (desk-scale limits)."""
 
 
+# the most vertices an edge-list header may declare; the graph is built
+# at the declared size, so this bounds the memory a small file can claim
+MAX_EDGE_LIST_VERTICES = 1 << 16
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
@@ -138,7 +143,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format: first line ``n m``, then m lines ``u v``.
 
     Blank lines and lines starting with ``#`` are ignored.  Errors carry the
-    1-based line number of the offending input line.
+    1-based line number of the offending input line.  A header declaring
+    more than ``MAX_EDGE_LIST_VERTICES`` vertices raises `GuardExceeded`.
     """
     lines = text.splitlines()
     header = None
@@ -164,6 +170,9 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError(f"line {header_no}: header must be two integers") from None
     if n < 0 or m < 0:
         raise GraphError(f"line {header_no}: negative count in header")
+    if n > MAX_EDGE_LIST_VERTICES:
+        raise GuardExceeded(
+            f"line {header_no}: header declares {n} vertices (> {MAX_EDGE_LIST_VERTICES})")
     if len(rows) != m:
         raise GraphError(f"expected {m} edge lines, found {len(rows)}")
     edges = []
@@ -400,7 +409,8 @@ class ReductionStep:
       - ``none``: leaf; ``detail['leaf']`` is one of ``cubic-bridgeless``,
         ``one-bridge`` (the doubled single-degree-2 construction, which keeps
         its connecting edge) or ``trivial`` (n <= 3).
-      - ``bridge-split``: two children, the sides of a bridge.
+      - ``bridge-split``: two children, the sides of a bridge;
+        ``detail['bridge']`` is (end in the first side, end in the second).
       - ``degree2-double``: one child, two copies joined at degree-2 copies.
       - ``degree2-single``: one child, two copies joined at the unique
         degree-2 vertex.
@@ -458,10 +468,15 @@ def suppress_vertex(g: Graph, v0: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def _split_bridge(g: Graph, bridges: list[tuple[int, int]]):
-    """Pick a bridge one side of which contains no further bridge."""
+    """Pick a bridge one side of which contains no further bridge.
+
+    Returns the bridge as (end in that side, other end) and the side.
+    The side of each bridge's smaller end is tried first, then the side
+    of each larger end; a leaf of the tree of blocks always has one.
+    """
     bridge_set = set(bridges)
-    for x1, x2 in bridges:
-        side = reach(g, x1, frozenset([(x1, x2)]))
+    for x1, x2 in bridges + [(x2, x1) for x1, x2 in bridges]:
+        side = reach(g, x1, frozenset([(min(x1, x2), max(x1, x2))]))
         side_edges = {
             (u, v) for u, v in g.edges if u in side and v in side
         }
@@ -489,29 +504,40 @@ def reduce_subcubic(g: Graph) -> ReductionStep:
     (the resulting leaf keeps that single connecting edge and is flagged
     ``one-bridge``).  Graphs on at most 3 vertices are trivial leaves.
     """
-    report = analyze(g)
-    if not report.is_connected:
-        raise GraphError("reduce_subcubic requires a connected graph")
-    if not report.is_subcubic:
-        raise GraphError("reduce_subcubic requires a subcubic graph")
-
-    if g.n <= 3:
-        return ReductionStep("none", g, detail={"leaf": "trivial"})
-
-    if report.bridge_list:
+    # A path of bridges nests one split in the next, so the chain of
+    # splits is walked in a loop: the first side is bridge-free, so only
+    # the second can hold further bridges.
+    splits = []
+    while True:
+        report = analyze(g)
+        if not report.is_connected:
+            raise GraphError("reduce_subcubic requires a connected graph")
+        if not report.is_subcubic:
+            raise GraphError("reduce_subcubic requires a subcubic graph")
+        if g.n <= 3 or not report.bridge_list:
+            break
         (x1, x2), side = _split_bridge(g, list(report.bridge_list))
         other = sorted(set(range(g.n)) - set(side))
         g1, map1 = _induced(g, side)
         g2, map2 = _induced(g, other)
-        child1 = reduce_subcubic(g1)
-        child2 = reduce_subcubic(g2)
-        return ReductionStep(
+        splits.append((g, reduce_subcubic(g1), (map1, map2), (x1, x2)))
+        g = g2
+    step = _reduce_bridgeless(g)
+    for parent, child1, maps, bridge in reversed(splits):
+        step = ReductionStep(
             "bridge-split",
-            g,
-            children=(child1, child2),
-            child_maps=(map1, map2),
-            detail={"bridge": (x1, x2)},
+            parent,
+            children=(child1, step),
+            child_maps=maps,
+            detail={"bridge": bridge},
         )
+    return step
+
+
+def _reduce_bridgeless(g: Graph) -> ReductionStep:
+    """`reduce_subcubic` of a graph with no bridge or at most 3 vertices."""
+    if g.n <= 3:
+        return ReductionStep("none", g, detail={"leaf": "trivial"})
 
     deg2 = [v for v in range(g.n) if g.degree(v) == 2]
     if len(deg2) >= 2:

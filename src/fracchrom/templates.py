@@ -122,24 +122,8 @@ def validate_in(t: Template, tf: TwoFactor) -> None:
                 "arc (%d, %d) does not orient a matching edge" % (tail, head))
 
 
-class _InvalidType:
-    """Result of a template composition whose constraints clash."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Invalid"
-
-    def __bool__(self):
-        return False
-
-
-INVALID = _InvalidType()
+# the result of a template composition whose constraints clash
+INVALID = None
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +159,10 @@ def _parse_vertex(expr: str, tf: TwoFactor, focus):
             start = pos
             while pos < len(s) and s[pos].isdigit():
                 pos += 1
-            return int(s[start:pos])
+            val = int(s[start:pos])
+            if val >= tf.graph.n:  # before ' or +-k looks it up in tf
+                fail("vertex %d out of range" % val)
+            return val
         if ch == "u" or ch == "v":
             pos += 1
             if focus is None:
@@ -206,8 +193,6 @@ def _parse_vertex(expr: str, tf: TwoFactor, focus):
     val = expression()
     if pos != len(s):
         fail("trailing %r" % s[pos:])
-    if not (0 <= val < tf.graph.n):
-        fail("vertex %d out of range" % val)
     return val
 
 

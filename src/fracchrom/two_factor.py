@@ -461,9 +461,19 @@ def two_factor_to_json_dict(tf: TwoFactor) -> dict:
 
 
 def two_factor_from_json_dict(g: Graph, data: dict) -> TwoFactor:
+    """Read back the shape `two_factor_to_json_dict` writes.
+
+    The input comes from outside, so every vertex id must be an int
+    naming a vertex of ``g``; a float, string or bool is refused, not
+    converted.
+    """
     try:
-        cycles = [list(map(int, c)) for c in data["cycles"]]
-        matching = [(int(u), int(v)) for u, v in data["matching"]]
+        cycles = [list(c) for c in data["cycles"]]
+        matching = [(u, v) for u, v in data["matching"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise TwoFactorError(f"malformed two-factor JSON: {exc}") from None
+    for x in itertools.chain(*cycles, *matching):
+        if type(x) is not int or not 0 <= x < g.n:
+            raise TwoFactorError(
+                f"malformed two-factor JSON: {x!r} is not a vertex of the graph")
     return TwoFactor(g, cycles, matching)

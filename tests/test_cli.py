@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fracchrom import augment, cli, fractional_lp, sampler
 from fracchrom.augment import BiasInfeasible
-from fracchrom.graph_core import Graph, GraphError, GuardExceeded, encode_graph6, to_edge_list_text
+from fracchrom.graph_core import Graph, GuardExceeded, encode_graph6, to_edge_list_text
 
 from util_graphs import (
     bridged_composite,
@@ -50,6 +50,12 @@ CERTIFY_BRIDGED_GOLDEN = {
     ((0, 4), (0, 4)): "b350fb3b7ee6eaf9ac8ffca6b3dcd617fb3866c0b77bcc52dfea73fdcc32010d",
     ((1, 5), (4, 5)): "0d675a2edf7b90445c78a118f73c691f3f18ee9bc1b3cc3f5c40c7b4e75b4593",
     ((2, 3), (1, 2)): "16195c52fc53f4a94b4c7c0e959f0d8567d5d114e403f828c2cfb8add129233b",
+}
+# sha256 of `certify` on the edge lists of bridge chains while the
+# reduction and the certificate recursed once per bridge split
+CERTIFY_CHAIN_GOLDEN = {
+    "chain": "0a462e76aa6cbbbc4d55d39aed0ff2d0b6ccff29ed6da7ad942e1b79aed36993",
+    "path": "974b861f1324979f56943714a101d39c43dade5f36e8f8296065a2f0167480bc",
 }
 # sha256 of `chif g.g6` for GP(n, k) before the LP moved to an integer tableau;
 # they pin the weighting and the dual clique, and with them the pivot path
@@ -123,6 +129,14 @@ class TestValidate:
         assert payload["verdict"] == "fail"
         assert payload["triangle_witness"] is not None
 
+    def test_huge_edge_list_header_is_a_guard(self, tmp_path):
+        # the graph would be built at the declared size before any edge is read
+        p = tmp_path / "big.txt"
+        p.write_text("100000000 0\n")
+        code, out, err = invoke("validate", str(p))
+        assert (code, out) == (3, "")
+        assert err.startswith("guard exceeded: line 1: header declares 100000000")
+
     def test_missing_file(self, tmp_path):
         code, out, err = invoke("validate", str(tmp_path / "nope.g6"))
         assert code == 2 and "error" in err
@@ -171,6 +185,15 @@ class TestTwoFactor:
         code, out, err = invoke(
             "two-factor", files("p.g6", petersen()), "--two-factor", str(pin))
         assert code == 2
+
+    def test_deeply_nested_pinned_json(self, files, tmp_path):
+        # the decoder recurses once per bracket
+        pin = tmp_path / "tf.json"
+        pin.write_text("[" * 100000)
+        code, out, err = invoke(
+            "two-factor", files("p.g6", petersen()), "--two-factor", str(pin))
+        assert (code, out) == (2, "")
+        assert err.endswith("JSON nested too deeply\n")
 
 
 class TestProb:
@@ -398,6 +421,48 @@ class TestCertify:
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_BRIDGED_GOLDEN[edges]
 
+    @pytest.mark.parametrize("name", sorted(CERTIFY_CHAIN_GOLDEN))
+    def test_bridge_chain_golden(self, name, tmp_path, monkeypatch):
+        if name == "chain":
+            # C5, K3,3 and the 3-cube, the last two with two edges
+            # subdivided, joined in a row by bridges, then a 3-vertex tail
+            a, b = cycle(5), subdivide_edge(subdivide_edge(k33(), 0, 3), 1, 4)
+            c = subdivide_edge(subdivide_edge(circular_ladder(4), 0, 1), 2, 3)
+            both = disjoint_union(disjoint_union(a, b), c)
+            n = both.n
+            g = Graph(n + 3, list(both.edges) + [
+                (2, 11), (12, 21), (22, n), (n, n + 1), (n + 1, n + 2)])
+        else:
+            g = path_graph(40)
+        (tmp_path / f"{name}.txt").write_text(to_edge_list_text(g))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke("certify", f"{name}.txt")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_CHAIN_GOLDEN[name]
+
+    def test_long_path_certifies_below_the_recursion_limit(self, files):
+        # a path nests one bridge split in the next, one per vertex
+        path = files("path.txt", path_graph(300), fmt="edges")
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        assert depth + 150 < 300
+        sys.setrecursionlimit(depth + 150)
+        try:
+            code, out, err = invoke("certify", path)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0, err
+        assert json.loads(out)["verified"] is True
+
+    def test_pendant_bridges_at_the_larger_ends(self, files):
+        # C5 with pendant vertices 5 and 6 at 0 and 2: the side of each
+        # bridge's smaller end holds the other bridge
+        g = Graph(7, list(cycle(5).edges) + [(0, 5), (2, 6)])
+        payload = invoke_json("certify", files("p.g6", g))
+        assert payload["verified"] is True
+
     def test_bridge_merge_guard(self, files, monkeypatch):
         # C5 (160 sets, N = 55) bridged to subdivided K3,3 (512 sets,
         # N = 176): both leaves fit under 1000 sets, the merge needs 2560
@@ -620,16 +685,11 @@ class TestPlumbing:
             "prob", files("p.g6", petersen()), "--trials", "0")
         assert code == 2
 
-    def test_runconfig_defaults(self):
-        cfg = cli.RunConfig(
-            command="prob", paths=("x",), seed=1, trials=10, exact=False,
-            max_orientations=None, max_branches=None,
-            fmt="json", two_factor_path=None,
-            require_cubic_triangle_free=False, search=False)
-        assert cfg.seed == 1
-        with pytest.raises(GraphError):
-            cli.RunConfig(
-                command="prob", paths=("x",), seed=-1, trials=10, exact=False,
-                max_orientations=None, max_branches=None,
-                fmt="json", two_factor_path=None,
-                require_cubic_triangle_free=False, search=False)
+    @pytest.mark.parametrize("option, message", [
+        (["--seed", "-1"], "seed must fit in 64 bits"),
+        (["--max-orient", "0"], "max_orientations must be positive"),
+        (["--max-branches", "0"], "max_branches must be positive"),
+    ], ids=["seed", "max-orient", "max-branches"])
+    def test_out_of_range_option_rejected(self, files, option, message):
+        code, out, err = invoke("prob", files("p.g6", petersen()), *option)
+        assert (code, out, err) == (2, "", f"error: {message}\n")

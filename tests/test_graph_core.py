@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 import networkx as nx
 
 from fracchrom.graph_core import (
+    MAX_EDGE_LIST_VERTICES,
     Graph,
     GraphError,
+    GuardExceeded,
     analyze,
     encode_graph6,
     parse_edge_list,
@@ -107,6 +109,12 @@ def test_parse_edge_list_errors(text, fragment):
     with pytest.raises(GraphError) as exc:
         parse_edge_list(text)
     assert fragment in str(exc.value)
+
+
+def test_parse_edge_list_vertex_guard():
+    assert parse_edge_list(f"{MAX_EDGE_LIST_VERTICES} 1\n0 1").n == MAX_EDGE_LIST_VERTICES
+    with pytest.raises(GuardExceeded, match="header declares 65537 vertices"):
+        parse_edge_list(f"{MAX_EDGE_LIST_VERTICES + 1} 0")
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +268,19 @@ def test_reduce_bridge_split():
         assert analyze(side.graph).is_connected
         assert side.graph.n == 6
         assert len(smap) == 6
+
+
+def test_reduce_bridge_whose_leaf_side_holds_the_larger_end():
+    # C4 with pendant vertices 4 and 5 at 0 and 2: the side of each
+    # bridge's smaller end holds the other bridge
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 5)])
+    step = reduce_subcubic(g)
+    assert step.kind == "bridge-split"
+    assert step.detail["bridge"] == (4, 0)
+    assert step.child_maps[0] == (4,)
+    rest = step.children[1]  # the C4 with 5 renamed 4, split at (2, 4)
+    assert rest.kind == "bridge-split" and rest.detail["bridge"] == (2, 4)
+    assert [leaf.graph.n for leaf in step.leaves()] == [1, 8, 1]
 
 
 def test_reduce_single_degree2():

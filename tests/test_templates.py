@@ -180,6 +180,15 @@ def test_parse_error_catalogue():
             parse_template_dsl(text, tf)
 
 
+@pytest.mark.parametrize("text", [
+    "focus 99'", "focus 99+1", "focus 0\narc 99'->99", "focus 0\nstar (99-2)'"],
+    ids=["mate", "step", "arc", "star"])
+def test_parse_out_of_range_vertex_before_a_step(text):
+    # ' and +-k look the vertex up in the two-factor
+    with pytest.raises(TemplateError, match="vertex 99 out of range"):
+        parse_template_dsl(text, spokes_tf())
+
+
 def test_parse_ignores_comments_and_blanks():
     tf = spokes_tf()
     t = parse_template_dsl("# header\n\nfocus 0\n# note\narc u->u'", tf)

@@ -560,3 +560,22 @@ def test_two_factor_json_rejects_garbage():
         two_factor_from_json_dict(petersen(), {"cycles": [[0, 1]], "matching": []})
     with pytest.raises(TwoFactorError):
         two_factor_from_json_dict(petersen(), {"cycles": "zzz"})
+
+
+@pytest.mark.parametrize("kind", ["float", "string", "bool", "out-of-range"])
+def test_two_factor_json_rejects_non_integer_ids(kind):
+    # shifting every cycle id by 0.5, or writing matching ids as strings
+    # or true, once read back as the same two-factor
+    g = petersen()
+    data = two_factor_to_json_dict(select_two_factor(g))
+    if kind == "float":
+        data["cycles"] = [[v + 0.5 for v in c] for c in data["cycles"]]
+    elif kind == "string":
+        data["matching"] = [[str(u), str(v)] for u, v in data["matching"]]
+    elif kind == "bool":
+        data["matching"] = [[u, True if v == 1 else v] for u, v in data["matching"]]
+        assert any(v is True for _, v in data["matching"])
+    else:
+        data["matching"][0][0] += g.n
+    with pytest.raises(TwoFactorError, match="is not a vertex of the graph"):
+        two_factor_from_json_dict(g, data)
