@@ -20,6 +20,7 @@ import json
 import secrets
 import sys
 from fractions import Fraction
+from itertools import chain, groupby, islice, repeat
 from pathlib import Path
 
 from .augment import (
@@ -387,79 +388,122 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _flat_lists(items) -> bool:
+    """Whether ``items`` is a list of lists of str, int and None only.
+
+    Two such lists that compare equal hold equal values of equal types,
+    so they encode to equal text; a bool or float breaks that
+    (``[1] == [True] == [1.0]``), so lists holding one do not qualify.
+    """
+    return (set(map(type, items)) == {list}
+            and set(map(type, chain.from_iterable(items))) <= {str, int, type(None)})
+
+
+def _list_runs(items, encode):
+    """``(text, count)`` for each run of equal neighbours in ``items``, a
+    list that passes `_flat_lists`; ``encode`` runs once per distinct
+    content, a neighbour equal to the previous item reuses its text."""
+    memo = {}
+    for item, run in groupby(items):
+        key = tuple(item)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = encode(item)
+        yield text, len(list(run))
+
+
+def _flat_json(items, pad: str) -> str:
+    """The indented JSON of a list of str, int and None at indent ``pad``."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(map(json.dumps, items)) + "\n" + pad + "]"
+
+
+def _emit_json(value, pad: str, parts: list) -> None:
+    """Append the indented JSON of ``value`` at indent ``pad`` to ``parts``."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON keys must be str")
+        head = "{\n" + inner
+        for key in sorted(value):
+            parts.append(head + json.dumps(key) + ": ")
+            _emit_json(value[key], inner, parts)
+            head = sep
+        parts.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if _flat_lists(value):
+            # one part per copy, each the item's text behind its separator
+            first = len(parts)
+            for text, count in _list_runs(value, lambda item: sep + _flat_json(item, inner)):
+                parts.extend(repeat(text, count))
+            parts[first] = "[" + parts[first][1:]
+            parts.append("\n" + pad + "]")
+        elif set(map(type, value)) <= {str, int, type(None)}:  # the empty list too
+            parts.append(_flat_json(value, pad))
+        else:
+            parts.append("[\n" + inner)
+            _emit_json(value[0], inner, parts)
+            for item in islice(value, 1, None):
+                parts.append(sep)
+                _emit_json(item, inner, parts)
+            parts.append("\n" + pad + "]")
+    else:
+        parts.append(json.dumps(value))
+
+
 def _json_text(payload) -> str:
-    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True)``.
+    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and
+    a newline.
 
     The standard encoder runs in pure Python whenever it indents, and a
     certificate repeats each of its few distinct sets thousands of
-    times.  Here a list of str, int and None values is encoded once per
-    content and depth; equal such lists hold equal values of equal types,
-    so their text is equal too.  A key that is not a str raises
-    ``TypeError`` (the standard encoder would coerce it).
+    times.  Here a list of lists of str, int and None encodes each
+    distinct inner list once and puts one reference to that text per
+    copy into a single list of parts, which is joined once: the output
+    exists as one string, and the writer keeps no reference cycle that
+    would hold the parts past the return.  A key that is not a str
+    raises ``TypeError`` (the standard encoder would coerce it).
     """
-    flat = {str, int, type(None)}
-    memo = {}
     parts = []
-
-    def emit(value, pad):
-        inner = pad + "  "
-        if isinstance(value, dict):
-            if not value:
-                parts.append("{}")
-                return
-            if not all(isinstance(key, str) for key in value):
-                raise TypeError("JSON keys must be str")
-            sep = "{\n" + inner
-            for key in sorted(value):
-                parts.append(sep + json.dumps(key) + ": ")
-                emit(value[key], inner)
-                sep = ",\n" + inner
-            parts.append("\n" + pad + "}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                parts.append("[]")
-            elif set(map(type, value)) <= flat:
-                key = (pad, tuple(value))
-                text = memo.get(key)
-                if text is None:
-                    text = memo[key] = ("[\n" + inner + (",\n" + inner).join(map(json.dumps, value))
-                                        + "\n" + pad + "]")
-                parts.append(text)
-            else:
-                sep = "[\n" + inner
-                for item in value:
-                    parts.append(sep)
-                    emit(item, inner)
-                    sep = ",\n" + inner
-                parts.append("\n" + pad + "]")
-        else:
-            parts.append(json.dumps(value))
-
-    emit(payload, "")
+    _emit_json(payload, "", parts)
+    parts.append("\n")
     return "".join(parts)
+
+
+def _text_lines(key, value, depth: int, lines: list) -> None:
+    """Append the ``--format text`` lines of one payload entry to ``lines``."""
+    pad = "  " * depth
+    if isinstance(value, dict):
+        lines.append(f"{pad}{key}:")
+        for k2, v2 in value.items():
+            _text_lines(k2, v2, depth + 1, lines)
+    elif isinstance(value, list):
+        if _flat_lists(value):
+            texts = chain.from_iterable(
+                repeat(text, count) for text, count in _list_runs(value, json.dumps))
+        else:
+            texts = map(_scalar, value)
+        lines.append(f"{pad}{key}: " + " ".join(texts))
+    else:
+        lines.append(f"{pad}{key}: {_scalar(value)}")
 
 
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(payload) + "\n"
+        return _json_text(payload)
     if payload.get("command") == "corpus":
         return _render_corpus_csv(payload)
     lines = []
-
-    def walk(key, value, depth):
-        pad = "  " * depth
-        if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            for k2, v2 in value.items():
-                walk(k2, v2, depth + 1)
-        elif isinstance(value, list):
-            lines.append(f"{pad}{key}: " + " ".join(_scalar(v) for v in value))
-        else:
-            lines.append(f"{pad}{key}: {_scalar(value)}")
-
     for k, v in payload.items():
-        walk(k, v, 0)
-    return "\n".join(lines) + "\n"
+        _text_lines(k, v, 0, lines)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _scalar(v) -> str:
@@ -487,9 +531,14 @@ def run(argv=None, out=None, err=None) -> int:
     except _INVARIANT_ERRORS as exc:
         err.write(f"internal invariant violated ({type(exc).__name__}): {exc}\n")
         return EXIT_INVARIANT
-    out.write(_render(payload, args.format))
+    text = _render(payload, args.format)
     # a failed verdict still prints its report
-    return EXIT_VALIDATION if payload.get("verdict") == "fail" else EXIT_OK
+    code = EXIT_VALIDATION if payload.get("verdict") == "fail" else EXIT_OK
+    # a certificate's payload takes more memory than its text: let it go
+    # before the stream makes its encoded copy of the text
+    del payload
+    out.write(text)
+    return code
 
 
 def main() -> None:

@@ -504,23 +504,27 @@ def reduce_subcubic(g: Graph) -> ReductionStep:
     (the resulting leaf keeps that single connecting edge and is flagged
     ``one-bridge``).  Graphs on at most 3 vertices are trivial leaves.
     """
+    report = analyze(g)
+    if not report.is_connected:
+        raise GraphError("reduce_subcubic requires a connected graph")
+    if not report.is_subcubic:
+        raise GraphError("reduce_subcubic requires a subcubic graph")
     # A path of bridges nests one split in the next, so the chain of
-    # splits is walked in a loop: the first side is bridge-free, so only
-    # the second can hold further bridges.
+    # splits is walked in a loop.  The first side is bridge-free, so the
+    # second is connected, subcubic and keeps every other bridge of g:
+    # its bridges are carried over, not found again.
+    bridges = list(report.bridge_list)
     splits = []
-    while True:
-        report = analyze(g)
-        if not report.is_connected:
-            raise GraphError("reduce_subcubic requires a connected graph")
-        if not report.is_subcubic:
-            raise GraphError("reduce_subcubic requires a subcubic graph")
-        if g.n <= 3 or not report.bridge_list:
-            break
-        (x1, x2), side = _split_bridge(g, list(report.bridge_list))
+    while g.n > 3 and bridges:
+        (x1, x2), side = _split_bridge(g, bridges)
         other = sorted(set(range(g.n)) - set(side))
         g1, map1 = _induced(g, side)
         g2, map2 = _induced(g, other)
         splits.append((g, reduce_subcubic(g1), (map1, map2), (x1, x2)))
+        # map2 increases, so the carried list stays sorted
+        new_of = {old: new for new, old in enumerate(map2)}
+        bridges = [(new_of[u], new_of[v]) for u, v in bridges
+                   if u in new_of and v in new_of]
         g = g2
     step = _reduce_bridgeless(g)
     for parent, child1, maps, bridge in reversed(splits):

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,13 @@ CERTIFY_BRIDGED_GOLDEN = {
 CERTIFY_CHAIN_GOLDEN = {
     "chain": "0a462e76aa6cbbbc4d55d39aed0ff2d0b6ccff29ed6da7ad942e1b79aed36993",
     "path": "974b861f1324979f56943714a101d39c43dade5f36e8f8296065a2f0167480bc",
+}
+# sha256 of `certify --format text` on GP(7, 2) and on the (1, 5), (4, 5)
+# composite of CERTIFY_BRIDGED_GOLDEN while the text walk encoded every
+# copy of a set on its own
+CERTIFY_TEXT_GOLDEN = {
+    "gp7_2": "81639c2132d09a09453e621698519691430317d5699b41e0df346ef728ea4ad0",
+    "bridged": "bae1a46743b689f0ce6aa8266a87437ab1db56fd6b72d60b3390d6d1817f34fa",
 }
 # sha256 of `chif g.g6` for GP(n, k) before the LP moved to an integer tableau;
 # they pin the weighting and the dual clique, and with them the pivot path
@@ -440,6 +448,21 @@ class TestCertify:
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_CHAIN_GOLDEN[name]
 
+    @pytest.mark.parametrize("name", sorted(CERTIFY_TEXT_GOLDEN))
+    def test_text_format_golden(self, name, tmp_path, monkeypatch):
+        if name == "gp7_2":
+            g, path = generalized_petersen(7, 2), "g.g6"
+        else:
+            a = subdivide_edge(k33(), 1, 5)
+            b = subdivide_edge(circular_ladder(4), 4, 5)
+            both = disjoint_union(a, b)
+            g, path = Graph(both.n, list(both.edges) + [(a.n - 1, both.n - 1)]), "composite.g6"
+        (tmp_path / path).write_text(encode_graph6(g) + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke("certify", path, "--format", "text")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_TEXT_GOLDEN[name]
+
     def test_long_path_certifies_below_the_recursion_limit(self, files):
         # a path nests one bridge split in the next, one per vertex
         path = files("path.txt", path_graph(300), fmt="edges")
@@ -534,6 +557,52 @@ class TestJsonWriter:
         payload = {"value": value, "again": value, "nested": {"value": value}}
         assert cli._render(payload, "json") == (
             json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    @pytest.mark.parametrize("payload", [
+        {"sets": [[0, 2], [0, 2], [0, 2], [1, 3], [0, 2], [1, 3], [1, 3]]},
+        {"sets": [[1], [True], [1.0], [0], [False]]},
+        {"sets": [[1, 2], [1, True]]},
+        {"sets": [[], [], [4], [], ["a"], []]},
+        {"sets": [["\"", "\\"], ["tab\t", "\u00e9\n"], ["\"", "\\"], [None, "\u2028"]]},
+        {"a": [[1, 2], [1, 2], [3]], "b": {"c": [[5], [5]], "d": [{"e": [[6]]}, [[7], [7]]]}},
+    ], ids=["adjacent-equal", "equal-other-types", "bool-inside", "empty-inner",
+            "escapes", "beside-a-dict"])
+    def test_lists_of_lists(self, payload):
+        assert cli._render(payload, "json") == (
+            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    def test_text_lists_of_lists(self):
+        payload = {"a": [[1], [1], [True], [1.0], [], ["x\n"], [1]], "b": []}
+        assert cli._render(payload, "text") == (
+            'a: [1] [1] [true] [1.0] [] ["x\\n"] [1]\nb: \n')
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_render_leaves_no_reference_cycle(self, fmt):
+        payload = {"certificate": {"sets": [[0, 2], [0, 2], [1, 3]], "N": 1},
+                   "rows": [{"a": [1, True]}], "verified": True}
+        gc.collect()
+        gc.disable()
+        try:
+            cli._render(payload, fmt)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_certificate_memory_is_one_output(self):
+        # 200,000 fresh copies of 7 distinct 8-vertex sets, in runs as a
+        # certificate holds them; the writer may keep a pointer or so per
+        # copy beside the one output string, not a second copy of the text
+        distinct = [list(range(i, 8 * 7 + i, 7)) for i in range(7)]
+        copies = 200_000
+        payload = {"command": "certify", "certificate": {
+            "N": 1, "sets": [s.copy() for s in distinct for _ in range(copies // 7)]}}
+        tracemalloc.start()
+        try:
+            text = cli._render(payload, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) + 16 * copies + (1 << 20)
 
     @pytest.mark.parametrize("payload", [{1: "a"}, {"a": [{"b": 1, 2: "c"}]}, {"a": {None: 0}}],
                              ids=["top", "nested", "none"])
