@@ -27,6 +27,22 @@ and a sampling call meets the same few masks over and over, so the table
 works each mask out once: as a *run program*, a tuple of ``(k, outcomes)``
 pairs, one per run.  A run draws ``bits(k)``, redraws while the index is
 not below ``len(outcomes)`` and selects ``outcomes[index]``.
+
+The trial replays a program from a compiled form, built with the memo
+entry and dropped with it: the program's width ``W``, the sum of its
+runs' ``k``, and, when ``W`` is at most ``TABLE_BITS``, a table of the
+selection made by each of the ``2^W`` values of ``W`` bits, read as the
+runs' draws laid end to end, the first run's in the lowest bits, with
+``-1`` where some run's index would be rejected.  Since the stream hands
+out its buffered bits low first, a run-by-run replay that is served from
+the buffer and rejects no index reads exactly the low ``W`` bits of the
+buffer.  So the trial asks the stream to ``lookup`` the table: when the
+buffer holds at least ``W`` bits, the stream reads their value without
+taking them, and on a cell that is not ``-1`` it takes the ``W`` bits
+and the cell is the selection.  Otherwise (a rejected index, too few
+buffered bits, or a program too wide for a table) the trial replays the
+runs one at a time.  Either way it draws the same bits and leaves the
+stream in the same state.
 """
 
 from .graph_core import vertex_mask
@@ -34,15 +50,18 @@ from .graph_core import vertex_mask
 # entries per memo of a table, and distinct output masks that
 # ``sampler.monte_carlo`` tallies before it flushes them into its counts
 CAPACITY = 1 << 12
+# the widest run program that gets a table of its selections: 2^8 cells
+TABLE_BITS = 8
 
 
 class TrialTable:
     """The trial of one two-factor, with three memos: the heads mask to
-    its phase-1 program and isolated heads, the mask covered after phase 2
-    to its feasible set, phase-3 program and phase-4 addition, and the
-    part of a selection mask on one cycle to that cycle's runs.  The
-    memos live as long as the table; a full memo is emptied before it
-    takes a new entry.
+    its compiled phase-1 program and isolated heads, the mask covered
+    after phase 2 to its feasible set, compiled phase-3 program and
+    phase-4 addition, and the part of a selection mask on one cycle to
+    that cycle's runs.  The memos live as long as the table; a full memo
+    is emptied before it takes a new entry, so at most ``CAPACITY``
+    tables of at most ``2^TABLE_BITS`` cells each are kept per memo.
     """
 
     __slots__ = ("n", "adj_mask", "m", "draws", "tails", "flips", "cycles",
@@ -69,9 +88,9 @@ class TrialTable:
         self.by_covered = {}
         self.by_part = {}  # the cycles are disjoint, so a part names its cycle
 
-    def trial(self, bits):
-        """One run of phases 1-4, every choice drawn from ``bits(k)`` (an
-        integer of ``k`` random bits).
+    def trial(self, rng):
+        """One run of phases 1-4, every choice drawn from ``rng``, a
+        ``sampler.SplitMix64`` stream.
 
         Returns the bitmasks ``(heads, s1, feasible, s3, out)``: the active
         vertices, the phase-1 selection, the vertices feasible for phase 3,
@@ -79,23 +98,27 @@ class TrialTable:
         """
         x = 0
         for lo, k in self.draws:
-            x |= bits(k) << lo
+            x |= rng.getrandbits(k) << lo
         heads = self.heads(x)
         entry = self.by_heads.get(heads)
         if entry is None:
             entry = self._remember(self.by_heads, heads, (
-                self._program(heads), _isolated(self.adj_mask, heads)))
-        program, isolated = entry
-        s1 = _run(program, bits)
+                _compile(self._program(heads)), _isolated(self.adj_mask, heads)))
+        (program, width, cells), isolated = entry
+        s1 = -1 if cells is None else rng.lookup(cells, width)
+        if s1 < 0:
+            s1 = _run(program, rng.getrandbits)
         covered = s1 | isolated
         entry = self.by_covered.get(covered)
         if entry is None:
             feasible = _free(self.n, self.adj_mask, covered)
             entry = self._remember(self.by_covered, covered, (
-                feasible, self._program(feasible),
+                feasible, _compile(self._program(feasible)),
                 _isolated(self.adj_mask, feasible)))
-        feasible, program, added = entry
-        s3 = _run(program, bits)
+        feasible, (program, width, cells), added = entry
+        s3 = -1 if cells is None else rng.lookup(cells, width)
+        if s3 < 0:
+            s3 = _run(program, rng.getrandbits)
         return heads, s1, feasible, s3, covered | s3 | added
 
     def heads(self, x):
@@ -166,6 +189,23 @@ def _cycle_runs(cycle, part):
         else:
             runs.append((1, (evens, odds)))
     return tuple(runs)
+
+
+def _compile(program):
+    """The compiled form ``(program, W, cells)`` of a run program: ``W``
+    is the sum of its runs' ``k``; ``cells`` is ``None`` when ``W`` exceeds
+    ``TABLE_BITS`` and otherwise holds, at each value of ``W`` bits, the
+    selection the runs make when each takes its ``k`` bits in turn from
+    the low end, or ``-1`` when some run's index would be rejected."""
+    width = sum(k for k, _ in program)
+    if width > TABLE_BITS:
+        return program, width, None
+    cells = [0]
+    for k, outcomes in program:
+        # the run's bits sit above those of the runs before it
+        cells = [-1 if acc < 0 or idx >= len(outcomes) else acc | outcomes[idx]
+                 for idx in range(1 << k) for acc in cells]
+    return program, width, tuple(cells)
 
 
 def _run(program, bits):

@@ -476,22 +476,25 @@ def _json_text(payload) -> str:
     return "".join(parts)
 
 
-def _text_lines(key, value, depth: int, lines: list) -> None:
-    """Append the ``--format text`` lines of one payload entry to ``lines``."""
+def _text_parts(key, value, depth: int, parts: list) -> None:
+    """Append the ``--format text`` lines of one payload entry to ``parts``,
+    a list of pieces that `_render` joins once, as `_json_text` does."""
     pad = "  " * depth
     if isinstance(value, dict):
-        lines.append(f"{pad}{key}:")
+        parts.append(f"{pad}{key}:\n")
         for k2, v2 in value.items():
-            _text_lines(k2, v2, depth + 1, lines)
+            _text_parts(k2, v2, depth + 1, parts)
     elif isinstance(value, list):
+        # each item behind its separating space; an empty list keeps the space
+        parts.append(f"{pad}{key}:" if value else f"{pad}{key}: ")
         if _flat_lists(value):
-            texts = chain.from_iterable(
-                repeat(text, count) for text, count in _list_runs(value, json.dumps))
+            for text, count in _list_runs(value, lambda item: " " + json.dumps(item)):
+                parts.extend(repeat(text, count))
         else:
-            texts = map(_scalar, value)
-        lines.append(f"{pad}{key}: " + " ".join(texts))
+            parts.extend(" " + _scalar(item) for item in value)
+        parts.append("\n")
     else:
-        lines.append(f"{pad}{key}: {_scalar(value)}")
+        parts.append(f"{pad}{key}: {_scalar(value)}\n")
 
 
 def _render(payload: dict, fmt: str) -> str:
@@ -499,11 +502,10 @@ def _render(payload: dict, fmt: str) -> str:
         return _json_text(payload)
     if payload.get("command") == "corpus":
         return _render_corpus_csv(payload)
-    lines = []
+    parts = []
     for k, v in payload.items():
-        _text_lines(k, v, 0, lines)
-    lines.append("")
-    return "\n".join(lines)
+        _text_parts(k, v, 0, parts)
+    return "".join(parts)
 
 
 def _scalar(v) -> str:

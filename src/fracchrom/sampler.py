@@ -42,7 +42,13 @@ the distinct ``d``, kept with the law), and each ``Fraction`` is built
 once, per support set, per vertex and per event query.  Its oracle, a
 separate derivation of the runs, lives with the tests.
 Sampling runs the table's trial, which replays the same programs with
-random bits, from one table per two-factor kept next to the law:
+the bits of a ``SplitMix64`` stream, from one table per two-factor kept
+next to the law.  Each memo entry of the table also holds its program
+compiled: the program's width ``W`` in bits and, for ``W`` up to
+``_mcphases_py.TABLE_BITS``, the selection each value of ``W`` bits
+makes.  When the stream's buffer holds ``W`` bits whose cell rejects no
+index, the trial takes them and its selection in one lookup; otherwise
+it replays the runs one at a time, so both ways draw the same bits.
 ``run_phases_1_4`` draws a single ``Situation``, and
 ``monte_carlo`` estimates the marginals in one seeded, reproducible loop,
 optionally followed by the phase-5 repair, tallying the output masks and
@@ -122,6 +128,22 @@ class SplitMix64:
         self.buffer = z >> k
         self.left = 64 - k
         return z & _LOW[k]
+
+    def lookup(self, cells, width: int) -> int:
+        """``cells[v]``, for ``v`` the next ``width`` buffered bits, taking
+        those bits unless the cell is negative; -1, taking nothing, when
+        fewer than ``width`` bits are buffered.  The bits taken are those
+        that ``getrandbits`` draws of widths summing to ``width`` would
+        give, the first draw's in the lowest bits of ``v``."""
+        left = self.left - width
+        if left < 0:
+            return -1
+        z = self.buffer
+        cell = cells[z & _LOW[width]]
+        if cell >= 0:
+            self.buffer = z >> width
+            self.left = left
+        return cell
 
 
 def _mix(z: int) -> int:
@@ -242,7 +264,9 @@ def is_independent(g: Graph, members) -> bool:
 def run_phases_1_4(g: Graph, tf: TwoFactor, rng) -> Situation:
     """Run the construction once, driving all choices from ``rng``.
 
-    ``rng`` needs a ``getrandbits`` method.  Returns the ``Situation``
+    ``rng`` is a ``SplitMix64`` stream: the trial reads its buffered bits
+    directly, and leaves it where the same choices drawn one
+    ``getrandbits`` call at a time would.  Returns the ``Situation``
     drawn, its output mask included.  The choices are those of the
     mask-level trial that every sampler runs, and ``d`` is ``2^m`` times
     the product of the ``len(outcomes)`` over the runs of the two run
@@ -252,14 +276,14 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng) -> Situation:
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
     table = _trial_table(g, tf)
-    heads, s1, feasible, s3, out = table.trial(rng.getrandbits)
+    heads, s1, feasible, s3, out = table.trial(rng)
     adj_mask = g.adj_mask
     if any(adj_mask[v] & out for v in mask_vertices(out)):
         raise RuntimeError("phases 1-4 produced the dependent set %r"
                            % mask_vertices(out))
     # the trial has just looked both programs up in the table's memos
-    program1, lone = table.by_heads[heads]
-    program3 = table.by_covered[s1 | lone][1]
+    (program1, _, _), lone = table.by_heads[heads]
+    program3 = table.by_covered[s1 | lone][1][0]
     d = math.prod(len(outcomes) for _, outcomes in program1 + program3)
     return Situation(heads, s1, feasible, s3, out, d << len(tf.m_edges))
 
@@ -645,7 +669,7 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
     flushed = False
     for t in range(trials):
         rng = trial_stream(seed, t)
-        out = trial(rng.getrandbits)[4]
+        out = trial(rng)[4]
         if plan is not None:
             out = run_phase5(out, plan, rng)
         tally[out] = tally.get(out, 0) + 1

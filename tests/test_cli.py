@@ -590,19 +590,21 @@ class TestJsonWriter:
 
     def test_certificate_memory_is_one_output(self):
         # 200,000 fresh copies of 7 distinct 8-vertex sets, in runs as a
-        # certificate holds them; the writer may keep a pointer or so per
+        # certificate holds them; either writer may keep a pointer or so per
         # copy beside the one output string, not a second copy of the text
         distinct = [list(range(i, 8 * 7 + i, 7)) for i in range(7)]
         copies = 200_000
         payload = {"command": "certify", "certificate": {
             "N": 1, "sets": [s.copy() for s in distinct for _ in range(copies // 7)]}}
-        tracemalloc.start()
-        try:
-            text = cli._render(payload, "json")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < len(text) + 16 * copies + (1 << 20)
+        for fmt in ("json", "text"):
+            tracemalloc.start()
+            try:
+                text = cli._render(payload, fmt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < len(text) + 16 * copies + (1 << 20), fmt
+            del text
 
     @pytest.mark.parametrize("payload", [{1: "a"}, {"a": [{"b": 1, 2: "c"}]}, {"a": {None: 0}}],
                              ids=["top", "nested", "none"])

@@ -132,11 +132,15 @@ def _assert_table_matches_scan(g, tf, phase4, trials, seed):
     table = K.TrialTable(g.n, *args)
     for t in range(trials):
         fast, slow = S.trial_stream(seed, t), S.trial_stream(seed, t)
-        got = table.trial(fast.getrandbits)
+        got = table.trial(fast)
         want = scanning_trial(g.n, *args, phase4 == "recompute",
                               slow.getrandbits)
         assert got == want, (t, got, want)
-        assert fast.state == slow.state, t
+        assert _position(fast) == _position(slow), t
+
+
+def _position(rng):
+    return rng.state, rng.buffer, rng.left
 
 
 @pytest.mark.parametrize("phase4", ["start", "recompute"])
@@ -163,6 +167,79 @@ def test_trial_table_matches_scanning_oracle_beyond_64_matching_edges():
     tf = two_factor_from_matching(g, [(i, k + i) for i in range(k)])
     assert K.TrialTable(g.n, *S._kernel_args(g, tf)).draws == ((0, 64), (64, 6))
     _assert_table_matches_scan(g, tf, "start", 100, 9)
+
+
+def _spy_on_runs(monkeypatch):
+    """Record ``(width, buffered bits)`` for each run program replayed
+    one run at a time rather than looked up in its table."""
+    replays = []
+    run = K._run
+
+    def spy(program, bits):
+        replays.append((sum(k for k, _ in program), bits.__self__.left))
+        return run(program, bits)
+
+    monkeypatch.setattr(K, "_run", spy)
+    return replays
+
+
+@pytest.mark.parametrize("name,g,tf", fixtures(),
+                         ids=[f[0] for f in fixtures()])
+def test_table_lookup_falls_back_at_every_buffer_offset(monkeypatch, name, g, tf):
+    # advancing a stream by j bits leaves 64 - j in its buffer; up to
+    # j = 64 - m the orientation's one m-bit draw and the oracle's m
+    # one-bit draws read the same bits, and every buffer the selection
+    # passes can meet (0 to 64 - m bits after the orientation) occurs
+    replays = _spy_on_runs(monkeypatch)
+    args = S._kernel_args(g, tf)
+    table = K.TrialTable(g.n, *args)
+    m = len(tf.m_edges)
+    for j in range(65 - m):
+        for t in range(40):
+            fast, slow = S.trial_stream(j, t), S.trial_stream(j, t)
+            if j:
+                assert fast.getrandbits(j) == slow.getrandbits(j)
+            got = table.trial(fast)
+            want = scanning_trial(g.n, *args, False, slow.getrandbits)
+            assert got == want, (j, t, got, want)
+            assert _position(fast) == _position(slow), (j, t)
+    assert all(width <= K.TABLE_BITS for width, _ in replays)
+    assert any(width > left for width, left in replays)  # too few bits
+    if name != "cl6":  # only odd cycles reject indices
+        assert any(width <= left for width, left in replays)  # a rejected cell
+
+
+def test_programs_wider_than_a_table_replay_run_by_run(monkeypatch):
+    replays = _spy_on_runs(monkeypatch)
+    k = 33  # 66 vertices: phase-1 programs of about 16 one-bit runs
+    g = circular_ladder(k)
+    tf = two_factor_from_matching(g, [(i, k + i) for i in range(k)])
+    report = S.monte_carlo(g, tf, 300, 6)
+    assert list(report.counts) == oracle_counts(g, tf, 300, 6, "start")
+    assert any(width > K.TABLE_BITS for width, _ in replays)
+    compiled = _compiled_programs(tf.derived["table"])
+    assert all((cells is None) == (width > K.TABLE_BITS)
+               for _, width, cells in compiled)
+    assert any(cells is None for _, _, cells in compiled)
+
+
+def _compiled_programs(table):
+    return ([entry[0] for entry in table.by_heads.values()]
+            + [entry[1] for entry in table.by_covered.values()])
+
+
+def test_tables_hold_at_most_their_bound_per_entry():
+    graphs = [parse_graph6(line) for line in
+              (CORPUS / "cubic_tf_bridgeless_n14.g6").read_text().split()[:10]]
+    ladder = circular_ladder(33)
+    runs = [(g, select_two_factor(g)) for g in graphs + [petersen()]]
+    runs.append((ladder, two_factor_from_matching(
+        ladder, [(i, 33 + i) for i in range(33)])))
+    for g, tf in runs:
+        S.monte_carlo(g, tf, 500, 7)
+        compiled = _compiled_programs(tf.derived["table"])
+        cells = sum(len(c) for _, _, c in compiled if c is not None)
+        assert cells <= len(compiled) << K.TABLE_BITS
 
 
 def test_capacity_of_one_changes_no_count(monkeypatch):

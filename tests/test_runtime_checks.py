@@ -1,9 +1,10 @@
 """Runtime invariants are explicit checks, so they still fire under
 ``python -O`` (which strips ``assert`` statements).
 
-Each case runs in a fresh ``python -O`` interpreter, breaks one step of the
-construction so that it yields a dependent set, and expects the
-``RuntimeError`` that the CLI maps to exit code 4.
+Each case runs in a fresh ``python -O`` interpreter and breaks one step of
+the construction so that it yields a dependent set.  A single run must
+raise the ``RuntimeError`` that the CLI maps to exit code 4; the Monte
+Carlo loop must report every trial as a violation.
 """
 
 import os
@@ -47,17 +48,35 @@ S.run_phases_1_4(g, tf, S.SplitMix64(0))
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_dependent_set_raises_under_optimize(case):
-    body = textwrap.indent(CASES[case].strip(), "    ")
+def _run_optimized(body):
+    """The standard output of ``PRELUDE`` and ``body`` in ``python -O``."""
     code = (PRELUDE
             + "if not sys.flags.optimize:\n    sys.exit('not optimized')\n"
-            + "try:\n" + body + "\n"
-            + "except RuntimeError as exc:\n    print('raised:', exc)\n"
-            + "else:\n    print('no error')\n")
+            + body)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised:"), proc.stdout
-    assert "dependent set" in proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_dependent_set_raises_under_optimize(case):
+    body = textwrap.indent(CASES[case].strip(), "    ")
+    out = _run_optimized(
+        "try:\n" + body + "\n"
+        + "except RuntimeError as exc:\n    print('raised:', exc)\n"
+        + "else:\n    print('no error')\n")
+    assert out.startswith("raised:"), out
+    assert "dependent set" in out
+
+
+def test_monte_carlo_counts_every_dependent_trial_under_optimize():
+    # phase 2 promotes every vertex; the table lookups of phases 1 and 3
+    # must leave each trial's output to the independence check
+    out = _run_optimized("""
+K._isolated = lambda adj_mask, mask: everything
+report = S.monte_carlo(g, tf, 500, 3)
+print(report.violations, set(report.counts))
+""")
+    assert out.split() == ["500", "{500}"]

@@ -100,6 +100,22 @@ class TestSplitMix64:
         third = S.SplitMix64(12345)
         assert sum(third.getrandbits(1) << i for i in range(64)) == full[0]
 
+    def test_lookup_reads_buffered_bits_as_draws_would(self):
+        rng, draws = S.SplitMix64(77), S.SplitMix64(77)
+        full = S.SplitMix64(77).getrandbits(64)
+        cells = tuple(range(16))
+        assert rng.lookup(cells, 4) == -1  # nothing buffered: nothing taken
+        assert (rng.state, rng.left) == (draws.state, 0)
+        rng.getrandbits(3)
+        draws.getrandbits(3)
+        low, high = draws.getrandbits(1), draws.getrandbits(3)
+        assert rng.lookup(cells, 4) == low | high << 1 == (full >> 3) & 15
+        assert (rng.buffer, rng.left) == (draws.buffer, draws.left)
+        # a negative cell takes nothing, nor does a lookup wider than the buffer
+        assert rng.lookup((-1,) * 256, 8) == -1
+        assert rng.lookup(cells, 58) == -1
+        assert (rng.buffer, rng.left) == (draws.buffer, 57)
+
     def test_getrandbits_range(self):
         rng = S.SplitMix64(1)
         with pytest.raises(ValueError):
