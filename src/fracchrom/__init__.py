@@ -49,7 +49,6 @@ from .sampler import (  # noqa: F401
     kernel_backend,
     monte_carlo,
     run_phases_1_4,
-    trial_stream,
 )
 from .augment import (  # noqa: F401
     BiasInfeasible,

@@ -17,10 +17,11 @@ becomes the head), drawn as ``bits(k)`` over chunks of up to 64 edges
 with edge ``lo + i`` in bit ``i`` of its chunk; then for each selection
 pass one bit per path or even-cycle run and a rejection-sampled index
 per odd-cycle run, runs taken cycle by cycle in order of their starting
-position.  ``sampler.SplitMix64`` hands out its bits low first, so on a
-fresh stream a chunk is the same bits as one ``bits(1)`` draw per edge,
-and a trial of a small graph reads one 64-bit output.  Vertex sets are
-Python-int bitmasks, so any number of vertices works.
+position.  ``sampler.SplitMix64`` hands out its bits low first and
+keeps what a draw leaves for the next one, so the trials of a sampling
+call run on one stream, and a trial of a small graph reads a fraction
+of a 64-bit output.  Vertex sets are Python-int bitmasks, so any number
+of vertices works.
 
 The runs of a selection pass depend only on the mask it selects from,
 and a sampling call meets the same few masks over and over, so the table
@@ -55,13 +56,14 @@ TABLE_BITS = 8
 
 
 class TrialTable:
-    """The trial of one two-factor, with three memos: the heads mask to
-    its compiled phase-1 program and isolated heads, the mask covered
-    after phase 2 to its feasible set, compiled phase-3 program and
-    phase-4 addition, and the part of a selection mask on one cycle to
-    that cycle's runs.  The memos live as long as the table; a full memo
-    is emptied before it takes a new entry, so at most ``CAPACITY``
-    tables of at most ``2^TABLE_BITS`` cells each are kept per memo.
+    """The trial of one two-factor, with three memos: the orientation
+    bits to the heads mask, its compiled phase-1 program and isolated
+    heads, the mask covered after phase 2 to its feasible set, compiled
+    phase-3 program and phase-4 addition, and the part of a selection
+    mask on one cycle to that cycle's runs.  The memos live as long as
+    the table; a full memo is emptied before it takes a new entry, so at
+    most ``CAPACITY`` tables of at most ``2^TABLE_BITS`` cells each are
+    kept per memo.
     """
 
     __slots__ = ("n", "adj_mask", "m", "draws", "tails", "flips", "cycles",
@@ -99,12 +101,13 @@ class TrialTable:
         x = 0
         for lo, k in self.draws:
             x |= rng.getrandbits(k) << lo
-        heads = self.heads(x)
-        entry = self.by_heads.get(heads)
+        entry = self.by_heads.get(x)
         if entry is None:
-            entry = self._remember(self.by_heads, heads, (
-                _compile(self._program(heads)), _isolated(self.adj_mask, heads)))
-        (program, width, cells), isolated = entry
+            heads = self.heads(x)
+            entry = self._remember(self.by_heads, x, (
+                heads, _compile(self._program(heads)),
+                _isolated(self.adj_mask, heads)))
+        heads, (program, width, cells), isolated = entry
         s1 = -1 if cells is None else rng.lookup(cells, width)
         if s1 < 0:
             s1 = _run(program, rng.getrandbits)

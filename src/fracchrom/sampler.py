@@ -50,9 +50,10 @@ makes.  When the stream's buffer holds ``W`` bits whose cell rejects no
 index, the trial takes them and its selection in one lookup; otherwise
 it replays the runs one at a time, so both ways draw the same bits.
 ``run_phases_1_4`` draws a single ``Situation``, and
-``monte_carlo`` estimates the marginals in one seeded, reproducible loop,
-optionally followed by the phase-5 repair, tallying the output masks and
-checking each distinct one once.
+``monte_carlo`` estimates the marginals in one reproducible loop whose
+trials, each optionally followed by the phase-5 repair, all draw from
+one stream seeded with the call's seed; it tallies the output masks and
+checks each distinct one once.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .templates import Template, validate_in
 from .two_factor import TwoFactor, TwoFactorError
 
 __all__ = [
-    "ExplosionGuard", "SplitMix64", "trial_stream",
+    "ExplosionGuard", "SplitMix64",
     "Situation",
     "Distribution", "EnumerationResult", "MonteCarloReport",
     "is_independent", "run_phases_1_4",
@@ -96,7 +97,8 @@ _LOW = tuple((1 << k) - 1 for k in range(65))  # the masks of k low bits
 
 
 class SplitMix64:
-    """Small deterministic 64-bit generator with splittable substreams.
+    """Small deterministic 64-bit generator: SplitMix64 of Steele, Lea
+    and Flood (OOPSLA 2014), its state stepping by a fixed gamma.
 
     ``getrandbits(k)`` hands out the bits of one 64-bit output ``k`` at a
     time, low bits first, and draws a fresh output only when fewer than
@@ -151,15 +153,6 @@ def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
-
-
-def trial_stream(seed: int, index: int) -> SplitMix64:
-    """The bit stream of trial number ``index``: a generator seeded with
-    the ``index``-th output of ``SplitMix64(seed)`` (counting from 0), as
-    in the split of Steele, Lea and Flood (OOPSLA 2014).  Seeding it with
-    the raw state ``seed + (index + 1) * gamma`` instead would make trial
-    ``index + 1`` replay trial ``index``'s draws one step later."""
-    return SplitMix64(_mix((seed + (index + 1) * _GAMMA) & _MASK64))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +274,8 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng) -> Situation:
     if any(adj_mask[v] & out for v in mask_vertices(out)):
         raise RuntimeError("phases 1-4 produced the dependent set %r"
                            % mask_vertices(out))
-    # the trial has just looked both programs up in the table's memos
-    (program1, _, _), lone = table.by_heads[heads]
-    program3 = table.by_covered[s1 | lone][1][0]
-    d = math.prod(len(outcomes) for _, outcomes in program1 + program3)
+    program = table._program(heads) + table._program(feasible)
+    d = math.prod(len(outcomes) for _, outcomes in program)
     return Situation(heads, s1, feasible, s3, out, d << len(tf.m_edges))
 
 
@@ -575,8 +566,9 @@ class MonteCarloReport:
     """Sampled inclusion counts with exact frequencies and standard errors.
 
     ``stderr`` is the binomial standard error, which holds because the
-    trials are independent: each draws from its own ``trial_stream``,
-    seeded with a mixed output, so no trial replays another's draws.
+    trials are independent: they read disjoint consecutive stretches of
+    one SplitMix64 sequence, each trial starting where the last one's
+    draws ended.
     ``violations`` counts trials whose output failed the independence
     check.  It is zero unless the construction is broken, and it is
     reported rather than raised so that a broken run still shows its
@@ -645,11 +637,13 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
                 plan=None) -> MonteCarloReport:
     """Estimate inclusion frequencies over ``trials`` independent runs.
 
-    Fully deterministic for a given seed: trial number ``t`` draws every
-    choice from ``trial_stream(seed, t)``.  With a phase-5 ``plan`` (an
-    ``augment.Phase5Plan`` for this two-factor) each trial runs phases
-    1-4 and then the repair phase on the same stream, mask to mask, so
-    no trial converts a set; the tally turns each distinct output mask
+    Fully deterministic for a given seed: the trials draw every choice,
+    one after the other, from the one stream ``SplitMix64(seed)``, the
+    bits a trial leaves in the buffer going to the next.  ``trials`` must
+    be a positive int and ``seed`` an int in [0, 2^64).  With a phase-5
+    ``plan`` (an ``augment.Phase5Plan`` for this two-factor) each trial
+    runs phases 1-4 and then the repair phase, mask to mask, so no trial
+    converts a set; the tally turns each distinct output mask
     into vertices once, when it is flushed, and becomes the report's
     histogram unless it was flushed before the last trial.
     """
@@ -657,8 +651,10 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
         raise TwoFactorError("two-factor belongs to a different graph")
     if plan is not None and plan.tf != tf:
         raise TwoFactorError("phase-5 plan belongs to a different two-factor")
-    if not isinstance(trials, int) or trials < 1:
+    if type(trials) is not int or trials < 1:
         raise GraphError("trials must be a positive integer")
+    if type(seed) is not int or not 0 <= seed <= _MASK64:
+        raise GraphError("seed must be an integer in [0, 2^64)")
     from .augment import run_phase5  # augment imports this module
 
     trial = _trial_table(g, tf).trial
@@ -667,8 +663,8 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
     violations = 0
     tally = {}       # output mask -> number of trials that gave it
     flushed = False
-    for t in range(trials):
-        rng = trial_stream(seed, t)
+    rng = SplitMix64(seed)
+    for _ in range(trials):
         out = trial(rng)[4]
         if plan is not None:
             out = run_phase5(out, plan, rng)

@@ -6,8 +6,13 @@ package's, so agreement is meaningful.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
+import pytest
+
+from fracchrom import sampler as S
+from fracchrom.augment import run_phase5
 from fracchrom.fractional_lp import ColouringError, MultisetCertificate
 from fracchrom.graph_core import GraphError
 
@@ -226,7 +231,11 @@ def chi_f_transitive_oracle(g):
 def scanning_trial(n, edges_a, edges_b, cycle_starts, cycle_verts, adj_mask,
                    phase4_recompute, bits):
     """One run of phases 1-4 that re-derives every run by scanning each
-    cycle vertex, drawing from ``bits(k)`` in the package's bit order.
+    cycle vertex, drawing from ``bits(k)`` in the package's bit order:
+    the orientation as ``bits(min(64, m - lo))`` per chunk of up to 64
+    matching edges, edge ``lo + i`` in bit ``i``, so that it reads the
+    same bits as the package on a stream with any number of bits
+    buffered.
 
     Takes the arguments of ``sampler._kernel_args`` and returns the
     bitmasks ``(heads, s1, feasible, s3, out)``, like
@@ -244,9 +253,13 @@ def scanning_trial(n, edges_a, edges_b, cycle_starts, cycle_verts, adj_mask,
         return sum(1 << v for v in range(n)
                    if not (covered >> v) & 1 and not adj_mask[v] & covered)
 
+    m = len(edges_a)
     heads = 0
-    for a, b in zip(edges_a, edges_b):
-        heads |= 1 << (b if bits(1) else a)
+    for lo in range(0, m, 64):
+        chunk = bits(min(64, m - lo))
+        for i in range(lo, min(lo + 64, m)):
+            head = edges_b[i] if (chunk >> (i - lo)) & 1 else edges_a[i]
+            heads |= 1 << head
     s1 = _scanning_select(cycle_starts, cycle_verts, heads, bits)
     covered = s1 | isolated(heads)
     feasible = free(covered)
@@ -303,6 +316,47 @@ def _scanning_select(cycle_starts, cycle_verts, mask, bits):
             for j in range(start, run_len, 2):
                 selected |= 1 << cycle_verts[lo + (p + j) % length]
     return selected
+
+
+def stream_position(rng):
+    """What decides the next draws of a ``sampler.SplitMix64`` stream."""
+    return rng.state, rng.buffer, rng.left
+
+
+def scanning_monte_carlo(g, tf, trials, seed, plan=None):
+    """``trials`` runs of ``scanning_trial``, each followed by
+    ``augment.run_phase5`` when a ``plan`` is given, one after another on
+    the one stream ``SplitMix64(seed)``: the histogram of their outputs,
+    as sorted ``(output mask, trials)`` pairs, and the stream's final
+    position."""
+    args = S._kernel_args(g, tf)
+    rng = S.SplitMix64(seed)
+    tally = Counter()
+    for _ in range(trials):
+        out = scanning_trial(g.n, *args, False, rng.getrandbits)[4]
+        if plan is not None:
+            out = run_phase5(out, plan, rng)
+        tally[out] += 1
+    return tuple(sorted(tally.items())), stream_position(rng)
+
+
+def recorded_monte_carlo(g, tf, trials, seed, plan=None):
+    """``sampler.monte_carlo``'s report and the final position of the one
+    stream it drew from; fails if the call made more than one."""
+    made = []
+
+    class Recorded(S.SplitMix64):
+        __slots__ = ()
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S, "SplitMix64", Recorded)
+        report = S.monte_carlo(g, tf, trials, seed, plan=plan)
+    assert len(made) == 1
+    return report, stream_position(made[0])
 
 
 # ---------------------------------------------------------------------------

@@ -377,14 +377,14 @@ class TestRunPhase5:
         deficient = set(plan.deficient_order)
         sponsors = set(plan.sponsors.values())
         for trial in range(300):
-            rng = S.trial_stream(99, trial)
+            rng = S.SplitMix64(trial)
             J = S.run_phases_1_4(g, tf, rng).out
             out = A.run_phase5(J, plan, rng)
             again = _members(A.run_phase5(J, plan,
-                                          S.trial_stream(99, trial + 10**6)))
-            # replaying phases 1-4 with the same trial stream reproduces J,
-            # so the repair must be a function of (J, remaining stream)
-            rng2 = S.trial_stream(99, trial)
+                                          S.SplitMix64(trial + 10**6)))
+            # replaying phases 1-4 with the same stream reproduces J, so
+            # the repair must be a function of (J, remaining stream)
+            rng2 = S.SplitMix64(trial)
             assert S.run_phases_1_4(g, tf, rng2).out == J
             assert A.run_phase5(J, plan, rng2) == out
             out, J = _members(out), _members(J)
@@ -398,8 +398,8 @@ class TestRunPhase5:
         base = S.enumerate_distribution(g, tf)
         plan = A.build_phase5_plan(g, tf, base.distribution)
         hits = 0
-        for trial in range(4000):
-            rng = S.trial_stream(7, trial)
+        rng = S.SplitMix64(7)
+        for _ in range(4000):
             J = S.run_phases_1_4(g, tf, rng).out
             out = A.run_phase5(J, plan, rng)
             if (out & ~J) >> focus & 1:
@@ -412,7 +412,7 @@ class TestRunPhase5:
         base = S.enumerate_distribution(g, tf)
         plan = A.build_phase5_plan(g, tf, base.distribution)
         assert 0 not in plan.index
-        assert A.run_phase5(0, plan, S.trial_stream(0, 0)) == 0
+        assert A.run_phase5(0, plan, S.SplitMix64(0)) == 0
 
     def test_tampered_plan_detects_infeasible_bias(self):
         g, tf, _ = type_0_fixture()
@@ -520,8 +520,8 @@ class TestExactPhase5:
         plan, result = A.exact_phase5_distribution(g, tf)
         trials = 20000
         hits = 0
-        for trial in range(trials):
-            rng = S.trial_stream(3, trial)
+        rng = S.SplitMix64(3)
+        for _ in range(trials):
             J = S.run_phases_1_4(g, tf, rng).out
             if A.run_phase5(J, plan, rng) >> focus & 1:
                 hits += 1
@@ -536,8 +536,8 @@ class TestExactPhase5:
         plan, _ = A.exact_phase5_distribution(g, tf)
         args = S._kernel_args(g, tf)
         counts = [0] * g.n
-        for trial in range(300):
-            rng = S.trial_stream(21, trial)
+        rng = S.SplitMix64(21)
+        for _ in range(300):
             J = scanning_trial(g.n, *args, phase4 == "recompute",
                                rng.getrandbits)[4]
             for v in mask_vertices(A.run_phase5(J, plan, rng)):

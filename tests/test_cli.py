@@ -250,15 +250,15 @@ class TestProb:
         payload = invoke_json(
             "prob", str(deficient), "--seed", "11", "--trials", "500")
         assert payload["backend"] == "five-phase-reference"
-        assert payload["counts"] == [183, 197, 173, 212, 176, 163, 196, 199,
-                                     186, 189]
-        assert payload["min_frequency"] == "163/500"
+        assert payload["counts"] == [200, 182, 200, 176, 184, 167, 186, 196,
+                                     178, 196]
+        assert payload["min_frequency"] == "167/500"
         payload = invoke_json(
             "prob", files("p.g6", petersen()), "--seed", "5", "--trials", "3000")
         assert payload["backend"] == "pure-python"
-        assert payload["counts"] == [1136, 1073, 1085, 1124, 1059, 1077, 1078,
-                                     1089, 1101, 1117]
-        assert payload["min_frequency"] == "353/1000"
+        assert payload["counts"] == [1129, 1083, 1069, 1128, 1071, 1080, 1111,
+                                     1112, 1075, 1105]
+        assert payload["min_frequency"] == "1069/3000"
 
     @pytest.mark.parametrize("dtype", sorted(PROB_EXACT_GOLDEN))
     def test_exact_repaired_law_golden(self, dtype, tmp_path, monkeypatch):
@@ -269,11 +269,11 @@ class TestProb:
         assert hashlib.sha256(out.encode()).hexdigest() == PROB_EXACT_GOLDEN[dtype]
 
     @pytest.mark.parametrize("dtype,counts", [
-        # at 2000 trials the plan swaps 11 times on the type-I graph and
-        # 12 times on the type-Ia graph
-        ("I", [851, 876, 798, 876, 776, 705, 715, 751, 895, 797, 895, 796]),
-        ("Ia", [831, 910, 939, 910, 939, 800, 707, 716, 710, 901, 853, 901,
-                848, 702]),
+        # at 2000 trials the plan swaps 8 times on the type-I graph and
+        # 9 times on the type-Ia graph
+        ("I", [823, 882, 826, 882, 784, 675, 676, 793, 853, 848, 853, 851]),
+        ("Ia", [807, 917, 931, 917, 931, 776, 744, 708, 681, 932, 812, 932,
+                820, 739]),
     ])
     def test_monte_carlo_with_swaps_golden_counts(self, dtype, counts,
                                                   tmp_path):

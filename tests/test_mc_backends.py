@@ -1,8 +1,8 @@
 """One trial procedure: the Monte Carlo loop and the reference single-run
-API must consume random bits identically and produce identical counts, and
-the memoized trial table must draw exactly what a scan of every cycle
-vertex draws, under either reading of phase 4 (the feasible set worked
-out before or after phase 3)."""
+API, run one trial after another on one stream, must consume random bits
+identically and produce identical counts, and the memoized trial table
+must draw exactly what a scan of every cycle vertex draws, under either
+reading of phase 4 (the feasible set worked out before or after phase 3)."""
 
 from pathlib import Path
 
@@ -13,7 +13,7 @@ from fracchrom.graph_core import Graph, mask_vertices, parse_graph6
 from fracchrom.two_factor import select_two_factor, two_factor_from_matching
 from fracchrom import _mcphases_py as K, sampler as S, templates as T
 
-from oracles import scanning_trial
+from oracles import recorded_monte_carlo, scanning_trial, stream_position
 from util_graphs import circular_ladder, gp72, petersen
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -42,36 +42,47 @@ def fixtures():
     return out
 
 
+def sampled(g, tf, trials, seed):
+    """``monte_carlo``'s report, and its counts and final stream position
+    in the form the two helpers below return."""
+    report, position = recorded_monte_carlo(g, tf, trials, seed)
+    return report, (list(report.counts), position)
+
+
 def reference_counts(g, tf, trials, seed):
+    """The counts of ``run_phases_1_4`` run ``trials`` times on the one
+    stream ``SplitMix64(seed)``, and the stream's final position."""
+    rng = S.SplitMix64(seed)
     counts = [0] * g.n
-    for t in range(trials):
-        out = S.run_phases_1_4(g, tf, S.trial_stream(seed, t)).out
-        for v in mask_vertices(out):
+    for _ in range(trials):
+        for v in mask_vertices(S.run_phases_1_4(g, tf, rng).out):
             counts[v] += 1
-    return counts
+    return counts, stream_position(rng)
 
 
 def oracle_counts(g, tf, trials, seed, phase4):
-    """The counts of ``scanning_trial`` under one reading of phase 4."""
+    """The counts of ``scanning_trial`` under one reading of phase 4, run
+    like ``reference_counts``, and the stream's final position."""
     args = S._kernel_args(g, tf)
+    rng = S.SplitMix64(seed)
     counts = [0] * g.n
-    for t in range(trials):
+    for _ in range(trials):
         out = scanning_trial(g.n, *args, phase4 == "recompute",
-                             S.trial_stream(seed, t).getrandbits)[4]
+                             rng.getrandbits)[4]
         for v in mask_vertices(out):
             counts[v] += 1
-    return counts
+    return counts, stream_position(rng)
 
 
 @pytest.mark.parametrize("name,g,tf", fixtures(),
                          ids=[f[0] for f in fixtures()])
 @pytest.mark.parametrize("phase4", ["start", "recompute"])
 def test_pure_kernel_matches_reference(name, g, tf, phase4):
-    report = S.monte_carlo(g, tf, 400, 17)
+    report, got = sampled(g, tf, 400, 17)
     assert report.backend == "pure-python"
     assert report.violations == 0
-    assert list(report.counts) == reference_counts(g, tf, 400, 17)
-    assert list(report.counts) == oracle_counts(g, tf, 400, 17, phase4)
+    assert got == reference_counts(g, tf, 400, 17)
+    assert got == oracle_counts(g, tf, 400, 17, phase4)
 
 
 def test_monte_carlo_matches_reference_on_64_vertices():
@@ -79,10 +90,10 @@ def test_monte_carlo_matches_reference_on_64_vertices():
     k = 32
     g = circular_ladder(k)
     tf = two_factor_from_matching(g, [(i, k + i) for i in range(k)])
-    report = S.monte_carlo(g, tf, 300, 5)
+    report, got = sampled(g, tf, 300, 5)
     assert len(report.counts) == 64
     assert report.violations == 0
-    assert list(report.counts) == reference_counts(g, tf, 300, 5)
+    assert got == reference_counts(g, tf, 300, 5)
 
 
 def test_one_trial_table_per_two_factor(monkeypatch):
@@ -98,8 +109,8 @@ def test_one_trial_table_per_two_factor(monkeypatch):
     monkeypatch.setattr(K, "TrialTable", Counted)
     g = petersen()
     tf = select_two_factor(g)
-    S.run_phases_1_4(g, tf, S.trial_stream(3, 0))
-    S.run_phases_1_4(g, tf, S.trial_stream(3, 1))
+    S.run_phases_1_4(g, tf, S.SplitMix64(3))
+    S.run_phases_1_4(g, tf, S.SplitMix64(4))
     S.monte_carlo(g, tf, 50, 3)
     S.enumerate_distribution(g, tf)
     S.event_probability(T.builtin("E0", tf, 0), g, tf)
@@ -127,20 +138,18 @@ def test_backend_names():
 
 
 def _assert_table_matches_scan(g, tf, phase4, trials, seed):
-    """The table's trial against the oracle's under one reading of phase 4."""
+    """The table's trial against the oracle's under one reading of phase
+    4, each running its trials one after another on its own copy of the
+    stream ``SplitMix64(seed)``."""
     args = S._kernel_args(g, tf)
     table = K.TrialTable(g.n, *args)
+    fast, slow = S.SplitMix64(seed), S.SplitMix64(seed)
     for t in range(trials):
-        fast, slow = S.trial_stream(seed, t), S.trial_stream(seed, t)
         got = table.trial(fast)
         want = scanning_trial(g.n, *args, phase4 == "recompute",
                               slow.getrandbits)
         assert got == want, (t, got, want)
-        assert _position(fast) == _position(slow), t
-
-
-def _position(rng):
-    return rng.state, rng.buffer, rng.left
+        assert stream_position(fast) == stream_position(slow), t
 
 
 @pytest.mark.parametrize("phase4", ["start", "recompute"])
@@ -186,23 +195,22 @@ def _spy_on_runs(monkeypatch):
 @pytest.mark.parametrize("name,g,tf", fixtures(),
                          ids=[f[0] for f in fixtures()])
 def test_table_lookup_falls_back_at_every_buffer_offset(monkeypatch, name, g, tf):
-    # advancing a stream by j bits leaves 64 - j in its buffer; up to
-    # j = 64 - m the orientation's one m-bit draw and the oracle's m
-    # one-bit draws read the same bits, and every buffer the selection
-    # passes can meet (0 to 64 - m bits after the orientation) occurs
+    # advancing a fresh stream by j bits leaves 64 - j in its buffer, so
+    # a trial starts at every buffer offset, the orientation draw reading
+    # the buffer or discarding it for a fresh output, and the selection
+    # passes meet every buffer they can meet
     replays = _spy_on_runs(monkeypatch)
     args = S._kernel_args(g, tf)
     table = K.TrialTable(g.n, *args)
-    m = len(tf.m_edges)
-    for j in range(65 - m):
+    for j in range(65):
         for t in range(40):
-            fast, slow = S.trial_stream(j, t), S.trial_stream(j, t)
+            fast, slow = S.SplitMix64(j << 8 | t), S.SplitMix64(j << 8 | t)
             if j:
                 assert fast.getrandbits(j) == slow.getrandbits(j)
             got = table.trial(fast)
             want = scanning_trial(g.n, *args, False, slow.getrandbits)
             assert got == want, (j, t, got, want)
-            assert _position(fast) == _position(slow), (j, t)
+            assert stream_position(fast) == stream_position(slow), (j, t)
     assert all(width <= K.TABLE_BITS for width, _ in replays)
     assert any(width > left for width, left in replays)  # too few bits
     if name != "cl6":  # only odd cycles reject indices
@@ -214,8 +222,7 @@ def test_programs_wider_than_a_table_replay_run_by_run(monkeypatch):
     k = 33  # 66 vertices: phase-1 programs of about 16 one-bit runs
     g = circular_ladder(k)
     tf = two_factor_from_matching(g, [(i, k + i) for i in range(k)])
-    report = S.monte_carlo(g, tf, 300, 6)
-    assert list(report.counts) == oracle_counts(g, tf, 300, 6, "start")
+    assert sampled(g, tf, 300, 6)[1] == oracle_counts(g, tf, 300, 6, "start")
     assert any(width > K.TABLE_BITS for width, _ in replays)
     compiled = _compiled_programs(tf.derived["table"])
     assert all((cells is None) == (width > K.TABLE_BITS)
@@ -224,8 +231,8 @@ def test_programs_wider_than_a_table_replay_run_by_run(monkeypatch):
 
 
 def _compiled_programs(table):
-    return ([entry[0] for entry in table.by_heads.values()]
-            + [entry[1] for entry in table.by_covered.values()])
+    return [entry[1] for memo in (table.by_heads, table.by_covered)
+            for entry in memo.values()]
 
 
 def test_tables_hold_at_most_their_bound_per_entry():
@@ -268,30 +275,36 @@ def test_violations_count_trials_not_distinct_sets(monkeypatch):
 
 @pytest.mark.parametrize("g", [petersen(), parse_graph6("KlSgGC@?gAoD")],
                          ids=["petersen", "n12"])
-def test_a_trial_draws_about_two_outputs(monkeypatch, g):
-    # the seeding output and one buffered output carry a whole trial, and
-    # the orientation is one draw of all m matching-edge bits
+def test_a_trial_draws_a_fraction_of_an_output(monkeypatch, g):
+    # the trials share one stream and a trial leaves its unused bits to
+    # the next, so a trial reads only the few bits it uses; its first
+    # draw is the orientation, all m matching-edge bits at once
     tf = select_two_factor(g)
-    m, trials = len(tf.m_edges), 2_000
-    inverse = pow(S._GAMMA, -1, 1 << 64)  # each output steps the state once
-    streams = []
-    stream = S.trial_stream
+    m, trials, seed = len(tf.m_edges), 2_000, 17
+    streams, widths, starts = [], [], []
 
     class Counted(S.SplitMix64):
+        __slots__ = ()
+
         def __init__(self, seed):
             super().__init__(seed)
-            self.start, self.widths = self.state, []
             streams.append(self)
 
         def getrandbits(self, k):
-            self.widths.append(k)
+            widths.append(k)
             return super().getrandbits(k)
 
-    monkeypatch.setattr(S, "trial_stream",
-                        lambda seed, t: Counted(stream(seed, t).state))
-    S.monte_carlo(g, tf, trials, 17)
-    assert len(streams) == trials
-    drawn = sum((rng.state - rng.start) * inverse % (1 << 64)
-                for rng in streams)
-    assert (trials + drawn) / trials <= 2.1
-    assert all(rng.widths[0] == m for rng in streams)
+    trial = K.TrialTable.trial
+
+    def marked(table, rng):
+        starts.append(len(widths))
+        return trial(table, rng)
+
+    monkeypatch.setattr(S, "SplitMix64", Counted)
+    monkeypatch.setattr(K.TrialTable, "trial", marked)
+    S.monte_carlo(g, tf, trials, seed)
+    [rng] = streams
+    # each output steps the state by gamma once
+    outputs = (rng.state - seed) * pow(S._GAMMA, -1, 1 << 64) % (1 << 64)
+    assert outputs / trials <= 0.25
+    assert [widths[i] for i in starts] == [m] * trials

@@ -11,13 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracchrom.augment import exact_phase5_distribution
 from fracchrom.graph_core import Graph, GraphError, mask_vertices, parse_graph6
 from fracchrom.two_factor import (
     TwoFactorError, select_two_factor, two_factor_from_matching)
 from fracchrom import sampler as S
 from fracchrom import templates as T
 
-from oracles import active_runs, law_oracle, phi_outcomes, scanning_trial
+from oracles import (active_runs, law_oracle, phi_outcomes,
+                     recorded_monte_carlo, scanning_monte_carlo,
+                     scanning_trial)
 from sweeps import check_lemma4_rows, collect_candidates, lemma4_sweep
 from util_graphs import (circular_ladder, generalized_petersen, gp72, k33,
                          moebius_ladder, petersen)
@@ -124,29 +127,6 @@ class TestSplitMix64:
             rng.getrandbits(65)
         assert 0 <= rng.getrandbits(1) <= 1
 
-    def test_trial_streams_start_from_mixed_outputs(self):
-        seed = 999
-        # trial t is seeded by the t-th output of SplitMix64(seed)
-        master = S.SplitMix64(seed)
-        for t in range(5):
-            assert (S.trial_stream(seed, t).getrandbits(64)
-                    == S.SplitMix64(master.getrandbits(64)).getrandbits(64))
-        # distinct trials give distinct streams
-        outs = {S.trial_stream(seed, t).getrandbits(64) for t in range(50)}
-        assert len(outs) == 50
-
-    def test_trial_streams_share_no_outputs_with_their_neighbours(self):
-        # seeding trial t + 1 one gamma step after trial t makes its
-        # stream trial t's shifted by one draw
-        seed = 2024
-        draws = []
-        for t in range(1016):
-            rng = S.trial_stream(seed, t)
-            draws.append({rng.getrandbits(64) for _ in range(64)})
-        for t in range(1000):
-            later = set().union(*draws[t + 1:t + 17])
-            assert not draws[t] & later, t
-
 
 # ---------------------------------------------------------------------------
 # the run-selection law
@@ -249,14 +229,15 @@ class TestActiveRuns:
 class TestRunPhases:
     def test_deterministic_per_stream(self):
         g, tf = petersen_tf()
-        a = S.run_phases_1_4(g, tf, S.trial_stream(7, 0))
-        b = S.run_phases_1_4(g, tf, S.trial_stream(7, 0))
+        a = S.run_phases_1_4(g, tf, S.SplitMix64(7))
+        b = S.run_phases_1_4(g, tf, S.SplitMix64(7))
         assert a == b
 
     def test_situation_invariants(self):
         g, tf = petersen_tf()
-        for t in range(200):
-            sit = S.run_phases_1_4(g, tf, S.trial_stream(11, t))
+        rng = S.SplitMix64(11)
+        for _ in range(200):
+            sit = S.run_phases_1_4(g, tf, rng)
             assert 0 < sit.prob <= 1
             assert sit.s1 & ~sit.heads == 0
             assert not sit.s3 & sit.heads  # feasible = inactive
@@ -266,8 +247,9 @@ class TestRunPhases:
 
     def test_phase2_rule(self):
         g, tf = petersen_tf()
-        for t in range(200):
-            sit = S.run_phases_1_4(g, tf, S.trial_stream(13, t))
+        rng = S.SplitMix64(13)
+        for _ in range(200):
+            sit = S.run_phases_1_4(g, tf, rng)
             heads = set(mask_vertices(sit.heads))
             for v in heads:
                 if not heads.intersection(g.adj[v]):
@@ -824,8 +806,8 @@ class TestMonteCarlo:
         assert rep.violations == 0
         args = S._kernel_args(g, tf)
         counts = [0] * g.n
-        for t in range(60):
-            rng = S.trial_stream(8, t)
+        rng = S.SplitMix64(8)
+        for _ in range(60):
             out = scanning_trial(g.n, *args, False, rng.getrandbits)[4]
             for v in range(g.n):
                 counts[v] += (out >> v) & 1
@@ -838,6 +820,27 @@ class TestMonteCarlo:
         h = k33()
         with pytest.raises(TwoFactorError):
             S.monte_carlo(h, tf, 10, seed=1)
+
+    @pytest.mark.parametrize("trials,seed", [
+        (True, 1), (10, -1), (10, 1 << 64), (10, 1.5), (10, True)],
+        ids=["bool-trials", "negative-seed", "seed-2^64", "float-seed",
+             "bool-seed"])
+    def test_refuses_what_the_cli_refuses(self, trials, seed):
+        g, tf = petersen_tf()
+        with pytest.raises(GraphError):
+            S.monte_carlo(g, tf, trials, seed)
+
+    @pytest.mark.parametrize("with_plan", [False, True],
+                             ids=["no-plan", "plan"])
+    def test_trials_run_one_after_another_on_one_stream(self, with_plan):
+        # every trial, phase 5 included, starts where the last one's
+        # draws ended on SplitMix64(seed); the oracle runs so and must
+        # give the histogram and the final stream position
+        g, tf = deficient_n10_tf()
+        plan = exact_phase5_distribution(g, tf)[0] if with_plan else None
+        report, position = recorded_monte_carlo(g, tf, 3000, 41, plan=plan)
+        assert (report.histogram, position) == scanning_monte_carlo(
+            g, tf, 3000, 41, plan)
 
     def test_kernel_backend_reports(self):
         assert S.kernel_backend() == "pure-python"
