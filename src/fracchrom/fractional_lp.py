@@ -13,9 +13,11 @@ kN independent sets covering every vertex exactly N times.
 triangle-free subcubic graph by walking the reduction tree from
 ``graph_core.reduce_subcubic``: cubic bridgeless leaves get their
 certificate from the sampled five-phase law, doubled constructions
-restrict the double's certificate back to one copy, and bridge joins
-align two certificates on a common N and re-index one side so the bridge
-endpoints never share a set.
+restrict the double's certificate back to one copy, and a graph cut at
+its bridges merges its parts' certificates, in its own labels, from the
+last part back to the first.  Each merge aligns two certificates on a
+common N and re-indexes one side so the bridge endpoints never share a
+set.
 
 A certificate holds its kN sets in full, but they are copies of few
 distinct sets (305 of 819,200 on the dodecahedron).  Each step does its
@@ -35,7 +37,7 @@ from fractions import Fraction
 
 from .augment import exact_phase5_distribution
 from .graph_core import Graph, GraphError, GuardExceeded, analyze, mask_vertices, reduce_subcubic, suppress_vertex
-from .sampler import Distribution, is_independent
+from .sampler import Distribution, _check_guards, is_independent
 from .two_factor import TwoFactor, select_two_factor
 
 __all__ = [
@@ -373,7 +375,7 @@ def verify_certificate(g: Graph, cert: MultisetCertificate) -> CertificateVerdic
         inside = [u for u in s if 0 <= u < g.n]
         bad = [f"mentions foreign vertex {u}" for u in s if not (0 <= u < g.n)]
         bad += [f"contains edge ({u}, {v})"
-                for u in inside for v in inside if u < v and g.has_edge(u, v)]
+                for u in sorted(inside) for v in g.adj[u] if u < v and v in s]
         if bad:
             idx = cert.sets.index(s)
             problems += [f"set {idx} {b}" for b in bad]
@@ -532,6 +534,9 @@ def _leaf_certificate(step, host=None, **enum_kw) -> MultisetCertificate:
     leaf = step.detail["leaf"]
     if leaf == "trivial":
         return _two_colour_certificate(g)
+    # a cubic leaf's perfect matchings have n/2 edges: refuse their
+    # orientations as the law would, before the two-factor search
+    _check_guards(1 << g.n // 2, 0, enum_kw.get("max_orientations"), None)
     if leaf == "cubic-bridgeless":
         tf = select_two_factor(g)
     elif leaf == "one-bridge":
@@ -544,27 +549,22 @@ def _leaf_certificate(step, host=None, **enum_kw) -> MultisetCertificate:
 
 
 def _certificate_for(step, **enum_kw) -> MultisetCertificate:
-    # the chain of bridge splits runs through second children only (see
-    # reduce_subcubic), so it is walked in a loop, first sides on the way
-    # down and merges on the way back up
-    splits = []
-    while step.kind == "bridge-split":
-        first = _certificate_for(step.children[0], **enum_kw)
-        splits.append((step, _relabel(first, step.graph.n, step.child_maps[0])))
-        step = step.children[1]
     if step.is_leaf:
-        cert = _leaf_certificate(step, **enum_kw)
-    elif step.kind == "degree2-double":
-        cert = _restrict(_certificate_for(step.children[0], **enum_kw), step.graph.n)
-    elif step.kind == "degree2-single":
+        return _leaf_certificate(step, **enum_kw)
+    if step.kind == "bridge-split":
+        # the parts in g's labels, merged from the rest back to the first
+        n = step.graph.n
+        *parts, cert = [_relabel(_certificate_for(child, **enum_kw), n, vmap)
+                        for child, vmap in zip(step.children, step.child_maps)]
+        for a, bridge in zip(reversed(parts), reversed(step.detail["bridges"])):
+            cert = _merge_on_bridge(n, a, cert, *bridge)
+        return cert
+    if step.kind == "degree2-double":
+        return _restrict(_certificate_for(step.children[0], **enum_kw), step.graph.n)
+    if step.kind == "degree2-single":
         leaf = step.children[0]
-        cert = _restrict(_leaf_certificate(leaf, host=step.graph, **enum_kw), step.graph.n)
-    else:  # pragma: no cover
-        raise GraphError(f"unknown reduction kind {step.kind!r}")
-    for split, a in reversed(splits):
-        b = _relabel(cert, split.graph.n, split.child_maps[1])
-        cert = _merge_on_bridge(split.graph.n, a, b, *split.detail["bridge"])
-    return cert
+        return _restrict(_leaf_certificate(leaf, host=step.graph, **enum_kw), step.graph.n)
+    raise GraphError(f"unknown reduction kind {step.kind!r}")  # pragma: no cover
 
 
 def chi_f_upper_subcubic(g: Graph, **enum_kw):

@@ -17,6 +17,7 @@ maps so that colourings of the leaves can be pulled back mechanically.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -409,8 +410,12 @@ class ReductionStep:
       - ``none``: leaf; ``detail['leaf']`` is one of ``cubic-bridgeless``,
         ``one-bridge`` (the doubled single-degree-2 construction, which keeps
         its connecting edge) or ``trivial`` (n <= 3).
-      - ``bridge-split``: two children, the sides of a bridge;
-        ``detail['bridge']`` is (end in the first side, end in the second).
+      - ``bridge-split``: the graph cut at its bridges; the children are
+        its bridge-free parts in the order they were split off, then the
+        rest (which keeps its bridges if it has at most 3 vertices), each
+        mapped straight into this graph.
+        ``detail['bridges'][i]`` is the bridge that split off child i, as
+        (end in child i, other end), in this graph's labels.
       - ``degree2-double``: one child, two copies joined at degree-2 copies.
       - ``degree2-single``: one child, two copies joined at the unique
         degree-2 vertex.
@@ -467,111 +472,103 @@ def suppress_vertex(g: Graph, v0: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph(g.n - 1, edges), tuple(old_ids)
 
 
-def _split_bridge(g: Graph, bridges: list[tuple[int, int]]):
-    """Pick a bridge one side of which contains no further bridge.
-
-    Returns the bridge as (end in that side, other end) and the side.
-    The side of each bridge's smaller end is tried first, then the side
-    of each larger end; a leaf of the tree of blocks always has one.
-    """
-    bridge_set = set(bridges)
-    for x1, x2 in bridges + [(x2, x1) for x1, x2 in bridges]:
-        side = reach(g, x1, frozenset([(min(x1, x2), max(x1, x2))]))
-        side_edges = {
-            (u, v) for u, v in g.edges if u in side and v in side
-        }
-        if not (side_edges & bridge_set):
-            return (x1, x2), sorted(side)
-    raise GraphError("no bridge with a bridge-free side (impossible)")
-
-
 def _induced(g: Graph, verts: list[int]) -> tuple[Graph, tuple[int, ...]]:
+    """The subgraph on the sorted vertices ``verts``, relabelled in order,
+    and its map back to g; walks only the adjacency of ``verts``."""
     new_of = {old: new for new, old in enumerate(verts)}
-    edges = [
-        (new_of[u], new_of[v])
-        for u, v in g.edges
-        if u in new_of and v in new_of
-    ]
+    edges = [(new_of[u], new_of[w]) for u in verts for w in g.adj[u]
+             if u < w and w in new_of]
     return Graph(len(verts), edges), tuple(verts)
+
+
+def _bridge_splits(g: Graph, bridges: Sequence[tuple[int, int]]):
+    """Split g at its sorted ``bridges``, a leaf of the bridge tree at a time.
+
+    A part is a component of g minus its bridges.  While more than 3
+    vertices and some bridge are left, the least bridge whose smaller end
+    lies in a leaf part of what is left splits that part off, else the
+    least whose larger end does.  Returns the vertex lists of the split
+    parts in order, then of the rest, and each split bridge as (end in
+    its part, other end).
+    """
+    part, members, removed = [-1] * g.n, [], frozenset(bridges)
+    for v in range(g.n):
+        if part[v] == -1:
+            members.append(sorted(reach(g, v, removed)))
+            for u in members[-1]:
+                part[u] = len(members) - 1
+    # per part, its bridge count and the xor of their indices: the index
+    # of its one bridge once it is a leaf
+    degree, link = [0] * len(members), [0] * len(members)
+    for i, ends in enumerate(bridges):
+        for x in ends:
+            degree[part[x]] += 1
+            link[part[x]] ^= i
+    # (leaf part at the larger end?, bridge); the rest stays a tree, so a
+    # bridge is queued from both ends only when it is the last one
+    leaves = []
+
+    def queue(p):
+        heapq.heappush(leaves, (part[bridges[link[p]][0]] != p, link[p]))
+
+    for p in range(len(members)):
+        if degree[p] == 1:
+            queue(p)
+    order, split, left = [], [], g.n
+    while left > 3 and len(split) < len(bridges):
+        larger, i = heapq.heappop(leaves)
+        x1, x2 = bridges[i][::-1] if larger else bridges[i]
+        order.append(part[x1])
+        split.append((x1, x2))
+        left -= len(members[part[x1]])
+        degree[part[x2]] -= 1
+        link[part[x2]] ^= i
+        if degree[part[x2]] == 1:
+            queue(part[x2])
+    done = set(order)
+    rest = [v for v in range(g.n) if part[v] not in done]
+    return [members[p] for p in order] + [rest], split
 
 
 def reduce_subcubic(g: Graph) -> ReductionStep:
     """Reduction tree for a connected subcubic graph.
 
-    Applies, in order: (a) split at a bridge whose one side is bridge-free;
-    (b) if at least two degree-2 vertices exist, join two copies at all of
-    them; (c) if exactly one degree-2 vertex exists, join two copies at it
-    (the resulting leaf keeps that single connecting edge and is flagged
+    Applies, in order: (a) split at the bridges, a bridge-free part at a
+    time (`_bridge_splits`), into one ``bridge-split`` node; (b) if at
+    least two degree-2 vertices exist, join two copies at all of them;
+    (c) if exactly one degree-2 vertex exists, join two copies at it (the
+    resulting leaf keeps that single connecting edge and is flagged
     ``one-bridge``).  Graphs on at most 3 vertices are trivial leaves.
+    Each part's graph is built once, from the bridges `analyze` finds, so
+    the graphs of the tree hold at most 4n vertices in all.
     """
     report = analyze(g)
     if not report.is_connected:
         raise GraphError("reduce_subcubic requires a connected graph")
     if not report.is_subcubic:
         raise GraphError("reduce_subcubic requires a subcubic graph")
-    # A path of bridges nests one split in the next, so the chain of
-    # splits is walked in a loop.  The first side is bridge-free, so the
-    # second is connected, subcubic and keeps every other bridge of g:
-    # its bridges are carried over, not found again.
-    bridges = list(report.bridge_list)
-    splits = []
-    while g.n > 3 and bridges:
-        (x1, x2), side = _split_bridge(g, bridges)
-        other = sorted(set(range(g.n)) - set(side))
-        g1, map1 = _induced(g, side)
-        g2, map2 = _induced(g, other)
-        splits.append((g, reduce_subcubic(g1), (map1, map2), (x1, x2)))
-        # map2 increases, so the carried list stays sorted
-        new_of = {old: new for new, old in enumerate(map2)}
-        bridges = [(new_of[u], new_of[v]) for u, v in bridges
-                   if u in new_of and v in new_of]
-        g = g2
-    step = _reduce_bridgeless(g)
-    for parent, child1, maps, bridge in reversed(splits):
-        step = ReductionStep(
-            "bridge-split",
-            parent,
-            children=(child1, step),
-            child_maps=maps,
-            detail={"bridge": bridge},
-        )
-    return step
+    parts, split = _bridge_splits(g, report.bridge_list)
+    if not split:
+        return _reduce_bridgeless(g)
+    graphs, maps = zip(*(_induced(g, verts) for verts in parts))
+    return ReductionStep("bridge-split", g, children=tuple(map(_reduce_bridgeless, graphs)),
+                         child_maps=maps, detail={"bridges": tuple(split)})
 
 
 def _reduce_bridgeless(g: Graph) -> ReductionStep:
     """`reduce_subcubic` of a graph with no bridge or at most 3 vertices."""
     if g.n <= 3:
         return ReductionStep("none", g, detail={"leaf": "trivial"})
-
     deg2 = [v for v in range(g.n) if g.degree(v) == 2]
+    if not deg2:
+        # no bridge, no degree-2 vertex, connected, n >= 4: cubic
+        return ReductionStep("none", g, detail={"leaf": "cubic-bridgeless"})
+    double, cmap = _double_graph(g, deg2), (tuple(range(g.n)) * 2,)
     if len(deg2) >= 2:
-        child_graph = _double_graph(g, deg2)
-        child = reduce_subcubic(child_graph)
-        cmap = tuple(list(range(g.n)) + list(range(g.n)))
-        return ReductionStep(
-            "degree2-double",
-            g,
-            children=(child,),
-            child_maps=(cmap,),
-        )
-
-    if len(deg2) == 1:
-        v0 = deg2[0]
-        child_graph = _double_graph(g, [v0])
-        # The child keeps its connecting edge; it is terminal by construction
-        # (its two-factor is supplied by the pipeline, not re-selected).
-        child = ReductionStep(
-            "none",
-            child_graph,
-            detail={"leaf": "one-bridge", "bridge": (v0, v0 + g.n)},
-        )
-        cmap = tuple(list(range(g.n)) + list(range(g.n)))
-        return ReductionStep(
-            "degree2-single",
-            g,
-            children=(child,),
-            child_maps=(cmap,),
-        )
-
-    # No bridge, no degree-2 vertex, connected, n >= 4: cubic.
-    return ReductionStep("none", g, detail={"leaf": "cubic-bridgeless"})
+        return ReductionStep("degree2-double", g, children=(reduce_subcubic(double),),
+                             child_maps=cmap)
+    # The child keeps its connecting edge; it is terminal by construction
+    # (its two-factor is supplied by the pipeline, not re-selected).
+    child = ReductionStep("none", double,
+                          detail={"leaf": "one-bridge", "bridge": (deg2[0], deg2[0] + g.n)})
+    return ReductionStep("degree2-single", g, children=(child,), child_maps=cmap)

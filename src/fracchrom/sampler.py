@@ -310,6 +310,12 @@ class _Law:
 
 
 def _check_guards(orientations, branches, max_orientations, max_branches):
+    """Refuse more orientations or branches than the limits allow (a limit
+    of None is its default)."""
+    if max_orientations is None:
+        max_orientations = DEFAULT_MAX_ORIENTATIONS
+    if max_branches is None:
+        max_branches = DEFAULT_MAX_BRANCHES
     if orientations > max_orientations:
         raise ExplosionGuard(
             "2^%d matching orientations exceed the limit of %d"
@@ -438,10 +444,6 @@ def _situation_records(table, phase3):
 def _law(g, tf, max_orientations=None, max_branches=None):
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
-    if max_orientations is None:
-        max_orientations = DEFAULT_MAX_ORIENTATIONS
-    if max_branches is None:
-        max_branches = DEFAULT_MAX_BRANCHES
     law = tf.derived.get("law")
     if law is None:
         law = tf.derived["law"] = _compute_law(

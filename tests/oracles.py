@@ -548,3 +548,37 @@ def verify_oracle(g, cert):
         if count[v] != cert.N:
             problems.append(f"vertex {v} is covered {count[v]} times, not N = {cert.N}")
     return tuple(problems)
+
+
+def bridge_splits_by_scan(g):
+    """The bridge splits of a connected graph, one scan per split, in g's
+    labels.  A bridge is an edge whose removal separates its ends.  While
+    more than 3 vertices and some bridge are left, every bridge is tried
+    from its smaller end, then every bridge from its larger end, and the
+    first side that holds no other bridge is split off.  Returns the
+    sorted sides in order, then the sorted rest, and each bridge as (end
+    in its side, other end)."""
+    left = set(range(g.n))
+
+    def side_of(x, cut):
+        seen, stack = {x}, [x]
+        while stack:
+            u = stack.pop()
+            for w in g.adj[u]:
+                if w in left and w not in seen and {u, w} != set(cut):
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    bridges = [(u, v) for u, v in g.edges if v not in side_of(u, (u, v))]
+    sides, split = [], []
+    while len(left) > 3 and bridges:
+        for x1, x2 in bridges + [(v, u) for u, v in bridges]:
+            side = side_of(x1, (x1, x2))
+            if not any(u in side and v in side for u, v in bridges):
+                break
+        sides.append(sorted(side))
+        split.append((x1, x2))
+        left -= side
+        bridges = [(u, v) for u, v in bridges if u in left and v in left]
+    return sides + [sorted(left)], split

@@ -486,6 +486,17 @@ class TestCertify:
         payload = invoke_json("certify", files("p.g6", g))
         assert payload["verified"] is True
 
+    def test_orientation_guard_fires_before_the_two_factor_search(self, files, monkeypatch):
+        # C32 doubles to a 64-vertex leaf whose matchings have 2^32
+        # orientations; selecting its two-factor first took minutes
+        def refuse(*args, **kwargs):
+            raise AssertionError("select_two_factor ran")
+
+        monkeypatch.setattr(fractional_lp, "select_two_factor", refuse)
+        code, out, err = invoke("certify", files("c.g6", cycle(32)))
+        assert (code, out) == (3, "")
+        assert "2^32 matching orientations exceed the limit of 65536" in err
+
     def test_bridge_merge_guard(self, files, monkeypatch):
         # C5 (160 sets, N = 55) bridged to subdivided K3,3 (512 sets,
         # N = 176): both leaves fit under 1000 sets, the merge needs 2560

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fracchrom.fractional_lp import (
@@ -32,6 +32,7 @@ from fracchrom.sampler import enumerate_distribution, is_independent
 from fracchrom.two_factor import select_two_factor
 
 import oracles
+from strategies import connected_subcubic_graphs, with_pendant_tails
 from util_graphs import (
     bridged_composite,
     complete,
@@ -369,6 +370,17 @@ class TestVerifyCertificate:
             "vertex 2 is covered 5 times, not N = 4",
         )
 
+    def test_set_with_two_edges_reports_both_in_order(self):
+        # the second copy of {0, 3} becomes {0, 1, 2}, a path of two edges
+        g, cert = self.parsed([(8, [2, 1, 0])])
+        assert verify_certificate(g, cert).problems == (
+            "set 8 contains edge (0, 1)",
+            "set 8 contains edge (1, 2)",
+            "vertex 1 is covered 5 times, not N = 4",
+            "vertex 2 is covered 5 times, not N = 4",
+            "vertex 3 is covered 3 times, not N = 4",
+        )
+
     def test_repeated_foreign_set_is_reported_at_its_first_copy(self):
         g, cert = self.parsed([(3, [0, 3, 7]), (8, [0, 3, 7])])
         assert verify_certificate(g, cert).problems == (
@@ -522,3 +534,52 @@ class TestUpperSubcubic:
     def test_rejects_high_degree(self):
         with pytest.raises(GraphError, match="subcubic"):
             chi_f_upper_subcubic(Graph(5, [(0, v) for v in range(1, 5)]))
+
+
+def _check_splits_and_certificate(g):
+    """The reduction splits g as the scan per split does, and g's
+    certificate is verified and at least chi_f, or a guard refuses it."""
+    step = reduce_subcubic(g)
+    if step.kind == "bridge-split":
+        got = list(step.child_maps), list(step.detail["bridges"])
+    else:
+        got = [tuple(range(g.n))], []
+    sides, split = oracles.bridge_splits_by_scan(g)
+    assert got == ([tuple(s) for s in sides], split)
+    try:
+        _, cert = chi_f_upper_subcubic(g)
+    except GuardExceeded:
+        event("refused by a guard")
+        return
+    assert verify_certificate(g, cert).ok
+    assert chi_f_exact(g)[0] <= cert.k
+
+
+class TestBridgeSplitOrder:
+    """The parts of the bridge tree are split off in the order of the scan
+    per split in ``oracles.bridge_splits_by_scan``, which the certificate
+    bytes depend on."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(connected_subcubic_graphs(triangle_free=True))
+    def test_random_subcubic_graphs(self, g):
+        _check_splits_and_certificate(g)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(with_pendant_tails(connected_subcubic_graphs(max_n=8, triangle_free=True)))
+    def test_random_graphs_with_pendant_tails(self, g):
+        _check_splits_and_certificate(g)
+
+    @pytest.mark.parametrize("edges,n", [
+        # pendant vertices at the larger ends of C4 and C5
+        ([(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 5)], 6),
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (2, 6)], 7),
+        # C4 with tails of 1, 2 and 3 vertices, and a 4-vertex path
+        ([(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6)], 7),
+        ([(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (4, 5), (2, 6)], 7),
+        ([(0, 1), (1, 2), (2, 3)], 4),
+        # a pendant vertex at the smaller end, the tail at the larger
+        ([(1, 2), (2, 3), (3, 4), (1, 4), (0, 1), (3, 5), (5, 6)], 7),
+    ])
+    def test_pendants_and_short_tails(self, edges, n):
+        _check_splits_and_certificate(Graph(n, edges))

@@ -24,6 +24,7 @@ from fracchrom.graph_core import (
 
 from oracles import boundary
 from util_graphs import (
+    block_chain,
     bridged_composite,
     circular_ladder,
     complete,
@@ -259,28 +260,37 @@ def test_reduce_bridge_split():
     g = bridged_composite()
     step = reduce_subcubic(g)
     assert step.kind == "bridge-split"
-    assert step.detail["bridge"] in {(0, 6), (6, 0)}
-    left, right = step.children
+    assert step.detail["bridges"] == ((0, 6),)
+    assert step.child_maps == (tuple(range(6)), tuple(range(6, 12)))
     # each side is K33 minus an edge: two degree-2 vertices -> doubled
-    assert left.kind == "degree2-double"
-    assert right.kind == "degree2-double"
-    for side, smap in zip(step.children, step.child_maps):
+    for side in step.children:
+        assert side.kind == "degree2-double"
         assert analyze(side.graph).is_connected
         assert side.graph.n == 6
-        assert len(smap) == 6
 
 
 def test_reduce_bridge_whose_leaf_side_holds_the_larger_end():
     # C4 with pendant vertices 4 and 5 at 0 and 2: the side of each
-    # bridge's smaller end holds the other bridge
+    # bridge's smaller end holds the other bridge, so 4 goes first; the
+    # C4 is then the leaf side of (2, 5), and 5 is the rest
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 5)])
     step = reduce_subcubic(g)
     assert step.kind == "bridge-split"
-    assert step.detail["bridge"] == (4, 0)
-    assert step.child_maps[0] == (4,)
-    rest = step.children[1]  # the C4 with 5 renamed 4, split at (2, 4)
-    assert rest.kind == "bridge-split" and rest.detail["bridge"] == (2, 4)
+    assert step.detail["bridges"] == ((4, 0), (2, 5))
+    assert step.child_maps == ((4,), (0, 1, 2, 3), (5,))
     assert [leaf.graph.n for leaf in step.leaves()] == [1, 8, 1]
+
+
+def _tree_vertices(step):
+    return step.graph.n + sum(_tree_vertices(c) for c in step.children)
+
+
+@pytest.mark.parametrize("g", [path_graph(2000), block_chain(300)],
+                         ids=["path", "chain"])
+def test_reduction_tree_is_linear_in_the_graph(g):
+    # one node for g, each part's graph once, and a double per part:
+    # splitting one bridge at a time and keeping the rest grew as n^2
+    assert _tree_vertices(reduce_subcubic(g)) <= 4 * g.n
 
 
 def test_reduce_single_degree2():

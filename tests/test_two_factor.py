@@ -28,6 +28,7 @@ from oracles import (
     minimal_small_cuts_bruteforce,
     minimal_small_cuts_subset_scan,
 )
+from strategies import connected_subcubic_graphs
 from util_graphs import (
     bridged_composite,
     circular_ladder,
@@ -72,29 +73,6 @@ def two_cut_graph():
     with the 2-edge-cut {(2, 6), (3, 7)}, whose edges get equal labels."""
     half = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
     return Graph(8, half + [(u + 4, v + 4) for u, v in half] + [(2, 6), (3, 7)])
-
-
-@st.composite
-def connected_subcubic_graphs(draw):
-    """A random tree of maximum degree 3 on n <= 12 vertices plus random
-    extra edges that keep the degrees <= 3: bridges and 2-edge-cuts are
-    common."""
-    n = draw(st.integers(2, 12))
-    deg = [0] * n
-    edges = set()
-    for v in range(1, n):
-        u = draw(st.sampled_from([w for w in range(v) if deg[w] < 3]))
-        edges.add((u, v))
-        deg[u] += 1
-        deg[v] += 1
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    for u, v in draw(st.lists(pairs, max_size=2 * n)):
-        e = (min(u, v), max(u, v))
-        if u != v and e not in edges and deg[u] < 3 and deg[v] < 3:
-            edges.add(e)
-            deg[u] += 1
-            deg[v] += 1
-    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------

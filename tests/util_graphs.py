@@ -82,3 +82,12 @@ def bridged_composite():
     both = disjoint_union(a, a)
     edges = list(both.edges) + [(0, 6)]
     return Graph(12, edges)
+
+
+def block_chain(b):
+    """b copies of K33-minus-an-edge in a row, vertex 3 of each copy joined
+    by a bridge to vertex 0 of the next (6b vertices, b - 1 bridges)."""
+    a = k33_minus_edge()
+    edges = [(6 * t + u, 6 * t + v) for t in range(b) for u, v in a.edges]
+    edges += [(6 * t + 3, 6 * t + 6) for t in range(b - 1)]
+    return Graph(6 * b, edges)
