@@ -34,7 +34,7 @@ from .fractional_lp import (
     chi_f_upper_subcubic,
 )
 from .graph_core import Graph, GraphError, GuardExceeded, analyze, parse_edge_list, parse_graph6
-from .sampler import monte_carlo
+from .sampler import _check_guards, monte_carlo
 from .two_factor import (
     NoQualifyingTwoFactor,
     TwoFactorError,
@@ -212,6 +212,10 @@ def _monte_carlo_prob(args: argparse.Namespace, g: Graph, tf) -> dict:
 
 def cmd_prob(args: argparse.Namespace) -> dict:
     g = _read_graph(args.path)
+    if args.exact and not args.two_factor and set(g.degrees()) == {3}:
+        # a cubic graph's perfect matchings have n/2 edges: refuse their
+        # orientations as the law would, before the two-factor search
+        _check_guards(1 << g.n // 2, 0, args.max_orient, None)
     tf, origin = _pick_two_factor(g, args)
     body = _exact_prob(args, g, tf) if args.exact else _monte_carlo_prob(args, g, tf)
     return {

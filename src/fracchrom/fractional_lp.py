@@ -16,8 +16,8 @@ certificate from the sampled five-phase law, doubled constructions
 restrict the double's certificate back to one copy, and a graph cut at
 its bridges merges its parts' certificates, in its own labels, from the
 last part back to the first.  Each merge aligns two certificates on a
-common N and re-indexes one side so the bridge endpoints never share a
-set.
+common N and deals one side's sets to the other's indices, in one pass,
+so the bridge endpoints never share a set.
 
 A certificate holds its kN sets in full, but they are copies of few
 distinct sets (305 of 819,200 on the dodecahedron).  Each step does its
@@ -392,20 +392,6 @@ def verify_certificate(g: Graph, cert: MultisetCertificate) -> CertificateVerdic
 # -- 32/11 certificates for subcubic graphs ---------------------------------------
 
 
-def _replicate(cert: MultisetCertificate, factor: int) -> MultisetCertificate:
-    if factor == 1:
-        return cert
-    return MultisetCertificate(
-        cert.n_vertices, cert.N * factor, cert.sets * factor)
-
-
-def _pad(cert: MultisetCertificate, count: int) -> MultisetCertificate:
-    if count <= len(cert.sets):
-        return cert
-    empty = (frozenset(),) * (count - len(cert.sets))
-    return MultisetCertificate(cert.n_vertices, cert.N, cert.sets + empty)
-
-
 def _map_distinct(f, items) -> tuple:
     """``tuple(map(f, items))``, calling f once per distinct item."""
     image = {}
@@ -431,9 +417,14 @@ def _merge_on_bridge(n: int, a: MultisetCertificate, b: MultisetCertificate,
                      x1: int, x2: int) -> MultisetCertificate:
     """Combine certificates of the two sides of a bridge (x1, x2).
 
-    Both are first brought to a common N and a common set count; then
-    b's sets are re-indexed so that no set holding x2 lands on an index
-    whose a-set holds x1.  Unions along indices are then independent.
+    Each side's sets are repeated up to N = lcm(a.N, b.N) and padded with
+    empty sets to a common count.  Then one pass deals b's sets to the
+    indices so that no set holding x2 lands where a's set holds x1:
+    a b-set holding x2 stays where the a-set lacks x1; the b-sets holding
+    x2 at indices whose a-set holds x1 move, in order, to the first
+    indices whose a-set lacks x1 and whose b-set lacks x2; every other
+    index takes the next b-set that lacks x2.  Unions along indices are
+    then independent.
     """
     N = math.lcm(a.N, b.N)
     count = max(len(a.sets) * (N // a.N), len(b.sets) * (N // b.N), 2 * N)
@@ -441,38 +432,27 @@ def _merge_on_bridge(n: int, a: MultisetCertificate, b: MultisetCertificate,
         raise GuardExceeded(
             f"bridge merge would hold {count} sets (> {DEFAULT_MAX_MULTISET})"
         )
-    a = _pad(_replicate(a, N // a.N), count)
-    b = _pad(_replicate(b, N // b.N), count)
-
-    blocked = {i for i, s in enumerate(a.sets) if x1 in s}
-    movers = [i for i, s in enumerate(b.sets) if x2 in s]
-    free = [i for i in range(count) if i not in blocked]
-    if len(movers) > len(free):
+    a_sets, b_sets = ((c.sets * (N // c.N) + (frozenset(),) * count)[:count]
+                      for c in (a, b))
+    movers = sum(x2 in t for t in b_sets)
+    free = sum(x1 not in s for s in a_sets)
+    if movers > free:
         raise MergeFailure(
-            f"cannot separate bridge ({x1}, {x2}): {len(movers)} sets to "
-            f"place, {len(free)} indices available"
+            f"cannot separate bridge ({x1}, {x2}): {movers} sets to "
+            f"place, {free} indices available"
         )
-    perm = [-1] * count
-    # keep movers already standing on free indices, relocate the rest
-    for i in movers:
-        if i not in blocked:
-            perm[i] = i
-    mover_set = set(movers)
-    pool = iter(i for i in free if i not in mover_set)
-    for i in movers:
-        if perm[i] == -1:
-            perm[i] = next(pool)
-    used = {p for p in perm if p != -1}
-    rest = iter(i for i in range(count) if i not in used)
-    for i in range(count):
-        if perm[i] == -1:
-            perm[i] = next(rest)
-
-    merged = [None] * count
-    for i in range(count):
-        merged[perm[i]] = b.sets[i]
-    sets = _map_distinct(lambda pair: pair[0] | pair[1], tuple(zip(a.sets, merged)))
-    return MultisetCertificate(n, N, sets)
+    moving = iter([t for s, t in zip(a_sets, b_sets) if x1 in s and x2 in t])
+    rest = (t for t in b_sets if x2 not in t)
+    pairs = []
+    for s, t in zip(a_sets, b_sets):
+        if x1 in s:
+            t = next(rest)
+        elif x2 not in t:
+            # a moving set holds x2, so it is never the empty (false) set
+            t = next(moving, None) or next(rest)
+        pairs.append((s, t))
+    return MultisetCertificate(n, N, _map_distinct(
+        lambda pair: pair[0] | pair[1], pairs))
 
 
 def _two_colour_certificate(g: Graph) -> MultisetCertificate:
@@ -497,20 +477,22 @@ def _two_colour_certificate(g: Graph) -> MultisetCertificate:
     return MultisetCertificate(g.n, 1, sets)
 
 
-def _one_bridge_leaf_two_factor(leaf: Graph, host: Graph, v0: int) -> TwoFactor:
-    """Two-factor for the double of a host with a single degree-2 vertex.
+def _one_bridge_leaf_two_factor(leaf: Graph, v0: int) -> TwoFactor:
+    """Two-factor for the double of a host with a single degree-2 vertex v0.
 
-    The host is suppressed at v0, a qualifying two-factor of the cubic
-    result is chosen with the replacement edge on a cycle, and that
-    cycle is re-routed through v0 in both copies; the bridge between the
-    copies of v0 becomes a matching edge.
+    The host is the leaf's first copy, its vertices below n/2.  It is
+    suppressed at v0, a qualifying two-factor of the cubic result is
+    chosen with the replacement edge on a cycle, and that cycle is
+    re-routed through v0 in both copies; the bridge between the copies
+    of v0 becomes a matching edge.
     """
+    n = leaf.n // 2
+    host = Graph(n, [e for e in leaf.edges if e[1] < n])
     g0, old_ids = suppress_vertex(host, v0)
     a, b = host.adj[v0]
     back = {old: new for new, old in enumerate(old_ids)}
     tf0 = select_two_factor(g0, cycle_edge=(back[a], back[b]))
 
-    n = host.n
     cycles = []
     for cyc in tf0.cycles:
         mapped = [old_ids[u] for u in cyc]
@@ -529,7 +511,7 @@ def _one_bridge_leaf_two_factor(leaf: Graph, host: Graph, v0: int) -> TwoFactor:
     return TwoFactor(leaf, both, matching)
 
 
-def _leaf_certificate(step, host=None, **enum_kw) -> MultisetCertificate:
+def _leaf_certificate(step, **enum_kw) -> MultisetCertificate:
     g = step.graph
     leaf = step.detail["leaf"]
     if leaf == "trivial":
@@ -540,7 +522,7 @@ def _leaf_certificate(step, host=None, **enum_kw) -> MultisetCertificate:
     if leaf == "cubic-bridgeless":
         tf = select_two_factor(g)
     elif leaf == "one-bridge":
-        tf = _one_bridge_leaf_two_factor(g, host, step.detail["bridge"][0])
+        tf = _one_bridge_leaf_two_factor(g, step.detail["bridge"][0])
     else:  # pragma: no cover - reduce_subcubic emits no other kinds
         raise GraphError(f"unknown leaf kind {leaf!r}")
     _, result = exact_phase5_distribution(g, tf, **enum_kw)
@@ -559,11 +541,8 @@ def _certificate_for(step, **enum_kw) -> MultisetCertificate:
         for a, bridge in zip(reversed(parts), reversed(step.detail["bridges"])):
             cert = _merge_on_bridge(n, a, cert, *bridge)
         return cert
-    if step.kind == "degree2-double":
+    if step.kind in ("degree2-double", "degree2-single"):
         return _restrict(_certificate_for(step.children[0], **enum_kw), step.graph.n)
-    if step.kind == "degree2-single":
-        leaf = step.children[0]
-        return _restrict(_leaf_certificate(leaf, host=step.graph, **enum_kw), step.graph.n)
     raise GraphError(f"unknown reduction kind {step.kind!r}")  # pragma: no cover
 
 

@@ -7,8 +7,8 @@ each member v; `vertex_mask` and `mask_vertices` convert between the two,
 and `reach` is the one search for the component of a vertex after removing
 edges.  A `Graph` is immutable after construction and safe to share across
 threads, except for ``derived``: results computed from the graph (its
-small cuts), kept as long as the graph lives.  Threads asking at once may
-each compute one; they are equal.
+structure report and small cuts), kept as long as the graph lives.
+Threads asking at once may each compute one; they are equal.
 
 The reduction machinery (`reduce_subcubic`) turns a connected subcubic graph
 into a tree of constructions whose leaves are cubic graphs, recording vertex
@@ -378,13 +378,17 @@ def _blocks_and_bridges(
 
 
 def analyze(g: Graph) -> StructureReport:
-    """Compute all class flags, bridges and blocks for ``g``."""
+    """All class flags, bridges and blocks for ``g``, computed once and
+    kept in ``g.derived`` (the report is frozen)."""
+    report = g.derived.get("report")
+    if report is not None:
+        return report
     degs = g.degrees()
     is_subcubic = all(d <= 3 for d in degs)
     is_cubic = g.n > 0 and all(d == 3 for d in degs)
     witness = _find_triangle(g)
     blocks, bridges = _blocks_and_bridges(g)
-    return StructureReport(
+    report = g.derived["report"] = StructureReport(
         n=g.n,
         m=g.m,
         is_connected=g.n == 0 or len(reach(g, 0)) == g.n,
@@ -396,6 +400,7 @@ def analyze(g: Graph) -> StructureReport:
         bridge_list=tuple(bridges),
         block_decomposition=tuple(blocks),
     )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +570,9 @@ def _reduce_bridgeless(g: Graph) -> ReductionStep:
         return ReductionStep("none", g, detail={"leaf": "cubic-bridgeless"})
     double, cmap = _double_graph(g, deg2), (tuple(range(g.n)) * 2,)
     if len(deg2) >= 2:
-        return ReductionStep("degree2-double", g, children=(reduce_subcubic(double),),
+        # joined at two or more vertices, two copies of a bridgeless graph
+        # stay bridgeless: the double is a cubic bridgeless leaf
+        return ReductionStep("degree2-double", g, children=(_reduce_bridgeless(double),),
                              child_maps=cmap)
     # The child keeps its connecting edge; it is terminal by construction
     # (its two-factor is supplied by the pipeline, not re-selected).

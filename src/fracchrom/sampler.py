@@ -473,47 +473,43 @@ def enumerate_situations(g: Graph, tf: TwoFactor, *,
 # template events against the exact law
 
 
-def _conforming(t, g, tf, max_orientations, max_branches, phase3=True):
+def _conforming(t, g, tf, phase3=True):
     """The law, and its situations that conform to ``t``, a template the
     caller has checked against ``tf``.
 
-    This is the one scan behind the four template events; with
-    ``phase3=False`` it tests only the orientation and phase-1
-    requirements.
+    This is the one scan behind the four template events, on the law
+    under the default guards; with ``phase3=False`` it tests only the
+    orientation and phase-1 requirements.
     """
     heads, d1, d1bar = (vertex_mask(t.heads), vertex_mask(t.d1),
                         vertex_mask(t.d1bar))
     d3, d3bar = (vertex_mask(t.d3), vertex_mask(t.d3bar)) if phase3 else (0, 0)
-    law = _law(g, tf, max_orientations, max_branches)
+    law = _law(g, tf)
     return law, (rec for rec in law.records()
                  if rec.heads & heads == heads
                  and rec.s1 & d1 == d1 and not rec.s1 & d1bar
                  and rec.s3 & d3 == d3 and not rec.s3 & d3bar)
 
 
-def event_probability(t: Template, g: Graph, tf: TwoFactor, *,
-                      max_orientations: int = None,
-                      max_branches: int = None) -> Fraction:
+def event_probability(t: Template, g: Graph, tf: TwoFactor) -> Fraction:
     """Exact probability that a random situation conforms to ``t``."""
     validate_in(t, tf)
-    law, recs = _conforming(t, g, tf, max_orientations, max_branches)
+    law, recs = _conforming(t, g, tf)
     denom = law.denom
     return Fraction(sum(denom // rec.d for rec in recs), denom)
 
 
-def forces(t: Template, u: int, g: Graph, tf: TwoFactor, *,
-           max_orientations: int = None, max_branches: int = None) -> bool:
+def forces(t: Template, u: int, g: Graph, tf: TwoFactor) -> bool:
     """True when every situation conforming to ``t`` outputs ``u``."""
     validate_in(t, tf)
     if not 0 <= u < tf.graph.n:
         raise GraphError("vertex %r out of range" % (u,))
     bit = 1 << u
-    _, recs = _conforming(t, g, tf, max_orientations, max_branches)
+    _, recs = _conforming(t, g, tf)
     return all(rec.out & bit for rec in recs)
 
 
-def admissible(t: Template, g: Graph, tf: TwoFactor, *,
-               max_orientations: int = None, max_branches: int = None) -> bool:
+def admissible(t: Template, g: Graph, tf: TwoFactor) -> bool:
     """Phase-3 constraints limited to the focus, and the focus is feasible
     whenever the orientation and phase-1 constraints are met."""
     validate_in(t, tf)
@@ -523,13 +519,11 @@ def admissible(t: Template, g: Graph, tf: TwoFactor, *,
     if t.focus is None or constrained != {t.focus}:
         return False
     bit = 1 << t.focus
-    _, recs = _conforming(t, g, tf, max_orientations, max_branches,
-                          phase3=False)
+    _, recs = _conforming(t, g, tf, phase3=False)
     return all(rec.feasible & bit for rec in recs)
 
 
-def exact_q(t: Template, g: Graph, tf: TwoFactor, *,
-            max_orientations: int = None, max_branches: int = None) -> Fraction:
+def exact_q(t: Template, g: Graph, tf: TwoFactor) -> Fraction:
     """Exact conditional probability that the focus's whole cycle is
     feasible, given that the situation conforms to ``t``; zero when the
     template carries no phase-3 requirement on the focus or the cycle is
@@ -541,7 +535,7 @@ def exact_q(t: Template, g: Graph, tf: TwoFactor, *,
     if len(cycle) % 2 == 0:
         return Fraction(0)
     cycle_mask = vertex_mask(cycle)
-    law, recs = _conforming(t, g, tf, max_orientations, max_branches)
+    law, recs = _conforming(t, g, tf)
     denom = law.denom
     hit = total = 0
     for rec in recs:

@@ -13,8 +13,9 @@ import pytest
 
 from fracchrom import sampler as S
 from fracchrom.augment import run_phase5
-from fracchrom.fractional_lp import ColouringError, MultisetCertificate
-from fracchrom.graph_core import GraphError
+from fracchrom import fractional_lp
+from fracchrom.fractional_lp import ColouringError, MergeFailure, MultisetCertificate
+from fracchrom.graph_core import GraphError, GuardExceeded
 
 
 def count_perfect_matchings_bruteforce(g):
@@ -548,6 +549,55 @@ def verify_oracle(g, cert):
         if count[v] != cert.N:
             problems.append(f"vertex {v} is covered {count[v]} times, not N = {cert.N}")
     return tuple(problems)
+
+
+def merge_by_permutation(n, a, b, x1, x2):
+    """The bridge merge of certificates ``a`` and ``b`` across the bridge
+    (x1, x2) as a permutation of b's indices, one copy at a time.
+
+    Each side is replicated to N = lcm(a.N, b.N) and padded with empty
+    sets to a common count; the b-sets holding x2 keep their index where
+    the a-set lacks x1 and are otherwise sent, in order, to the free
+    indices (a-set without x1) whose b-set lacks x2; the remaining
+    b-sets fill the unused indices in order.  Reads the multiset guard
+    from ``fractional_lp`` at call time, so a test may lower it.
+    """
+    def replicate(cert, factor):
+        return MultisetCertificate(cert.n_vertices, cert.N * factor, cert.sets * factor)
+
+    def pad(cert, count):
+        empty = (frozenset(),) * (count - len(cert.sets))
+        return MultisetCertificate(cert.n_vertices, cert.N, cert.sets + empty)
+
+    N = math.lcm(a.N, b.N)
+    count = max(len(a.sets) * (N // a.N), len(b.sets) * (N // b.N), 2 * N)
+    if count > fractional_lp.DEFAULT_MAX_MULTISET:
+        raise GuardExceeded(f"bridge merge would hold {count} sets")
+    a = pad(replicate(a, N // a.N), count)
+    b = pad(replicate(b, N // b.N), count)
+    blocked = {i for i, s in enumerate(a.sets) if x1 in s}
+    movers = [i for i, s in enumerate(b.sets) if x2 in s]
+    free = [i for i in range(count) if i not in blocked]
+    if len(movers) > len(free):
+        raise MergeFailure(f"cannot separate bridge ({x1}, {x2})")
+    perm = [-1] * count
+    for i in movers:
+        if i not in blocked:
+            perm[i] = i
+    mover_set = set(movers)
+    pool = iter(i for i in free if i not in mover_set)
+    for i in movers:
+        if perm[i] == -1:
+            perm[i] = next(pool)
+    used = {p for p in perm if p != -1}
+    rest = iter(i for i in range(count) if i not in used)
+    for i in range(count):
+        if perm[i] == -1:
+            perm[i] = next(rest)
+    merged = [None] * count
+    for i in range(count):
+        merged[perm[i]] = b.sets[i]
+    return MultisetCertificate(n, N, tuple(s | t for s, t in zip(a.sets, merged)))
 
 
 def bridge_splits_by_scan(g):

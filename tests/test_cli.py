@@ -330,6 +330,25 @@ class TestProb:
             "prob", files("big.edges", circular_ladder(33), "edges"), "--exact")
         assert code == 3 and "guard" in err.lower()
 
+    def test_orientation_guard_fires_before_the_two_factor_search(self, files, monkeypatch):
+        # selecting GP(28,5)'s two-factor took seconds before the law
+        # refused its 2^28 orientations
+        def refuse(*args, **kwargs):
+            raise AssertionError("select_two_factor ran")
+
+        monkeypatch.setattr(cli, "select_two_factor", refuse)
+        cases = [(circular_ladder(17), (), "2^17", 65536),
+                 (petersen(), ("--max-orient", "16"), "2^5", 16)]
+        for g, option, count, limit in cases:
+            code, out, err = invoke("prob", files("g.g6", g), "--exact", *option)
+            assert (code, out) == (3, "")
+            assert f"{count} matching orientations exceed the limit of {limit}" in err
+        monkeypatch.undo()
+        # non-cubic input is still refused by the two-factor search
+        code, out, err = invoke("prob", files("c.g6", cycle(40)), "--exact")
+        assert (code, out) == (2, "")
+        assert "requires a cubic graph" in err
+
 
 class TestChif:
     @pytest.mark.parametrize(

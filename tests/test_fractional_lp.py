@@ -12,10 +12,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from fracchrom import fractional_lp, graph_core
 from fracchrom.fractional_lp import (
     DEFAULT_MAX_MULTISET,
     ColouringError,
     FractionalColouring,
+    MergeFailure,
     MultisetCertificate,
     TARGET_BOUND,
     certificate_from_json_dict,
@@ -522,6 +524,20 @@ class TestUpperSubcubic:
         _, cert = chi_f_upper_subcubic(g)
         assert verify_certificate(g, cert).ok
 
+    @pytest.mark.parametrize("build", [lambda: path_graph(200), bridged_composite],
+                             ids=["path-200", "bridged-composite"])
+    def test_one_structure_analysis_per_call(self, build, monkeypatch):
+        # the checks and the reduction share one report of the input, and
+        # a double of a bridgeless part needs no search for bridges
+        calls = []
+        blocks_and_bridges = graph_core._blocks_and_bridges
+        monkeypatch.setattr(graph_core, "_blocks_and_bridges",
+                            lambda g: calls.append(g.n) or blocks_and_bridges(g))
+        for _ in range(2):
+            g = build()
+            chi_f_upper_subcubic(g)
+        assert calls == [g.n, g.n]
+
     def test_rejects_triangles(self):
         with pytest.raises(GraphError, match="triangle"):
             chi_f_upper_subcubic(complete(4))
@@ -534,6 +550,47 @@ class TestUpperSubcubic:
     def test_rejects_high_degree(self):
         with pytest.raises(GraphError, match="subcubic"):
             chi_f_upper_subcubic(Graph(5, [(0, v) for v in range(1, 5)]))
+
+
+@st.composite
+def bridge_sides(draw):
+    """Two small certificates with their sets on the vertex ranges 0..3
+    and 4..7 of an 8-vertex graph, drawn from a few sets per side so that
+    copies repeat, and a bridge end in each range."""
+    def side(lo):
+        N = draw(st.integers(1, 4))
+        pool = draw(st.lists(st.frozensets(st.integers(lo, lo + 3)), min_size=1, max_size=3))
+        sets = draw(st.lists(st.sampled_from(pool), max_size=3 * N))
+        return MultisetCertificate(8, N, tuple(sets))
+
+    return side(0), side(4), draw(st.integers(0, 3)), draw(st.integers(4, 7))
+
+
+def _merge_or_refusal(merge, sides):
+    try:
+        return merge(8, *sides)
+    except (MergeFailure, GuardExceeded) as exc:
+        return type(exc)
+
+
+class TestMergeOnBridge:
+    """The one-pass bridge merge deals b's sets to the indices as the
+    permutation of ``oracles.merge_by_permutation`` does, set for set,
+    and refuses the same inputs with the same error."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bridge_sides(), st.sampled_from([None, 6, 24]))
+    def test_merge_equals_the_permutation_oracle(self, sides, limit):
+        with pytest.MonkeyPatch.context() as mp:
+            if limit is not None:
+                mp.setattr(fractional_lp, "DEFAULT_MAX_MULTISET", limit)
+            want = _merge_or_refusal(oracles.merge_by_permutation, sides)
+            got = _merge_or_refusal(fractional_lp._merge_on_bridge, sides)
+        if isinstance(want, type):
+            event(want.__name__)
+            assert got is want
+        else:
+            assert (got.n_vertices, got.N, got.sets) == (want.n_vertices, want.N, want.sets)
 
 
 def _check_splits_and_certificate(g):

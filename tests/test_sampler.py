@@ -463,6 +463,14 @@ class TestEnumerate:
     def test_guard_is_a_guard_exceeded(self):
         from fracchrom.graph_core import GuardExceeded
         assert issubclass(S.ExplosionGuard, GuardExceeded)
+        # the events take no guards: a law kept under a raised limit
+        # answers them only if it meets the defaults
+        g = generalized_petersen(12, 5)
+        tf = select_two_factor(g)
+        S.enumerate_distribution(g, tf, max_branches=2**26)
+        with pytest.raises(S.ExplosionGuard, match="limit of %d branches"
+                           % S.DEFAULT_MAX_BRANCHES):
+            S.event_probability(T.builtin("E0", tf, 0), g, tf)
 
     def test_distribution_validates(self):
         one = frozenset({0})
