@@ -31,10 +31,13 @@ covered after it alone, so the walk only counts the phase-1 selections
 per covered mask, and each covered mask has its phase 3 expanded once,
 from a memo keyed by the feasible mask.  The law and that memo are kept
 on the two-factor (in ``tf.derived``, so they live exactly as long as
-``tf``).  The situations are built from the same walk and memo, once,
-when an event query (``event_probability``, ``forces``, ``admissible``,
-``exact_q``, each one scan of the situations) or ``enumerate_situations``
-(a new list of the same objects) first asks for them.  The law is
+``tf``), and nothing per situation is kept.  An event query
+(``event_probability``, ``forces``, ``admissible``, ``exact_q``) walks
+the orientations and phase-1 selections again, skipping an orientation
+that misses the template's heads before expanding its phase-1 program,
+and reads the phase-3 branches of each selection it keeps from the
+memo; ``enumerate_situations`` builds a new ``Situation`` for each
+situation of the same walk, unfiltered.  The law is
 computed in integers: ``d = 2^m * d1 * d3``, d1 and d3 the products of
 ``len(outcomes)`` over the runs of the phase-1 and phase-3 programs; the
 masses are summed as integers over one common denominator (the lcm of
@@ -287,11 +290,11 @@ class _Law:
     """The law of one two-factor, with ``denom``: the lcm of the
     situations' ``d``, over which every mass is an integer.
     It keeps its trial table and phase-3 memo (the feasible mask to
-    ``(d3, [(s3, s3 | phase-4 addition)])``), from which ``records``
-    builds the situation records the first time it is called."""
+    ``(d3, [(s3, s3 | phase-4 addition)])``), over which ``situations``
+    walks the situations again for each query."""
 
     __slots__ = ("table", "phase3", "result", "orientations", "branches",
-                 "denom", "recs")
+                 "denom")
 
     def __init__(self, table, phase3, result, orientations, branches, denom):
         self.table = table
@@ -300,13 +303,24 @@ class _Law:
         self.orientations = orientations
         self.branches = branches
         self.denom = denom
-        self.recs = None
 
-    def records(self):
-        """The situations, in the order of the walk."""
-        if self.recs is None:
-            self.recs = _situation_records(self.table, self.phase3)
-        return self.recs
+    def situations(self, heads=0, d1=0, d1bar=0, d3=0, d3bar=0):
+        """The situations, in the order of the walk, as tuples
+        ``(heads, s1, feasible, s3, out, d)``: those whose heads include
+        the mask ``heads``, whose phase-1 selection includes ``d1`` and
+        misses ``d1bar`` and whose phase-3 selection includes ``d3`` and
+        misses ``d3bar``."""
+        table, phase3 = self.table, self.phase3
+        for hs, lone, phase1, d01 in _phase1(table, heads):
+            for s1 in phase1:
+                if s1 & d1 != d1 or s1 & d1bar:
+                    continue
+                covered1 = s1 | lone
+                feasible, d, branches = _after_phase2(table, phase3, covered1)
+                d *= d01
+                for s3, add in branches:
+                    if s3 & d3 == d3 and not s3 & d3bar:
+                        yield hs, s1, feasible, s3, covered1 | add, d
 
 
 def _check_guards(orientations, branches, max_orientations, max_branches):
@@ -335,14 +349,16 @@ def _expand(program):
     return selections
 
 
-def _phase1(table):
-    """Phases 1 and 2 under every orientation, in the order of its bits:
-    yields ``(heads, isolated heads, phase-1 selections, d01)``, the
-    selections being equally likely and ``d01 = 2^m * d1`` with ``d1``
-    their number."""
+def _phase1(table, required=0):
+    """Phases 1 and 2 under every orientation whose heads include the
+    mask ``required``, in the order of its bits: yields ``(heads,
+    isolated heads, phase-1 selections, d01)``, the selections being
+    equally likely and ``d01 = 2^m * d1`` with ``d1`` their number."""
     m = table.m
     for bits in range(1 << m):
         heads = table.heads(bits)
+        if heads & required != required:
+            continue
         phase1 = _expand(table._program(heads))
         yield (heads, _mcphases_py._isolated(table.adj_mask, heads), phase1,
                len(phase1) << m)
@@ -350,8 +366,8 @@ def _phase1(table):
 
 def _after_phase2(table, phase3, covered1):
     """What follows the mask ``covered1`` covered after phase 2: the
-    feasible mask, its memo entry ``(d3, branches)`` in ``phase3`` and
-    the output mask of each branch."""
+    feasible mask and its memo entry ``(d3, branches)`` in ``phase3``,
+    each branch a pair ``(s3, what s3 and phase 4 add to covered1)``."""
     feasible = _mcphases_py._free(table.n, table.adj_mask, covered1)
     entry = phase3.get(feasible)
     if entry is None:
@@ -360,8 +376,7 @@ def _after_phase2(table, phase3, covered1):
         selections = _expand(table._program(feasible))
         entry = phase3[feasible] = (
             len(selections), [(s3, s3 | added) for s3 in selections])
-    d3, branches = entry
-    return feasible, d3, branches, [covered1 | add for _, add in branches]
+    return (feasible, *entry)
 
 
 def _compute_law(g, tf, max_orientations, max_branches):
@@ -387,19 +402,20 @@ def _compute_law(g, tf, max_orientations, max_branches):
     ds = set()
     branch_count = 0
     for covered1, count in total.items():
-        _, d3, _, outs = _after_phase2(table, phase3, covered1)
+        _, d3, branches = _after_phase2(table, phase3, covered1)
         branch_count += d3 * count
         _check_guards(0, branch_count, max_orientations, max_branches)
         ds.update(d01 * d3 for d01, c in by_d01.items() if covered1 in c)
-        expanded.append((covered1, d3, outs))
+        expanded.append((covered1, d3, branches))
 
     # integer masses over one common denominator, in first-seen order
     denom = math.lcm(*ds)
     mass = {}
-    for covered1, d3, outs in expanded:
+    for covered1, d3, branches in expanded:
         w = sum(c[covered1] * (denom // (d01 * d3))
                 for d01, c in by_d01.items() if covered1 in c)
-        for out in outs:
+        for _, add in branches:
+            out = covered1 | add
             mass[out] = mass.get(out, 0) + w
     weight = [0] * n
     pmf = {}
@@ -414,31 +430,6 @@ def _compute_law(g, tf, max_orientations, max_branches):
     marginals = {v: Fraction(weight[v], denom) for v in range(n)}
     result = EnumerationResult(Distribution(pmf), marginals)
     return _Law(table, phase3, result, 1 << m, branch_count, denom)
-
-
-def _situation_records(table, phase3):
-    """The situations: the walk of ``_compute_law`` again,
-    each phase-1 selection expanded through the phase-3 memo."""
-    after = {}       # covered1 -> (feasible, d3, [(s3, output)])
-    shared = {}      # d -> d: the records hold one int object per distinct d
-    recs = []
-    append = recs.append
-    for heads, lone, phase1, d01 in _phase1(table):
-        for s1 in phase1:
-            covered1 = s1 | lone
-            entry = after.get(covered1)
-            if entry is None:
-                feasible, d3, branches, outs = _after_phase2(
-                    table, phase3, covered1)
-                entry = after[covered1] = (
-                    feasible, d3, [(s3, out) for (s3, _), out
-                                   in zip(branches, outs)])
-            feasible, d3, branches = entry
-            d = d01 * d3
-            d = shared.setdefault(d, d)
-            for s3, out in branches:
-                append(Situation(heads, s1, feasible, s3, out, d))
-    return recs
 
 
 def _law(g, tf, max_orientations=None, max_branches=None):
@@ -465,38 +456,30 @@ def enumerate_situations(g: Graph, tf: TwoFactor, *,
                          max_orientations: int = None,
                          max_branches: int = None) -> list:
     """Every situation with positive probability, in the order of the
-    law's walk: a new list of the law's own ``Situation`` records."""
-    return list(_law(g, tf, max_orientations, max_branches).records())
+    law's walk, each a new ``Situation``."""
+    law = _law(g, tf, max_orientations, max_branches)
+    return [Situation(*row) for row in law.situations()]
 
 
 # ---------------------------------------------------------------------------
 # template events against the exact law
+#
+# Each event walks the law under the default guards for the situations
+# that conform to its template, one already checked against ``tf``.
 
 
-def _conforming(t, g, tf, phase3=True):
-    """The law, and its situations that conform to ``t``, a template the
-    caller has checked against ``tf``.
-
-    This is the one scan behind the four template events, on the law
-    under the default guards; with ``phase3=False`` it tests only the
-    orientation and phase-1 requirements.
-    """
-    heads, d1, d1bar = (vertex_mask(t.heads), vertex_mask(t.d1),
-                        vertex_mask(t.d1bar))
-    d3, d3bar = (vertex_mask(t.d3), vertex_mask(t.d3bar)) if phase3 else (0, 0)
-    law = _law(g, tf)
-    return law, (rec for rec in law.records()
-                 if rec.heads & heads == heads
-                 and rec.s1 & d1 == d1 and not rec.s1 & d1bar
-                 and rec.s3 & d3 == d3 and not rec.s3 & d3bar)
+def _masks(t):
+    """The five masks of ``t`` that ``_Law.situations`` filters by."""
+    return tuple(vertex_mask(s) for s in (t.heads, t.d1, t.d1bar, t.d3, t.d3bar))
 
 
 def event_probability(t: Template, g: Graph, tf: TwoFactor) -> Fraction:
     """Exact probability that a random situation conforms to ``t``."""
     validate_in(t, tf)
-    law, recs = _conforming(t, g, tf)
+    law = _law(g, tf)
     denom = law.denom
-    return Fraction(sum(denom // rec.d for rec in recs), denom)
+    return Fraction(sum(denom // d for *_, d in law.situations(*_masks(t))),
+                    denom)
 
 
 def forces(t: Template, u: int, g: Graph, tf: TwoFactor) -> bool:
@@ -505,8 +488,7 @@ def forces(t: Template, u: int, g: Graph, tf: TwoFactor) -> bool:
     if not 0 <= u < tf.graph.n:
         raise GraphError("vertex %r out of range" % (u,))
     bit = 1 << u
-    _, recs = _conforming(t, g, tf)
-    return all(rec.out & bit for rec in recs)
+    return all(row[4] & bit for row in _law(g, tf).situations(*_masks(t)))
 
 
 def admissible(t: Template, g: Graph, tf: TwoFactor) -> bool:
@@ -519,8 +501,9 @@ def admissible(t: Template, g: Graph, tf: TwoFactor) -> bool:
     if t.focus is None or constrained != {t.focus}:
         return False
     bit = 1 << t.focus
-    _, recs = _conforming(t, g, tf, phase3=False)
-    return all(rec.feasible & bit for rec in recs)
+    # the orientation and phase-1 requirements only
+    return all(row[2] & bit
+               for row in _law(g, tf).situations(*_masks(t)[:3]))
 
 
 def exact_q(t: Template, g: Graph, tf: TwoFactor) -> Fraction:
@@ -535,13 +518,13 @@ def exact_q(t: Template, g: Graph, tf: TwoFactor) -> Fraction:
     if len(cycle) % 2 == 0:
         return Fraction(0)
     cycle_mask = vertex_mask(cycle)
-    law, recs = _conforming(t, g, tf)
+    law = _law(g, tf)
     denom = law.denom
     hit = total = 0
-    for rec in recs:
-        w = denom // rec.d
+    for _, _, feasible, _, _, d in law.situations(*_masks(t)):
+        w = denom // d
         total += w
-        if rec.feasible & cycle_mask == cycle_mask:
+        if feasible & cycle_mask == cycle_mask:
             hit += w
     if total == 0:
         return Fraction(0)

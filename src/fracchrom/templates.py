@@ -387,6 +387,14 @@ def _normalize_name(name: str) -> str:
     return name
 
 
+def _check_vertex(tf: TwoFactor, u) -> None:
+    """Refuse a placement vertex ``u`` that is not a vertex of ``tf``'s
+    graph: a bool, a non-int or an int out of range."""
+    if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u < tf.graph.n:
+        raise TemplateError("cannot place a template at %r: not a vertex of "
+                            "the graph" % (u,))
+
+
 def builtin(name: str, tf: TwoFactor, u: int) -> Template:
     """Instantiate one of the named single-vertex templates at ``u``.
 
@@ -395,8 +403,10 @@ def builtin(name: str, tf: TwoFactor, u: int) -> Template:
     twins the cycle ahead); ``D-``, ``D0``, ``D+`` constrain the
     neighbourhood of ``u``'s matching partner.  Raises
     :class:`TemplateError` when the instantiation is not legal in the
-    host graph (short cycles can make required orientations clash).
+    host graph (short cycles can make required orientations clash) or
+    ``u`` is not a vertex of it.
     """
+    _check_vertex(tf, u)
     name = _normalize_name(name)
     mate = tf.mate
     v = mate[u]
@@ -494,8 +504,11 @@ def sigma_library(tf: TwoFactor, u: int) -> list:
     """All 75 two-sided compositions at ``u``, tagged with their names.
 
     Each entry pairs a name like ``"BC1D+"`` with either the composed
-    template or ``INVALID``.
+    template or ``INVALID``.  Raises :class:`TemplateError` when ``u``
+    is not a vertex of ``tf``'s graph.
     """
+    _check_vertex(tf, u)
+
     def place(name):
         try:
             return builtin(name, tf, u)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -359,57 +360,51 @@ class TestEnumerate:
         assert r1 is r2
 
     def test_law_is_computed_once_per_two_factor(self, monkeypatch):
-        from fracchrom.augment import exact_phase5_distribution
         calls = []
-        builds = []
-        compute, build = S._compute_law, S._situation_records
+        compute = S._compute_law
 
         def counted(*args):
             calls.append(args[1])
             return compute(*args)
 
-        def counted_build(*args):
-            builds.append(args)
-            return build(*args)
-
         monkeypatch.setattr(S, "_compute_law", counted)
-        monkeypatch.setattr(S, "_situation_records", counted_build)
         g, tf = petersen_tf()
         S.enumerate_distribution(g, tf)
-        assert builds == []
-        # the first template query builds the records, later ones reuse them
+        # the template events, the situations and phase 5 read the same law
         t = T.builtin("E0", tf, 0)
         S.event_probability(t, g, tf)
-        assert len(builds) == 1
-        recs = tf.derived["law"].recs
         S.forces(t, 0, g, tf)
+        S.admissible(t, g, tf)
         S.exact_q(t, g, tf)
         S.enumerate_situations(g, tf)
         exact_phase5_distribution(g, tf)
         assert calls == [tf]
-        assert len(builds) == 1
-        assert tf.derived["law"].recs is recs
         # an equal but distinct two-factor owns (and computes) its own law
         _, twin = petersen_tf()
         assert twin == tf and twin is not tf
         S.enumerate_distribution(g, twin)
         assert len(calls) == 2 and calls[1] is twin
 
-    def test_pmf_path_builds_no_records(self, monkeypatch, tmp_path):
+    def test_pmf_path_and_events_build_no_situations(self, monkeypatch,
+                                                      tmp_path):
         from fracchrom import cli
-        from fracchrom.augment import exact_phase5_distribution
         from fracchrom.graph_core import encode_graph6
 
         def refuse(*args):
-            raise AssertionError("situation records built")
+            raise AssertionError("Situation built")
 
-        monkeypatch.setattr(S, "_situation_records", refuse)
+        monkeypatch.setattr(S, "Situation", refuse)
         graphs = {"petersen": petersen(),
                   "deficient": parse_graph6("KlSHGC@@GAoD")}
         for name, g in graphs.items():
             tf = select_two_factor(g)
             S.enumerate_distribution(g, tf)
             exact_phase5_distribution(g, tf)
+            for t in (T.builtin("E0", tf, 0), T.builtin("B", tf, 0)):
+                S.event_probability(t, g, tf)
+                S.forces(t, 0, g, tf)
+                S.admissible(t, g, tf)
+                S.exact_q(t, g, tf)
             (tmp_path / (name + ".g6")).write_text(encode_graph6(g) + "\n")
         for name in graphs:
             path = str(tmp_path / (name + ".g6"))
@@ -417,6 +412,24 @@ class TestEnumerate:
                 assert cli.run(argv, io.StringIO(), io.StringIO()) == 0, argv
         assert cli.run(["corpus", str(tmp_path)],
                        io.StringIO(), io.StringIO()) == 0
+
+    def test_event_query_keeps_nothing(self):
+        # the law's trial table and phase-3 memo hold all a query reads, so
+        # a query on a built law walks them and keeps nothing
+        g = generalized_petersen(8, 3)
+        tf = select_two_factor(g)
+        S.enumerate_distribution(g, tf)
+        t = T.builtin("E0", tf, 0)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            p = S.event_probability(t, g, tf)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < p < 1
+        assert after - before < 4_000
+        assert peak - before < 200_000
 
     def test_situations_consistent(self):
         g, tf = petersen_tf()
@@ -427,15 +440,15 @@ class TestEnumerate:
             assert not sit.s3 & sit.heads
             assert (sit.s1 | sit.s3) & ~sit.out == 0
 
-    def test_situations_are_the_law_records(self):
+    def test_each_situation_list_is_new(self):
         g, tf = petersen_tf()
         sits = S.enumerate_situations(g, tf)
-        recs = tf.derived["law"].records()
-        assert sits is not recs and len(sits) == len(recs)
-        assert all(sit is rec for sit, rec in zip(sits, recs))
+        again = S.enumerate_situations(g, tf)
+        assert sits is not again and sits == again
+        assert all(a is not b for a, b in zip(sits, again))
         # the list is the caller's: emptying it leaves the law whole
         sits.clear()
-        assert len(S.enumerate_situations(g, tf)) == len(recs)
+        assert S.enumerate_situations(g, tf) == again
 
     def test_default_orientation_guard(self):
         g, tf = cl_tf(17)  # 2^17 orientations
@@ -559,21 +572,22 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 class TestLawOracle:
     @pytest.mark.parametrize("phase4", ["start", "recompute"])
     def test_law_matches_oracle_on_corpus(self, phase4):
-        # the law sums over the masks covered after phase 2 and builds its
-        # records on demand from the same walk; the oracle derives the
-        # runs and their branches on its own, one situation at a time,
-        # under either reading of phase 4
+        # the law sums over the masks covered after phase 2, and
+        # enumerate_situations walks its orientations and phase-1
+        # selections again; the oracle derives the runs and their
+        # branches on its own, one situation at a time, under either
+        # reading of phase 4
         graphs = [parse_graph6(line) for path in sorted(CORPUS.glob("*.g6"))
                   for line in path.read_text().split()]
         assert len(graphs) == 140
         graphs += [generalized_petersen(7, 2), generalized_petersen(8, 3)]
         for g in graphs:
             tf = select_two_factor(g)
-            law = S._compute_law(g, tf, S.DEFAULT_MAX_ORIENTATIONS,
-                                 S.DEFAULT_MAX_BRANCHES)
+            sits = S.enumerate_situations(g, tf)
+            law = tf.derived["law"]
             records, pmf, marginals, branches = law_oracle(g, tf, phase4)
             assert sorted((r.heads, r.s1, r.feasible, r.s3, r.out, r.d)
-                          for r in law.records()) == records
+                          for r in sits) == records
             assert law.result.distribution.pmf == pmf
             assert law.result.marginals == marginals
             assert law.branches == branches

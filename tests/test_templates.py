@@ -414,6 +414,16 @@ def test_builtin_invalid_in_triangle_graph():
         builtin("E0", tf, 0)
 
 
+@pytest.mark.parametrize("u", [-1, 10, True, 1.0, "0", None])
+def test_placement_refuses_a_non_vertex(u):
+    tf = spokes_tf()
+    assert tf.graph.n == 10
+    with pytest.raises(TemplateError, match="not a vertex"):
+        builtin("E0", tf, u)
+    with pytest.raises(TemplateError, match="not a vertex"):
+        sigma_library(tf, u)
+
+
 # ---------------------------------------------------------------------------
 # composition
 
