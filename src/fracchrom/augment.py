@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graph_core import Graph, GraphError, mask_vertices, vertex_mask
+from .graph_core import Graph, GraphError, check_vertex, mask_vertices, vertex_mask
 from .sampler import (
     Distribution,
     EnumerationResult,
@@ -160,6 +160,7 @@ def epsilon_nochord(g: Graph, tf: TwoFactor, u: int) -> Fraction:
     cycle-neighbour of u lies in a 4-cycle touching v's cycle, and -1
     otherwise (the genuinely deficient case).
     """
+    check_vertex(g, u)
     v = tf.mate[u]
     if tf.cycle_of[u] == tf.cycle_of[v]:
         raise DeficiencyError(
@@ -233,6 +234,7 @@ def classify_chord(g: Graph, tf: TwoFactor, u: int) -> DeficiencyRecord:
     ``GraphError`` if two genuinely different patterns match, which the
     exclusivity of the pattern table rules out on valid inputs.
     """
+    check_vertex(g, u)
     v = tf.mate[u]
     if tf.cycle_of[u] != tf.cycle_of[v]:
         raise DeficiencyError(
@@ -350,6 +352,7 @@ def deficiency_report(g: Graph, tf: TwoFactor) -> tuple[DeficiencyRecord, ...]:
 
 def sponsor(g: Graph, tf: TwoFactor, u: int) -> int:
     """The neighbour that may be traded away to repair u."""
+    check_vertex(g, u)
     rec = _analyze(g, tf)[u]
     if not rec.deficient:
         raise DeficiencyError(f"vertex {u} is not deficient (no sponsor)")

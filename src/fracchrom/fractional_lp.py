@@ -38,7 +38,7 @@ from fractions import Fraction
 from .augment import exact_phase5_distribution
 from .graph_core import Graph, GraphError, GuardExceeded, analyze, mask_vertices, reduce_subcubic, suppress_vertex
 from .sampler import Distribution, _check_guards, is_independent
-from .two_factor import TwoFactor, select_two_factor
+from .two_factor import TwoFactor, select_two_factor, two_factor_from_matching
 
 __all__ = [
     "ColouringError", "MergeFailure",
@@ -481,10 +481,10 @@ def _one_bridge_leaf_two_factor(leaf: Graph, v0: int) -> TwoFactor:
     """Two-factor for the double of a host with a single degree-2 vertex v0.
 
     The host is the leaf's first copy, its vertices below n/2.  It is
-    suppressed at v0, a qualifying two-factor of the cubic result is
-    chosen with the replacement edge on a cycle, and that cycle is
-    re-routed through v0 in both copies; the bridge between the copies
-    of v0 becomes a matching edge.
+    suppressed at v0 and a qualifying two-factor of the cubic result is
+    chosen with the replacement edge on a cycle.  Its matching, in both
+    copies, plus the bridge between the copies of v0 is the leaf's
+    matching; the cycles are derived from it, and so run through v0.
     """
     n = leaf.n // 2
     host = Graph(n, [e for e in leaf.edges if e[1] < n])
@@ -492,23 +492,10 @@ def _one_bridge_leaf_two_factor(leaf: Graph, v0: int) -> TwoFactor:
     a, b = host.adj[v0]
     back = {old: new for new, old in enumerate(old_ids)}
     tf0 = select_two_factor(g0, cycle_edge=(back[a], back[b]))
-
-    cycles = []
-    for cyc in tf0.cycles:
-        mapped = [old_ids[u] for u in cyc]
-        L = len(mapped)
-        spliced = None
-        for i in range(L):
-            pair = {mapped[i], mapped[(i + 1) % L]}
-            if pair == {a, b}:
-                spliced = mapped[:i + 1] + [v0] + mapped[i + 1:]
-                break
-        cycles.append(spliced if spliced is not None else mapped)
-    both = cycles + [[u + n for u in cyc] for cyc in cycles]
     matching = [(old_ids[u], old_ids[v]) for u, v in tf0.m_edges]
     matching += [(u + n, v + n) for u, v in matching]
     matching.append((v0, v0 + n))
-    return TwoFactor(leaf, both, matching)
+    return two_factor_from_matching(leaf, matching)
 
 
 def _leaf_certificate(step, **enum_kw) -> MultisetCertificate:

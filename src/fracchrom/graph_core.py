@@ -104,6 +104,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def is_vertex_id(x) -> bool:
+    """True iff ``x`` can name a vertex: an int, not a bool, not negative."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def check_vertex(g: Graph, u) -> None:
+    """Refuse ``u`` with `GraphError` unless it is a vertex of ``g``."""
+    if not (is_vertex_id(u) and u < g.n):
+        raise GraphError(f"vertex {u!r} out of range: not an int in [0, {g.n})")
+
+
 def vertex_mask(vertices: Iterable[int]) -> int:
     """The bitmask with bit v set for each v in ``vertices``."""
     m = 0

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _mcphases_py
-from .graph_core import Graph, GraphError, GuardExceeded, mask_vertices, vertex_mask
+from .graph_core import Graph, GraphError, GuardExceeded, check_vertex, mask_vertices, vertex_mask
 from .templates import Template, validate_in
 from .two_factor import TwoFactor, TwoFactorError
 
@@ -485,8 +485,7 @@ def event_probability(t: Template, g: Graph, tf: TwoFactor) -> Fraction:
 def forces(t: Template, u: int, g: Graph, tf: TwoFactor) -> bool:
     """True when every situation conforming to ``t`` outputs ``u``."""
     validate_in(t, tf)
-    if not 0 <= u < tf.graph.n:
-        raise GraphError("vertex %r out of range" % (u,))
+    check_vertex(g, u)
     bit = 1 << u
     return all(row[4] & bit for row in _law(g, tf).situations(*_masks(t)))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .graph_core import is_vertex_id
 from .two_factor import TwoFactor
 
 
@@ -23,13 +24,14 @@ class TemplateError(ValueError):
     """Raised for malformed templates or template DSL text."""
 
 
+def _vertex_id(x, label):
+    if not is_vertex_id(x):
+        raise TemplateError("%s: %r is not a vertex id" % (label, x))
+    return x
+
+
 def _vertex_set(values, label):
-    out = set()
-    for x in values:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            raise TemplateError("%s must contain vertex ids, got %r" % (label, x))
-        out.add(x)
-    return frozenset(out)
+    return frozenset(_vertex_id(x, label) for x in values)
 
 
 class Template:
@@ -52,7 +54,7 @@ class Template:
             tail, head = arc
             if tail == head:
                 raise TemplateError("arc %r is a loop" % (arc,))
-            arc_set.add((int(tail), int(head)))
+            arc_set.add((_vertex_id(tail, "arcs"), _vertex_id(head, "arcs")))
         for tail, head in arc_set:
             if (head, tail) in arc_set:
                 raise TemplateError(
@@ -77,7 +79,7 @@ class Template:
             raise TemplateError(
                 "phase-3 constraint on non-tail vertices %r" % sorted(stray))
         if focus is not None:
-            focus = int(focus)
+            focus = _vertex_id(focus, "focus")
         self.focus = focus
         self._hash = hash((self.arcs, self.d1, self.d1bar,
                            self.d3, self.d3bar, self.focus))
@@ -390,7 +392,7 @@ def _normalize_name(name: str) -> str:
 def _check_vertex(tf: TwoFactor, u) -> None:
     """Refuse a placement vertex ``u`` that is not a vertex of ``tf``'s
     graph: a bool, a non-int or an int out of range."""
-    if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u < tf.graph.n:
+    if not (is_vertex_id(u) and u < tf.graph.n):
         raise TemplateError("cannot place a template at %r: not a vertex of "
                             "the graph" % (u,))
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .graph_core import Graph, GraphError, GuardExceeded, reach
 
@@ -51,8 +51,12 @@ class NoQualifyingTwoFactor(RuntimeError):
 
 
 class TwoFactor:
-    """Immutable two-factor with its complementary perfect matching.
+    """Immutable two-factor of a cubic graph, given by its complementary
+    perfect matching.
 
+    The matching is the one input: its edges must be edges of the graph,
+    pairwise disjoint and cover every vertex, and the cycles are derived
+    as what the matching leaves of the graph, which must be 2-regular.
     Cycles are stored in canonical orientation: each cycle starts at its
     minimum vertex and proceeds toward the larger-id of that vertex's two
     cycle neighbours; cycles are sorted by their starting vertex.
@@ -70,15 +74,9 @@ class TwoFactor:
         "f_edges",
         "m_edges",
         "derived",
-        "_hash",
     )
 
-    def __init__(
-        self,
-        g: Graph,
-        cycles: Iterable[Sequence[int]],
-        matching: Iterable[tuple[int, int]],
-    ):
+    def __init__(self, g: Graph, matching: Iterable[tuple[int, int]]):
         self.graph = g
         n = g.n
 
@@ -87,7 +85,7 @@ class TwoFactor:
         for u, v in matching:
             if not g.has_edge(u, v):
                 raise TwoFactorError(f"matching edge ({u}, {v}) not in graph")
-            if mate[u] != -1 or mate[v] != -1 or u == v:
+            if mate[u] != -1 or mate[v] != -1:
                 raise TwoFactorError(f"matching is not a matching at ({u}, {v})")
             mate[u], mate[v] = v, u
             m_edges.add((min(u, v), max(u, v)))
@@ -95,37 +93,10 @@ class TwoFactor:
             missing = mate.index(-1)
             raise TwoFactorError(f"matching is not perfect (vertex {missing})")
 
-        canon_cycles = []
-        covered = [False] * n
-        f_edges = set()
-        for cyc in cycles:
-            cyc = list(cyc)
-            if len(cyc) < 3:
-                raise TwoFactorError("cycle shorter than 3")
-            for i, u in enumerate(cyc):
-                v = cyc[(i + 1) % len(cyc)]
-                if not g.has_edge(u, v):
-                    raise TwoFactorError(f"cycle edge ({u}, {v}) not in graph")
-                e = (min(u, v), max(u, v))
-                if e in f_edges:
-                    raise TwoFactorError(f"cycle edge ({u}, {v}) repeated")
-                f_edges.add(e)
-                if covered[u]:
-                    raise TwoFactorError(f"vertex {u} on two cycles")
-                covered[u] = True
-            canon_cycles.append(self._canonicalize(cyc))
-        if not all(covered):
-            raise TwoFactorError(
-                f"cycles do not span all vertices (vertex {covered.index(False)})"
-            )
-        if f_edges & m_edges:
-            e = min(f_edges & m_edges)
-            raise TwoFactorError(f"edge {e} in both cycle set and matching")
-        if len(f_edges) + len(m_edges) != g.m:
-            raise TwoFactorError("cycles plus matching do not cover all edges")
-
-        canon_cycles.sort(key=lambda c: c[0])
-        self.cycles = tuple(canon_cycles)
+        # _complement_cycles starts each cycle at its least vertex and lists
+        # the cycles in that order, so they come out sorted
+        self.cycles = tuple(
+            self._canonicalize(c) for c in _complement_cycles(g, m_edges))
         self.mate = tuple(mate)
         cycle_of = [-1] * n
         pos = [-1] * n
@@ -135,10 +106,9 @@ class TwoFactor:
                 pos[u] = i
         self.cycle_of = tuple(cycle_of)
         self.pos = tuple(pos)
-        self.f_edges = frozenset(f_edges)
         self.m_edges = frozenset(m_edges)
+        self.f_edges = frozenset(g.edges) - self.m_edges
         self.derived = {}
-        self._hash = hash((g, self.cycles, self.mate))
 
     @staticmethod
     def _canonicalize(cyc: list[int]) -> tuple[int, ...]:
@@ -181,7 +151,7 @@ class TwoFactor:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.graph, self.cycles, self.mate))
 
     def __repr__(self) -> str:
         return f"TwoFactor(cycles={[len(c) for c in self.cycles]})"
@@ -221,8 +191,7 @@ def _complement_cycles(g: Graph, m_set) -> list[list[int]]:
 
 def two_factor_from_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> TwoFactor:
     """Build the two-factor complementary to a perfect matching of a cubic graph."""
-    m_set = {(min(u, v), max(u, v)) for u, v in matching}
-    return TwoFactor(g, _complement_cycles(g, m_set), sorted(m_set))
+    return TwoFactor(g, matching)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +432,11 @@ def two_factor_to_json_dict(tf: TwoFactor) -> dict:
 def two_factor_from_json_dict(g: Graph, data: dict) -> TwoFactor:
     """Read back the shape `two_factor_to_json_dict` writes.
 
-    The input comes from outside, so every vertex id must be an int
-    naming a vertex of ``g``; a float, string or bool is refused, not
-    converted.
+    The matching is the input: the two-factor is built from it alone, and
+    the file's ``cycles`` must then be the cycles it leaves, each in any
+    rotation or direction and the list in any order.  The input comes
+    from outside, so every vertex id must be an int naming a vertex of
+    ``g``; a float, string or bool is refused, not converted.
     """
     try:
         cycles = [list(c) for c in data["cycles"]]
@@ -476,4 +447,10 @@ def two_factor_from_json_dict(g: Graph, data: dict) -> TwoFactor:
         if type(x) is not int or not 0 <= x < g.n:
             raise TwoFactorError(
                 f"malformed two-factor JSON: {x!r} is not a vertex of the graph")
-    return TwoFactor(g, cycles, matching)
+    tf = TwoFactor(g, matching)
+    # a cycle shorter than 3 has no canonical form
+    if (any(len(c) < 3 for c in cycles)
+            or sorted(map(TwoFactor._canonicalize, cycles)) != list(tf.cycles)):
+        raise TwoFactorError(
+            "malformed two-factor JSON: cycles are not the ones the matching leaves")
+    return tf

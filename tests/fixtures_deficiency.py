@@ -42,13 +42,11 @@ def _ring_fixture(length, chords, rungs=(), helper_len=0, helper_chords=(),
     matching = [(z[i], z[j]) for i, j in chords]
     matching += [(z[i], y[h]) for i, h in rungs]
     matching += [(y[a], y[b]) for a, b in helper_chords]
-    cycles = [z]
     if helper_len:
         edges += [(y[k], y[(k + 1) % helper_len]) for k in range(helper_len)]
-        cycles.append(y)
 
     g = Graph(length + helper_len, edges + matching)
-    tf = TwoFactor(g, cycles, matching)
+    tf = TwoFactor(g, matching)
     return g, tf, z[0]
 
 
@@ -62,7 +60,7 @@ def type_0_fixture():
     edges += [(z + i, z + (i + 1) % 7) for i in range(7)]
     matching = [(0, 5), (1, 7), (2, 8), (3, 11), (4, 10), (6, 9)]
     g = Graph(12, edges + matching)
-    tf = TwoFactor(g, [list(range(5)), list(range(5, 12))], matching)
+    tf = TwoFactor(g, matching)
     return g, tf, 0
 
 
@@ -202,7 +200,7 @@ def random_fixture(rng, min_n=10, max_n=16):
             g = Graph(n, f_edges + matching)
             if _has_triangle(g):
                 continue
-            return g, TwoFactor(g, cycles, matching)
+            return g, TwoFactor(g, matching)
 
 
 def _has_triangle(g):

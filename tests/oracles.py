@@ -15,7 +15,8 @@ from fracchrom import sampler as S
 from fracchrom.augment import run_phase5
 from fracchrom import fractional_lp
 from fracchrom.fractional_lp import ColouringError, MergeFailure, MultisetCertificate
-from fracchrom.graph_core import GraphError, GuardExceeded
+from fracchrom.graph_core import Graph, GraphError, GuardExceeded, suppress_vertex
+from fracchrom.two_factor import select_two_factor
 
 
 def count_perfect_matchings_bruteforce(g):
@@ -632,3 +633,55 @@ def bridge_splits_by_scan(g):
         left -= side
         bridges = [(u, v) for u, v in bridges if u in left and v in left]
     return sides + [sorted(left)], split
+
+
+def one_bridge_leaf_by_splice(leaf, v0):
+    """The two-factor of a one-bridge leaf as (cycles, mates), built by
+    splicing cycles rather than from the matching.
+
+    The host (the leaf's vertices below n/2) is suppressed at its degree-2
+    vertex v0, the suppressed graph's two-factor is selected with the
+    replacement edge ab on a cycle, and v0 is spliced into that cycle
+    between a and b; both copies get these cycles and the selected
+    matching, and the bridge between the copies of v0 is a matching edge.
+    The cycles come back canonical (each from its least vertex toward the
+    larger of that vertex's cycle neighbours) and sorted, as on
+    ``TwoFactor``; fails unless the cycles and the matching split the
+    leaf's edges between them.
+    """
+    n = leaf.n // 2
+    host = Graph(n, [e for e in leaf.edges if e[1] < n])
+    g0, old_ids = suppress_vertex(host, v0)
+    a, b = host.adj[v0]
+    back = {old: new for new, old in enumerate(old_ids)}
+    tf0 = select_two_factor(g0, cycle_edge=(back[a], back[b]))
+
+    cycles = []
+    for cyc in tf0.cycles:
+        mapped = [old_ids[u] for u in cyc]
+        L = len(mapped)
+        spliced = None
+        for i in range(L):
+            pair = {mapped[i], mapped[(i + 1) % L]}
+            if pair == {a, b}:
+                spliced = mapped[:i + 1] + [v0] + mapped[i + 1:]
+                break
+        cycles.append(spliced if spliced is not None else mapped)
+    both = cycles + [[u + n for u in cyc] for cyc in cycles]
+    matching = [(old_ids[u], old_ids[v]) for u, v in tf0.m_edges]
+    matching += [(u + n, v + n) for u, v in matching]
+    matching.append((v0, v0 + n))
+
+    edges = [(c[i], c[(i + 1) % len(c)]) for c in both for i in range(len(c))]
+    edges += matching
+    assert sorted((min(e), max(e)) for e in edges) == list(leaf.edges)
+    mate = [-1] * leaf.n
+    for u, v in matching:
+        mate[u], mate[v] = v, u
+
+    def canonical(cyc):
+        k = cyc.index(min(cyc))
+        rot = cyc[k:] + cyc[:k]
+        return tuple(rot if rot[1] > rot[-1] else rot[:1] + rot[:0:-1])
+
+    return tuple(sorted(map(canonical, both))), tuple(mate)

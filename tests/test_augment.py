@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from fracchrom.graph_core import GraphError, mask_vertices
+from fracchrom.graph_core import GraphError, mask_vertices, parse_graph6
 from fracchrom import augment as A
 from fracchrom import sampler as S
 from fracchrom import templates as T
 from fracchrom.two_factor import (
-    TwoFactorError, satisfies_ks_condition, two_factor_from_matching)
+    TwoFactorError, satisfies_ks_condition, select_two_factor,
+    two_factor_from_matching)
 
 from fixtures_deficiency import (
     PATTERN_FIXTURES,
@@ -246,6 +247,38 @@ class TestSponsor:
                 assert g.has_edge(r.vertex, r.sponsor)
                 assert r.epsilon == A.EPSILON_BY_TYPE[r.dtype]
         assert seen_deficient  # the sample is not vacuous
+
+
+# ---------------------------------------------------------------------------
+# per-vertex calls refuse what is not a vertex
+
+
+@pytest.fixture(scope="module")
+def deficient_n10():
+    g = parse_graph6("IlDGHCH_g")  # deficient vertices 4 and 5
+    tf = select_two_factor(g)
+    assert [r.vertex for r in A.deficiency_report(g, tf) if r.deficient] == [4, 5]
+    assert A.sponsor(g, tf, 4) == 8
+    return g, tf, S.enumerate_distribution(g, tf).distribution
+
+
+PER_VERTEX_CALLS = {
+    "sponsor": lambda g, tf, u, dist: A.sponsor(g, tf, u),
+    "favourable": lambda g, tf, u, dist: A.favourable(g, tf, u, frozenset()),
+    "receptivity": lambda g, tf, u, dist: A.receptivity(g, tf, u, dist),
+    "classify_chord": lambda g, tf, u, dist: A.classify_chord(g, tf, u),
+    "epsilon_nochord": lambda g, tf, u, dist: A.epsilon_nochord(g, tf, u),
+}
+
+
+# -6 and -1 name vertices 4 and 9 as list indices; True names vertex 1
+@pytest.mark.parametrize("u", [True, False, 1.0, 4.0, -1, -6, 10, "4", None],
+                         ids=repr)
+@pytest.mark.parametrize("call", sorted(PER_VERTEX_CALLS))
+def test_per_vertex_call_refuses_a_non_vertex(deficient_n10, call, u):
+    g, tf, dist = deficient_n10
+    with pytest.raises(GraphError, match="out of range: not an int in"):
+        PER_VERTEX_CALLS[call](g, tf, u, dist)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from fracchrom import augment, cli, fractional_lp, sampler
 from fracchrom.augment import BiasInfeasible
 from fracchrom.graph_core import Graph, GuardExceeded, encode_graph6, to_edge_list_text
+from fracchrom.two_factor import NoQualifyingTwoFactor
 
 from util_graphs import (
     bridged_composite,
@@ -682,6 +683,18 @@ class TestCorpus:
             row = invoke_json("corpus", str(d), flag, "1")["rows"][0]
             assert row["min_marginal"] is None
             assert row["chi_f"] == "5/2" and row["deficient_count"] == 0
+
+    def test_no_qualifying_two_factor_row(self, tmp_path, monkeypatch):
+        def none_qualifies(g):
+            raise NoQualifyingTwoFactor("planted")
+
+        monkeypatch.setattr(cli, "select_two_factor", none_qualifies)
+        d = tmp_path / "c"
+        d.mkdir()
+        (d / "p.g6").write_text(encode_graph6(petersen()) + "\n")
+        row = invoke_json("corpus", str(d))["rows"][0]
+        assert row["deficient_count"] == "no-qualifying-two-factor"
+        assert row["chi_f"] == "5/2" and row["min_marginal"] is None
 
     def test_laws_do_not_outlive_the_run(self, tmp_path):
         # relabelled copies, so no other test has built these graphs

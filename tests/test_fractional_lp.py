@@ -508,6 +508,23 @@ class TestUpperSubcubic:
         assert cert.k == TARGET_BOUND
         assert verify_certificate(host, cert).ok
 
+    def test_one_bridge_leaf_two_factor_equals_the_splice_oracle(self):
+        # every n <= 12 corpus graph with each edge subdivided in turn
+        # reduces to one one-bridge leaf; its two-factor, built from the
+        # matching alone, has the cycles the splice construction gives
+        leaves = 0
+        for n in (6, 8, 10, 12):
+            for line in (CORPUS / f"cubic_tf_bridgeless_n{n}.g6").read_text().split():
+                g = parse_graph6(line)
+                for u, v in g.edges:
+                    step = reduce_subcubic(subdivide_edge(g, u, v)).children[0]
+                    assert step.detail["leaf"] == "one-bridge"
+                    leaf, v0 = step.graph, step.detail["bridge"][0]
+                    tf = fractional_lp._one_bridge_leaf_two_factor(leaf, v0)
+                    assert (tf.cycles, tf.mate) == oracles.one_bridge_leaf_by_splice(leaf, v0)
+                    leaves += 1
+        assert leaves == 519
+
     def test_bridge_endpoints_never_share_a_set(self):
         g = bridged_composite()
         _, cert = chi_f_upper_subcubic(g)

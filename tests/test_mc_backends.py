@@ -263,6 +263,25 @@ def test_capacity_of_one_changes_no_count(monkeypatch):
     assert capped == uncapped
 
 
+@pytest.mark.parametrize("with_plan", [False, True], ids=["no-plan", "plan"])
+def test_emptying_full_memos_changes_no_draw(monkeypatch, with_plan):
+    # fresh two-factors on both sides: a table built at the default
+    # capacity would answer every capped trial from its memos
+    def run():
+        g = parse_graph6(DEFICIENT_N10)
+        tf = select_two_factor(g)
+        plan = exact_phase5_distribution(g, tf)[0] if with_plan else None
+        return recorded_monte_carlo(g, tf, 2000, 4, plan=plan), tf.derived["table"]
+
+    default, table = run()
+    monkeypatch.setattr(K, "CAPACITY", 2)
+    capped, small = run()
+    assert capped == default
+    memos = ("by_heads", "by_covered", "by_part")
+    assert all(len(getattr(table, memo)) > 2 for memo in memos)
+    assert all(len(getattr(small, memo)) <= 2 for memo in memos)
+
+
 def test_violations_count_trials_not_distinct_sets(monkeypatch):
     g = petersen()
     tf = select_two_factor(g)

@@ -710,6 +710,13 @@ class TestEvents:
         with pytest.raises(GraphError, match="vertex %d out of range" % u):
             S.forces(T.builtin("E0", tf, 0), u, g, tf)
 
+    # True once answered for vertex 1 and 1.0 raised a raw TypeError
+    @pytest.mark.parametrize("u", [True, 1.0, "0", None], ids=repr)
+    def test_forces_rejects_a_non_int_vertex(self, u):
+        g, tf = petersen_tf()
+        with pytest.raises(GraphError, match="out of range: not an int in"):
+            S.forces(T.builtin("E0", tf, 0), u, g, tf)
+
     def test_phase3_requirement_forces_trivially(self):
         g, tf = petersen_tf()
         # any template demanding u in the phase-3 selection forces u

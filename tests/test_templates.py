@@ -414,6 +414,16 @@ def test_builtin_invalid_in_triangle_graph():
         builtin("E0", tf, 0)
 
 
+@pytest.mark.parametrize("x", [0.7, 2.9, 5.0, True, False, -1, "0"], ids=repr)
+def test_template_refuses_a_non_vertex_id(x):
+    # arcs and focus refuse what d1, d1bar, d3 and d3bar refuse, never
+    # converting: ([(0.7, 5)], focus=2.9) once became arc (0, 5), focus 2
+    for kwargs in ({"arcs": [(x, 6)]}, {"arcs": [(6, x)]},
+                   {"arcs": [(0, 6)], "focus": x}, {"arcs": [(0, 6)], "d1": [x]}):
+        with pytest.raises(TemplateError, match="is not a vertex id"):
+            Template(**kwargs)
+
+
 @pytest.mark.parametrize("u", [-1, 10, True, 1.0, "0", None])
 def test_placement_refuses_a_non_vertex(u):
     tf = spokes_tf()

@@ -1,6 +1,8 @@
 """two_factor: matchings, cuts, selection, navigation, split-cycle check."""
 
+import io
 import itertools
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracchrom.two_factor as TF
-from fracchrom.graph_core import Graph, GraphError, GuardExceeded, parse_graph6
+from fracchrom import cli
+from fracchrom.graph_core import Graph, GraphError, GuardExceeded, encode_graph6, parse_graph6
 from fracchrom.two_factor import (
     EdgeCut,
     NoQualifyingTwoFactor,
@@ -120,19 +123,23 @@ def test_two_factor_rejects_bad_matching():
     with pytest.raises(TwoFactorError):
         two_factor_from_matching(petersen(), SPOKES[:4])  # not perfect
     with pytest.raises(TwoFactorError):
-        TwoFactor(petersen(), [(0, 1, 2, 3, 4), (5, 8, 6, 9, 7)], SPOKES[:4])
+        TwoFactor(petersen(), SPOKES[:4])
 
 
 def test_two_factor_rejects_non_spanning_cycles():
+    # the matching is right, the cycles miss the inner 5-cycle
+    data = {"cycles": [[0, 1, 2, 3, 4]], "matching": SPOKES}
     with pytest.raises(TwoFactorError):
-        TwoFactor(petersen(), [(0, 1, 2, 3, 4)], SPOKES)
+        two_factor_from_json_dict(petersen(), data)
 
 
 def test_two_factor_canonical_orientation():
-    # same cycles handed over in assorted rotations/directions
-    tf1 = TwoFactor(petersen(), [(0, 1, 2, 3, 4), (5, 8, 6, 9, 7)], SPOKES)
-    tf2 = TwoFactor(petersen(), [(3, 2, 1, 0, 4), (6, 8, 5, 7, 9)], SPOKES)
-    assert tf1.cycles == tf2.cycles == ((0, 4, 3, 2, 1), (5, 8, 6, 9, 7))
+    # the reader takes the same cycles in assorted rotations/directions
+    for cycles in ([(0, 1, 2, 3, 4), (5, 8, 6, 9, 7)],
+                   [(6, 8, 5, 7, 9), (3, 2, 1, 0, 4)]):
+        tf = two_factor_from_json_dict(
+            petersen(), {"cycles": cycles, "matching": SPOKES})
+        assert tf.cycles == ((0, 4, 3, 2, 1), (5, 8, 6, 9, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +383,17 @@ def test_cut_search_runs_once_per_graph(monkeypatch):
     assert len(calls) == 2
 
 
+def test_select_guard_fires_before_listing_matchings(monkeypatch):
+    def refuse(g):
+        raise AssertionError("enumerate_perfect_matchings ran")
+
+    monkeypatch.setattr(TF, "enumerate_perfect_matchings", refuse)
+    g = generalized_petersen(33, 5)
+    assert g.n == 66
+    with pytest.raises(GuardExceeded, match="^select_two_factor guard: n <= 64$"):
+        select_two_factor(g)
+
+
 def test_select_requires_cubic():
     with pytest.raises(GraphError):
         select_two_factor(k33_minus_edge())
@@ -434,7 +452,7 @@ def test_split_cycle_five_crossings_violation():
     g = circular_ladder(5)
     ham = [0, 1, 2, 3, 4, 9, 8, 7, 6, 5]
     matching = [(0, 4), (1, 6), (2, 7), (3, 8), (5, 9)]
-    tf = TwoFactor(g, [ham], matching)
+    tf = TwoFactor(g, matching)
     v = check_split_cycle(g, tf, ham, list(range(5)), list(range(5, 10)))
     assert v.crossing == 5
     assert not v.bounds_ok and not v.ok
@@ -557,3 +575,50 @@ def test_two_factor_json_rejects_non_integer_ids(kind):
         data["matching"][0][0] += g.n
     with pytest.raises(TwoFactorError, match="is not a vertex of the graph"):
         two_factor_from_json_dict(g, data)
+
+
+def _other_cycles():
+    """The cycles of a Petersen two-factor whose matching is not SPOKES."""
+    g = petersen()
+    other = next(m for m in enumerate_perfect_matchings(g) if set(m) != set(SPOKES))
+    return [list(c) for c in two_factor_from_matching(g, other).cycles]
+
+
+SPOKE_CYCLES = [[0, 4, 3, 2, 1], [5, 8, 6, 9, 7]]
+READER_REFUSALS = {
+    "wrong-cycles": {"cycles": _other_cycles(), "matching": SPOKES},
+    "one-vertex-cycle": {"cycles": [[0]], "matching": SPOKES},
+    "empty-cycle": {"cycles": SPOKE_CYCLES + [[]], "matching": SPOKES},
+    "cycle-twice": {"cycles": SPOKE_CYCLES + SPOKE_CYCLES[:1], "matching": SPOKES},
+    "edge-not-in-graph": {"cycles": SPOKE_CYCLES,
+                          "matching": [(0, 2)] + SPOKES[1:]},
+    "repeated-first-end": {"cycles": SPOKE_CYCLES,
+                           "matching": SPOKES + [(0, 1)]},
+    "repeated-second-end": {"cycles": SPOKE_CYCLES,
+                            "matching": [(1, 0)] + SPOKES},
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_REFUSALS))
+def test_two_factor_json_refuses_what_the_matching_does_not_give(case, tmp_path):
+    # the reader is the one place that checks the given cycles; through
+    # the CLI a refusal is invalid input (exit 2), never an internal error
+    g, data = petersen(), READER_REFUSALS[case]
+    with pytest.raises(TwoFactorError) as refused:
+        two_factor_from_json_dict(g, data)
+    graph, pin = tmp_path / "p.g6", tmp_path / "tf.json"
+    graph.write_text(encode_graph6(g) + "\n")
+    pin.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(["prob", str(graph), "--two-factor", str(pin)], out, err)
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: {refused.value}\n"
+
+
+def test_two_factor_json_takes_any_rotation_direction_and_order():
+    for g in CORPUS_N10:
+        tf = select_two_factor(g)
+        data = two_factor_to_json_dict(tf)
+        data["cycles"] = [c[2:] + c[:2] for c in reversed(data["cycles"])]
+        data["cycles"][0].reverse()
+        assert two_factor_from_json_dict(g, data) == tf
