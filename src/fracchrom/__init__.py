@@ -74,7 +74,6 @@ from .fractional_lp import (  # noqa: F401
     TARGET_BOUND,
     chi_f_exact,
     chi_f_upper_subcubic,
-    distribution_to_weighting,
     maximal_independent_sets,
     verify_certificate,
     weighting_to_multiset,

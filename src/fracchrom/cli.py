@@ -20,7 +20,6 @@ import json
 import secrets
 import sys
 from fractions import Fraction
-from itertools import chain, groupby, islice, repeat
 from pathlib import Path
 
 from .augment import (
@@ -34,7 +33,7 @@ from .fractional_lp import (
     chi_f_upper_subcubic,
 )
 from .graph_core import Graph, GraphError, GuardExceeded, analyze, parse_edge_list, parse_graph6
-from .sampler import _check_guards, monte_carlo
+from .sampler import check_orientations, monte_carlo
 from .two_factor import (
     NoQualifyingTwoFactor,
     TwoFactorError,
@@ -213,9 +212,7 @@ def _monte_carlo_prob(args: argparse.Namespace, g: Graph, tf) -> dict:
 def cmd_prob(args: argparse.Namespace) -> dict:
     g = _read_graph(args.path)
     if args.exact and not args.two_factor and set(g.degrees()) == {3}:
-        # a cubic graph's perfect matchings have n/2 edges: refuse their
-        # orientations as the law would, before the two-factor search
-        _check_guards(1 << g.n // 2, 0, args.max_orient, None)
+        check_orientations(g, args.max_orient)
     tf, origin = _pick_two_factor(g, args)
     body = _exact_prob(args, g, tf) if args.exact else _monte_carlo_prob(args, g, tf)
     return {
@@ -392,118 +389,23 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _flat_lists(items) -> bool:
-    """Whether ``items`` is a list of lists of str, int and None only.
-
-    Two such lists that compare equal hold equal values of equal types,
-    so they encode to equal text; a bool or float breaks that
-    (``[1] == [True] == [1.0]``), so lists holding one do not qualify.
-    """
-    return (set(map(type, items)) == {list}
-            and set(map(type, chain.from_iterable(items))) <= {str, int, type(None)})
-
-
-def _list_runs(items, encode):
-    """``(text, count)`` for each run of equal neighbours in ``items``, a
-    list that passes `_flat_lists`; ``encode`` runs once per distinct
-    content, a neighbour equal to the previous item reuses its text."""
-    memo = {}
-    for item, run in groupby(items):
-        key = tuple(item)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = encode(item)
-        yield text, len(list(run))
-
-
-def _flat_json(items, pad: str) -> str:
-    """The indented JSON of a list of str, int and None at indent ``pad``."""
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    return "[\n" + inner + (",\n" + inner).join(map(json.dumps, items)) + "\n" + pad + "]"
-
-
-def _emit_json(value, pad: str, parts: list) -> None:
-    """Append the indented JSON of ``value`` at indent ``pad`` to ``parts``."""
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("JSON keys must be str")
-        head = "{\n" + inner
-        for key in sorted(value):
-            parts.append(head + json.dumps(key) + ": ")
-            _emit_json(value[key], inner, parts)
-            head = sep
-        parts.append("\n" + pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if _flat_lists(value):
-            # one part per copy, each the item's text behind its separator
-            first = len(parts)
-            for text, count in _list_runs(value, lambda item: sep + _flat_json(item, inner)):
-                parts.extend(repeat(text, count))
-            parts[first] = "[" + parts[first][1:]
-            parts.append("\n" + pad + "]")
-        elif set(map(type, value)) <= {str, int, type(None)}:  # the empty list too
-            parts.append(_flat_json(value, pad))
-        else:
-            parts.append("[\n" + inner)
-            _emit_json(value[0], inner, parts)
-            for item in islice(value, 1, None):
-                parts.append(sep)
-                _emit_json(item, inner, parts)
-            parts.append("\n" + pad + "]")
-    else:
-        parts.append(json.dumps(value))
-
-
-def _json_text(payload) -> str:
-    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and
-    a newline.
-
-    The standard encoder runs in pure Python whenever it indents, and a
-    certificate repeats each of its few distinct sets thousands of
-    times.  Here a list of lists of str, int and None encodes each
-    distinct inner list once and puts one reference to that text per
-    copy into a single list of parts, which is joined once: the output
-    exists as one string, and the writer keeps no reference cycle that
-    would hold the parts past the return.  A key that is not a str
-    raises ``TypeError`` (the standard encoder would coerce it).
-    """
-    parts = []
-    _emit_json(payload, "", parts)
-    parts.append("\n")
-    return "".join(parts)
-
-
 def _text_parts(key, value, depth: int, parts: list) -> None:
-    """Append the ``--format text`` lines of one payload entry to ``parts``,
-    a list of pieces that `_render` joins once, as `_json_text` does."""
+    """Append the ``--format text`` lines of one payload entry to ``parts``."""
     pad = "  " * depth
     if isinstance(value, dict):
         parts.append(f"{pad}{key}:\n")
         for k2, v2 in value.items():
             _text_parts(k2, v2, depth + 1, parts)
     elif isinstance(value, list):
-        # each item behind its separating space; an empty list keeps the space
-        parts.append(f"{pad}{key}:" if value else f"{pad}{key}: ")
-        if _flat_lists(value):
-            for text, count in _list_runs(value, lambda item: " " + json.dumps(item)):
-                parts.extend(repeat(text, count))
-        else:
-            parts.extend(" " + _scalar(item) for item in value)
-        parts.append("\n")
+        # an empty list keeps the space after the colon
+        parts.append(f"{pad}{key}: " + " ".join(map(_scalar, value)) + "\n")
     else:
         parts.append(f"{pad}{key}: {_scalar(value)}\n")
 
 
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(payload)
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if payload.get("command") == "corpus":
         return _render_corpus_csv(payload)
     parts = []
@@ -540,9 +442,6 @@ def run(argv=None, out=None, err=None) -> int:
     text = _render(payload, args.format)
     # a failed verdict still prints its report
     code = EXIT_VALIDATION if payload.get("verdict") == "fail" else EXIT_OK
-    # a certificate's payload takes more memory than its text: let it go
-    # before the stream makes its encoded copy of the text
-    del payload
     out.write(text)
     return code
 

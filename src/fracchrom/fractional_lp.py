@@ -4,28 +4,22 @@ The fractional chromatic number is the optimum of the covering LP over
 independent sets.  This module enumerates the maximal independent sets
 (the only columns an optimal solution needs) and solves the LP exactly
 by the simplex method on a condensed integral tableau (Edmonds–Bareiss
-fraction-free pivoting).  It also converts between the three equivalent
-shapes a fractional colouring comes in: a weighting of independent sets,
-a distribution with all vertex marginals at least 1/k, and a multiset of
-kN independent sets covering every vertex exactly N times.
+fraction-free pivoting).  It also turns a weighting of independent sets
+into a multiset of kN independent sets covering every vertex exactly N
+times, and verifies such a multiset.
 
-``chi_f_upper_subcubic`` assembles a 32/11-sized certificate for any
-triangle-free subcubic graph by walking the reduction tree from
-``graph_core.reduce_subcubic``: cubic bridgeless leaves get their
-certificate from the sampled five-phase law, doubled constructions
+``chi_f_upper_subcubic`` assembles a certificate of size at most 32/11
+for any triangle-free subcubic graph by walking the reduction tree from
+``graph_core.reduce_subcubic``.  A cubic bridgeless leaf gets a basic
+optimal solution of the covering LP whose columns are the support of its
+five-phase law; every marginal of that law is at least 11/32, so the law
+scaled by 32/11 is feasible and the optimum is at most 32/11.  The LP is
+solved by column generation over the support.  Doubled constructions
 restrict the double's certificate back to one copy, and a graph cut at
 its bridges merges its parts' certificates, in its own labels, from the
 last part back to the first.  Each merge aligns two certificates on a
 common N and deals one side's sets to the other's indices, in one pass,
 so the bridge endpoints never share a set.
-
-A certificate holds its kN sets in full, but they are copies of few
-distinct sets (305 of 819,200 on the dodecahedron).  Each step does its
-work once per distinct set and repeats the result: the trim works on
-runs of copies, relabelling and restriction map each distinct set once,
-a bridge merge joins each distinct pair of sets once, and the verifier
-checks each distinct set once and counts its copies.  The sets and their
-order are what a copy-by-copy construction gives.
 """
 
 from __future__ import annotations
@@ -36,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .augment import exact_phase5_distribution
-from .graph_core import Graph, GraphError, GuardExceeded, analyze, mask_vertices, reduce_subcubic, suppress_vertex
-from .sampler import Distribution, _check_guards, is_independent
+from .graph_core import Graph, GraphError, GuardExceeded, analyze, mask_vertices, reduce_subcubic, suppress_vertex, vertex_mask
+from .sampler import check_orientations, is_independent
 from .two_factor import TwoFactor, select_two_factor, two_factor_from_matching
 
 __all__ = [
@@ -45,15 +39,16 @@ __all__ = [
     "FractionalColouring", "MultisetCertificate", "CertificateVerdict",
     "TARGET_BOUND",
     "maximal_independent_sets", "chi_f_exact",
-    "distribution_to_weighting", "weighting_to_multiset",
-    "verify_certificate", "certificate_from_json_dict",
+    "weighting_to_multiset", "verify_certificate",
     "chi_f_upper_subcubic",
 ]
 
 TARGET_BOUND = Fraction(32, 11)
 
 DEFAULT_MAX_N = 40
-DEFAULT_MAX_MULTISET = 2 * 10**6
+# 250 times the largest certificate (40 sets) met on the corpus, the GP
+# ladder, the certify goldens and two 300-graph random sweeps
+DEFAULT_MAX_MULTISET = 10**4
 
 
 class ColouringError(ValueError):
@@ -236,23 +231,7 @@ def _solve_covering_lp(n: int, cols: list[frozenset]):
     return Fraction(-rows[m][n], d), y, x
 
 
-# -- the three shapes of a colouring ---------------------------------------------
-
-
-def distribution_to_weighting(g: Graph, dist: Distribution, k: Fraction) -> FractionalColouring:
-    """Scale an independent-set law into a size-k fractional colouring.
-
-    Requires every vertex marginal to be at least 1/k, exactly.
-    """
-    k = Fraction(k)
-    if k <= 0:
-        raise ColouringError("the target size k must be positive")
-    for v in range(g.n):
-        if dist.marginal(v) < 1 / k:
-            raise ColouringError(
-                f"vertex {v} has marginal {dist.marginal(v)} < 1/k = {1 / k}"
-            )
-    return FractionalColouring(g, {J: k * p for J, p in dist.pmf.items()})
+# -- multiset certificates -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -268,40 +247,11 @@ class MultisetCertificate:
         return Fraction(len(self.sets), self.N)
 
     def to_json_dict(self) -> dict:
-        """Each set as a sorted list: one sort per distinct set, and a list
-        of its own for every entry."""
-        order = {s: sorted(s) for s in set(self.sets)}
         return {
             "k": str(self.k),
             "N": self.N,
-            "sets": [order[s].copy() for s in self.sets],
+            "sets": [sorted(s) for s in self.sets],
         }
-
-
-def certificate_from_json_dict(data: dict, n_vertices: int) -> MultisetCertificate:
-    """Read back the shape ``MultisetCertificate.to_json_dict`` writes.
-
-    The input comes from outside, so its shape is checked: a dict whose
-    N is a positive int and whose ``sets`` is a list of lists of ints,
-    none listing a vertex twice.  Whether the sets form a certificate is
-    ``verify_certificate``'s question.
-    """
-    if not isinstance(data, dict):
-        raise ColouringError("a certificate must be a JSON object")
-    N, sets, k = data.get("N"), data.get("sets"), data.get("k")
-    if type(N) is not int or N <= 0:
-        raise ColouringError(f"certificate N must be a positive integer, not {N!r}")
-    if not (isinstance(sets, list) and all(
-            isinstance(s, list) and all(type(v) is int for v in s) for s in sets)):
-        raise ColouringError("certificate sets must be a list of lists of vertex integers")
-    frozen = tuple(frozenset(s) for s in sets)
-    for s, members in zip(sets, frozen):
-        if len(members) != len(s):
-            raise ColouringError(f"certificate set {s} repeats a vertex")
-    cert = MultisetCertificate(n_vertices, N, frozen)
-    if str(cert.k) != k:
-        raise ColouringError(f"certificate claims k = {k} but holds {cert.k}")
-    return cert
 
 
 def weighting_to_multiset(w: FractionalColouring) -> MultisetCertificate:
@@ -392,25 +342,16 @@ def verify_certificate(g: Graph, cert: MultisetCertificate) -> CertificateVerdic
 # -- 32/11 certificates for subcubic graphs ---------------------------------------
 
 
-def _map_distinct(f, items) -> tuple:
-    """``tuple(map(f, items))``, calling f once per distinct item."""
-    image = {}
-    for item in items:
-        if item not in image:
-            image[item] = f(item)
-    return tuple(map(image.__getitem__, items))
-
-
 def _relabel(cert: MultisetCertificate, n: int, vmap) -> MultisetCertificate:
     """Push a child certificate through child-vertex -> parent-vertex map."""
-    return MultisetCertificate(n, cert.N, _map_distinct(
-        lambda s: frozenset(vmap[v] for v in s), cert.sets))
+    return MultisetCertificate(n, cert.N, tuple(
+        frozenset(vmap[v] for v in s) for s in cert.sets))
 
 
 def _restrict(cert: MultisetCertificate, n: int) -> MultisetCertificate:
     """Keep only the vertices below n (the first copy of a doubled graph)."""
-    return MultisetCertificate(n, cert.N, _map_distinct(
-        lambda s: frozenset(v for v in s if v < n), cert.sets))
+    return MultisetCertificate(n, cert.N, tuple(
+        frozenset(v for v in s if v < n) for s in cert.sets))
 
 
 def _merge_on_bridge(n: int, a: MultisetCertificate, b: MultisetCertificate,
@@ -443,16 +384,15 @@ def _merge_on_bridge(n: int, a: MultisetCertificate, b: MultisetCertificate,
         )
     moving = iter([t for s, t in zip(a_sets, b_sets) if x1 in s and x2 in t])
     rest = (t for t in b_sets if x2 not in t)
-    pairs = []
+    sets = []
     for s, t in zip(a_sets, b_sets):
         if x1 in s:
             t = next(rest)
         elif x2 not in t:
             # a moving set holds x2, so it is never the empty (false) set
             t = next(moving, None) or next(rest)
-        pairs.append((s, t))
-    return MultisetCertificate(n, N, _map_distinct(
-        lambda pair: pair[0] | pair[1], pairs))
+        sets.append(s | t)
+    return MultisetCertificate(n, N, tuple(sets))
 
 
 def _two_colour_certificate(g: Graph) -> MultisetCertificate:
@@ -498,14 +438,45 @@ def _one_bridge_leaf_two_factor(leaf: Graph, v0: int) -> TwoFactor:
     return two_factor_from_matching(leaf, matching)
 
 
+def _support_colouring(g: Graph, dist) -> FractionalColouring:
+    """A basic optimal solution of the covering LP whose columns are the
+    support of the law ``dist``, by column generation.
+
+    The first pool holds, for each vertex, the most probable support set
+    that contains it (on a tie, the smaller mask).  Each round solves the
+    LP over the pool, passed in ascending mask order so that Bland's rule
+    pivots the same way on every run, and adds the support sets whose dual
+    weight exceeds 1: at most n of them, the heaviest first (on a tie, the
+    smaller mask).  When none is left, the pool's optimum is the support's.
+    """
+    support = sorted((vertex_mask(s), p, s) for s, p in dist.pmf.items())
+    best = {}
+    for mask, p, s in support:
+        for v in s:
+            if v not in best or p > best[v][0]:
+                best[v] = (p, mask)
+    pool = {mask for _, mask in best.values()}
+    while True:
+        cols = [s for mask, _, s in support if mask in pool]
+        _, y, x = _solve_covering_lp(g.n, cols)
+        # the dual over one common denominator d: a set is priced in if its
+        # weight exceeds d
+        d = math.lcm(*(q.denominator for q in y))
+        weight = [int(q * d) for q in y]
+        priced = sorted((-sum(weight[v] for v in s), mask)
+                        for mask, _, s in support if mask not in pool)
+        new = [mask for w, mask in priced[:g.n] if -w > d]
+        if not new:
+            return FractionalColouring(g, {s: q for s, q in zip(cols, x) if q > 0})
+        pool.update(new)
+
+
 def _leaf_certificate(step, **enum_kw) -> MultisetCertificate:
     g = step.graph
     leaf = step.detail["leaf"]
     if leaf == "trivial":
         return _two_colour_certificate(g)
-    # a cubic leaf's perfect matchings have n/2 edges: refuse their
-    # orientations as the law would, before the two-factor search
-    _check_guards(1 << g.n // 2, 0, enum_kw.get("max_orientations"), None)
+    check_orientations(g, enum_kw.get("max_orientations"))
     if leaf == "cubic-bridgeless":
         tf = select_two_factor(g)
     elif leaf == "one-bridge":
@@ -513,8 +484,7 @@ def _leaf_certificate(step, **enum_kw) -> MultisetCertificate:
     else:  # pragma: no cover - reduce_subcubic emits no other kinds
         raise GraphError(f"unknown leaf kind {leaf!r}")
     _, result = exact_phase5_distribution(g, tf, **enum_kw)
-    w = distribution_to_weighting(g, result.distribution, TARGET_BOUND)
-    return weighting_to_multiset(w)
+    return weighting_to_multiset(_support_colouring(g, result.distribution))
 
 
 def _certificate_for(step, **enum_kw) -> MultisetCertificate:

@@ -78,6 +78,7 @@ __all__ = [
     "is_independent", "run_phases_1_4",
     "enumerate_distribution", "enumerate_situations", "event_probability",
     "forces", "admissible", "exact_q", "monte_carlo", "kernel_backend",
+    "check_orientations",
     "DEFAULT_MAX_ORIENTATIONS", "DEFAULT_MAX_BRANCHES",
 ]
 
@@ -337,6 +338,13 @@ def _check_guards(orientations, branches, max_orientations, max_branches):
     if branches > max_branches:
         raise ExplosionGuard(
             "situation count passed the limit of %d branches" % max_branches)
+
+
+def check_orientations(g: Graph, max_orientations: int = None) -> None:
+    """Refuse a cubic graph's matching orientations as its exact law would,
+    so that a caller can do it before the two-factor search: a perfect
+    matching has n/2 edges, so 2^(n/2) orientations."""
+    _check_guards(1 << g.n // 2, 0, max_orientations, None)
 
 
 def _expand(program):

@@ -14,7 +14,8 @@ import pytest
 from fracchrom import sampler as S
 from fracchrom.augment import run_phase5
 from fracchrom import fractional_lp
-from fracchrom.fractional_lp import ColouringError, MergeFailure, MultisetCertificate
+from fracchrom.fractional_lp import (
+    ColouringError, FractionalColouring, MergeFailure, MultisetCertificate)
 from fracchrom.graph_core import Graph, GraphError, GuardExceeded, suppress_vertex
 from fracchrom.two_factor import select_two_factor
 
@@ -496,6 +497,51 @@ def law_oracle(g, tf, phase4):
     marginals = {v: sum((p for s, p in pmf.items() if v in s), Fraction(0))
                  for v in range(n)}
     return sorted(records), pmf, marginals, len(records)
+
+
+def distribution_to_weighting(g, dist, k):
+    """Scale an independent-set law into a size-k fractional colouring.
+
+    Requires every vertex marginal to be at least 1/k, exactly.  With
+    k = 32/11 and a phase-5 law, this is the weighting the paper's theorem
+    makes feasible, and the one the pipeline certified before it solved
+    the LP over the law's support.
+    """
+    k = Fraction(k)
+    if k <= 0:
+        raise ColouringError("the target size k must be positive")
+    for v in range(g.n):
+        if dist.marginal(v) < 1 / k:
+            raise ColouringError(
+                f"vertex {v} has marginal {dist.marginal(v)} < 1/k = {1 / k}"
+            )
+    return FractionalColouring(g, {J: k * p for J, p in dist.pmf.items()})
+
+
+def certificate_from_json_dict(data, n_vertices):
+    """Read back the shape ``MultisetCertificate.to_json_dict`` writes.
+
+    The input comes from outside, so its shape is checked: a dict whose
+    N is a positive int and whose ``sets`` is a list of lists of ints,
+    none listing a vertex twice.  Whether the sets form a certificate is
+    ``verify_certificate``'s question.
+    """
+    if not isinstance(data, dict):
+        raise ColouringError("a certificate must be a JSON object")
+    N, sets, k = data.get("N"), data.get("sets"), data.get("k")
+    if type(N) is not int or N <= 0:
+        raise ColouringError(f"certificate N must be a positive integer, not {N!r}")
+    if not (isinstance(sets, list) and all(
+            isinstance(s, list) and all(type(v) is int for v in s) for s in sets)):
+        raise ColouringError("certificate sets must be a list of lists of vertex integers")
+    frozen = tuple(frozenset(s) for s in sets)
+    for s, members in zip(sets, frozen):
+        if len(members) != len(s):
+            raise ColouringError(f"certificate set {s} repeats a vertex")
+    cert = MultisetCertificate(n_vertices, N, frozen)
+    if str(cert.k) != k:
+        raise ColouringError(f"certificate claims k = {k} but holds {cert.k}")
+    return cert
 
 
 def multiset_oracle(w):

@@ -238,7 +238,7 @@ def test_criterion_09_end_to_end_certificates(tmp_path):
             for v in s:
                 counts[v] += 1
         assert counts == [cert["N"]] * g.n
-        rebuilt = L.certificate_from_json_dict(cert, g.n)
+        rebuilt = oracles.certificate_from_json_dict(cert, g.n)
         assert L.verify_certificate(g, rebuilt).ok
 
 

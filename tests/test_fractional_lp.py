@@ -14,16 +14,13 @@ from hypothesis import strategies as st
 
 from fracchrom import fractional_lp, graph_core
 from fracchrom.fractional_lp import (
-    DEFAULT_MAX_MULTISET,
     ColouringError,
     FractionalColouring,
     MergeFailure,
     MultisetCertificate,
     TARGET_BOUND,
-    certificate_from_json_dict,
     chi_f_exact,
     chi_f_upper_subcubic,
-    distribution_to_weighting,
     maximal_independent_sets,
     verify_certificate,
     weighting_to_multiset,
@@ -34,6 +31,7 @@ from fracchrom.sampler import enumerate_distribution, is_independent
 from fracchrom.two_factor import select_two_factor
 
 import oracles
+from oracles import certificate_from_json_dict, distribution_to_weighting
 from strategies import connected_subcubic_graphs, with_pendant_tails
 from util_graphs import (
     bridged_composite,
@@ -275,44 +273,54 @@ class TestConversions:
         assert data["sets"][1:] == [[0, 2], [0, 2]]
 
 
-def _law_weighting(g):
-    """The size-32/11 weighting the pipeline draws from the repaired law
-    of a cubic bridgeless graph."""
-    _, result = exact_phase5_distribution(g, select_two_factor(g))
-    return distribution_to_weighting(g, result.distribution, TARGET_BOUND)
-
-
 class TestAgainstCopyOracle:
-    """The certificate of a cubic bridgeless graph is its law weighting's
-    multiset: built per run it must equal the copy-by-copy oracle's, set
-    for set and in order, and the verifiers must agree on it.  A weighting
-    of more than ``DEFAULT_MAX_MULTISET`` sets is refused instead."""
+    """The certificate of a cubic bridgeless graph is the multiset of its
+    support LP's weighting: built per run it must equal the copy-by-copy
+    oracle's, set for set and in order, and the verifiers must agree on
+    it.  Against the multiset of the law weighting, the repaired law
+    scaled by 32/11, both verify and the LP's k is at most 32/11.  The
+    law-weighting multisets of two n = 14 corpus graphs hold 2,549,760 and
+    4,974,592 sets, so the multiset guard is raised for that oracle."""
 
     @staticmethod
     def check(g):
-        w = _law_weighting(g)
-        N = math.lcm(*(q.denominator for q in w.weights.values()))
-        if sum(q * N for q in w.weights.values()) > DEFAULT_MAX_MULTISET:
-            with pytest.raises(GuardExceeded):
-                chi_f_upper_subcubic(g)
-            return False
         _, cert = chi_f_upper_subcubic(g)
-        want = oracles.multiset_oracle(w)
-        assert (cert.n_vertices, cert.N) == (want.n_vertices, want.N)
-        assert cert.sets == want.sets
+        _, result = exact_phase5_distribution(g, select_two_factor(g))
+        lp = fractional_lp._support_colouring(g, result.distribution)
+        assert cert.sets == oracles.multiset_oracle(lp).sets
+        w = distribution_to_weighting(g, result.distribution, TARGET_BOUND)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fractional_lp, "DEFAULT_MAX_MULTISET", 5 * 10**6)
+            old = weighting_to_multiset(w)
+        assert verify_certificate(g, old).ok
         assert verify_certificate(g, cert).problems == oracles.verify_oracle(g, cert) == ()
-        return True
+        assert cert.k <= old.k == TARGET_BOUND
 
     def test_corpus(self):
         graphs = [parse_graph6(line) for path in sorted(CORPUS.glob("*.g6"))
                   for line in path.read_text().split()]
         assert len(graphs) == 140
-        # two n = 14 graphs need 2,549,760 and 4,974,592 sets
-        assert sum(self.check(g) for g in graphs) == 138
+        for g in graphs:
+            self.check(g)
 
     @pytest.mark.parametrize("nk", [(5, 2), (7, 2), (8, 3), (9, 2), (10, 3)], ids=str)
     def test_ladder(self, nk):
-        assert self.check(generalized_petersen(*nk))
+        self.check(generalized_petersen(*nk))
+
+
+class TestSupportLP:
+    """The column generation over a leaf law's support stops at the
+    optimum of the LP over the whole support."""
+
+    def test_pricing_reaches_the_whole_support_optimum(self):
+        graphs = [parse_graph6(line) for n in (6, 8, 10, 12)
+                  for line in (CORPUS / f"cubic_tf_bridgeless_n{n}.g6").read_text().split()]
+        assert len(graphs) == 31
+        for g in graphs + [generalized_petersen(5, 2), generalized_petersen(7, 2)]:
+            _, result = exact_phase5_distribution(g, select_two_factor(g))
+            support = sorted(result.distribution.pmf, key=sorted)
+            value = fractional_lp._solve_covering_lp(g.n, support)[0]
+            assert chi_f_upper_subcubic(g)[1].k == value
 
 
 class TestVerifyCertificate:
@@ -505,7 +513,7 @@ class TestUpperSubcubic:
         assert step.kind == "degree2-single"
         assert step.children[0].detail["leaf"] == "one-bridge"
         _, cert = chi_f_upper_subcubic(host)
-        assert cert.k == TARGET_BOUND
+        assert cert.k == F(5, 2) == chi_f_exact(host)[0]
         assert verify_certificate(host, cert).ok
 
     def test_one_bridge_leaf_two_factor_equals_the_splice_oracle(self):

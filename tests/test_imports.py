@@ -26,10 +26,10 @@ Every name in a module's ``__all__`` is bound at the module's top level
 (defined, assigned or imported there): an export whose definition is gone
 goes out of ``__all__`` with it.
 
-No module calls ``json.dump``/``json.dumps`` or builds a ``JSONEncoder``
-with an ``indent``: the standard encoder runs in pure Python when it
-indents, so the CLI's own writer, which prints the same bytes, is the one
-place indented JSON comes from.
+Indented JSON comes from one place, the CLI's renderer: ``cli.py`` holds
+one ``json.dump``/``json.dumps``/``JSONEncoder`` call with an ``indent``,
+and no other module holds any.  The standard encoder runs in pure Python
+when it indents, so a second writer would be a second cost to watch.
 
 Every name the benchmark in ``perfbench/`` reads from the package still
 resolves: the probes of ``perfbench/layers.py`` and the ``from fracchrom
@@ -346,7 +346,7 @@ def indented_json_calls(path):
 
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_indented_json_encoder(path):
-    assert indented_json_calls(path) == []
+    assert len(indented_json_calls(path)) == (1 if path.name == "cli.py" else 0)
 
 
 def test_checker_flags_an_indented_json_call(tmp_path):

@@ -250,17 +250,24 @@ def test_tables_hold_at_most_their_bound_per_entry():
 
 
 def test_capacity_of_one_changes_no_count(monkeypatch):
-    deficient = parse_graph6(DEFICIENT_N10)
-    tf = select_two_factor(deficient)
-    plan = exact_phase5_distribution(deficient, tf)[0]
-    runs = [(deficient, tf, plan),
-            (petersen(), select_two_factor(petersen()), None)]
+    # fresh two-factors for the capped run, as in the test below
+    def runs():
+        deficient = parse_graph6(DEFICIENT_N10)
+        tf = select_two_factor(deficient)
+        plan = exact_phase5_distribution(deficient, tf)[0]
+        return [(deficient, tf, plan),
+                (petersen(), select_two_factor(petersen()), None)]
+
     uncapped = [S.monte_carlo(g, tf, 2000, 4, plan=plan)
-                for g, tf, plan in runs]
+                for g, tf, plan in runs()]
     monkeypatch.setattr(K, "CAPACITY", 1)
+    fresh = runs()
     capped = [S.monte_carlo(g, tf, 2000, 4, plan=plan)
-              for g, tf, plan in runs]
+              for g, tf, plan in fresh]
     assert capped == uncapped
+    memos = ("by_heads", "by_covered", "by_part")
+    assert all(len(getattr(tf.derived["table"], memo)) <= 1
+               for _, tf, _ in fresh for memo in memos)
 
 
 @pytest.mark.parametrize("with_plan", [False, True], ids=["no-plan", "plan"])
