@@ -26,7 +26,6 @@ from .two_factor import (  # noqa: F401
     satisfies_ks_condition,
     select_two_factor,
     two_factor_from_json_dict,
-    two_factor_from_matching,
     two_factor_to_json_dict,
 )
 from .templates import (  # noqa: F401

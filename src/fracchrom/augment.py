@@ -379,45 +379,44 @@ def receptivity(g: Graph, tf: TwoFactor, u: int, dist: Distribution) -> Fraction
 # -- the repair plan ------------------------------------------------------------
 
 
+def _earlier_neighbours(g: Graph, order) -> dict:
+    """Each deficient vertex's neighbours that come before it in ``order``."""
+    rank = {u: i for i, u in enumerate(order)}
+    return {u: tuple(w for w in g.adj[u] if rank.get(w, i) < i)
+            for i, u in enumerate(order)}
+
+
 class Phase5Plan:
     """A complete schedule for the probability-repair phase.
 
     Holds the processing order of the deficient vertices, the support of
     the phase-4 law as ascending vertex masks (``index`` maps a mask to
     its position), and the planned swap probability for every (vertex,
-    support set) pair, together with the bookkeeping (sponsors,
-    correction terms, earlier-neighbour lists) that both the single-run
-    executor and the exact enumerator need.  ``walks[j]`` is the exact
-    swap cascade on support set ``j``: its coins and the law of the
-    repaired mask.  Building it raises ``BiasInfeasible`` when a planned
-    probability sits on a set that is not favourable for its vertex or no
-    coin can realize it, and ``RuntimeError`` when a reachable repaired
-    set is dependent, so every plan runs and yields independent sets.
+    support set) pair; the sponsors stay in the two-factor's deficiency
+    records.  ``walks[j]`` is the exact swap cascade on support set
+    ``j``: its coins and the law of the repaired mask.  Building it
+    raises ``BiasInfeasible`` when a planned probability sits on a set
+    that is not favourable for its vertex or no coin can realize it, and
+    ``RuntimeError`` when a reachable repaired set is dependent, so every
+    plan runs and yields independent sets.
     """
 
-    __slots__ = ("tf", "deficient_order", "set_order", "set_probs",
-                 "p", "sponsors", "epsilon", "nbrx", "eta", "rho",
+    __slots__ = ("tf", "deficient_order", "set_order", "set_probs", "p",
                  "index", "walks")
 
-    def __init__(self, tf, deficient_order, set_order, set_probs,
-                 p, sponsors, epsilon, nbrx, eta, rho):
+    def __init__(self, tf, deficient_order, set_order, set_probs, p):
         self.tf = tf
         self.deficient_order = tuple(deficient_order)
         self.set_order = tuple(set_order)
         self.set_probs = tuple(set_probs)
         self.p = dict(p)
-        self.sponsors = dict(sponsors)
-        self.epsilon = dict(epsilon)
-        self.nbrx = {u: tuple(ws) for u, ws in nbrx.items()}
-        self.eta = dict(eta)
-        self.rho = dict(rho)
         self.index = {J: j for j, J in enumerate(self.set_order)}
-        self.walks = tuple(self._walk(j) for j in range(len(self.set_order)))
+        recs = _analyze(tf.graph, tf)
+        nbrx = _earlier_neighbours(tf.graph, self.deficient_order)
+        self.walks = tuple(self._walk(j, recs, nbrx)
+                           for j in range(len(self.set_order)))
 
-    def nbrxc(self, u: int) -> tuple:
-        return self.nbrx[u] + (u,)
-
-    def _walk(self, j: int):
+    def _walk(self, j: int, recs, nbrx):
         """Exact per-set simulation of the swap cascade.
 
         Returns (coins, law): one (bit, blockers, keep, bias) coin per
@@ -432,12 +431,13 @@ class Phase5Plan:
             planned = self.p.get((u, j))
             if not planned:
                 continue
-            if not _favourable(g, u, self.sponsors[u], J):
+            s = recs[u].sponsor
+            if not _favourable(g, u, s, J):
                 raise BiasInfeasible(
                     f"vertex {u} on set index {j}: swap probability "
                     f"{planned} is planned on a set that is not favourable"
                 )
-            blockers = vertex_mask(self.nbrx[u])
+            blockers = vertex_mask(nbrx[u])
             clear = sum((pr for (added, _), pr in states.items()
                          if not added & blockers), Fraction(0))
             if clear < planned:
@@ -446,7 +446,7 @@ class Phase5Plan:
                     f"{planned} exceeds the clear probability {clear}"
                 )
             bias = planned / clear
-            bit, keep = 1 << u, ~(1 << self.sponsors[u])
+            bit, keep = 1 << u, ~(1 << s)
             nxt: dict = {}
             for st, pr in states.items():
                 added, out = st
@@ -483,35 +483,26 @@ def build_phase5_plan(g: Graph, tf: TwoFactor, dist: Distribution) -> Phase5Plan
     deficient = [r for r in recs if r.deficient]
     order = [r.vertex for r in
              sorted(deficient, key=lambda r: (abs(r.epsilon), r.vertex))]
-    epsilon = {r.vertex: r.epsilon for r in deficient}
-    sponsors = {r.vertex: r.sponsor for r in deficient}
 
     by_mask = {vertex_mask(J): pJ for J, pJ in dist.pmf.items()}
     set_order = sorted(by_mask)
     set_probs = [by_mask[J] for J in set_order]
+    nbrx = _earlier_neighbours(g, order)
 
-    nbrx: dict = {}
-    eta: dict = {}
-    for i, u in enumerate(order):
-        earlier = set(order[:i])
-        nbrx[u] = [w for w in g.adj[u] if w in earlier]
-        eta[u] = sum((abs(epsilon[w]) for w in nbrx[u]), abs(epsilon[u]))
-
-    fav = {u: [_favourable(g, u, sponsors[u], J) for J in set_order]
+    fav = {u: [_favourable(g, u, recs[u].sponsor, J) for J in set_order]
            for u in order}
-    rho: dict = {}
     for u in order:
+        eta = sum((abs(recs[w].epsilon) for w in nbrx[u]), abs(recs[u].epsilon))
         total = sum((pj for f, pj in zip(fav[u], set_probs) if f), Fraction(0))
-        rho[u] = total
-        if total < Fraction(eta[u], 256):
+        if total < Fraction(eta, 256):
             raise PreconditionFailure(
                 f"vertex {u}: receptivity {total} is below eta/256 = "
-                f"{Fraction(eta[u], 256)}"
+                f"{Fraction(eta, 256)}"
             )
 
     p: dict = {}
     for u in order:
-        target = Fraction(abs(epsilon[u]), 256)
+        target = Fraction(abs(recs[u].epsilon), 256)
         row = Fraction(0)
         for j, pj in enumerate(set_probs):
             if row == target:
@@ -530,8 +521,7 @@ def build_phase5_plan(g: Graph, tf: TwoFactor, dist: Distribution) -> Phase5Plan
                 f"vertex {u}: swap mass {row} placed of the required {target}"
             )
 
-    return Phase5Plan(tf, order, set_order, set_probs, p,
-                      sponsors, epsilon, nbrx, eta, rho)
+    return Phase5Plan(tf, order, set_order, set_probs, p)
 
 
 # -- executing a plan -----------------------------------------------------------

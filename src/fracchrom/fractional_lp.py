@@ -32,7 +32,7 @@ from fractions import Fraction
 from .augment import exact_phase5_distribution
 from .graph_core import Graph, GraphError, GuardExceeded, analyze, mask_vertices, reduce_subcubic, suppress_vertex, vertex_mask
 from .sampler import check_orientations, is_independent
-from .two_factor import TwoFactor, select_two_factor, two_factor_from_matching
+from .two_factor import TwoFactor, select_two_factor
 
 __all__ = [
     "ColouringError", "MergeFailure",
@@ -259,11 +259,9 @@ def weighting_to_multiset(w: FractionalColouring) -> MultisetCertificate:
 
     N is the least common denominator of the weights; each set enters
     with multiplicity N·w(I), and any vertex covered more than N times
-    is removed from the surplus copies (subsets of independent sets stay
-    independent, so the certificate remains sound).  The copies are held
-    as runs of one set and a count, in certificate order: trimming a
-    vertex from the first copies that hold it takes it out of whole runs
-    and splits at most one run in two.
+    is removed from the first copies that hold it (subsets of independent
+    sets stay independent, so the certificate remains sound).  The
+    copies are listed in the order of each set's sorted vertices.
     """
     g = w.graph
     N = 1
@@ -276,10 +274,11 @@ def weighting_to_multiset(w: FractionalColouring) -> MultisetCertificate:
         raise GuardExceeded(
             f"certificate would hold {total} sets (> {DEFAULT_MAX_MULTISET})"
         )
-    runs = [[s, int(w.weights[s] * N)] for s in sorted(w.weights, key=sorted)
-            if w.weights[s] > 0]
+    sets = []
+    for s in sorted(w.weights, key=sorted):
+        sets += [s] * int(w.weights[s] * N)
     for v in range(g.n):
-        cover = sum(c for s, c in runs if v in s)
+        cover = sum(v in s for s in sets)
         if cover < N:
             raise ColouringError(
                 f"vertex {v} gathers weight {Fraction(cover, N)} < 1"
@@ -287,18 +286,10 @@ def weighting_to_multiset(w: FractionalColouring) -> MultisetCertificate:
         excess = cover - N
         i = 0
         while excess:
-            s, c = runs[i]
-            if v in s:
-                if c > excess:
-                    # the first `excess` copies lose v, the rest keep it
-                    runs.insert(i + 1, [s, c - excess])
-                    c = runs[i][1] = excess
-                runs[i][0] = s - {v}
-                excess -= c
+            if v in sets[i]:
+                sets[i] = sets[i] - {v}
+                excess -= 1
             i += 1
-    sets = []
-    for s, c in runs:
-        sets += [s] * c
     return MultisetCertificate(g.n, N, tuple(sets))
 
 
@@ -435,7 +426,7 @@ def _one_bridge_leaf_two_factor(leaf: Graph, v0: int) -> TwoFactor:
     matching = [(old_ids[u], old_ids[v]) for u, v in tf0.m_edges]
     matching += [(u + n, v + n) for u, v in matching]
     matching.append((v0, v0 + n))
-    return two_factor_from_matching(leaf, matching)
+    return TwoFactor(leaf, matching)
 
 
 def _support_colouring(g: Graph, dist) -> FractionalColouring:

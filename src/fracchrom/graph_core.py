@@ -45,14 +45,14 @@ class Graph:
     __slots__ = ("n", "edges", "adj", "adj_mask", "derived", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
+        if not is_vertex_id(n):
             raise GraphError("vertex count must be nonnegative")
         self.n = n
         seen = set()
         canon = []
         for e in edges:
             u, v = e
-            if not (0 <= u < n and 0 <= v < n):
+            if not (is_vertex_id(u) and is_vertex_id(v) and u < n and v < n):
                 raise GraphError(f"vertex index out of range in edge {e!r}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")

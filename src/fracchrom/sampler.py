@@ -65,6 +65,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _mcphases_py
 from .graph_core import Graph, GraphError, GuardExceeded, check_vertex, mask_vertices, vertex_mask
@@ -163,37 +164,23 @@ def _mix(z: int) -> int:
 # value types
 
 
-class Situation:
+class Situation(NamedTuple):
     """One situation: the random choices of one run and its output set,
     as vertex masks.  ``heads`` holds the head of every matching edge (the
     orientation), ``s1`` and ``s3`` the phase-1 and phase-3 selections,
     ``feasible`` the vertices still eligible for phase 3 and ``out`` the
     output set; the situation has probability ``1/d``."""
 
-    __slots__ = ("heads", "s1", "feasible", "s3", "out", "d")
-
-    def __init__(self, heads, s1, feasible, s3, out, d):
-        self.heads = heads
-        self.s1 = s1
-        self.feasible = feasible
-        self.s3 = s3
-        self.out = out
-        self.d = d
+    heads: int
+    s1: int
+    feasible: int
+    s3: int
+    out: int
+    d: int
 
     @property
     def prob(self) -> Fraction:
         return Fraction(1, self.d)
-
-    def _fields(self):
-        return (self.heads, self.s1, self.feasible, self.s3, self.out, self.d)
-
-    def __eq__(self, other):
-        if not isinstance(other, Situation):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 class Distribution:

@@ -189,11 +189,6 @@ def _complement_cycles(g: Graph, m_set) -> list[list[int]]:
     return cycles
 
 
-def two_factor_from_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> TwoFactor:
-    """Build the two-factor complementary to a perfect matching of a cubic graph."""
-    return TwoFactor(g, matching)
-
-
 # ---------------------------------------------------------------------------
 # Matching enumeration
 
@@ -415,7 +410,7 @@ def select_two_factor(
         raise NoQualifyingTwoFactor(
             "no two-factor meets the minimal-cut condition"
         )
-    return two_factor_from_matching(g, best[1])
+    return TwoFactor(g, best[1])
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,10 @@ def test_criterion_07_phase5_plan_properties():
             continue
         exercised += 1
         base = S.enumerate_distribution(g, tf).distribution
+        eps = A.epsilon_full(g, tf)
+        rank = {u: i for i, u in enumerate(plan.deficient_order)}
         for u in plan.deficient_order:
+            nbrxc = [w for w in g.adj[u] if rank.get(w, rank[u]) < rank[u]] + [u]
             row = F(0)
             for j, J in enumerate(plan.set_order):
                 p = plan.p.get((u, j))
@@ -176,10 +179,10 @@ def test_criterion_07_phase5_plan_properties():
                     assert 0 < p <= 1
                     row += p * plan.set_probs[j]
             # (ii) each row gathers exactly |epsilon|/256
-            assert row == abs(plan.epsilon[u]) / 256
+            assert row == abs(eps[u]) / 256
             # (iii) no column of earlier neighbours plus u exceeds 1
             for j in range(len(plan.set_order)):
-                col = sum((plan.p.get((w, j), F(0)) for w in plan.nbrxc(u)),
+                col = sum((plan.p.get((w, j), F(0)) for w in nbrxc),
                           F(0))
                 assert col <= 1
         for v in range(g.n):
@@ -188,7 +191,7 @@ def test_criterion_07_phase5_plan_properties():
             gain = result.marginals[u] - base.marginal(u)
             # deficient vertices are never removed, so the marginal gain
             # is exactly the addition probability
-            assert gain == abs(plan.epsilon[u]) / 256
+            assert gain == abs(eps[u]) / 256
     assert exercised == len(fixtures)
 
 

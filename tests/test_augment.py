@@ -10,8 +10,7 @@ from fracchrom import augment as A
 from fracchrom import sampler as S
 from fracchrom import templates as T
 from fracchrom.two_factor import (
-    TwoFactorError, satisfies_ks_condition, select_two_factor,
-    two_factor_from_matching)
+    TwoFactor, TwoFactorError, satisfies_ks_condition, select_two_factor)
 
 from fixtures_deficiency import (
     PATTERN_FIXTURES,
@@ -48,22 +47,22 @@ ALL_FIXTURES = [
 
 def petersen_tf():
     g = petersen()
-    return g, two_factor_from_matching(g, [(i, 5 + i) for i in range(5)])
+    return g, TwoFactor(g, [(i, 5 + i) for i in range(5)])
 
 
 def k33_tf():
     g = k33()
-    return g, two_factor_from_matching(g, [(0, 3), (1, 4), (2, 5)])
+    return g, TwoFactor(g, [(0, 3), (1, 4), (2, 5)])
 
 
 def gp72_tf():
     g = gp72()
-    return g, two_factor_from_matching(g, [(i, 7 + i) for i in range(7)])
+    return g, TwoFactor(g, [(i, 7 + i) for i in range(7)])
 
 
 def cl_tf(k):
     g = circular_ladder(k)
-    return g, two_factor_from_matching(g, [(i, k + i) for i in range(k)])
+    return g, TwoFactor(g, [(i, k + i) for i in range(k)])
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +355,13 @@ class TestPlan:
     def test_plan_identities(self, name, builder):
         g, tf, base, plan = self._plan(builder)
         sets, probs = plan.set_order, plan.set_probs
+        eps = A.epsilon_full(g, tf)
+        rank = {u: i for i, u in enumerate(plan.deficient_order)}
+        nbrxc = {u: [w for w in g.adj[u] if rank.get(w, i) < i] + [u]
+                 for i, u in enumerate(plan.deficient_order)}
 
         # ordering disciplines
-        keyed = [(abs(plan.epsilon[u]), u) for u in plan.deficient_order]
+        keyed = [(abs(eps[u]), u) for u in plan.deficient_order]
         assert keyed == sorted(keyed)
         assert list(sets) == sorted(sets)
 
@@ -371,13 +374,14 @@ class TestPlan:
             # (ii) the row sums exactly to |epsilon|/256
             row = sum((plan.p.get((u, j), F(0)) * probs[j]
                        for j in range(len(sets))), F(0))
-            assert row == abs(plan.epsilon[u]) / 256
+            assert row == abs(eps[u]) / 256
             # eta never exceeds three times the own term
-            assert plan.eta[u] <= 3 * abs(plan.epsilon[u])
+            eta = sum((abs(eps[w]) for w in nbrxc[u]), F(0))
+            assert eta <= 3 * abs(eps[u])
 
         # (iii) columns over a vertex and its earlier neighbours stay <= 1
         for u in plan.deficient_order:
-            group = plan.nbrxc(u)
+            group = nbrxc[u]
             for j in range(len(sets)):
                 assert sum((plan.p.get((w, j), F(0)) for w in group), F(0)) <= 1
 
@@ -408,7 +412,7 @@ class TestRunPhase5:
         base = S.enumerate_distribution(g, tf)
         plan = A.build_phase5_plan(g, tf, base.distribution)
         deficient = set(plan.deficient_order)
-        sponsors = set(plan.sponsors.values())
+        sponsors = {A.sponsor(g, tf, u) for u in plan.deficient_order}
         for trial in range(300):
             rng = S.SplitMix64(trial)
             J = S.run_phases_1_4(g, tf, rng).out
@@ -456,8 +460,7 @@ class TestRunPhase5:
         with pytest.raises(A.BiasInfeasible):
             A.Phase5Plan(
                 tf, plan.deficient_order, plan.set_order, plan.set_probs,
-                {(0, j): F(2)},  # no coin can land twice as often as always
-                plan.sponsors, plan.epsilon, plan.nbrx, plan.eta, plan.rho)
+                {(0, j): F(2)})  # no coin can land twice as often as always
 
     def test_tampered_plan_detects_unfavourable_set(self):
         g, tf, _ = type_0_fixture()
@@ -468,8 +471,7 @@ class TestRunPhase5:
         with pytest.raises(A.BiasInfeasible, match="not favourable"):
             A.Phase5Plan(
                 tf, plan.deficient_order, plan.set_order, plan.set_probs,
-                {(0, j): F(1, 2)},  # the swap is not allowed on this set
-                plan.sponsors, plan.epsilon, plan.nbrx, plan.eta, plan.rho)
+                {(0, j): F(1, 2)})  # the swap is not allowed on this set
 
     def test_rand_below_is_exactly_uniform_on_the_bits_it_draws(self):
         class Scripted:
@@ -520,13 +522,13 @@ class TestExactPhase5:
             assert result.marginals[v] >= F(88, 256), (name, v)
 
         # ... by the exact planned amounts
-        sponsors = plan.sponsors
+        sponsors = {u: A.sponsor(g, tf, u) for u in plan.deficient_order}
         touched = set(plan.deficient_order) | set(sponsors.values())
         for u in plan.deficient_order:
             gain = result.marginals[u] - base.marginals[u]
-            assert gain == abs(plan.epsilon[u]) / 256
+            assert gain == abs(eps[u]) / 256
         for s in set(sponsors.values()):
-            loss = sum((abs(plan.epsilon[u]) for u, sp in sponsors.items()
+            loss = sum((abs(eps[u]) for u, sp in sponsors.items()
                         if sp == s), F(0)) / 256
             assert base.marginals[s] - result.marginals[s] == loss
         for v in range(g.n):

@@ -185,6 +185,21 @@ class TestChiFExact:
         assert value == (F(2) if n % 2 == 0 else F(n, (n - 1) // 2))
 
 
+@st.composite
+def over_covering_weightings(draw):
+    """A weighting of the maximal independent sets of a small triangle-free
+    subcubic graph over one denominator d <= 4: a random numerator per set,
+    plus 2d on a set through each vertex, so that every vertex is covered
+    at least twice and some sets enter as several copies."""
+    g = draw(connected_subcubic_graphs(max_n=8, triangle_free=True))
+    sets = maximal_independent_sets(g)
+    d = draw(st.integers(1, 4))
+    num = {s: draw(st.integers(0, 2 * d)) for s in sets}
+    for v in range(g.n):
+        num[draw(st.sampled_from([s for s in sets if v in s]))] += 2 * d
+    return FractionalColouring(g, {s: F(a, d) for s, a in num.items()})
+
+
 class TestConversions:
     def petersen_law(self):
         g = petersen()
@@ -254,7 +269,7 @@ class TestConversions:
         with pytest.raises(GuardExceeded):
             weighting_to_multiset(w)
 
-    def test_trim_splits_a_run(self):
+    def test_trim_takes_the_first_copies(self):
         # vertex 0 is covered 3 times with N = 1: the first two copies of
         # {0, 2} lose it, the third keeps it
         g = cycle(4)
@@ -263,6 +278,15 @@ class TestConversions:
         assert cert.sets == (frozenset(), frozenset(), frozenset({0, 2}),
                              frozenset({1, 3}))
         assert cert.sets == oracles.multiset_oracle(w).sets
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(over_covering_weightings())
+    def test_trim_equals_the_copy_oracle(self, w):
+        cert = weighting_to_multiset(w)
+        want = oracles.multiset_oracle(w)
+        assert (cert.n_vertices, cert.N, cert.sets) == (
+            want.n_vertices, want.N, want.sets)
+        assert verify_certificate(w.graph, cert).ok
 
     def test_to_json_dict_entries_are_independent_lists(self):
         s = frozenset({0, 2})

@@ -57,6 +57,16 @@ def test_graph_rejects_out_of_range():
         Graph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("bad", [True, False, 0.5, 1.0, "1", None])
+@pytest.mark.parametrize("where", ["count", "first", "second"])
+def test_graph_refuses_a_non_int_id_or_count(bad, where):
+    args = {"count": (bad, []),
+            "first": (3, [(bad, 2)]),
+            "second": (3, [(2, bad)])}[where]
+    with pytest.raises(GraphError):
+        Graph(*args)
+
+
 def test_adjacency_is_sorted_and_symmetric():
     g = petersen()
     for u in range(g.n):

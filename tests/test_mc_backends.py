@@ -10,7 +10,7 @@ import pytest
 
 from fracchrom.augment import exact_phase5_distribution
 from fracchrom.graph_core import Graph, mask_vertices, parse_graph6
-from fracchrom.two_factor import select_two_factor, two_factor_from_matching
+from fracchrom.two_factor import TwoFactor, select_two_factor
 from fracchrom import _mcphases_py as K, sampler as S, templates as T
 
 from oracles import recorded_monte_carlo, scanning_trial, stream_position
@@ -23,21 +23,21 @@ DEFICIENT_N10 = "IlDGHCH_g"
 def fixtures():
     out = []
     g = petersen()
-    out.append(("petersen", g, two_factor_from_matching(
+    out.append(("petersen", g, TwoFactor(
         g, [(i, 5 + i) for i in range(5)])))
     g = gp72()
-    out.append(("gp72", g, two_factor_from_matching(
+    out.append(("gp72", g, TwoFactor(
         g, [(i, 7 + i) for i in range(7)])))
     g = circular_ladder(3)  # odd cycles of length 3
-    out.append(("prism", g, two_factor_from_matching(
+    out.append(("prism", g, TwoFactor(
         g, [(i, 3 + i) for i in range(3)])))
     g = circular_ladder(6)  # even cycles
-    out.append(("cl6", g, two_factor_from_matching(
+    out.append(("cl6", g, TwoFactor(
         g, [(i, 6 + i) for i in range(6)])))
     g = Graph(10, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                    (6, 7), (7, 8), (8, 9), (9, 6),
                    (0, 3), (1, 6), (2, 8), (4, 7), (5, 9)])
-    out.append(("tri2sq", g, two_factor_from_matching(
+    out.append(("tri2sq", g, TwoFactor(
         g, [(0, 3), (1, 6), (2, 8), (4, 7), (5, 9)])))
     return out
 
@@ -89,7 +89,7 @@ def test_monte_carlo_matches_reference_on_64_vertices():
     # bit 63 in use: every vertex of a full 64-bit word
     k = 32
     g = circular_ladder(k)
-    tf = two_factor_from_matching(g, [(i, k + i) for i in range(k)])
+    tf = TwoFactor(g, [(i, k + i) for i in range(k)])
     report, got = sampled(g, tf, 300, 5)
     assert len(report.counts) == 64
     assert report.violations == 0
@@ -165,7 +165,7 @@ def test_trial_table_matches_scanning_oracle_on_corpus(phase4):
 def test_trial_table_matches_scanning_oracle_on_66_vertices(phase4):
     k = 33
     g = circular_ladder(k)
-    tf = two_factor_from_matching(g, [(i, k + i) for i in range(k)])
+    tf = TwoFactor(g, [(i, k + i) for i in range(k)])
     _assert_table_matches_scan(g, tf, phase4, 300, 8)
 
 
@@ -173,7 +173,7 @@ def test_trial_table_matches_scanning_oracle_beyond_64_matching_edges():
     # 70 matching edges: the orientation takes a 64-bit and a 6-bit draw
     k = 70
     g = circular_ladder(k)
-    tf = two_factor_from_matching(g, [(i, k + i) for i in range(k)])
+    tf = TwoFactor(g, [(i, k + i) for i in range(k)])
     assert K.TrialTable(g.n, *S._kernel_args(g, tf)).draws == ((0, 64), (64, 6))
     _assert_table_matches_scan(g, tf, "start", 100, 9)
 
@@ -221,7 +221,7 @@ def test_programs_wider_than_a_table_replay_run_by_run(monkeypatch):
     replays = _spy_on_runs(monkeypatch)
     k = 33  # 66 vertices: phase-1 programs of about 16 one-bit runs
     g = circular_ladder(k)
-    tf = two_factor_from_matching(g, [(i, k + i) for i in range(k)])
+    tf = TwoFactor(g, [(i, k + i) for i in range(k)])
     assert sampled(g, tf, 300, 6)[1] == oracle_counts(g, tf, 300, 6, "start")
     assert any(width > K.TABLE_BITS for width, _ in replays)
     compiled = _compiled_programs(tf.derived["table"])
@@ -240,7 +240,7 @@ def test_tables_hold_at_most_their_bound_per_entry():
               (CORPUS / "cubic_tf_bridgeless_n14.g6").read_text().split()[:10]]
     ladder = circular_ladder(33)
     runs = [(g, select_two_factor(g)) for g in graphs + [petersen()]]
-    runs.append((ladder, two_factor_from_matching(
+    runs.append((ladder, TwoFactor(
         ladder, [(i, 33 + i) for i in range(33)])))
     for g, tf in runs:
         S.monte_carlo(g, tf, 500, 7)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from fracchrom.augment import exact_phase5_distribution
 from fracchrom.graph_core import Graph, GraphError, mask_vertices, parse_graph6
 from fracchrom.two_factor import (
-    TwoFactorError, select_two_factor, two_factor_from_matching)
+    TwoFactor, TwoFactorError, select_two_factor)
 from fracchrom import sampler as S
 from fracchrom import templates as T
 
@@ -29,22 +29,22 @@ from util_graphs import (circular_ladder, generalized_petersen, gp72, k33,
 
 def petersen_tf():
     g = petersen()
-    return g, two_factor_from_matching(g, [(i, 5 + i) for i in range(5)])
+    return g, TwoFactor(g, [(i, 5 + i) for i in range(5)])
 
 
 def k33_tf():
     g = k33()
-    return g, two_factor_from_matching(g, [(0, 3), (1, 4), (2, 5)])
+    return g, TwoFactor(g, [(0, 3), (1, 4), (2, 5)])
 
 
 def gp72_tf():
     g = gp72()
-    return g, two_factor_from_matching(g, [(i, 7 + i) for i in range(7)])
+    return g, TwoFactor(g, [(i, 7 + i) for i in range(7)])
 
 
 def cl_tf(k):
     g = circular_ladder(k)
-    return g, two_factor_from_matching(g, [(i, k + i) for i in range(k)])
+    return g, TwoFactor(g, [(i, k + i) for i in range(k)])
 
 
 def deficient_n10_tf():
@@ -59,7 +59,7 @@ def tri2sq_tf():
     g = Graph(10, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                    (6, 7), (7, 8), (8, 9), (9, 6),
                    (0, 3), (1, 6), (2, 8), (4, 7), (5, 9)])
-    return g, two_factor_from_matching(
+    return g, TwoFactor(
         g, [(0, 3), (1, 6), (2, 8), (4, 7), (5, 9)])
 
 
@@ -457,7 +457,7 @@ class TestEnumerate:
 
     def test_explicit_guards(self):
         g = moebius_ladder(5)
-        tf = two_factor_from_matching(g, [(i, 5 + i) for i in range(5)])
+        tf = TwoFactor(g, [(i, 5 + i) for i in range(5)])
         with pytest.raises(S.ExplosionGuard):
             S.enumerate_distribution(g, tf, max_orientations=4)
         with pytest.raises(S.ExplosionGuard):
@@ -829,7 +829,7 @@ class TestMonteCarlo:
     def test_large_graph_uses_reference_path(self):
         k = 33  # 66 vertices, beyond one 64-bit word
         g = circular_ladder(k)
-        tf = two_factor_from_matching(g, [(i, k + i) for i in range(k)])
+        tf = TwoFactor(g, [(i, k + i) for i in range(k)])
         rep = S.monte_carlo(g, tf, 60, seed=8)
         assert rep.backend == "pure-python"
         assert rep.violations == 0

@@ -21,7 +21,7 @@ from fracchrom.templates import (
     sigma_library,
     validate_in,
 )
-from fracchrom.two_factor import two_factor_from_matching
+from fracchrom.two_factor import TwoFactor
 
 from util_graphs import circular_ladder, complete, gp72, k33, petersen
 
@@ -55,20 +55,20 @@ SPOKES = [(i, 5 + i) for i in range(5)]
 
 
 def spokes_tf():
-    return two_factor_from_matching(petersen(), SPOKES)
+    return TwoFactor(petersen(), SPOKES)
 
 
 def ladder_tf():
-    return two_factor_from_matching(circular_ladder(5), SPOKES)
+    return TwoFactor(circular_ladder(5), SPOKES)
 
 
 def k33_tf():
     g = k33()
-    return two_factor_from_matching(g, [(0, 3), (1, 4), (2, 5)])
+    return TwoFactor(g, [(0, 3), (1, 4), (2, 5)])
 
 
 def gp72_tf():
-    return two_factor_from_matching(gp72(), [(i, 7 + i) for i in range(7)])
+    return TwoFactor(gp72(), [(i, 7 + i) for i in range(7)])
 
 
 def gadget_tf():
@@ -80,7 +80,7 @@ def gadget_tf():
     base = disjoint_union(cycle(5), cycle(5))
     edges = list(base.edges) + [(1, 3), (6, 8), (0, 5), (2, 7), (4, 9)]
     g = Graph(10, edges)
-    return g, two_factor_from_matching(g, [(1, 3), (6, 8), (0, 5), (2, 7), (4, 9)])
+    return g, TwoFactor(g, [(1, 3), (6, 8), (0, 5), (2, 7), (4, 9)])
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +409,7 @@ def test_builtin_unknown_name():
 
 def test_builtin_invalid_in_triangle_graph():
     g = complete(4)
-    tf = two_factor_from_matching(g, [(0, 2), (1, 3)])
+    tf = TwoFactor(g, [(0, 2), (1, 3)])
     with pytest.raises(TemplateError):
         builtin("E0", tf, 0)
 

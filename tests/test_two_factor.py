@@ -22,7 +22,6 @@ from fracchrom.two_factor import (
     satisfies_ks_condition,
     select_two_factor,
     two_factor_from_json_dict,
-    two_factor_from_matching,
     two_factor_to_json_dict,
 )
 
@@ -109,7 +108,7 @@ def test_matching_odd_order_empty():
 
 
 def test_two_factor_from_spokes():
-    tf = two_factor_from_matching(petersen(), SPOKES)
+    tf = TwoFactor(petersen(), SPOKES)
     # canonical form: cycle starts at its min vertex, successor is the larger
     # of the two cycle neighbours
     assert tf.cycles == ((0, 4, 3, 2, 1), (5, 8, 6, 9, 7))
@@ -121,7 +120,7 @@ def test_two_factor_from_spokes():
 
 def test_two_factor_rejects_bad_matching():
     with pytest.raises(TwoFactorError):
-        two_factor_from_matching(petersen(), SPOKES[:4])  # not perfect
+        TwoFactor(petersen(), SPOKES[:4])  # not perfect
     with pytest.raises(TwoFactorError):
         TwoFactor(petersen(), SPOKES[:4])
 
@@ -147,19 +146,19 @@ def test_two_factor_canonical_orientation():
 
 
 def test_navigate_identity_and_wrap():
-    tf = two_factor_from_matching(petersen(), SPOKES)
+    tf = TwoFactor(petersen(), SPOKES)
     assert tf.step(3, 0) == 3
     assert tf.step(0, 7) == 3  # cycle (0,4,3,2,1) plus seven steps
 
 
 @given(st.integers(0, 9), st.integers(-20, 20))
 def test_navigate_inverse(u, k):
-    tf = two_factor_from_matching(petersen(), SPOKES)
+    tf = TwoFactor(petersen(), SPOKES)
     assert tf.step(tf.step(u, k), -k) == u
 
 
 def test_forward_path_and_dist():
-    tf = two_factor_from_matching(petersen(), SPOKES)
+    tf = TwoFactor(petersen(), SPOKES)
     assert tf.forward_dist(1, 4) == 2
     assert tf.forward_path(1, 4) == (1, 0, 4)
     assert tf.forward_path(4, 1) == (4, 3, 2, 1)
@@ -287,14 +286,14 @@ def test_bridge_not_inside_minimal_small_cut():
 
 
 def test_ks_condition_petersen_k33():
-    assert satisfies_ks_condition(petersen(), two_factor_from_matching(petersen(), SPOKES))
+    assert satisfies_ks_condition(petersen(), TwoFactor(petersen(), SPOKES))
     tf = select_two_factor(k33())
     assert satisfies_ks_condition(k33(), tf)
 
 
 def test_ks_condition_fails_on_gadget():
     g = bad_ks_gadget()
-    tf = two_factor_from_matching(g, BAD_GADGET_MATCHING)
+    tf = TwoFactor(g, BAD_GADGET_MATCHING)
     assert len(tf.cycles) == 2
     assert not satisfies_ks_condition(g, tf)
 
@@ -302,7 +301,7 @@ def test_ks_condition_fails_on_gadget():
 def test_ks_condition_fails_on_cube_double_square():
     g = circular_ladder(4)
     rungs = [(i, 4 + i) for i in range(4)]
-    tf = two_factor_from_matching(g, rungs)
+    tf = TwoFactor(g, rungs)
     assert len(tf.cycles) == 2
     assert not satisfies_ks_condition(g, tf)  # four parallel rungs are a 4-cut... in M
 
@@ -337,7 +336,7 @@ def test_select_is_max_cycle_count_among_qualifying():
     for g in (circular_ladder(4), gp72()):
         qualifying = []  # (-cycle count, matching) of every qualifying two-factor
         for matching in enumerate_perfect_matchings(g):
-            cand = two_factor_from_matching(g, matching)
+            cand = TwoFactor(g, matching)
             if satisfies_ks_condition(g, cand):
                 qualifying.append((-len(cand.cycles), matching))
         tf = select_two_factor(g)
@@ -581,7 +580,7 @@ def _other_cycles():
     """The cycles of a Petersen two-factor whose matching is not SPOKES."""
     g = petersen()
     other = next(m for m in enumerate_perfect_matchings(g) if set(m) != set(SPOKES))
-    return [list(c) for c in two_factor_from_matching(g, other).cycles]
+    return [list(c) for c in TwoFactor(g, other).cycles]
 
 
 SPOKE_CYCLES = [[0, 4, 3, 2, 1], [5, 8, 6, 9, 7]]
