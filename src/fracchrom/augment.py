@@ -578,12 +578,16 @@ def exact_phase5_distribution(
     """Exact law of the repaired set, with its plan.
 
     Enumerates the four-phase law, builds the plan, then sums every
-    support set's probability times the law of its swap cascade.
-    Inherits the two explosion guards of the base enumeration.
+    support set's probability times the law of its swap cascade.  With
+    no deficient vertex every cascade leaves its set as it is, so the
+    four-phase result itself is returned.  Inherits the two explosion
+    guards of the base enumeration.
     """
     base = enumerate_distribution(
         g, tf, max_orientations=max_orientations, max_branches=max_branches)
     plan = build_phase5_plan(g, tf, base.distribution)
+    if not plan.deficient_order:
+        return plan, base
     pmf: dict = {}
     for pJ, (_, law) in zip(plan.set_probs, plan.walks):
         for out, pr in law.items():

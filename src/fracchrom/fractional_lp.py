@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .augment import exact_phase5_distribution
 from .graph_core import Graph, GraphError, GuardExceeded, analyze, mask_vertices, reduce_subcubic, suppress_vertex, vertex_mask
-from .sampler import check_orientations, is_independent
+from .sampler import check_orientations, guard_limits, is_independent
 from .two_factor import TwoFactor, select_two_factor
 
 __all__ = [
@@ -151,8 +151,9 @@ def chi_f_exact(g: Graph):
     Returns ``(value, primal, dual)``: the optimum as a Fraction, an
     optimal ``FractionalColouring``, and the optimal dual vertex weights
     (a maximum fractional clique).  Both certificates are re-verified
-    against each other before returning: equal objectives, feasibility
-    on both sides, and complementary slackness.
+    against each other before returning, in integers over the common
+    denominator of the two: equal objectives, feasibility on both
+    sides, and complementary slackness.
     """
     if g.n == 0:
         return Fraction(0), FractionalColouring(g, {}), {}
@@ -163,19 +164,29 @@ def chi_f_exact(g: Graph):
         g, {cols[i]: x[i] for i in range(len(cols)) if x[i] > 0})
     dual = {v: y[v] for v in range(g.n)}
 
-    # cross-examination: anything wrong here is an internal defect
-    if not primal.is_valid():
+    # cross-examination, in integers over the common denominator D of x
+    # and y: anything wrong here is an internal defect
+    D = math.lcm(*(q.denominator for q in (*x, *y)))
+    X = [q.numerator * (D // q.denominator) for q in x]
+    Y = [q.numerator * (D // q.denominator) for q in y]
+    weighted = [(s, w) for s, w in zip(cols, X) if w > 0]
+    cover = [0] * g.n
+    for s, w in weighted:
+        for v in s:
+            cover[v] += w
+    if (not all(is_independent(g, s) for s, _ in weighted)
+            or any(c < D for c in cover)):
         raise RuntimeError("optimal weighting fails the covering constraints")
-    if primal.size != value or sum(dual.values(), Fraction(0)) != value:
+    if sum(w for _, w in weighted) != value * D or sum(Y) != value * D:
         raise RuntimeError("primal and dual objectives disagree")
     for s in cols:
-        if sum((dual[v] for v in s), Fraction(0)) > 1:
+        if sum(Y[v] for v in s) > D:
             raise RuntimeError("dual exceeds 1 on an independent set")
-    for s, w in primal.weights.items():
-        if w > 0 and sum((dual[v] for v in s), Fraction(0)) != 1:
+    for s, _ in weighted:
+        if sum(Y[v] for v in s) != D:
             raise RuntimeError("slack set carries weight")
     for v in range(g.n):
-        if dual[v] > 0 and primal.vertex_weight(v) != 1:
+        if Y[v] > 0 and cover[v] != D:
             raise RuntimeError("overcovered vertex carries dual weight")
     return value, primal, dual
 
@@ -195,7 +206,11 @@ def _solve_covering_lp(n: int, cols: list[frozenset]):
     at the start), and each pivot divides exactly by d (Edmonds 1967;
     Bareiss 1968).
     Pivots stay positive, so d > 0 and every sign test and ratio
-    comparison reads as it would on the rational tableau.
+    comparison reads as it would on the rational tableau.  The ratio
+    test compares rhs_i / a_i with rhs_r / a_r as rhs_i * a_r against
+    rhs_r * a_i, both a positive, ties going to the smaller basic label;
+    a row whose pivot-column entry is 0 is only scaled by the pivot.
+    Every new row is checked to divide exactly by d.
     """
     m = len(cols)
     rows = [[int(v in s) for v in range(n)] + [1] for s in cols] + [[1] * n + [0]]
@@ -206,16 +221,28 @@ def _solve_covering_lp(n: int, cols: list[frozenset]):
         if enter is None:
             break
         c = enter[1]
-        r = min((i for i in range(m) if rows[i][c] > 0), default=None,
-                key=lambda i: (Fraction(rows[i][n], rows[i][c]), basic[i]))
+        r = None
+        for i in range(m):
+            a = rows[i][c]
+            if a > 0:
+                if r is None:
+                    r, rhs_r, a_r = i, rows[i][n], a
+                    continue
+                lhs, rhs = rows[i][n] * a_r, rhs_r * a
+                if lhs < rhs or lhs == rhs and basic[i] < basic[r]:
+                    r, rhs_r, a_r = i, rows[i][n], a
         if r is None:
             raise RuntimeError("unbounded dual: the graph has no vertices?")
         pivot_row, p = rows[r], rows[r][c]
         for i, row in enumerate(rows):
             if i != r:
                 f = row[c]
-                new = [a * p - f * b for a, b in zip(row, pivot_row)]
-                if any(e % d for e in new):
+                if f:
+                    new = [a * p - f * b for a, b in zip(row, pivot_row)]
+                else:
+                    new = [a * p for a in row]
+                # d divides every entry exactly when it divides their gcd
+                if math.gcd(*new) % d:
                     raise RuntimeError("integer pivot left a remainder")
                 rows[i] = [e // d for e in new]
                 rows[i][c] = -f
@@ -499,7 +526,10 @@ def chi_f_upper_subcubic(g: Graph, **enum_kw):
 
     Accepts any connected triangle-free subcubic graph whose reduction
     leaves fit the exact enumeration; returns ``(32/11, certificate)``.
+    The guard limits in ``enum_kw`` are checked first, whatever the
+    leaves.
     """
+    guard_limits(**enum_kw)
     report = analyze(g)
     if not report.is_subcubic:
         raise GraphError("certificate pipeline requires a subcubic graph")

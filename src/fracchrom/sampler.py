@@ -27,9 +27,11 @@ the runs of a vertex mask as a tuple of ``(k, outcomes)`` pairs.
 product of the outcomes of every run, producing the exact rational law
 of the output set (keyed by the frozensets) together with per-vertex
 inclusion probabilities.  What follows phase 2 depends on the mask
-covered after it alone, so the walk only counts the phase-1 selections
-per covered mask, and each covered mask has its phase 3 expanded once,
-from a memo keyed by the feasible mask.  The law and that memo are kept
+covered after it alone, so the walk only tallies the phase-1 selections
+per covered mask, one tally per ``d01 = 2^m * d1``; the tallies are
+folded once into one integer weight per covered mask over the lcm of
+the d01, and each covered mask has its phase 3 expanded once, from a
+memo keyed by the feasible mask.  The law and that memo are kept
 on the two-factor (in ``tf.derived``, so they live exactly as long as
 ``tf``), and nothing per situation is kept.  An event query
 (``event_probability``, ``forces``, ``admissible``, ``exact_q``) walks
@@ -79,7 +81,7 @@ __all__ = [
     "is_independent", "run_phases_1_4",
     "enumerate_distribution", "enumerate_situations", "event_probability",
     "forces", "admissible", "exact_q", "monte_carlo", "kernel_backend",
-    "check_orientations",
+    "check_orientations", "guard_limits",
     "DEFAULT_MAX_ORIENTATIONS", "DEFAULT_MAX_BRANCHES",
 ]
 
@@ -276,10 +278,12 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng) -> Situation:
 
 class _Law:
     """The law of one two-factor, with ``denom``: the lcm of the
-    situations' ``d``, over which every mass is an integer.
+    situations' ``d``, over which every mass is an integer, and
+    ``branches``: the number of situations.
     It keeps its trial table and phase-3 memo (the feasible mask to
     ``(d3, [(s3, s3 | phase-4 addition)])``), over which ``situations``
-    walks the situations again for each query."""
+    walks the situations again for each query; the tallies it was built
+    from are not kept."""
 
     __slots__ = ("table", "phase3", "result", "orientations", "branches",
                  "denom")
@@ -311,13 +315,25 @@ class _Law:
                         yield hs, s1, feasible, s3, covered1 | add, d
 
 
-def _check_guards(orientations, branches, max_orientations, max_branches):
-    """Refuse more orientations or branches than the limits allow (a limit
-    of None is its default)."""
-    if max_orientations is None:
-        max_orientations = DEFAULT_MAX_ORIENTATIONS
-    if max_branches is None:
-        max_branches = DEFAULT_MAX_BRANCHES
+def guard_limits(max_orientations=None, max_branches=None):
+    """The two limits of the exact law's guards as ``(max_orientations,
+    max_branches)``, a limit of None being its default.  A bool, a non-int
+    or a value below 1 is refused with ``GraphError``."""
+    limits = []
+    for name, value, default in (
+            ("max_orientations", max_orientations, DEFAULT_MAX_ORIENTATIONS),
+            ("max_branches", max_branches, DEFAULT_MAX_BRANCHES)):
+        if value is None:
+            value = default
+        elif type(value) is not int or value < 1:
+            raise GraphError(f"{name} must be a positive integer")
+        limits.append(value)
+    return tuple(limits)
+
+
+def _check_guards(orientations, branches, limits):
+    """Refuse more orientations or branches than ``limits`` allow."""
+    max_orientations, max_branches = limits
     if orientations > max_orientations:
         raise ExplosionGuard(
             "2^%d matching orientations exceed the limit of %d"
@@ -331,7 +347,7 @@ def check_orientations(g: Graph, max_orientations: int = None) -> None:
     """Refuse a cubic graph's matching orientations as its exact law would,
     so that a caller can do it before the two-factor search: a perfect
     matching has n/2 edges, so 2^(n/2) orientations."""
-    _check_guards(1 << g.n // 2, 0, max_orientations, None)
+    _check_guards(1 << g.n // 2, 0, guard_limits(max_orientations))
 
 
 def _expand(program):
@@ -377,38 +393,54 @@ def _after_phase2(table, phase3, covered1):
 def _compute_law(g, tf, max_orientations, max_branches):
     n = g.n
     m = len(tf.m_edges)
-    _check_guards(1 << m, 0, max_orientations, max_branches)
+    limits = guard_limits(max_orientations, max_branches)
+    _check_guards(1 << m, 0, limits)
     table = _trial_table(g, tf)
     # Every situation has probability 1/d with d = d01 * d3, and what
     # follows phase 2 depends on the covered mask alone, so the walk only
-    # counts the phase-1 selections per covered1, in first-seen order,
-    # and per (covered1, d01); each covered1 is expanded once.
-    total = Counter()
-    by_d01 = {}      # d01 -> Counter of covered1
+    # tallies the phase-1 selections per d01 and covered1.
+    tallies = {}     # d01 -> Counter of covered1
     pairs = 0        # each has at least one phase-3 branch
     for _, lone, phase1, d01 in _phase1(table):
         pairs += len(phase1)
-        _check_guards(0, pairs, max_orientations, max_branches)
-        covered = [s1 | lone for s1 in phase1]
-        total.update(covered)
-        by_d01.setdefault(d01, Counter()).update(covered)
+        _check_guards(0, pairs, limits)
+        tally = tallies.get(d01)
+        if tally is None:
+            tally = tallies[d01] = Counter()
+        tally.update(map(lone.__or__, phase1))
+
+    # Fold the tallies into one integer weight per covered1 over the lcm
+    # of the d01, dropping each tally once folded and expanding each
+    # covered1 once.  denom is the lcm of the d01 * d3 that some situation
+    # has.
+    lcm01 = math.lcm(*tallies)
     phase3 = {}
-    expanded = []    # (covered1, d3, outputs) in first-seen order
+    cover_weight = {}  # covered1 -> its weight over lcm01
+    after = {}         # covered1 -> its phase-3 memo entry (d3, branches)
     ds = set()
     branch_count = 0
-    for covered1, count in total.items():
-        _, d3, branches = _after_phase2(table, phase3, covered1)
-        branch_count += d3 * count
-        _check_guards(0, branch_count, max_orientations, max_branches)
-        ds.update(d01 * d3 for d01, c in by_d01.items() if covered1 in c)
-        expanded.append((covered1, d3, branches))
+    for d01 in list(tallies):
+        tally = tallies.pop(d01)
+        unit = lcm01 // d01
+        d3s = set()
+        for covered1, count in tally.items():
+            entry = after.get(covered1)
+            if entry is None:
+                feasible = _after_phase2(table, phase3, covered1)[0]
+                entry = after[covered1] = phase3[feasible]
+            cover_weight[covered1] = cover_weight.get(covered1, 0) + count * unit
+            branch_count += entry[0] * count
+            _check_guards(0, branch_count, limits)
+            d3s.add(entry[0])
+        ds.update(d01 * d3 for d3 in d3s)
 
-    # integer masses over one common denominator, in first-seen order
+    # integer masses over one common denominator; a covered1's branch has
+    # mass w / (lcm01 * d3), a sum of count / (d01 * d3) whose every
+    # denominator divides denom, so the division is exact
     denom = math.lcm(*ds)
     mass = {}
-    for covered1, d3, branches in expanded:
-        w = sum(c[covered1] * (denom // (d01 * d3))
-                for d01, c in by_d01.items() if covered1 in c)
+    for covered1, (d3, branches) in after.items():
+        w = cover_weight[covered1] * denom // (lcm01 * d3)
         for _, add in branches:
             out = covered1 | add
             mass[out] = mass.get(out, 0) + w
@@ -430,13 +462,13 @@ def _compute_law(g, tf, max_orientations, max_branches):
 def _law(g, tf, max_orientations=None, max_branches=None):
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
+    limits = guard_limits(max_orientations, max_branches)
     law = tf.derived.get("law")
     if law is None:
         law = tf.derived["law"] = _compute_law(
             g, tf, max_orientations, max_branches)
     # a kept law answers only callers whose guards it meets
-    _check_guards(law.orientations, law.branches,
-                  max_orientations, max_branches)
+    _check_guards(law.orientations, law.branches, limits)
     return law
 
 

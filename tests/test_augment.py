@@ -535,6 +535,13 @@ class TestExactPhase5:
             if v not in touched:
                 assert result.marginals[v] == base.marginals[v]
 
+    def test_no_deficient_vertex_returns_the_four_phase_result(self):
+        # every swap cascade is the identity, so nothing is rebuilt
+        g, tf = petersen_tf()
+        plan, result = A.exact_phase5_distribution(g, tf)
+        assert plan.deficient_order == ()
+        assert result is S.enumerate_distribution(g, tf)
+
     def test_support_stays_independent_and_normalized(self):
         g, tf, _ = type_Ia_fixture()
         _, result = A.exact_phase5_distribution(g, tf)

@@ -57,6 +57,25 @@ GOLDENS = [
 ]
 
 
+# Planted faults in the LP's answer (value, y, x) on two isolated vertices
+# next to an edge, each caught by one check of chi_f_exact's
+# cross-examination; the LP's own answer is (2, [0, 0, 1, 1], [1, 1]) over
+# the sets {0, 1, 2} and {0, 1, 3}.  The last two keep the dual feasible
+# and its sum right by making it negative on an overcovered vertex.
+LP_FAULTS = [
+    ("optimal weighting fails the covering constraints",   # weight moved off a set
+     lambda value, y, x: (value, y, [x[0] + x[1], F(0)])),
+    ("primal and dual objectives disagree",                # a dual raised on one vertex
+     lambda value, y, x: (value, [y[0] + 1, *y[1:]], x)),
+    ("dual exceeds 1 on an independent set",               # both duals on vertex 2
+     lambda value, y, x: (value, [y[0], y[1], y[2] + y[3], F(0)], x)),
+    ("slack set carries weight",
+     lambda value, y, x: (value, [F(-1), F(0), F(2), F(1)], x)),
+    ("overcovered vertex carries dual weight",
+     lambda value, y, x: (value, [F(1), F(-1), F(1), F(1)], x)),
+]
+
+
 def random_graph(rng, n, p=0.4):
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
@@ -140,6 +159,19 @@ class TestChiFExact:
         assert sum(dual.values()) == value
         for s in maximal_independent_sets(g):
             assert sum(dual[v] for v in s) <= 1
+
+    @pytest.mark.parametrize("message,fault", LP_FAULTS,
+                             ids=[m.split()[0] for m, _ in LP_FAULTS])
+    def test_cross_examination_catches_a_planted_fault(self, monkeypatch,
+                                                        message, fault):
+        g = Graph(4, [(2, 3)])
+        solve = fractional_lp._solve_covering_lp
+        assert solve(4, maximal_independent_sets(g)) == (2, [0, 0, 1, 1], [1, 1])
+        assert chi_f_exact(g)[0] == 2
+        monkeypatch.setattr(fractional_lp, "_solve_covering_lp",
+                            lambda n, cols: fault(*solve(n, cols)))
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            chi_f_exact(g)
 
     def test_empty_and_singleton(self):
         assert chi_f_exact(Graph(0, []))[0] == 0
@@ -522,6 +554,14 @@ class TestUpperSubcubic:
         g = build()
         _, cert = chi_f_upper_subcubic(g)
         assert cert.k >= chi_f_exact(g)[0]
+
+    def test_certify_sweep_tool_runs(self):
+        # tests/certify_sweep.py is a script that pytest does not collect;
+        # its sweep verifies every certificate it counts
+        import certify_sweep
+        report = certify_sweep.sweep(1, 30, 12)
+        assert report["certified"] == 30
+        assert not report["refused"]
 
     def test_c5_certificate_lives_on_five_vertices(self):
         g = cycle(5)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracchrom.augment import exact_phase5_distribution
+from fracchrom.fractional_lp import chi_f_upper_subcubic
 from fracchrom.graph_core import Graph, GraphError, mask_vertices, parse_graph6
 from fracchrom.two_factor import (
     TwoFactor, TwoFactorError, select_two_factor)
@@ -484,6 +485,40 @@ class TestEnumerate:
         with pytest.raises(S.ExplosionGuard, match="limit of %d branches"
                            % S.DEFAULT_MAX_BRANCHES):
             S.event_probability(T.builtin("E0", tf, 0), g, tf)
+
+    @pytest.mark.parametrize("entry", [
+        lambda g, tf, **kw: S.enumerate_distribution(g, tf, **kw),
+        lambda g, tf, **kw: exact_phase5_distribution(g, tf, **kw),
+        lambda g, tf, **kw: chi_f_upper_subcubic(g, **kw),
+    ], ids=["enumerate_distribution", "exact_phase5_distribution",
+            "chi_f_upper_subcubic"])
+    @pytest.mark.parametrize("key", ["max_orientations", "max_branches"])
+    @pytest.mark.parametrize("value", [1.5, True, False, -1, 0, "9"],
+                             ids=repr)
+    def test_guard_limit_must_be_a_positive_int(self, entry, key, value):
+        # refused before any guard is weighed, on a new and on a kept law
+        g = parse_graph6("IheA@GUAo")
+        tf = select_two_factor(g)
+        message = f"{key} must be a positive integer"
+        with pytest.raises(GraphError, match=message):
+            entry(g, tf, **{key: value})
+        entry(g, tf, **{key: None})  # None is the default
+        with pytest.raises(GraphError, match=message):
+            entry(g, tf, **{key: value})
+
+    def test_law_memory_is_bounded(self):
+        # the walk keeps tallies only: keeping each orientation's list of
+        # covered masks peaks above 4.6 MB here
+        g = generalized_petersen(10, 3)
+        tf = select_two_factor(g)
+        tracemalloc.start()
+        try:
+            law = S._compute_law(g, tf, None, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(law.result.distribution) == 187
+        assert peak < 4_000_000
 
     def test_distribution_validates(self):
         one = frozenset({0})
