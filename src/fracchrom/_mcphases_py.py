@@ -3,10 +3,11 @@ programs.
 
 ``TrialTable`` is the one implementation of phases 1-4:
 ``sampler.run_phases_1_4`` draws one situation with it,
-``sampler.monte_carlo`` runs it once per trial, with or without the
-phase-5 repair, and ``sampler._compute_law`` expands its run programs
-for the exact law, calling ``_isolated`` and ``_free`` once per
-orientation or per mask covered after phase 2, not per situation.  The
+``sampler.monte_carlo`` runs it for each trial that its trial code
+(below) does not answer, with or without the phase-5 repair, and
+``sampler._compute_law`` expands its run programs for the exact law,
+calling ``_isolated`` and ``_free`` once per orientation or per mask
+covered after phase 2, not per situation.  The
 phase-4 addition is the isolated vertices of the feasible set worked out
 before phase 3; the ``sampler`` docstring shows why working it out again
 after phase 3 would add nothing else.
@@ -29,21 +30,21 @@ works each mask out once: as a *run program*, a tuple of ``(k, outcomes)``
 pairs, one per run.  A run draws ``bits(k)``, redraws while the index is
 not below ``len(outcomes)`` and selects ``outcomes[index]``.
 
-The trial replays a program from a compiled form, built with the memo
-entry and dropped with it: the program's width ``W``, the sum of its
-runs' ``k``, and, when ``W`` is at most ``TABLE_BITS``, a table of the
-selection made by each of the ``2^W`` values of ``W`` bits, read as the
-runs' draws laid end to end, the first run's in the lowest bits, with
-``-1`` where some run's index would be rejected.  Since the stream hands
-out its buffered bits low first, a run-by-run replay that is served from
-the buffer and rejects no index reads exactly the low ``W`` bits of the
-buffer.  So the trial asks the stream to ``lookup`` the table: when the
-buffer holds at least ``W`` bits, the stream reads their value without
-taking them, and on a cell that is not ``-1`` it takes the ``W`` bits
-and the cell is the selection.  Otherwise (a rejected index, too few
-buffered bits, or a program too wide for a table) the trial replays the
-runs one at a time.  Either way it draws the same bits and leaves the
-stream in the same state.
+A trial served from the stream's buffer alone, with no fresh 64-bit
+output drawn, reads its bits low first and stops once its choices are
+made, so its first ``L`` bits fix its output, rejected indices included:
+the trials that read at most ``CODE_BITS`` bits form a prefix code.  The
+table memoizes that code in one list of ``2^CODE_BITS`` cells, indexed
+by the low ``CODE_BITS`` bits of the buffer, each ``out << 7 | L`` or
+``MISS``.  ``step`` runs the trial and, when the trial drew no fresh
+output and read ``L <= CODE_BITS`` bits, fills every cell whose low
+``L`` bits are the ones it read, with one slice assignment; the bits of
+one trial are never a prefix of another's, so no fill overwrites a
+filled cell.
+``sampler.SplitMix64.lookup`` reads a cell and takes its ``L`` bits when
+the buffer holds that many; otherwise it takes nothing and the loop runs
+``step``.  So the cells are a memo of the one trial, and a trial looked
+up draws the same bits as one run.
 """
 
 from .graph_core import vertex_mask
@@ -51,23 +52,27 @@ from .graph_core import vertex_mask
 # entries per memo of a table, and distinct output masks that
 # ``sampler.monte_carlo`` tallies before it flushes them into its counts
 CAPACITY = 1 << 12
-# the widest run program that gets a table of its selections: 2^8 cells
-TABLE_BITS = 8
+# the trial code has one cell per value of this many low buffer bits
+CODE_BITS = 16
+# a cell no trial has filled: it reads L = 127, more than a buffer holds
+MISS = 127
 
 
 class TrialTable:
     """The trial of one two-factor, with three memos: the orientation
-    bits to the heads mask, its compiled phase-1 program and isolated
-    heads, the mask covered after phase 2 to its feasible set, compiled
-    phase-3 program and phase-4 addition, and the part of a selection
-    mask on one cycle to that cycle's runs.  The memos live as long as
-    the table; a full memo is emptied before it takes a new entry, so at
-    most ``CAPACITY`` tables of at most ``2^TABLE_BITS`` cells each are
-    kept per memo.
+    bits to the heads mask, its phase-1 program and isolated heads, the
+    mask covered after phase 2 to its feasible set, phase-3 program and
+    phase-4 addition, and the part of a selection mask on one cycle to
+    that cycle's runs; and the trial code's cells, made by the first
+    ``code`` call.  The memos and cells live as long as the table; a
+    full memo is emptied before it takes a new entry, so it keeps at
+    most ``CAPACITY`` entries.  ``first`` is the width of the trial's
+    first draw.
     """
 
-    __slots__ = ("n", "adj_mask", "m", "draws", "tails", "flips", "cycles",
-                 "cycle_masks", "by_heads", "by_covered", "by_part")
+    __slots__ = ("n", "adj_mask", "m", "draws", "first", "tails", "flips",
+                 "cycles", "cycle_masks", "by_heads", "by_covered", "by_part",
+                 "cells")
 
     def __init__(self, n, edges_a, edges_b, cycle_starts, cycle_verts,
                  adj_mask):
@@ -79,6 +84,7 @@ class TrialTable:
         # endpoint pairs a^b of the edges its set bits name
         self.m = m = len(edges_a)
         self.draws = tuple((lo, min(64, m - lo)) for lo in range(0, m, 64))
+        self.first = self.draws[0][1] if m else 0
         self.tails = vertex_mask(edges_a)
         pairs = [(1 << a) ^ (1 << b) for a, b in zip(edges_a, edges_b)]
         self.flips = tuple(_xor_table(pairs[lo:lo + 8])
@@ -89,6 +95,7 @@ class TrialTable:
         self.by_heads = {}
         self.by_covered = {}
         self.by_part = {}  # the cycles are disjoint, so a part names its cycle
+        self.cells = None
 
     def trial(self, rng):
         """One run of phases 1-4, every choice drawn from ``rng``, a
@@ -105,24 +112,37 @@ class TrialTable:
         if entry is None:
             heads = self.heads(x)
             entry = self._remember(self.by_heads, x, (
-                heads, _compile(self._program(heads)),
-                _isolated(self.adj_mask, heads)))
-        heads, (program, width, cells), isolated = entry
-        s1 = -1 if cells is None else rng.lookup(cells, width)
-        if s1 < 0:
-            s1 = _run(program, rng.getrandbits)
+                heads, self._program(heads), _isolated(self.adj_mask, heads)))
+        heads, program, isolated = entry
+        s1 = _run(program, rng.getrandbits)
         covered = s1 | isolated
         entry = self.by_covered.get(covered)
         if entry is None:
             feasible = _free(self.n, self.adj_mask, covered)
             entry = self._remember(self.by_covered, covered, (
-                feasible, _compile(self._program(feasible)),
+                feasible, self._program(feasible),
                 _isolated(self.adj_mask, feasible)))
-        feasible, (program, width, cells), added = entry
-        s3 = -1 if cells is None else rng.lookup(cells, width)
-        if s3 < 0:
-            s3 = _run(program, rng.getrandbits)
+        feasible, program, added = entry
+        s3 = _run(program, rng.getrandbits)
         return heads, s1, feasible, s3, covered | s3 | added
+
+    def code(self):
+        """The cells of the trial code, all ``MISS`` when made."""
+        if self.cells is None:
+            self.cells = [MISS] * (1 << CODE_BITS)
+        return self.cells
+
+    def step(self, rng):
+        """The output mask of one trial on ``rng``.  A trial that drew no
+        fresh output and read ``L <= CODE_BITS`` bits fills the cells
+        whose low ``L`` bits are the bits it read."""
+        state, buffer, left = rng.state, rng.buffer, rng.left
+        out = self.trial(rng)[4]
+        taken = left - rng.left
+        if rng.state == state and taken <= CODE_BITS:
+            self.code()[buffer & ((1 << taken) - 1)::1 << taken] = (
+                [out << 7 | taken] * (1 << CODE_BITS - taken))
+        return out
 
     def heads(self, x):
         """The heads mask of the orientation whose bits are ``x``."""
@@ -192,23 +212,6 @@ def _cycle_runs(cycle, part):
         else:
             runs.append((1, (evens, odds)))
     return tuple(runs)
-
-
-def _compile(program):
-    """The compiled form ``(program, W, cells)`` of a run program: ``W``
-    is the sum of its runs' ``k``; ``cells`` is ``None`` when ``W`` exceeds
-    ``TABLE_BITS`` and otherwise holds, at each value of ``W`` bits, the
-    selection the runs make when each takes its ``k`` bits in turn from
-    the low end, or ``-1`` when some run's index would be rejected."""
-    width = sum(k for k, _ in program)
-    if width > TABLE_BITS:
-        return program, width, None
-    cells = [0]
-    for k, outcomes in program:
-        # the run's bits sit above those of the runs before it
-        cells = [-1 if acc < 0 or idx >= len(outcomes) else acc | outcomes[idx]
-                 for idx in range(1 << k) for acc in cells]
-    return program, width, tuple(cells)
 
 
 def _run(program, bits):

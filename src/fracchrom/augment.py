@@ -17,11 +17,12 @@ handles matching edges that cross between cycles; ``epsilon_full`` glues
 both together with the mate-negation rule for the remaining vertices.
 ``build_phase5_plan`` runs the greedy water-filling that decides, for
 every (deficient vertex, support set) pair, the probability of the swap.
-When it is built, the plan turns each support set's positive
-probabilities into coins and walks the set through the swap cascade;
-``run_phase5`` flips a set's coins on one sampled set and
+When it is built, the plan turns the positive probabilities of each
+support set that has some into coins and walks the set through the swap
+cascade; ``run_phase5`` flips a set's coins on one sampled set and
 ``exact_phase5_distribution`` sums the whole exact law through the
-cascades.  The repair works on vertex masks, from support to output.
+cascades, every other set keeping its own mass.  The repair works on
+vertex masks, from support to output.
 """
 
 from __future__ import annotations
@@ -390,19 +391,21 @@ class Phase5Plan:
     """A complete schedule for the probability-repair phase.
 
     Holds the processing order of the deficient vertices, the support of
-    the phase-4 law as ascending vertex masks (``index`` maps a mask to
-    its position), and the planned swap probability for every (vertex,
-    support set) pair; the sponsors stay in the two-factor's deficiency
-    records.  ``walks[j]`` is the exact swap cascade on support set
-    ``j``: its coins and the law of the repaired mask.  Building it
-    raises ``BiasInfeasible`` when a planned probability sits on a set
-    that is not favourable for its vertex or no coin can realize it, and
-    ``RuntimeError`` when a reachable repaired set is dependent, so every
-    plan runs and yields independent sets.
+    the phase-4 law as ascending vertex masks, and the planned swap
+    probability for every (vertex, support set) pair, each key naming
+    its set by position in ``set_order``; the sponsors stay in the
+    two-factor's deficiency records.  ``cascades`` maps the mask of each support set that
+    carries a positive planned probability to its exact swap cascade:
+    its coins and the law of the repaired mask.  Every other set passes
+    through the repair unchanged.  Building it raises ``BiasInfeasible``
+    when a planned probability sits on a set that is not favourable for
+    its vertex or no coin can realize it, and ``RuntimeError`` when a
+    support set or a reachable repaired set is dependent, so every plan
+    runs and yields independent sets.
     """
 
     __slots__ = ("tf", "deficient_order", "set_order", "set_probs", "p",
-                 "index", "walks")
+                 "cascades")
 
     def __init__(self, tf, deficient_order, set_order, set_probs, p):
         self.tf = tf
@@ -410,19 +413,27 @@ class Phase5Plan:
         self.set_order = tuple(set_order)
         self.set_probs = tuple(set_probs)
         self.p = dict(p)
-        self.index = {J: j for j, J in enumerate(self.set_order)}
+        coined = {j for u in self.deficient_order
+                  for j in range(len(self.set_order)) if self.p.get((u, j))}
+        adj_mask = tf.graph.adj_mask
+        for j, J in enumerate(self.set_order):
+            if j not in coined and any(adj_mask[v] & J
+                                       for v in mask_vertices(J)):
+                raise RuntimeError("the repair phase produced the dependent "
+                                   "set %r" % mask_vertices(J))
         recs = _analyze(tf.graph, tf)
         nbrx = _earlier_neighbours(tf.graph, self.deficient_order)
-        self.walks = tuple(self._walk(j, recs, nbrx)
-                           for j in range(len(self.set_order)))
+        self.cascades = {self.set_order[j]: self._walk(j, recs, nbrx)
+                         for j in sorted(coined)}
 
     def _walk(self, j: int, recs, nbrx):
         """Exact per-set simulation of the swap cascade.
 
-        Returns (coins, law): one (bit, blockers, keep, bias) coin per
+        Returns (coins, law): one (bit, blockers, keep, num, den) coin per
         positive planned probability on this set, in processing order,
-        and the law of the repaired mask, each one checked independent.
-        A state is (swapped-in mask, repaired mask).
+        its bias num/den in lowest terms, and the law of the repaired
+        mask, each one checked independent.  A state is (swapped-in mask,
+        repaired mask).
         """
         g, J = self.tf.graph, self.set_order[j]
         states = {(0, J): Fraction(1)}
@@ -458,7 +469,8 @@ class Phase5Plan:
                 if bias != 1:
                     nxt[st] = nxt.get(st, Fraction(0)) + pr * (1 - bias)
             states = nxt
-            coins.append((bit, blockers, keep, bias))
+            coins.append((bit, blockers, keep, bias.numerator,
+                          bias.denominator))
         law: dict = {}
         for (_, out), pr in states.items():
             if out not in law and not is_independent(g, mask_vertices(out)):
@@ -542,27 +554,21 @@ def _rand_below(rng: SplitMix64, bound: int) -> int:
             return x
 
 
-def _bernoulli(rng: SplitMix64, q: Fraction) -> bool:
-    if q <= 0:
-        return False
-    if q >= 1:
-        return True
-    return _rand_below(rng, q.denominator) < q.numerator
-
-
 def run_phase5(J: int, plan: Phase5Plan, rng: SplitMix64) -> int:
     """Apply the repair phase to one sampled set, given as a vertex mask.
 
-    Masks outside the plan's support pass through unchanged.  Every mask
-    the repair can return was checked independent when the plan was
-    built, so none is checked here.
+    Masks with no coin, in the plan's support or not, pass through
+    unchanged.  A coin of bias num/den lands when ``_rand_below(rng,
+    den)`` is below ``num``, which draws no bit at bias 1.  Every mask the
+    repair can return was checked independent when the plan was built, so
+    none is checked here.
     """
-    j = plan.index.get(J)
-    if j is None:
+    cascade = plan.cascades.get(J)
+    if cascade is None:
         return J
     added = 0
-    for bit, blockers, keep, bias in plan.walks[j][0]:
-        if not added & blockers and _bernoulli(rng, bias):
+    for bit, blockers, keep, num, den in cascade[0]:
+        if not added & blockers and _rand_below(rng, den) < num:
             added |= bit
             J = J & keep | bit
     return J
@@ -589,8 +595,12 @@ def exact_phase5_distribution(
     if not plan.deficient_order:
         return plan, base
     pmf: dict = {}
-    for pJ, (_, law) in zip(plan.set_probs, plan.walks):
-        for out, pr in law.items():
+    for J, pJ in zip(plan.set_order, plan.set_probs):
+        cascade = plan.cascades.get(J)
+        if cascade is None:
+            pmf[J] = pmf.get(J, Fraction(0)) + pJ
+            continue
+        for out, pr in cascade[1].items():
             pmf[out] = pmf.get(out, Fraction(0)) + pJ * pr
     dist = Distribution({frozenset(mask_vertices(out)): p
                          for out, p in pmf.items() if p > 0})

@@ -210,7 +210,7 @@ def _solve_covering_lp(n: int, cols: list[frozenset]):
     test compares rhs_i / a_i with rhs_r / a_r as rhs_i * a_r against
     rhs_r * a_i, both a positive, ties going to the smaller basic label;
     a row whose pivot-column entry is 0 is only scaled by the pivot.
-    Every new row is checked to divide exactly by d.
+    Every new row is checked to divide exactly by d (``_pivot_row``).
     """
     m = len(cols)
     rows = [[int(v in s) for v in range(n)] + [1] for s in cols] + [[1] * n + [0]]
@@ -236,16 +236,7 @@ def _solve_covering_lp(n: int, cols: list[frozenset]):
         pivot_row, p = rows[r], rows[r][c]
         for i, row in enumerate(rows):
             if i != r:
-                f = row[c]
-                if f:
-                    new = [a * p - f * b for a, b in zip(row, pivot_row)]
-                else:
-                    new = [a * p for a in row]
-                # d divides every entry exactly when it divides their gcd
-                if math.gcd(*new) % d:
-                    raise RuntimeError("integer pivot left a remainder")
-                rows[i] = [e // d for e in new]
-                rows[i][c] = -f
+                rows[i] = _pivot_row(row, pivot_row, c, p, d)
         pivot_row[c] = d
         basic[r], nonbasic[c] = nonbasic[c], basic[r]
         d = p
@@ -256,6 +247,26 @@ def _solve_covering_lp(n: int, cols: list[frozenset]):
     y = [at.get(v, Fraction(0)) for v in range(n)]
     x = [cost.get(n + i, Fraction(0)) for i in range(m)]
     return Fraction(-rows[m][n], d), y, x
+
+
+def _pivot_row(row, pivot_row, c, p, d):
+    """One Bareiss update of a tableau row for the pivot ``p`` at column
+    ``c`` of ``pivot_row``, over the previous pivot ``d``: every entry
+    becomes (a·p − f·b) / d for f the row's entry in column ``c``, and
+    column ``c`` itself becomes −f.  A row with f = 0 is only scaled by
+    ``p``.  Raises ``RuntimeError`` when d does not divide some entry,
+    which exact Bareiss pivoting rules out."""
+    f = row[c]
+    if f:
+        new = [a * p - f * b for a, b in zip(row, pivot_row)]
+    else:
+        new = [a * p for a in row]
+    # d divides every entry exactly when it divides their gcd
+    if math.gcd(*new) % d:
+        raise RuntimeError("integer pivot left a remainder")
+    new = [e // d for e in new]
+    new[c] = -f
+    return new
 
 
 # -- multiset certificates -------------------------------------------------------

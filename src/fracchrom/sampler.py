@@ -48,13 +48,13 @@ once, per support set, per vertex and per event query.  Its oracle, a
 separate derivation of the runs, lives with the tests.
 Sampling runs the table's trial, which replays the same programs with
 the bits of a ``SplitMix64`` stream, from one table per two-factor kept
-next to the law.  Each memo entry of the table also holds its program
-compiled: the program's width ``W`` in bits and, for ``W`` up to
-``_mcphases_py.TABLE_BITS``, the selection each value of ``W`` bits
-makes.  When the stream's buffer holds ``W`` bits whose cell rejects no
-index, the trial takes them and its selection in one lookup; otherwise
-it replays the runs one at a time, so both ways draw the same bits.
-``run_phases_1_4`` draws a single ``Situation``, and
+next to the law.  A trial that draws no fresh 64-bit output is fixed by
+the buffered bits it reads, so the table also keeps a trial code: one
+cell per value of the buffer's low ``_mcphases_py.CODE_BITS`` bits,
+filled from the outputs of the trials it has run (``TrialTable.step``).
+``SplitMix64.lookup`` answers a trial from the code when it can and
+takes exactly the bits the trial would have read; otherwise the trial
+runs.  ``run_phases_1_4`` draws a single ``Situation``, and
 ``monte_carlo`` estimates the marginals in one reproducible loop whose
 trials, each optionally followed by the phase-5 repair, all draw from
 one stream seeded with the call's seed; it tallies the output masks and
@@ -101,6 +101,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 _LOW = tuple((1 << k) - 1 for k in range(65))  # the masks of k low bits
+_CODE_MASK = _LOW[_mcphases_py.CODE_BITS]
 
 
 class SplitMix64:
@@ -138,21 +139,31 @@ class SplitMix64:
         self.left = 64 - k
         return z & _LOW[k]
 
-    def lookup(self, cells, width: int) -> int:
-        """``cells[v]``, for ``v`` the next ``width`` buffered bits, taking
-        those bits unless the cell is negative; -1, taking nothing, when
-        fewer than ``width`` bits are buffered.  The bits taken are those
-        that ``getrandbits`` draws of widths summing to ``width`` would
-        give, the first draw's in the lowest bits of ``v``."""
-        left = self.left - width
-        if left < 0:
-            return -1
+    def lookup(self, code, first: int) -> int:
+        """The output mask of the trial that the buffer starts with, as
+        ``code`` holds it, or -1.
+
+        First refills the buffer as the trial's first draw,
+        ``getrandbits(first)``, would: with a fresh output when fewer
+        than ``first`` bits are left, none taken yet.  Then it reads the
+        cell ``out << 7 | L`` at the low ``CODE_BITS`` bits of the
+        buffer (``_mcphases_py.TrialTable``): when at least ``L`` bits are
+        buffered, it takes them and returns ``out``; otherwise, a
+        ``MISS`` included, it takes nothing and returns -1.
+        """
+        left = self.left
+        if left < first:
+            self.state = state = (self.state + _GAMMA) & _MASK64
+            self.buffer = _mix(state)
+            left = self.left = 64
         z = self.buffer
-        cell = cells[z & _LOW[width]]
-        if cell >= 0:
-            self.buffer = z >> width
-            self.left = left
-        return cell
+        cell = code[z & _CODE_MASK]
+        taken = cell & 127
+        if taken > left:
+            return -1
+        self.buffer = z >> taken
+        self.left = left - taken
+        return cell >> 7
 
 
 def _mix(z: int) -> int:
@@ -645,10 +656,13 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
     Fully deterministic for a given seed: the trials draw every choice,
     one after the other, from the one stream ``SplitMix64(seed)``, the
     bits a trial leaves in the buffer going to the next.  ``trials`` must
-    be a positive int and ``seed`` an int in [0, 2^64).  With a phase-5
-    ``plan`` (an ``augment.Phase5Plan`` for this two-factor) each trial
-    runs phases 1-4 and then the repair phase, mask to mask, so no trial
-    converts a set; the tally turns each distinct output mask
+    be a positive int and ``seed`` an int in [0, 2^64).  Each trial is
+    first looked up in the table's trial code and run only when the code
+    does not answer it.  With a phase-5 ``plan`` (an
+    ``augment.Phase5Plan`` for this two-factor) a trial's output mask
+    then goes through the repair phase when its cascade has a coin, mask
+    to mask, so no trial converts a set; the tally turns each distinct
+    output mask
     into vertices once, when it is flushed, and becomes the report's
     histogram unless it was flushed before the last trial.
     """
@@ -662,21 +676,30 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
         raise GraphError("seed must be an integer in [0, 2^64)")
     from .augment import run_phase5  # augment imports this module
 
-    trial = _trial_table(g, tf).trial
+    table = _trial_table(g, tf)
+    code, first, step = table.code(), table.first, table.step
+    coined = {} if plan is None else plan.cascades
     adj_mask = g.adj_mask
     counts = [0] * g.n
     violations = 0
     tally = {}       # output mask -> number of trials that gave it
+    capacity = _mcphases_py.CAPACITY
     flushed = False
     rng = SplitMix64(seed)
+    lookup = rng.lookup
     for _ in range(trials):
-        out = trial(rng)[4]
-        if plan is not None:
+        out = lookup(code, first)
+        if out < 0:
+            out = step(rng)
+        if out in coined:
             out = run_phase5(out, plan, rng)
-        tally[out] = tally.get(out, 0) + 1
-        if len(tally) >= _mcphases_py.CAPACITY:
-            violations += _flush(tally, counts, adj_mask)
-            flushed = True
+        if out in tally:
+            tally[out] += 1
+        else:
+            tally[out] = 1
+            if len(tally) >= capacity:
+                violations += _flush(tally, counts, adj_mask)
+                flushed = True
     histogram = None if flushed else tuple(sorted(tally.items()))
     violations += _flush(tally, counts, adj_mask)
     backend = "pure-python" if plan is None else "five-phase-reference"

@@ -1,5 +1,6 @@
 """Tests for deficiency classification and the probability-repair phase."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -448,8 +449,52 @@ class TestRunPhase5:
         g, tf, _ = type_0_fixture()
         base = S.enumerate_distribution(g, tf)
         plan = A.build_phase5_plan(g, tf, base.distribution)
-        assert 0 not in plan.index
+        assert 0 not in plan.set_order
         assert A.run_phase5(0, plan, S.SplitMix64(0)) == 0
+
+    def test_cascades_only_where_a_coin_is_planned(self):
+        # only a set with a positive planned probability has a cascade;
+        # every other support set passes through drawing no bit, and each
+        # coin holds its bias num/den as ints in lowest terms
+        for builder in (type_0_fixture, mixed_deficiency_fixture):
+            g, tf, _ = builder()
+            plan = A.build_phase5_plan(
+                g, tf, S.enumerate_distribution(g, tf).distribution)
+            coined = {plan.set_order[j] for (u, j), q in plan.p.items() if q}
+            assert set(plan.cascades) == coined
+            assert len(coined) < len(plan.set_order)
+            for J in plan.set_order:
+                rng = S.SplitMix64(5)
+                position = (rng.state, rng.buffer, rng.left)
+                if J not in coined:
+                    assert A.run_phase5(J, plan, rng) == J
+                    assert (rng.state, rng.buffer, rng.left) == position
+            for coins, _ in plan.cascades.values():
+                for *_, num, den in coins:
+                    assert type(num) is type(den) is int
+                    assert 0 < num <= den and math.gcd(num, den) == 1
+
+    def test_dependent_sets_are_refused(self):
+        g, tf, focus = type_0_fixture()
+        plan = A.build_phase5_plan(
+            g, tf, S.enumerate_distribution(g, tf).distribution)
+        order = plan.deficient_order
+        a, b = g.edges[0]
+        # a set with no coin is checked on its own
+        with pytest.raises(RuntimeError, match="dependent"):
+            A.Phase5Plan(tf, order, [1 << a | 1 << b], [F(1)], {})
+        # a set with a coin is checked through its repaired law: add to a
+        # favourable set an edge outside the focus's closed neighbourhood,
+        # so that the set stays favourable
+        J = next(J for J in plan.set_order
+                 if A.favourable(g, tf, focus, _members(J)))
+        near = g.adj_mask[focus] | 1 << focus
+        x, y = next((x, y) for x, y in g.edges
+                    if not near & (1 << x | 1 << y))
+        assert A.favourable(g, tf, focus, _members(J | 1 << x | 1 << y))
+        with pytest.raises(RuntimeError, match="dependent"):
+            A.Phase5Plan(tf, order, [J | 1 << x | 1 << y], [F(1)],
+                         {(focus, 0): F(1, 2)})
 
     def test_tampered_plan_detects_infeasible_bias(self):
         g, tf, _ = type_0_fixture()
@@ -495,10 +540,6 @@ class TestRunPhase5:
                 assert rng.widths == ([k] if first < bound else [k, k])
             # each value below bound takes one first draw; the others retry
             assert results == list(range(bound)) + [0] * ((1 << k) - bound)
-        for first, heads in ((0, True), (1, False)):
-            rng = Scripted(first)
-            assert A._bernoulli(rng, F(1, 2)) is heads
-            assert rng.widths == [1]
 
 
 # ---------------------------------------------------------------------------

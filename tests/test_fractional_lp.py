@@ -379,6 +379,25 @@ class TestSupportLP:
             assert chi_f_upper_subcubic(g)[1].k == value
 
 
+class TestPivotRow:
+    """The Bareiss update of one row of the LP tableau and its check that
+    the previous pivot divides the result."""
+
+    def test_update_divides_exactly_by_the_previous_pivot(self):
+        # pivot 4 at column 0 of [4, 2, 6] over the previous pivot 2:
+        # [2, 3, 5] -> ([0, 12 - 4, 20 - 12]) / 2, column 0 set to -2
+        assert fractional_lp._pivot_row([2, 3, 5], [4, 2, 6], 0, 4, 2) == [-2, 4, 4]
+        # a row with 0 in the pivot column is only scaled
+        assert fractional_lp._pivot_row([0, 3, 5], [4, 2, 6], 0, 4, 2) == [0, 6, 10]
+
+    @pytest.mark.parametrize("row", [[1, 1, 1], [0, 1, 1]],
+                             ids=["updated", "scaled"])
+    def test_a_remainder_is_refused(self, row):
+        # over a previous pivot of 3 the row leaves entries 1 or 2
+        with pytest.raises(RuntimeError, match="left a remainder"):
+            fractional_lp._pivot_row(row, [2, 1, 3], 0, 2, 3)
+
+
 class TestVerifyCertificate:
     def good(self):
         g = cycle(5)

@@ -4,6 +4,9 @@ identically and produce identical counts, and the memoized trial table
 must draw exactly what a scan of every cycle vertex draws, under either
 reading of phase 4 (the feasible set worked out before or after phase 3)."""
 
+import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,8 @@ from fracchrom.graph_core import Graph, mask_vertices, parse_graph6
 from fracchrom.two_factor import TwoFactor, select_two_factor
 from fracchrom import _mcphases_py as K, sampler as S, templates as T
 
-from oracles import recorded_monte_carlo, scanning_trial, stream_position
+from oracles import (recorded_monte_carlo, scanning_monte_carlo, scanning_trial,
+                     stream_position)
 from util_graphs import circular_ladder, gp72, petersen
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -178,75 +182,97 @@ def test_trial_table_matches_scanning_oracle_beyond_64_matching_edges():
     _assert_table_matches_scan(g, tf, "start", 100, 9)
 
 
-def _spy_on_runs(monkeypatch):
-    """Record ``(width, buffered bits)`` for each run program replayed
-    one run at a time rather than looked up in its table."""
-    replays = []
-    run = K._run
+@pytest.mark.parametrize("name,g,tf", fixtures(),
+                         ids=[f[0] for f in fixtures()])
+def test_table_lookup_falls_back_at_every_buffer_offset(monkeypatch, name, g, tf):
+    # a stream advanced by j bits holds 64 - j in its buffer, so the loop
+    # starts at every buffer offset; its lookups hit, meet an empty cell
+    # or meet a cell that reads more bits than are buffered, and the
+    # histogram and final stream position must be the scanning oracle's
+    offset = 0
+    kinds = Counter()
 
-    def spy(program, bits):
-        replays.append((sum(k for k, _ in program), bits.__self__.left))
-        return run(program, bits)
+    class Offset(S.SplitMix64):
+        __slots__ = ()
 
-    monkeypatch.setattr(K, "_run", spy)
-    return replays
+        def __init__(self, seed):
+            super().__init__(seed)
+            if offset:
+                self.getrandbits(offset)
+
+        def lookup(self, code, first):
+            out = super().lookup(code, first)
+            if out >= 0:
+                kinds["hit"] += 1
+            else:
+                cell = code[self.buffer & ((1 << K.CODE_BITS) - 1)]
+                kinds["empty" if cell == K.MISS else "short"] += 1
+            return out
+
+    monkeypatch.setattr(S, "SplitMix64", Offset)
+    for offset in range(65):
+        got = recorded_monte_carlo(g, tf, 60, offset)
+        assert got[0].histogram is not None
+        assert (got[0].histogram, got[1]) == scanning_monte_carlo(
+            g, tf, 60, offset), offset
+    assert set(kinds) == {"hit", "empty", "short"}
 
 
 @pytest.mark.parametrize("name,g,tf", fixtures(),
                          ids=[f[0] for f in fixtures()])
-def test_table_lookup_falls_back_at_every_buffer_offset(monkeypatch, name, g, tf):
-    # advancing a fresh stream by j bits leaves 64 - j in its buffer, so
-    # a trial starts at every buffer offset, the orientation draw reading
-    # the buffer or discarding it for a fresh output, and the selection
-    # passes meet every buffer they can meet
-    replays = _spy_on_runs(monkeypatch)
+def test_a_filled_cell_is_the_trial_on_its_bits(name, g, tf):
+    # a run from a stream whose buffer starts with a filled cell's L bits,
+    # whatever follows them and however few more are buffered, gives the
+    # cell's output, reads exactly those L bits and draws no output
+    S.monte_carlo(g, tf, 3000, 5)
+    table = tf.derived["table"]
+    filled = {}
+    for i, cell in enumerate(table.code()):
+        if cell != K.MISS:
+            taken = cell & 127
+            filled[i & ((1 << taken) - 1), taken] = cell >> 7
+    assert filled and all(taken <= K.CODE_BITS for _, taken in filled)
     args = S._kernel_args(g, tf)
-    table = K.TrialTable(g.n, *args)
-    for j in range(65):
-        for t in range(40):
-            fast, slow = S.SplitMix64(j << 8 | t), S.SplitMix64(j << 8 | t)
-            if j:
-                assert fast.getrandbits(j) == slow.getrandbits(j)
-            got = table.trial(fast)
-            want = scanning_trial(g.n, *args, False, slow.getrandbits)
-            assert got == want, (j, t, got, want)
-            assert stream_position(fast) == stream_position(slow), (j, t)
-    assert all(width <= K.TABLE_BITS for width, _ in replays)
-    assert any(width > left for width, left in replays)  # too few bits
-    if name != "cl6":  # only odd cycles reject indices
-        assert any(width <= left for width, left in replays)  # a rejected cell
+    for (bits, taken), out in filled.items():
+        for left, rest in ((taken, 0), (64, -1), (64, 0x5DEECE66D)):
+            buffer = (bits | rest << taken) & ((1 << left) - 1)
+            for run in (table.step, lambda rng: scanning_trial(
+                    g.n, *args, False, rng.getrandbits)[4]):
+                rng = S.SplitMix64(99)
+                rng.buffer, rng.left = buffer, left
+                assert run(rng) == out, (bits, taken)
+                assert stream_position(rng) == (99, buffer >> taken,
+                                                left - taken)
 
 
-def test_programs_wider_than_a_table_replay_run_by_run(monkeypatch):
-    replays = _spy_on_runs(monkeypatch)
-    k = 33  # 66 vertices: phase-1 programs of about 16 one-bit runs
-    g = circular_ladder(k)
-    tf = TwoFactor(g, [(i, k + i) for i in range(k)])
-    assert sampled(g, tf, 300, 6)[1] == oracle_counts(g, tf, 300, 6, "start")
-    assert any(width > K.TABLE_BITS for width, _ in replays)
-    compiled = _compiled_programs(tf.derived["table"])
-    assert all((cells is None) == (width > K.TABLE_BITS)
-               for _, width, cells in compiled)
-    assert any(cells is None for _, _, cells in compiled)
-
-
-def _compiled_programs(table):
-    return [entry[1] for memo in (table.by_heads, table.by_covered)
-            for entry in memo.values()]
-
-
-def test_tables_hold_at_most_their_bound_per_entry():
-    graphs = [parse_graph6(line) for line in
-              (CORPUS / "cubic_tf_bridgeless_n14.g6").read_text().split()[:10]]
-    ladder = circular_ladder(33)
-    runs = [(g, select_two_factor(g)) for g in graphs + [petersen()]]
-    runs.append((ladder, TwoFactor(
-        ladder, [(i, 33 + i) for i in range(33)])))
-    for g, tf in runs:
-        S.monte_carlo(g, tf, 500, 7)
-        compiled = _compiled_programs(tf.derived["table"])
-        cells = sum(len(c) for _, _, c in compiled if c is not None)
-        assert cells <= len(compiled) << K.TABLE_BITS
+def test_trial_code_memory_is_bounded():
+    # one call adds to the trial memos it has already filled only the
+    # code: its 2^CODE_BITS cells and one int per filled group of cells
+    # (a group is the cells that share one trial's bits)
+    ladder = circular_ladder(32)
+    runs = [(parse_graph6("KlSgGC@?gAoD"), None, 20_000),
+            (ladder, TwoFactor(ladder, [(i, 32 + i) for i in range(32)]), 500)]
+    for g, tf, trials in runs:
+        tf = tf or select_two_factor(g)
+        S.monte_carlo(g, tf, trials, 3)  # the memos see every mask
+        table = tf.derived["table"]
+        table.cells = None
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            S.monte_carlo(g, tf, trials, 3)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        code = table.cells
+        groups = {(cell & 127, i & ((1 << (cell & 127)) - 1)): cell
+                  for i, cell in enumerate(code) if cell != K.MISS}
+        # the allocator hands out 16-byte blocks
+        bound = sys.getsizeof(code) + sum(
+            -(-sys.getsizeof(cell) // 16) * 16 for cell in groups.values())
+        assert after - before <= bound, (g.n, after - before, bound)
+        # the tally and the slices of a fill come and go
+        assert peak - before <= bound + (64 << 10), (g.n, peak - before)
 
 
 def test_capacity_of_one_changes_no_count(monkeypatch):
@@ -301,36 +327,12 @@ def test_violations_count_trials_not_distinct_sets(monkeypatch):
 
 @pytest.mark.parametrize("g", [petersen(), parse_graph6("KlSgGC@?gAoD")],
                          ids=["petersen", "n12"])
-def test_a_trial_draws_a_fraction_of_an_output(monkeypatch, g):
-    # the trials share one stream and a trial leaves its unused bits to
-    # the next, so a trial reads only the few bits it uses; its first
-    # draw is the orientation, all m matching-edge bits at once
+def test_a_trial_draws_a_fraction_of_an_output(g):
+    # the trials share one stream and a trial, looked up or run, leaves
+    # its unused bits to the next, so it reads only the few bits it uses
     tf = select_two_factor(g)
-    m, trials, seed = len(tf.m_edges), 2_000, 17
-    streams, widths, starts = [], [], []
-
-    class Counted(S.SplitMix64):
-        __slots__ = ()
-
-        def __init__(self, seed):
-            super().__init__(seed)
-            streams.append(self)
-
-        def getrandbits(self, k):
-            widths.append(k)
-            return super().getrandbits(k)
-
-    trial = K.TrialTable.trial
-
-    def marked(table, rng):
-        starts.append(len(widths))
-        return trial(table, rng)
-
-    monkeypatch.setattr(S, "SplitMix64", Counted)
-    monkeypatch.setattr(K.TrialTable, "trial", marked)
-    S.monte_carlo(g, tf, trials, seed)
-    [rng] = streams
+    trials, seed = 2_000, 17
+    state = recorded_monte_carlo(g, tf, trials, seed)[1][0]
     # each output steps the state by gamma once
-    outputs = (rng.state - seed) * pow(S._GAMMA, -1, 1 << 64) % (1 << 64)
+    outputs = (state - seed) * pow(S._GAMMA, -1, 1 << 64) % (1 << 64)
     assert outputs / trials <= 0.25
-    assert [widths[i] for i in starts] == [m] * trials
