@@ -27,8 +27,10 @@ of vertices works.
 The runs of a selection pass depend only on the mask it selects from,
 and a sampling call meets the same few masks over and over, so the table
 works each mask out once: as a *run program*, a tuple of ``(k, outcomes)``
-pairs, one per run.  A run draws ``bits(k)``, redraws while the index is
-not below ``len(outcomes)`` and selects ``outcomes[index]``.
+pairs, one per run.  A run draws ``k`` bits, draws again while the index
+is not below ``len(outcomes)`` and selects ``outcomes[index]``; the trial
+replays a program with ``sampler.SplitMix64.select``, which reads the
+buffered bits directly.
 
 A trial served from the stream's buffer alone, with no fresh 64-bit
 output drawn, reads its bits low first and stops once its choices are
@@ -114,7 +116,7 @@ class TrialTable:
             entry = self._remember(self.by_heads, x, (
                 heads, self._program(heads), _isolated(self.adj_mask, heads)))
         heads, program, isolated = entry
-        s1 = _run(program, rng.getrandbits)
+        s1 = rng.select(program)
         covered = s1 | isolated
         entry = self.by_covered.get(covered)
         if entry is None:
@@ -123,7 +125,7 @@ class TrialTable:
                 feasible, self._program(feasible),
                 _isolated(self.adj_mask, feasible)))
         feasible, program, added = entry
-        s3 = _run(program, rng.getrandbits)
+        s3 = rng.select(program)
         return heads, s1, feasible, s3, covered | s3 | added
 
     def code(self):
@@ -212,17 +214,6 @@ def _cycle_runs(cycle, part):
         else:
             runs.append((1, (evens, odds)))
     return tuple(runs)
-
-
-def _run(program, bits):
-    """The selection a run program makes with the bits of ``bits``."""
-    selected = 0
-    for k, outcomes in program:
-        idx = bits(k)
-        while idx >= len(outcomes):
-            idx = bits(k)
-        selected |= outcomes[idx]
-    return selected
 
 
 def _isolated(adj_mask, mask):

@@ -186,8 +186,8 @@ def _monte_carlo_prob(args: argparse.Namespace, g: Graph, tf) -> dict:
     eps_table, deficient = _epsilon_payload(g, tf)
     plan = None
     if deficient:
-        # the repair phase needs the exact plan; each trial then runs it
-        # after phases 1-4, on its own bit stream
+        # the repair phase needs the exact plan; a trial whose output has
+        # a planned swap then runs it after phases 1-4, on the call's stream
         plan, _ = exact_phase5_distribution(g, tf, **_law_options(args))
     seed = secrets.randbits(64) if args.seed is None else args.seed
     report = monte_carlo(g, tf, args.trials, seed, plan=plan)

@@ -124,7 +124,6 @@ class SplitMix64:
         self.left = 0    # how many there are
 
     def getrandbits(self, k: int) -> int:
-        # the Monte Carlo loop draws every choice through here
         left = self.left - k
         if left >= 0 and k > 0:
             z = self.buffer
@@ -133,11 +132,41 @@ class SplitMix64:
             return z & _LOW[k]
         if not 1 <= k <= 64:
             raise ValueError("k must be in 1..64")
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = _mix(self.state)
+        z = self._output()
         self.buffer = z >> k
         self.left = 64 - k
         return z & _LOW[k]
+
+    def _output(self) -> int:
+        """Step the state and return its fresh 64-bit output."""
+        self.state = state = (self.state + _GAMMA) & _MASK64
+        return _mix(state)
+
+    def select(self, program) -> int:
+        """The selection a run program makes with the stream's bits: each
+        run ``(k, outcomes)`` draws its index as ``getrandbits(k)`` would,
+        again while the index is not below ``len(outcomes)``, and selects
+        ``outcomes[index]``.  A one-bit run has two outcomes, so it never
+        draws again and, with a bit buffered, takes it directly."""
+        z, left = self.buffer, self.left
+        selected = 0
+        for k, outcomes in program:
+            if k == 1 and left:
+                selected |= outcomes[z & 1]
+                z >>= 1
+                left -= 1
+                continue
+            while True:
+                if left < k:
+                    z, left = self._output(), 64
+                idx = z & _LOW[k]
+                z >>= k
+                left -= k
+                if idx < len(outcomes):
+                    break
+            selected |= outcomes[idx]
+        self.buffer, self.left = z, left
+        return selected
 
     def lookup(self, code, first: int) -> int:
         """The output mask of the trial that the buffer starts with, as
@@ -153,8 +182,7 @@ class SplitMix64:
         """
         left = self.left
         if left < first:
-            self.state = state = (self.state + _GAMMA) & _MASK64
-            self.buffer = _mix(state)
+            self.buffer = self._output()
             left = self.left = 64
         z = self.buffer
         cell = code[z & _CODE_MASK]

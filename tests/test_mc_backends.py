@@ -2,7 +2,8 @@
 API, run one trial after another on one stream, must consume random bits
 identically and produce identical counts, and the memoized trial table
 must draw exactly what a scan of every cycle vertex draws, under either
-reading of phase 4 (the feasible set worked out before or after phase 3)."""
+reading of phase 4 (the feasible set worked out before or after phase 3),
+whether a trial runs or is answered from the table's trial code."""
 
 import sys
 import tracemalloc

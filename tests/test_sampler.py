@@ -135,6 +135,28 @@ class TestSplitMix64:
             assert (rng.buffer, rng.left) == ((full >> 3, 61) if hit
                                               else (full, 64))
 
+    def test_select_draws_as_getrandbits_would(self):
+        # one-bit runs and wider runs that reject some indices, from every
+        # buffer fill: the selection and stream position of one
+        # getrandbits draw per index, drawn again while rejected
+        program = ((1, (1, 2)), (2, (4, 8, 16)), (1, (0, 32)),
+                   (3, (64, 128, 256, 512, 1024)))
+        for seed in range(20):
+            for skip in range(0, 64, 3):
+                rng, ref = S.SplitMix64(seed), S.SplitMix64(seed)
+                if skip:
+                    rng.getrandbits(skip)
+                    ref.getrandbits(skip)
+                want = 0
+                for k, outcomes in program:
+                    idx = ref.getrandbits(k)
+                    while idx >= len(outcomes):
+                        idx = ref.getrandbits(k)
+                    want |= outcomes[idx]
+                assert rng.select(program) == want, (seed, skip)
+                assert ((rng.state, rng.buffer, rng.left)
+                        == (ref.state, ref.buffer, ref.left)), (seed, skip)
+
     def test_getrandbits_range(self):
         rng = S.SplitMix64(1)
         with pytest.raises(ValueError):
