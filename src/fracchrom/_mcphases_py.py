@@ -42,11 +42,13 @@ by the low ``CODE_BITS`` bits of the buffer, each ``out << 7 | L`` or
 output and read ``L <= CODE_BITS`` bits, fills every cell whose low
 ``L`` bits are the ones it read, with one slice assignment; the bits of
 one trial are never a prefix of another's, so no fill overwrites a
-filled cell.
-``sampler.SplitMix64.lookup`` reads a cell and takes its ``L`` bits when
-the buffer holds that many; otherwise it takes nothing and the loop runs
-``step``.  So the cells are a memo of the one trial, and a trial looked
-up draws the same bits as one run.
+filled cell.  With ``m >= CODE_BITS`` matching edges a trial reads more
+than ``CODE_BITS`` bits, so the code is a single ``MISS`` cell.
+The loop of ``sampler.monte_carlo`` reads the cell at the buffer's low
+bits (as many as index a cell) and takes its ``L`` bits when the buffer
+holds that many; otherwise it takes nothing and runs ``step``.  So the
+cells are a memo of the one trial, and a trial answered from the code
+draws the same bits as one run.
 """
 
 from .graph_core import vertex_mask
@@ -129,15 +131,20 @@ class TrialTable:
         return heads, s1, feasible, s3, covered | s3 | added
 
     def code(self):
-        """The cells of the trial code, all ``MISS`` when made."""
+        """The cells of the trial code, all ``MISS`` when made: one per
+        value of ``CODE_BITS`` buffer bits, or a single one when there
+        are ``m >= CODE_BITS`` matching edges, since a trial then reads
+        the ``m`` orientation bits and at least one phase-1 bit, and no
+        cell could be filled."""
         if self.cells is None:
-            self.cells = [MISS] * (1 << CODE_BITS)
+            self.cells = [MISS] * (1 << CODE_BITS if self.m < CODE_BITS else 1)
         return self.cells
 
     def step(self, rng):
         """The output mask of one trial on ``rng``.  A trial that drew no
         fresh output and read ``L <= CODE_BITS`` bits fills the cells
-        whose low ``L`` bits are the bits it read."""
+        whose low ``L`` bits are the bits it read; with the one-cell code
+        no trial reads so few."""
         state, buffer, left = rng.state, rng.buffer, rng.left
         out = self.trial(rng)[4]
         taken = left - rng.left

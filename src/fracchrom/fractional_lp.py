@@ -516,19 +516,28 @@ def _leaf_certificate(step, **enum_kw) -> MultisetCertificate:
     return weighting_to_multiset(_support_colouring(g, result.distribution))
 
 
-def _certificate_for(step, **enum_kw) -> MultisetCertificate:
+def _certificate_for(step, leaves, **enum_kw) -> MultisetCertificate:
+    """The certificate of ``step``'s graph.  ``leaves`` maps each leaf
+    already certified, keyed by all that ``_leaf_certificate`` reads, to
+    its certificate, so equal leaves of one tree are certified once."""
     if step.is_leaf:
-        return _leaf_certificate(step, **enum_kw)
+        g = step.graph
+        key = (step.detail["leaf"], step.detail.get("bridge"), g.n, g.edges)
+        cert = leaves.get(key)
+        if cert is None:
+            cert = leaves[key] = _leaf_certificate(step, **enum_kw)
+        return cert
     if step.kind == "bridge-split":
         # the parts in g's labels, merged from the rest back to the first
         n = step.graph.n
-        *parts, cert = [_relabel(_certificate_for(child, **enum_kw), n, vmap)
+        *parts, cert = [_relabel(_certificate_for(child, leaves, **enum_kw), n, vmap)
                         for child, vmap in zip(step.children, step.child_maps)]
         for a, bridge in zip(reversed(parts), reversed(step.detail["bridges"])):
             cert = _merge_on_bridge(n, a, cert, *bridge)
         return cert
     if step.kind in ("degree2-double", "degree2-single"):
-        return _restrict(_certificate_for(step.children[0], **enum_kw), step.graph.n)
+        return _restrict(_certificate_for(step.children[0], leaves, **enum_kw),
+                         step.graph.n)
     raise GraphError(f"unknown reduction kind {step.kind!r}")  # pragma: no cover
 
 
@@ -550,7 +559,7 @@ def chi_f_upper_subcubic(g: Graph, **enum_kw):
         )
     if not report.is_connected:
         raise GraphError("certificate pipeline requires a connected graph")
-    cert = _certificate_for(reduce_subcubic(g), **enum_kw)
+    cert = _certificate_for(reduce_subcubic(g), {}, **enum_kw)
     if cert.k > TARGET_BOUND:
         raise RuntimeError(f"assembled certificate has size {cert.k} > 32/11")
     verdict = verify_certificate(g, cert)

@@ -51,14 +51,16 @@ the bits of a ``SplitMix64`` stream, from one table per two-factor kept
 next to the law.  A trial that draws no fresh 64-bit output is fixed by
 the buffered bits it reads, so the table also keeps a trial code: one
 cell per value of the buffer's low ``_mcphases_py.CODE_BITS`` bits,
-filled from the outputs of the trials it has run (``TrialTable.step``).
-``SplitMix64.lookup`` answers a trial from the code when it can and
-takes exactly the bits the trial would have read; otherwise the trial
-runs.  ``run_phases_1_4`` draws a single ``Situation``, and
-``monte_carlo`` estimates the marginals in one reproducible loop whose
-trials, each optionally followed by the phase-5 repair, all draw from
-one stream seeded with the call's seed; it tallies the output masks and
-checks each distinct one once.
+filled from the outputs of the trials it has run (``TrialTable.step``),
+or a single empty cell when no trial reads few enough bits to fill one.
+``run_phases_1_4`` draws a single ``Situation``, and ``monte_carlo``
+estimates the marginals in one reproducible loop whose trials, each
+optionally followed by the phase-5 repair, all draw from one stream
+seeded with the call's seed.  The loop holds the stream's buffer and
+its bit count in locals, answers a trial from the code when it can,
+taking exactly the bits the trial would have read, and otherwise runs
+the trial; it tallies the output masks, those of answered trials a
+block at a time, and checks each distinct one once.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 _LOW = tuple((1 << k) - 1 for k in range(65))  # the masks of k low bits
-_CODE_MASK = _LOW[_mcphases_py.CODE_BITS]
 
 
 class SplitMix64:
@@ -167,31 +168,6 @@ class SplitMix64:
             selected |= outcomes[idx]
         self.buffer, self.left = z, left
         return selected
-
-    def lookup(self, code, first: int) -> int:
-        """The output mask of the trial that the buffer starts with, as
-        ``code`` holds it, or -1.
-
-        First refills the buffer as the trial's first draw,
-        ``getrandbits(first)``, would: with a fresh output when fewer
-        than ``first`` bits are left, none taken yet.  Then it reads the
-        cell ``out << 7 | L`` at the low ``CODE_BITS`` bits of the
-        buffer (``_mcphases_py.TrialTable``): when at least ``L`` bits are
-        buffered, it takes them and returns ``out``; otherwise, a
-        ``MISS`` included, it takes nothing and returns -1.
-        """
-        left = self.left
-        if left < first:
-            self.buffer = self._output()
-            left = self.left = 64
-        z = self.buffer
-        cell = code[z & _CODE_MASK]
-        taken = cell & 127
-        if taken > left:
-            return -1
-        self.buffer = z >> taken
-        self.left = left - taken
-        return cell >> 7
 
 
 def _mix(z: int) -> int:
@@ -684,15 +660,23 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
     Fully deterministic for a given seed: the trials draw every choice,
     one after the other, from the one stream ``SplitMix64(seed)``, the
     bits a trial leaves in the buffer going to the next.  ``trials`` must
-    be a positive int and ``seed`` an int in [0, 2^64).  Each trial is
-    first looked up in the table's trial code and run only when the code
-    does not answer it.  With a phase-5 ``plan`` (an
+    be a positive int and ``seed`` an int in [0, 2^64).
+
+    The loop keeps the stream's buffer and bit count in two locals,
+    refills them as the trial's first draw would, and reads the table's
+    trial code at the buffer's low bits: a cell whose ``L`` bits are
+    buffered answers the trial and the loop takes them; otherwise it
+    runs ``TrialTable.step``.  With a phase-5 ``plan`` (an
     ``augment.Phase5Plan`` for this two-factor) a trial's output mask
     then goes through the repair phase when its cascade has a coin, mask
-    to mask, so no trial converts a set; the tally turns each distinct
-    output mask
-    into vertices once, when it is flushed, and becomes the report's
-    histogram unless it was flushed before the last trial.
+    to mask, so no trial converts a set.  The stream is written back
+    only before a trial runs, before a repair and after the last trial.
+    An answered trial that needs no repair appends its cell to a block,
+    at most ``_mcphases_py.CAPACITY`` trials long, that one ``Counter``
+    counts into the tally; every other trial is tallied as it ends.  A
+    tally that reaches ``CAPACITY`` distinct masks is flushed into the
+    counts, turning each mask into vertices once, and the tally becomes
+    the report's histogram unless it was flushed.
     """
     if tf.graph != g:
         raise TwoFactorError("two-factor belongs to a different graph")
@@ -706,6 +690,7 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
 
     table = _trial_table(g, tf)
     code, first, step = table.code(), table.first, table.step
+    low = len(code) - 1  # the buffer bits that index a cell
     coined = {} if plan is None else plan.cascades
     adj_mask = g.adj_mask
     counts = [0] * g.n
@@ -714,20 +699,46 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
     capacity = _mcphases_py.CAPACITY
     flushed = False
     rng = SplitMix64(seed)
-    lookup = rng.lookup
-    for _ in range(trials):
-        out = lookup(code, first)
-        if out < 0:
-            out = step(rng)
-        if out in coined:
-            out = run_phase5(out, plan, rng)
-        if out in tally:
-            tally[out] += 1
-        else:
-            tally[out] = 1
+    output = rng._output
+    z, left = rng.buffer, rng.left
+    block = []       # the cells that answered trials in this stretch
+    for done in range(0, trials, capacity):
+        for _ in range(min(capacity, trials - done)):
+            # refill as the trial's first draw, getrandbits(first), would
+            if left < first:
+                z, left = output(), 64
+            cell = code[z & low]
+            taken = cell & 127
+            if taken <= left:
+                z >>= taken
+                left -= taken
+                if not coined or cell >> 7 not in coined:
+                    block.append(cell)
+                    continue
+                rng.buffer, rng.left = z, left
+                out = run_phase5(cell >> 7, plan, rng)
+            else:
+                rng.buffer, rng.left = z, left
+                out = step(rng)
+                if out in coined:
+                    out = run_phase5(out, plan, rng)
+            z, left = rng.buffer, rng.left
+            if out in tally:
+                tally[out] += 1
+            else:
+                tally[out] = 1
+                if len(tally) >= capacity:
+                    violations += _flush(tally, counts, adj_mask)
+                    flushed = True
+        if block:
+            for cell, times in Counter(block).items():
+                out = cell >> 7
+                tally[out] = tally.get(out, 0) + times
+            block.clear()
             if len(tally) >= capacity:
                 violations += _flush(tally, counts, adj_mask)
                 flushed = True
+    rng.buffer, rng.left = z, left
     histogram = None if flushed else tuple(sorted(tally.items()))
     violations += _flush(tally, counts, adj_mask)
     backend = "pure-python" if plan is None else "five-phase-reference"

@@ -34,12 +34,15 @@ import oracles
 from oracles import certificate_from_json_dict, distribution_to_weighting
 from strategies import connected_subcubic_graphs, with_pendant_tails
 from util_graphs import (
+    block_chain,
     bridged_composite,
     complete,
     cycle,
+    disjoint_union,
     generalized_petersen,
     gp72,
     k33,
+    k33_minus_edge,
     path_graph,
     petersen,
     subdivide_edge,
@@ -645,6 +648,41 @@ class TestUpperSubcubic:
             g = build()
             chi_f_upper_subcubic(g)
         assert calls == [g.n, g.n]
+
+    def test_one_leaf_certificate_per_distinct_leaf(self, monkeypatch):
+        # the 30 blocks of a block chain reduce to equal leaves, certified
+        # once; two differently labelled copies of one block give leaves
+        # of equal kind and size but other edges, certified apart
+        certified = []
+        leaf_certificate = fractional_lp._leaf_certificate
+
+        def counted(step, **enum_kw):
+            certified.append(step)
+            return leaf_certificate(step, **enum_kw)
+
+        def leaves(step):
+            if step.is_leaf:
+                yield step
+            for child in step.children:
+                yield from leaves(child)
+
+        def key(step):
+            return step.detail["leaf"], step.detail.get("bridge"), step.graph
+
+        monkeypatch.setattr(fractional_lp, "_leaf_certificate", counted)
+        a = k33_minus_edge()
+        b = Graph(6, [(1 - u if u < 2 else u, 1 - v if v < 2 else v)
+                      for u, v in a.edges])  # 0 and 1 swapped
+        pair = disjoint_union(a, b)
+        pair = Graph(12, list(pair.edges) + [(3, 9)])
+        for g, total, distinct in ((block_chain(30), 30, 1), (pair, 2, 2)):
+            certified.clear()
+            _, cert = chi_f_upper_subcubic(g)
+            assert verify_certificate(g, cert).ok
+            tree = list(leaves(reduce_subcubic(g)))
+            assert len(tree) == total
+            assert {key(step) for step in certified} == {key(step) for step in tree}
+            assert len(certified) == distinct
 
     def test_rejects_triangles(self):
         with pytest.raises(GraphError, match="triangle"):

@@ -19,7 +19,7 @@ from fracchrom import _mcphases_py as K, sampler as S, templates as T
 
 from oracles import (recorded_monte_carlo, scanning_monte_carlo, scanning_trial,
                      stream_position)
-from util_graphs import circular_ladder, gp72, petersen
+from util_graphs import circular_ladder, generalized_petersen, gp72, petersen
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 DEFICIENT_N10 = "IlDGHCH_g"
@@ -187,9 +187,11 @@ def test_trial_table_matches_scanning_oracle_beyond_64_matching_edges():
                          ids=[f[0] for f in fixtures()])
 def test_table_lookup_falls_back_at_every_buffer_offset(monkeypatch, name, g, tf):
     # a stream advanced by j bits holds 64 - j in its buffer, so the loop
-    # starts at every buffer offset; its lookups hit, meet an empty cell
-    # or meet a cell that reads more bits than are buffered, and the
-    # histogram and final stream position must be the scanning oracle's
+    # starts at every buffer offset, and its first trial refills the
+    # buffer when fewer bits are left than the first draw takes; a trial
+    # hits a cell, or meets an empty cell or one that reads more bits than
+    # are buffered and runs through TrialTable.step, and the histogram and
+    # final stream position must be the scanning oracle's
     offset = 0
     kinds = Counter()
 
@@ -201,22 +203,83 @@ def test_table_lookup_falls_back_at_every_buffer_offset(monkeypatch, name, g, tf
             if offset:
                 self.getrandbits(offset)
 
-        def lookup(self, code, first):
-            out = super().lookup(code, first)
-            if out >= 0:
-                kinds["hit"] += 1
-            else:
-                cell = code[self.buffer & ((1 << K.CODE_BITS) - 1)]
-                kinds["empty" if cell == K.MISS else "short"] += 1
-            return out
+    step = K.TrialTable.step
+
+    def observed(table, rng):
+        # the loop refills as the trial's first draw would before it runs
+        assert rng.left >= table.first
+        cell = table.cells[rng.buffer & (len(table.cells) - 1)]
+        kinds["empty" if cell == K.MISS else "short"] += 1
+        assert cell == K.MISS or cell & 127 > rng.left
+        return step(table, rng)
+
+    def check(trials):
+        runs = sum(kinds.values())
+        report, position = recorded_monte_carlo(g, tf, trials, offset)
+        assert report.histogram is not None
+        assert (report.histogram, position) == scanning_monte_carlo(
+            g, tf, trials, offset), (offset, trials)
+        return trials - (sum(kinds.values()) - runs)
 
     monkeypatch.setattr(S, "SplitMix64", Offset)
+    monkeypatch.setattr(K.TrialTable, "step", observed)
+    refills = Counter()
+    first = min(64, len(tf.m_edges))
+    for warm in (False, True):
+        if warm:
+            S.monte_carlo(g, tf, 3000, 5)
+        # one trial from 0 < bits left < first: refilled, then run or
+        # answered
+        for offset in range(65 - first, 64):
+            refills["hit" if check(1) else "run"] += 1
+    hits = 0
     for offset in range(65):
-        got = recorded_monte_carlo(g, tf, 60, offset)
-        assert got[0].histogram is not None
-        assert (got[0].histogram, got[1]) == scanning_monte_carlo(
-            g, tf, 60, offset), offset
-    assert set(kinds) == {"hit", "empty", "short"}
+        hits += check(60)
+    assert hits and kinds["empty"] and kinds["short"]
+    assert refills["hit"] and refills["run"]
+
+
+@pytest.mark.parametrize("with_plan", [False, True], ids=["no-plan", "plan"])
+@pytest.mark.parametrize("capacity", [4, 64])
+def test_blocks_of_answered_trials_change_no_count(monkeypatch, with_plan,
+                                                   capacity):
+    # the trials that the code answers are counted a block at a time, so
+    # runs that end on a block boundary or one trial either side of it
+    # must count every trial, keep the histogram exactly when fewer than
+    # CAPACITY outputs are distinct and leave the stream where the
+    # scanning oracle does
+    g = parse_graph6(DEFICIENT_N10)
+    tf = select_two_factor(g)
+    plan = exact_phase5_distribution(g, tf)[0] if with_plan else None
+    S.monte_carlo(g, tf, 3000, 5, plan=plan)  # most trials are answered
+    monkeypatch.setattr(K, "CAPACITY", capacity)
+    for trials in (3 * capacity - 1, 3 * capacity, 3 * capacity + 1):
+        report, position = recorded_monte_carlo(g, tf, trials, 7, plan=plan)
+        histogram, want = scanning_monte_carlo(g, tf, trials, 7, plan=plan)
+        counts = [0] * g.n
+        for out, times in histogram:
+            for v in mask_vertices(out):
+                counts[v] += times
+        assert (report.counts, report.violations, position) == (
+            tuple(counts), 0, want), trials
+        kept = None if len(histogram) >= capacity else histogram
+        assert report.histogram == kept, trials
+
+
+def test_one_cell_code_when_trials_read_more_than_its_bits():
+    # with m >= CODE_BITS matching edges a trial reads more than CODE_BITS
+    # bits, so the code is one empty cell and every trial runs
+    ladder = circular_ladder(32)
+    runs = [(generalized_petersen(16, 3), None),
+            (ladder, TwoFactor(ladder, [(i, 32 + i) for i in range(32)]))]
+    for g, tf in runs:
+        tf = tf or select_two_factor(g)
+        report, position = recorded_monte_carlo(g, tf, 300, 11)
+        table = tf.derived["table"]
+        assert table.m >= K.CODE_BITS
+        assert table.cells == [K.MISS]
+        assert (report.histogram, position) == scanning_monte_carlo(
+            g, tf, 300, 11)
 
 
 @pytest.mark.parametrize("name,g,tf", fixtures(),
@@ -248,8 +311,9 @@ def test_a_filled_cell_is_the_trial_on_its_bits(name, g, tf):
 
 def test_trial_code_memory_is_bounded():
     # one call adds to the trial memos it has already filled only the
-    # code: its 2^CODE_BITS cells and one int per filled group of cells
-    # (a group is the cells that share one trial's bits)
+    # code: its cells (one for the ladder, whose trials read >= 32 bits)
+    # and one int per filled group of cells (a group is the cells that
+    # share one trial's bits)
     ladder = circular_ladder(32)
     runs = [(parse_graph6("KlSgGC@?gAoD"), None, 20_000),
             (ladder, TwoFactor(ladder, [(i, 32 + i) for i in range(32)]), 500)]

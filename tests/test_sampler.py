@@ -17,7 +17,6 @@ from fracchrom.fractional_lp import chi_f_upper_subcubic
 from fracchrom.graph_core import Graph, GraphError, mask_vertices, parse_graph6
 from fracchrom.two_factor import (
     TwoFactor, TwoFactorError, select_two_factor)
-from fracchrom import _mcphases_py as K
 from fracchrom import sampler as S
 from fracchrom import templates as T
 
@@ -105,35 +104,6 @@ class TestSplitMix64:
         # one bit at a time gives the bits of one wide draw
         third = S.SplitMix64(12345)
         assert sum(third.getrandbits(1) << i for i in range(64)) == full[0]
-
-    def test_lookup_reads_buffered_bits_as_draws_would(self):
-        # the cells whose low 3 bits are 0b101 hold output 9, read in 3 bits
-        code = [K.MISS] * (1 << K.CODE_BITS)
-        code[0b101::8] = [9 << 7 | 3] * (1 << K.CODE_BITS - 3)
-        rng = S.SplitMix64(77)
-        # a hit takes the cell's 3 bits, as three one-bit draws would
-        rng.buffer, rng.left = 0b1101, 4
-        assert rng.lookup(code, 2) == 9
-        assert (rng.state, rng.buffer, rng.left) == (77, 1, 1)
-        # a cell reading more bits than are buffered, or an empty one,
-        # takes nothing
-        rng.buffer, rng.left = 0b101, 2
-        assert rng.lookup(code, 2) == -1
-        rng.buffer, rng.left = 0b110, 10
-        assert rng.lookup(code, 2) == -1
-        assert (rng.state, rng.buffer, rng.left) == (77, 0b110, 10)
-        # fewer bits than the first draw's: a fresh output, as that draw
-        # would take, from which the cell is read; seed 81's first output
-        # ends in 0b101 and seed 77's does not
-        for seed, hit in ((77, False), (81, True)):
-            rng, draws = S.SplitMix64(seed), S.SplitMix64(seed)
-            full = S.SplitMix64(seed).getrandbits(64)
-            rng.buffer, rng.left = 0b101, 2
-            assert rng.lookup(code, 11) == (9 if hit else -1)
-            assert draws.getrandbits(11) == full & 0x7FF
-            assert rng.state == draws.state
-            assert (rng.buffer, rng.left) == ((full >> 3, 61) if hit
-                                              else (full, 64))
 
     def test_select_draws_as_getrandbits_would(self):
         # one-bit runs and wider runs that reject some indices, from every
