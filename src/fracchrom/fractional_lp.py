@@ -3,10 +3,14 @@
 The fractional chromatic number is the optimum of the covering LP over
 independent sets.  This module enumerates the maximal independent sets
 (the only columns an optimal solution needs) and solves the LP exactly
-by the simplex method on a condensed integral tableau (Edmonds–Bareiss
-fraction-free pivoting).  It also turns a weighting of independent sets
-into a multiset of kN independent sets covering every vertex exactly N
-times, and verifies such a multiset.
+by the simplex method on a condensed tableau whose rows are ints, each
+over its own positive denominator: a pivot leaves the rows with 0 in its
+column untouched and reduces each row it rewrites by a gcd.  Every pivot
+is checked to keep the denominators positive, the basis feasible and the
+objective nondecreasing, and every answer is cross-examined for
+optimality before it is returned.  It also turns a weighting of
+independent sets into a multiset of kN independent sets covering every
+vertex exactly N times, and verifies such a multiset.
 
 ``chi_f_upper_subcubic`` assembles a certificate of size at most 32/11
 for any triangle-free subcubic graph by walking the reduction tree from
@@ -19,7 +23,8 @@ restrict the double's certificate back to one copy, and a graph cut at
 its bridges merges its parts' certificates, in its own labels, from the
 last part back to the first.  Each merge aligns two certificates on a
 common N and deals one side's sets to the other's indices, in one pass,
-so the bridge endpoints never share a set.
+so the bridge endpoints never share a set; each index's sets are united
+once, after the last merge.
 """
 
 from __future__ import annotations
@@ -150,44 +155,15 @@ def chi_f_exact(g: Graph):
 
     Returns ``(value, primal, dual)``: the optimum as a Fraction, an
     optimal ``FractionalColouring``, and the optimal dual vertex weights
-    (a maximum fractional clique).  Both certificates are re-verified
-    against each other before returning, in integers over the common
-    denominator of the two: equal objectives, feasibility on both
-    sides, and complementary slackness.
+    (a maximum fractional clique), both cross-examined by the solver.
     """
     if g.n == 0:
         return Fraction(0), FractionalColouring(g, {}), {}
     cols = maximal_independent_sets(g)
     value, y, x = _solve_covering_lp(g.n, cols)
-
     primal = FractionalColouring(
         g, {cols[i]: x[i] for i in range(len(cols)) if x[i] > 0})
     dual = {v: y[v] for v in range(g.n)}
-
-    # cross-examination, in integers over the common denominator D of x
-    # and y: anything wrong here is an internal defect
-    D = math.lcm(*(q.denominator for q in (*x, *y)))
-    X = [q.numerator * (D // q.denominator) for q in x]
-    Y = [q.numerator * (D // q.denominator) for q in y]
-    weighted = [(s, w) for s, w in zip(cols, X) if w > 0]
-    cover = [0] * g.n
-    for s, w in weighted:
-        for v in s:
-            cover[v] += w
-    if (not all(is_independent(g, s) for s, _ in weighted)
-            or any(c < D for c in cover)):
-        raise RuntimeError("optimal weighting fails the covering constraints")
-    if sum(w for _, w in weighted) != value * D or sum(Y) != value * D:
-        raise RuntimeError("primal and dual objectives disagree")
-    for s in cols:
-        if sum(Y[v] for v in s) > D:
-            raise RuntimeError("dual exceeds 1 on an independent set")
-    for s, _ in weighted:
-        if sum(Y[v] for v in s) != D:
-            raise RuntimeError("slack set carries weight")
-    for v in range(g.n):
-        if Y[v] > 0 and cover[v] != D:
-            raise RuntimeError("overcovered vertex carries dual weight")
     return value, primal, dual
 
 
@@ -198,25 +174,26 @@ def _solve_covering_lp(n: int, cols: list[frozenset]):
     at the slack basis, so a single-phase simplex with Bland's rule
     suffices; the primal optimum is read off the slack reduced costs.
 
-    The tableau is condensed: one row per independent set plus the
-    objective row, one column per nonbasic variable plus the right-hand
-    side, with labels naming the variable of each row and column
-    (variable v < n is y_v, variable n + i the slack of set i).  Every
-    entry is an int over the common denominator d, the previous pivot (1
-    at the start), and each pivot divides exactly by d (Edmonds 1967;
-    Bareiss 1968).
-    Pivots stay positive, so d > 0 and every sign test and ratio
-    comparison reads as it would on the rational tableau.  The ratio
-    test compares rhs_i / a_i with rhs_r / a_r as rhs_i * a_r against
-    rhs_r * a_i, both a positive, ties going to the smaller basic label;
-    a row whose pivot-column entry is 0 is only scaled by the pivot.
-    Every new row is checked to divide exactly by d (``_pivot_row``).
+    The tableau is condensed: one row per column set plus the objective
+    row, one column per nonbasic variable plus the right-hand side, with
+    labels naming the variable of each row and column (variable v < n is
+    y_v, variable n + i the slack of set i).  Each row holds ints over
+    its own positive denominator (``_pivot``), so every sign test reads
+    as on the rational tableau, and the ratio test, scale-free within a
+    row, compares rhs_i / a_i with rhs_r / a_r as rhs_i * a_r against
+    rhs_r * a_i, both a positive, ties going to the smaller basic label.
+    After every pivot each denominator must be positive, each basic
+    row's rhs nonnegative and the objective no smaller than before; the
+    pivot that breaks one raises ``RuntimeError``.  The answer is
+    cross-examined (``_cross_examine``) before it is returned.
     """
     m = len(cols)
     rows = [[int(v in s) for v in range(n)] + [1] for s in cols] + [[1] * n + [0]]
-    basic, nonbasic, d = list(range(n, n + m)), list(range(n)), 1
+    dens = [1] * (m + 1)
+    basic, nonbasic = list(range(n, n + m)), list(range(n))
+    objective = rows[m]
     while True:
-        enter = min(((nonbasic[j], j) for j in range(n) if rows[m][j] > 0),
+        enter = min(((nonbasic[j], j) for j in range(n) if objective[j] > 0),
                     default=None)
         if enter is None:
             break
@@ -233,40 +210,79 @@ def _solve_covering_lp(n: int, cols: list[frozenset]):
                     r, rhs_r, a_r = i, rows[i][n], a
         if r is None:
             raise RuntimeError("unbounded dual: the graph has no vertices?")
-        pivot_row, p = rows[r], rows[r][c]
-        for i, row in enumerate(rows):
-            if i != r:
-                rows[i] = _pivot_row(row, pivot_row, c, p, d)
-        pivot_row[c] = d
+        # the objective is -objective[n] / dens[m]
+        before = objective[n], dens[m]
+        _pivot(rows, dens, r, c)
         basic[r], nonbasic[c] = nonbasic[c], basic[r]
-        d = p
+        objective = rows[m]
+        if min(dens) <= 0:
+            raise RuntimeError("pivot left a denominator that is not positive")
+        if any(rows[i][n] < 0 for i in range(m)):
+            raise RuntimeError("pivot left a basic variable negative")
+        if objective[n] * before[1] > before[0] * dens[m]:
+            raise RuntimeError("pivot decreased the objective")
 
     # basic variables sit at their rhs; nonbasic slacks give x as -cost
-    at = {b: Fraction(rows[i][n], d) for i, b in enumerate(basic)}
-    cost = {b: Fraction(-rows[m][j], d) for j, b in enumerate(nonbasic)}
+    at = {b: Fraction(rows[i][n], dens[i]) for i, b in enumerate(basic)}
+    cost = {b: Fraction(-objective[j], dens[m]) for j, b in enumerate(nonbasic)}
     y = [at.get(v, Fraction(0)) for v in range(n)]
     x = [cost.get(n + i, Fraction(0)) for i in range(m)]
-    return Fraction(-rows[m][n], d), y, x
+    value = Fraction(-objective[n], dens[m])
+    _cross_examine(n, cols, value, y, x)
+    return value, y, x
 
 
-def _pivot_row(row, pivot_row, c, p, d):
-    """One Bareiss update of a tableau row for the pivot ``p`` at column
-    ``c`` of ``pivot_row``, over the previous pivot ``d``: every entry
-    becomes (a·p − f·b) / d for f the row's entry in column ``c``, and
-    column ``c`` itself becomes −f.  A row with f = 0 is only scaled by
-    ``p``.  Raises ``RuntimeError`` when d does not divide some entry,
-    which exact Bareiss pivoting rules out."""
-    f = row[c]
-    if f:
-        new = [a * p - f * b for a, b in zip(row, pivot_row)]
-    else:
-        new = [a * p for a in row]
-    # d divides every entry exactly when it divides their gcd
-    if math.gcd(*new) % d:
-        raise RuntimeError("integer pivot left a remainder")
-    new = [e // d for e in new]
-    new[c] = -f
-    return new
+def _pivot(rows, dens, r, c):
+    """Pivot the tableau ``rows`` over the denominators ``dens`` on the
+    entry p of row ``r`` in column ``c``.  Row r keeps its ints and goes
+    over p, with column c set to its old denominator d_r.  A row whose
+    entry f in column c is 0 is left as it is.  Every other row i is
+    rewritten as (a·p − f·b) over d_i·p, b the entries of row r, with
+    column c set to −f·d_r, and divided by the gcd of its entries and its
+    denominator."""
+    pivot_row, p, d_r = rows[r], rows[r][c], dens[r]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            new = [a * p - f * b for a, b in zip(row, pivot_row)]
+            new[c] = -f * d_r
+            den = dens[i] * p
+            g = math.gcd(den, *new)
+            if g > 1:
+                new = [e // g for e in new]
+                den //= g
+            rows[i], dens[i] = new, den
+    pivot_row[c] = d_r
+    dens[r] = p
+
+
+def _cross_examine(n, cols, value, y, x):
+    """Check that ``(value, y, x)`` is optimal for the covering LP over
+    ``cols``, in integers over the common denominator D of x and y: x
+    covers every vertex, both objectives equal ``value``, y is at most 1
+    on every set, and complementary slackness holds on both sides.
+    Raises ``RuntimeError``, an internal defect, when a check fails."""
+    D = math.lcm(*(q.denominator for q in (*x, *y)))
+    X = [q.numerator * (D // q.denominator) for q in x]
+    Y = [q.numerator * (D // q.denominator) for q in y]
+    weighted = [(s, w) for s, w in zip(cols, X) if w > 0]
+    cover = [0] * n
+    for s, w in weighted:
+        for v in s:
+            cover[v] += w
+    if any(c < D for c in cover):
+        raise RuntimeError("optimal weighting fails the covering constraints")
+    if sum(w for _, w in weighted) != value * D or sum(Y) != value * D:
+        raise RuntimeError("primal and dual objectives disagree")
+    for s in cols:
+        if sum(Y[v] for v in s) > D:
+            raise RuntimeError("dual exceeds 1 on an independent set")
+    for s, _ in weighted:
+        if sum(Y[v] for v in s) != D:
+            raise RuntimeError("slack set carries weight")
+    for v in range(n):
+        if Y[v] > 0 and cover[v] != D:
+            raise RuntimeError("overcovered vertex carries dual weight")
 
 
 # -- multiset certificates -------------------------------------------------------
@@ -383,45 +399,57 @@ def _restrict(cert: MultisetCertificate, n: int) -> MultisetCertificate:
         frozenset(v for v in s if v < n) for s in cert.sets))
 
 
-def _merge_on_bridge(n: int, a: MultisetCertificate, b: MultisetCertificate,
-                     x1: int, x2: int) -> MultisetCertificate:
-    """Combine certificates of the two sides of a bridge (x1, x2).
+def _merge_on_bridges(n: int, parts: list, bridges: list) -> MultisetCertificate:
+    """Combine the certificates ``parts`` of a graph cut at ``bridges``,
+    bridge i = (x1, x2) joining x1 in part i to x2 in a later part.
 
-    Each side's sets are repeated up to N = lcm(a.N, b.N) and padded with
-    empty sets to a common count.  Then one pass deals b's sets to the
-    indices so that no set holding x2 lands where a's set holds x1:
-    a b-set holding x2 stays where the a-set lacks x1; the b-sets holding
-    x2 at indices whose a-set holds x1 move, in order, to the first
-    indices whose a-set lacks x1 and whose b-set lacks x2; every other
-    index takes the next b-set that lacks x2.  Unions along indices are
-    then independent.
+    The parts merge from the last back to the first.  Each merge repeats
+    both sides up to N = lcm of their N and pads them with empty sets to a
+    common count.  Then one pass deals the merged side's sets to the
+    indices so that no set holding x2 lands where the part's set holds
+    x1: a set holding x2 stays where the part's set lacks x1; the sets
+    holding x2 at indices whose part's set holds x1 move, in order, to the
+    first indices whose part's set lacks x1 and whose set lacks x2; every
+    other index takes the next set that lacks x2.  Each index keeps its
+    parts' sets apart, with the bridge ends they hold, and unites them
+    once, at the end; the unions are independent.
     """
-    N = math.lcm(a.N, b.N)
-    count = max(len(a.sets) * (N // a.N), len(b.sets) * (N // b.N), 2 * N)
-    if count > DEFAULT_MAX_MULTISET:
-        raise GuardExceeded(
-            f"bridge merge would hold {count} sets (> {DEFAULT_MAX_MULTISET})"
-        )
-    a_sets, b_sets = ((c.sets * (N // c.N) + (frozenset(),) * count)[:count]
-                      for c in (a, b))
-    movers = sum(x2 in t for t in b_sets)
-    free = sum(x1 not in s for s in a_sets)
-    if movers > free:
-        raise MergeFailure(
-            f"cannot separate bridge ({x1}, {x2}): {movers} sets to "
-            f"place, {free} indices available"
-        )
-    moving = iter([t for s, t in zip(a_sets, b_sets) if x1 in s and x2 in t])
-    rest = (t for t in b_sets if x2 not in t)
-    sets = []
-    for s, t in zip(a_sets, b_sets):
-        if x1 in s:
-            t = next(rest)
-        elif x2 not in t:
-            # a moving set holds x2, so it is never the empty (false) set
-            t = next(moving, None) or next(rest)
-        sets.append(s | t)
-    return MultisetCertificate(n, N, tuple(sets))
+    ends = {x2 for _, x2 in bridges}
+    *parts, last = parts
+    N = last.N
+    merged = [([s], set(s & ends)) for s in last.sets]
+    for a, (x1, x2) in zip(reversed(parts), reversed(bridges)):
+        ab_N = math.lcm(a.N, N)
+        count = max(len(a.sets) * (ab_N // a.N), len(merged) * (ab_N // N), 2 * ab_N)
+        if count > DEFAULT_MAX_MULTISET:
+            raise GuardExceeded(
+                f"bridge merge would hold {count} sets (> {DEFAULT_MAX_MULTISET})"
+            )
+        a_sets = (a.sets * (ab_N // a.N) + (frozenset(),) * count)[:count]
+        b_sets = merged + [(list(sets), set(held))
+                           for _ in range(ab_N // N - 1) for sets, held in merged]
+        b_sets += [([], set()) for _ in range(count - len(b_sets))]
+        movers = sum(x2 in held for _, held in b_sets)
+        free = sum(x1 not in s for s in a_sets)
+        if movers > free:
+            raise MergeFailure(
+                f"cannot separate bridge ({x1}, {x2}): {movers} sets to "
+                f"place, {free} indices available"
+            )
+        moving = iter([t for s, t in zip(a_sets, b_sets) if x1 in s and x2 in t[1]])
+        rest = (t for t in b_sets if x2 not in t[1])
+        merged = []
+        for s, t in zip(a_sets, b_sets):
+            if x1 in s:
+                t = next(rest)
+            elif x2 not in t[1]:
+                t = next(moving, None) or next(rest)
+            if s:
+                t[0].append(s)
+                t[1].update(s & ends)
+            merged.append(t)
+        N = ab_N
+    return MultisetCertificate(n, N, tuple(frozenset().union(*sets) for sets, _ in merged))
 
 
 def _two_colour_certificate(g: Graph) -> MultisetCertificate:
@@ -530,11 +558,9 @@ def _certificate_for(step, leaves, **enum_kw) -> MultisetCertificate:
     if step.kind == "bridge-split":
         # the parts in g's labels, merged from the rest back to the first
         n = step.graph.n
-        *parts, cert = [_relabel(_certificate_for(child, leaves, **enum_kw), n, vmap)
-                        for child, vmap in zip(step.children, step.child_maps)]
-        for a, bridge in zip(reversed(parts), reversed(step.detail["bridges"])):
-            cert = _merge_on_bridge(n, a, cert, *bridge)
-        return cert
+        parts = [_relabel(_certificate_for(child, leaves, **enum_kw), n, vmap)
+                 for child, vmap in zip(step.children, step.child_maps)]
+        return _merge_on_bridges(n, parts, step.detail["bridges"])
     if step.kind in ("degree2-double", "degree2-single"):
         return _restrict(_certificate_for(step.children[0], leaves, **enum_kw),
                          step.graph.n)

@@ -190,6 +190,71 @@ def _solve_exact(mat, n):
     return [mat[r][n] for r in range(n)]
 
 
+def bareiss_covering_lp(n, cols):
+    """The covering LP min Σx : Σ_{I∋v} x_I ≥ 1, x ≥ 0 solved by the
+    same single-phase simplex on the dual with Bland's rule as
+    ``fractional_lp._solve_covering_lp``, but with every tableau row over
+    one common denominator, the previous pivot, which each pivot divides
+    out exactly (Edmonds 1967; Bareiss 1968).  Returns ``(value, y, x)``;
+    the package's solver must return the same triple.
+    """
+    m = len(cols)
+    rows = [[int(v in s) for v in range(n)] + [1] for s in cols] + [[1] * n + [0]]
+    basic, nonbasic, d = list(range(n, n + m)), list(range(n)), 1
+    while True:
+        enter = min(((nonbasic[j], j) for j in range(n) if rows[m][j] > 0),
+                    default=None)
+        if enter is None:
+            break
+        c = enter[1]
+        r = None
+        for i in range(m):
+            a = rows[i][c]
+            if a > 0:
+                if r is None:
+                    r, rhs_r, a_r = i, rows[i][n], a
+                    continue
+                lhs, rhs = rows[i][n] * a_r, rhs_r * a
+                if lhs < rhs or lhs == rhs and basic[i] < basic[r]:
+                    r, rhs_r, a_r = i, rows[i][n], a
+        if r is None:
+            raise RuntimeError("unbounded dual: the graph has no vertices?")
+        pivot_row, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r:
+                rows[i] = bareiss_pivot_row(row, pivot_row, c, p, d)
+        pivot_row[c] = d
+        basic[r], nonbasic[c] = nonbasic[c], basic[r]
+        d = p
+
+    # basic variables sit at their rhs; nonbasic slacks give x as -cost
+    at = {b: Fraction(rows[i][n], d) for i, b in enumerate(basic)}
+    cost = {b: Fraction(-rows[m][j], d) for j, b in enumerate(nonbasic)}
+    y = [at.get(v, Fraction(0)) for v in range(n)]
+    x = [cost.get(n + i, Fraction(0)) for i in range(m)]
+    return Fraction(-rows[m][n], d), y, x
+
+
+def bareiss_pivot_row(row, pivot_row, c, p, d):
+    """One Bareiss update of a tableau row for the pivot ``p`` at column
+    ``c`` of ``pivot_row``, over the previous pivot ``d``: every entry
+    becomes (a·p − f·b) / d for f the row's entry in column ``c``, and
+    column ``c`` itself becomes −f.  A row with f = 0 is only scaled by
+    ``p``.  Raises ``RuntimeError`` when d does not divide some entry,
+    which exact Bareiss pivoting rules out."""
+    f = row[c]
+    if f:
+        new = [a * p - f * b for a, b in zip(row, pivot_row)]
+    else:
+        new = [a * p for a in row]
+    # d divides every entry exactly when it divides their gcd
+    if math.gcd(*new) % d:
+        raise RuntimeError("integer pivot left a remainder")
+    new = [e // d for e in new]
+    new[c] = -f
+    return new
+
+
 def alpha_bruteforce(g):
     """Independence number by scanning all vertex subsets."""
     return max(

@@ -3,7 +3,9 @@
 import json
 import math
 import random
+import signal
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -165,16 +167,13 @@ class TestChiFExact:
 
     @pytest.mark.parametrize("message,fault", LP_FAULTS,
                              ids=[m.split()[0] for m, _ in LP_FAULTS])
-    def test_cross_examination_catches_a_planted_fault(self, monkeypatch,
-                                                        message, fault):
-        g = Graph(4, [(2, 3)])
-        solve = fractional_lp._solve_covering_lp
-        assert solve(4, maximal_independent_sets(g)) == (2, [0, 0, 1, 1], [1, 1])
-        assert chi_f_exact(g)[0] == 2
-        monkeypatch.setattr(fractional_lp, "_solve_covering_lp",
-                            lambda n, cols: fault(*solve(n, cols)))
+    def test_cross_examination_catches_a_planted_fault(self, message, fault):
+        cols = maximal_independent_sets(Graph(4, [(2, 3)]))
+        answer = fractional_lp._solve_covering_lp(4, cols)
+        assert answer == (2, [0, 0, 1, 1], [1, 1])
+        fractional_lp._cross_examine(4, cols, *answer)
         with pytest.raises(RuntimeError, match=f"^{message}$"):
-            chi_f_exact(g)
+            fractional_lp._cross_examine(4, cols, *fault(*answer))
 
     def test_empty_and_singleton(self):
         assert chi_f_exact(Graph(0, []))[0] == 0
@@ -382,23 +381,137 @@ class TestSupportLP:
             assert chi_f_upper_subcubic(g)[1].k == value
 
 
-class TestPivotRow:
-    """The Bareiss update of one row of the LP tableau and its check that
-    the previous pivot divides the result."""
+class TestPivot:
+    """One pivot of the LP tableau, each row over its own denominator."""
 
-    def test_update_divides_exactly_by_the_previous_pivot(self):
-        # pivot 4 at column 0 of [4, 2, 6] over the previous pivot 2:
-        # [2, 3, 5] -> ([0, 12 - 4, 20 - 12]) / 2, column 0 set to -2
-        assert fractional_lp._pivot_row([2, 3, 5], [4, 2, 6], 0, 4, 2) == [-2, 4, 4]
-        # a row with 0 in the pivot column is only scaled
-        assert fractional_lp._pivot_row([0, 3, 5], [4, 2, 6], 0, 4, 2) == [0, 6, 10]
+    def test_a_zero_row_is_left_as_it_is(self):
+        zero = [0, 7, 4]
+        rows, dens = [[2, 1, 3], zero, [2, 4, 6]], [1, 3, 3]
+        fractional_lp._pivot(rows, dens, 0, 0)
+        assert rows[1] is zero and zero == [0, 7, 4] and dens[1] == 3
 
-    @pytest.mark.parametrize("row", [[1, 1, 1], [0, 1, 1]],
-                             ids=["updated", "scaled"])
-    def test_a_remainder_is_refused(self, row):
-        # over a previous pivot of 3 the row leaves entries 1 or 2
-        with pytest.raises(RuntimeError, match="left a remainder"):
-            fractional_lp._pivot_row(row, [2, 1, 3], 0, 2, 3)
+    def test_a_rewritten_row_is_gcd_reduced_over_a_positive_denominator(self):
+        # pivot 2 at column 0 of [2, 1, 3] / 1; [2, 4, 6] / 3 becomes
+        # [-2·1, 4·2 - 2·1, 6·2 - 2·3] / (3·2) = [-2, 6, 6] / 6 = [-1, 3, 3] / 3
+        rows, dens = [[2, 1, 3], [0, 7, 4], [2, 4, 6]], [1, 3, 3]
+        fractional_lp._pivot(rows, dens, 0, 0)
+        assert rows == [[1, 1, 3], [0, 7, 4], [-1, 3, 3]]
+        assert dens == [2, 3, 3]
+
+    def test_pivot_equals_the_rational_pivot(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            width = rng.randint(2, 5)
+            rows = [[rng.choice([0, 0, *range(-6, 7)]) for _ in range(width)]
+                    for _ in range(rng.randint(1, 5))]
+            dens = [rng.randint(1, 9) for _ in rows]
+            r, c = rng.randrange(len(rows)), rng.randrange(width)
+            rows[r][c] = rng.randint(1, 9)
+            rational = [[F(a, d) for a in row] for row, d in zip(rows, dens)]
+            p = rational[r][c]
+            want = [[a - row[c] / p * b for a, b in zip(row, rational[r])]
+                    for row in rational]
+            want[r] = [b / p for b in rational[r]]
+            for i, row in enumerate(rational):
+                want[i][c] = 1 / p if i == r else -row[c] / p
+            rewritten = [i for i, row in enumerate(rows) if i != r and row[c]]
+            fractional_lp._pivot(rows, dens, r, c)
+            assert all(d > 0 for d in dens)
+            assert [[F(a, d) for a in row] for row, d in zip(rows, dens)] == want
+            assert all(math.gcd(dens[i], *rows[i]) == 1 for i in rewritten)
+
+
+LADDER = [(5, 2), (7, 2), (8, 3), (9, 2), (10, 3)]
+
+
+class TestAgainstBareissOracle:
+    """``_solve_covering_lp`` returns exactly the ``(value, y, x)`` of the
+    common-denominator Bareiss simplex in ``oracles``: the same basis,
+    read off the same way."""
+
+    @staticmethod
+    def check(n, cols):
+        assert fractional_lp._solve_covering_lp(n, cols) == oracles.bareiss_covering_lp(n, cols)
+
+    def test_mis_lp_of_every_corpus_graph(self):
+        graphs = [parse_graph6(line) for path in sorted(CORPUS.glob("*.g6"))
+                  for line in path.read_text().split()]
+        assert len(graphs) == 140
+        for g in graphs:
+            self.check(g.n, maximal_independent_sets(g))
+
+    @pytest.mark.parametrize("nk", LADDER, ids=str)
+    def test_mis_lp_of_the_ladder(self, nk):
+        g = generalized_petersen(*nk)
+        self.check(g.n, maximal_independent_sets(g))
+
+    def test_every_support_pool(self, monkeypatch):
+        graphs = [parse_graph6(line) for n in (6, 8, 10, 12)
+                  for line in (CORPUS / f"cubic_tf_bridgeless_n{n}.g6").read_text().split()]
+        graphs += [generalized_petersen(*nk) for nk in LADDER]
+        pools = []
+        solve = fractional_lp._solve_covering_lp
+
+        def record(n, cols):
+            pools.append((n, list(cols)))
+            return solve(n, cols)
+
+        monkeypatch.setattr(fractional_lp, "_solve_covering_lp", record)
+        for g in graphs:
+            chi_f_upper_subcubic(g)
+        monkeypatch.undo()
+        assert len(pools) > len(graphs)
+        for n, cols in pools:
+            self.check(n, cols)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with ``TimeoutError`` when the block runs longer than
+    ``seconds``, so that a solver that no longer ends fails its test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _denominator_off_by_one(pivot):
+    def planted(rows, dens, r, c):
+        pivot(rows, dens, r, c)
+        for i, row in enumerate(rows):
+            if i != r and row[c]:  # a rewritten row
+                dens[i] += 1
+    return planted
+
+
+def _rhs_sign_flipped(pivot):
+    def planted(rows, dens, r, c):
+        pivot(rows, dens, r, c)
+        rows[r][-1] = -rows[r][-1]
+    return planted
+
+
+class TestPivotInvariants:
+    """A pivot that leaves a wrong tableau raises at once, not after the
+    simplex has wandered off."""
+
+    @pytest.mark.parametrize("message,plant", [
+        ("pivot decreased the objective", _denominator_off_by_one),
+        ("pivot left a basic variable negative", _rhs_sign_flipped),
+    ], ids=["denominator", "rhs"])
+    def test_a_planted_fault_raises(self, monkeypatch, message, plant):
+        g = parse_graph6((CORPUS / "cubic_tf_bridgeless_n14.g6").read_text().split()[0])
+        assert g.n == 14
+        cols = maximal_independent_sets(g)
+        monkeypatch.setattr(fractional_lp, "_pivot", plant(fractional_lp._pivot))
+        with time_limit(2), pytest.raises(RuntimeError, match=f"^{message}$"):
+            fractional_lp._solve_covering_lp(g.n, cols)
 
 
 class TestVerifyCertificate:
@@ -699,44 +812,68 @@ class TestUpperSubcubic:
 
 
 @st.composite
-def bridge_sides(draw):
-    """Two small certificates with their sets on the vertex ranges 0..3
-    and 4..7 of an 8-vertex graph, drawn from a few sets per side so that
-    copies repeat, and a bridge end in each range."""
-    def side(lo):
+def bridge_parts(draw, k):
+    """``k`` small certificates with their sets on the vertex ranges
+    0..3, 4..7, ... of a 4k-vertex graph, drawn from a few sets per part
+    so that copies repeat, and for each part but the last a bridge from
+    it to a later part."""
+    n = 4 * k
+
+    def part(lo):
         N = draw(st.integers(1, 4))
         pool = draw(st.lists(st.frozensets(st.integers(lo, lo + 3)), min_size=1, max_size=3))
         sets = draw(st.lists(st.sampled_from(pool), max_size=3 * N))
-        return MultisetCertificate(8, N, tuple(sets))
+        return MultisetCertificate(n, N, tuple(sets))
 
-    return side(0), side(4), draw(st.integers(0, 3)), draw(st.integers(4, 7))
+    parts = [part(lo) for lo in range(0, n, 4)]
+    bridges = [(draw(st.integers(lo, lo + 3)), draw(st.integers(lo + 4, n - 1)))
+               for lo in range(0, n - 4, 4)]
+    return n, parts, bridges
 
 
-def _merge_or_refusal(merge, sides):
+def _merges_in_turn(n, parts, bridges):
+    """``oracles.merge_by_permutation`` from the last part back to the first."""
+    *parts, cert = parts
+    for a, bridge in zip(reversed(parts), reversed(bridges)):
+        cert = oracles.merge_by_permutation(n, a, cert, *bridge)
+    return cert
+
+
+def _merge_or_refusal(merge, tree):
     try:
-        return merge(8, *sides)
+        return merge(*tree)
     except (MergeFailure, GuardExceeded) as exc:
         return type(exc)
 
 
 class TestMergeOnBridge:
-    """The one-pass bridge merge deals b's sets to the indices as the
-    permutation of ``oracles.merge_by_permutation`` does, set for set,
-    and refuses the same inputs with the same error."""
+    """The folded bridge merge deals each part's sets to the indices as
+    the permutations of ``oracles.merge_by_permutation``, one merge at a
+    time, do, set for set, and refuses the same inputs with the same
+    error."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(bridge_sides(), st.sampled_from([None, 6, 24]))
-    def test_merge_equals_the_permutation_oracle(self, sides, limit):
+    @staticmethod
+    def check(tree, limit):
         with pytest.MonkeyPatch.context() as mp:
             if limit is not None:
                 mp.setattr(fractional_lp, "DEFAULT_MAX_MULTISET", limit)
-            want = _merge_or_refusal(oracles.merge_by_permutation, sides)
-            got = _merge_or_refusal(fractional_lp._merge_on_bridge, sides)
+            want = _merge_or_refusal(_merges_in_turn, tree)
+            got = _merge_or_refusal(fractional_lp._merge_on_bridges, tree)
         if isinstance(want, type):
             event(want.__name__)
             assert got is want
         else:
             assert (got.n_vertices, got.N, got.sets) == (want.n_vertices, want.N, want.sets)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bridge_parts(2), st.sampled_from([None, 6, 24]))
+    def test_merge_equals_the_permutation_oracle(self, tree, limit):
+        self.check(tree, limit)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bridge_parts(3), st.sampled_from([None, 6, 24, 96]))
+    def test_fold_equals_the_oracle_merges_in_turn(self, tree, limit):
+        self.check(tree, limit)
 
 
 def _check_splits_and_certificate(g):
