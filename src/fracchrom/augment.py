@@ -365,16 +365,16 @@ def _favourable(g: Graph, u: int, s: int, J: int) -> bool:
     return not (J >> u) & 1 and g.adj_mask[u] & J == 1 << s
 
 
-def favourable(g: Graph, tf: TwoFactor, u: int, J: frozenset) -> bool:
-    """Does J meet u's closed neighbourhood in exactly its sponsor?"""
-    return _favourable(g, u, sponsor(g, tf, u), vertex_mask(J))
+def favourable(g: Graph, tf: TwoFactor, u: int, J: int) -> bool:
+    """Does the vertex mask J meet u's closed neighbourhood in exactly its sponsor?"""
+    return _favourable(g, u, sponsor(g, tf, u), J)
 
 
 def receptivity(g: Graph, tf: TwoFactor, u: int, dist: Distribution) -> Fraction:
     """Probability that a sampled set is favourable for u."""
     s = sponsor(g, tf, u)
-    return sum((p for J, p in dist.pmf.items()
-                if _favourable(g, u, s, vertex_mask(J))), Fraction(0))
+    return sum((p for J, p in dist.pmf.items() if _favourable(g, u, s, J)),
+               Fraction(0))
 
 
 # -- the repair plan ------------------------------------------------------------
@@ -415,10 +415,8 @@ class Phase5Plan:
         self.p = dict(p)
         coined = {j for u in self.deficient_order
                   for j in range(len(self.set_order)) if self.p.get((u, j))}
-        adj_mask = tf.graph.adj_mask
         for j, J in enumerate(self.set_order):
-            if j not in coined and any(adj_mask[v] & J
-                                       for v in mask_vertices(J)):
+            if j not in coined and not is_independent(tf.graph, J):
                 raise RuntimeError("the repair phase produced the dependent "
                                    "set %r" % mask_vertices(J))
         recs = _analyze(tf.graph, tf)
@@ -473,7 +471,7 @@ class Phase5Plan:
                           bias.denominator))
         law: dict = {}
         for (_, out), pr in states.items():
-            if out not in law and not is_independent(g, mask_vertices(out)):
+            if out not in law and not is_independent(g, out):
                 raise RuntimeError("the repair phase produced the dependent "
                                    "set %r" % mask_vertices(out))
             law[out] = law.get(out, Fraction(0)) + pr
@@ -496,9 +494,8 @@ def build_phase5_plan(g: Graph, tf: TwoFactor, dist: Distribution) -> Phase5Plan
     order = [r.vertex for r in
              sorted(deficient, key=lambda r: (abs(r.epsilon), r.vertex))]
 
-    by_mask = {vertex_mask(J): pJ for J, pJ in dist.pmf.items()}
-    set_order = sorted(by_mask)
-    set_probs = [by_mask[J] for J in set_order]
+    set_order = sorted(dist.pmf)
+    set_probs = [dist.pmf[J] for J in set_order]
     nbrx = _earlier_neighbours(g, order)
 
     fav = {u: [_favourable(g, u, recs[u].sponsor, J) for J in set_order]
@@ -602,10 +599,9 @@ def exact_phase5_distribution(
             continue
         for out, pr in cascade[1].items():
             pmf[out] = pmf.get(out, Fraction(0)) + pJ * pr
-    dist = Distribution({frozenset(mask_vertices(out)): p
-                         for out, p in pmf.items() if p > 0})
+    dist = Distribution({out: p for out, p in pmf.items() if p > 0})
     marginals = {v: Fraction(0) for v in range(g.n)}
     for J, p in dist.pmf.items():
-        for v in J:
+        for v in mask_vertices(J):
             marginals[v] += p
     return plan, EnumerationResult(dist, marginals)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .augment import exact_phase5_distribution
-from .graph_core import Graph, GraphError, GuardExceeded, analyze, mask_vertices, reduce_subcubic, suppress_vertex, vertex_mask
+from .graph_core import Graph, GraphError, GuardExceeded, analyze, mask_vertices, reduce_subcubic, suppress_vertex
 from .sampler import check_orientations, guard_limits, is_independent
 from .two_factor import TwoFactor, select_two_factor
 
@@ -51,6 +51,8 @@ __all__ = [
 TARGET_BOUND = Fraction(32, 11)
 
 DEFAULT_MAX_N = 40
+# the LP's columns: 3.6 times the most measured, GP(16,3)'s 4,534
+DEFAULT_MAX_COLUMNS = 1 << 14
 # 250 times the largest certificate (40 sets) met on the corpus, the GP
 # ladder, the certify goldens and two 300-graph random sweeps
 DEFAULT_MAX_MULTISET = 10**4
@@ -67,9 +69,14 @@ class MergeFailure(RuntimeError):
 # -- column enumeration ----------------------------------------------------------
 
 
-def _mis_masks(g: Graph) -> list[int]:
-    """Bitmasks of all maximal independent sets, pivoting recursion."""
+def maximal_independent_sets(g: Graph) -> list[int]:
+    """The vertex masks of all maximal independent sets, ascending, by
+    Bron–Kerbosch with pivoting over the complement.  Refuses, with
+    ``GuardExceeded``, a graph of more than ``DEFAULT_MAX_N`` vertices and
+    stops once it has found more than ``DEFAULT_MAX_COLUMNS`` sets."""
     n = g.n
+    if n > DEFAULT_MAX_N:
+        raise GuardExceeded(f"maximal_independent_sets guard: n = {n} > {DEFAULT_MAX_N}")
     if n == 0:
         return [0]
     full = (1 << n) - 1
@@ -80,6 +87,9 @@ def _mis_masks(g: Graph) -> list[int]:
     def expand(r: int, p: int, x: int) -> None:
         if not p and not x:
             out.append(r)
+            if len(out) > DEFAULT_MAX_COLUMNS:
+                raise GuardExceeded("maximal_independent_sets guard: more than "
+                                    f"{DEFAULT_MAX_COLUMNS} sets")
             return
         both = p | x
         pivot, best = -1, -1
@@ -104,15 +114,6 @@ def _mis_masks(g: Graph) -> list[int]:
     return out
 
 
-def maximal_independent_sets(g: Graph) -> list[frozenset]:
-    """All maximal independent sets, ascending by vertex bitmask."""
-    if g.n > DEFAULT_MAX_N:
-        raise GuardExceeded(
-            f"maximal_independent_sets guard: n = {g.n} > {DEFAULT_MAX_N}"
-        )
-    return [frozenset(mask_vertices(m)) for m in _mis_masks(g)]
-
-
 # -- the covering LP --------------------------------------------------------------
 
 
@@ -120,7 +121,7 @@ def maximal_independent_sets(g: Graph) -> list[frozenset]:
 class FractionalColouring:
     """A weighting of independent sets.
 
-    ``weights`` maps frozensets to nonnegative rationals.  It is a
+    ``weights`` maps vertex masks to nonnegative rationals.  It is a
     fractional colouring when every vertex gathers weight at least 1;
     its size is then an upper bound on the fractional chromatic number.
     """
@@ -133,7 +134,7 @@ class FractionalColouring:
         return sum(self.weights.values(), Fraction(0))
 
     def vertex_weight(self, v: int) -> Fraction:
-        return sum((w for s, w in self.weights.items() if v in s), Fraction(0))
+        return sum((w for s, w in self.weights.items() if s >> v & 1), Fraction(0))
 
     def is_valid(self) -> bool:
         return (all(w >= 0 for w in self.weights.values())
@@ -144,8 +145,9 @@ class FractionalColouring:
         return {
             "size": str(self.size),
             "weights": [
-                {"set": sorted(s), "weight": str(w)}
-                for s, w in sorted(self.weights.items(), key=lambda kv: sorted(kv[0]))
+                {"set": mask_vertices(s), "weight": str(w)}
+                for s, w in sorted(self.weights.items(),
+                                   key=lambda kv: mask_vertices(kv[0]))
             ],
         }
 
@@ -167,8 +169,9 @@ def chi_f_exact(g: Graph):
     return value, primal, dual
 
 
-def _solve_covering_lp(n: int, cols: list[frozenset]):
-    """Solve min Σx : Σ_{I∋v} x_I ≥ 1, x ≥ 0 through its dual.
+def _solve_covering_lp(n: int, cols: list[int]):
+    """Solve min Σx : Σ_{I∋v} x_I ≥ 1, x ≥ 0 through its dual, over the
+    independent sets given as the vertex masks ``cols``.
 
     The dual — maximize Σy over Σ_{v∈I} y_v ≤ 1, y ≥ 0 — starts feasible
     at the slack basis, so a single-phase simplex with Bland's rule
@@ -188,7 +191,7 @@ def _solve_covering_lp(n: int, cols: list[frozenset]):
     cross-examined (``_cross_examine``) before it is returned.
     """
     m = len(cols)
-    rows = [[int(v in s) for v in range(n)] + [1] for s in cols] + [[1] * n + [0]]
+    rows = [[s >> v & 1 for v in range(n)] + [1] for s in cols] + [[1] * n + [0]]
     dens = [1] * (m + 1)
     basic, nonbasic = list(range(n, n + m)), list(range(n))
     objective = rows[m]
@@ -266,19 +269,16 @@ def _cross_examine(n, cols, value, y, x):
     X = [q.numerator * (D // q.denominator) for q in x]
     Y = [q.numerator * (D // q.denominator) for q in y]
     weighted = [(s, w) for s, w in zip(cols, X) if w > 0]
-    cover = [0] * n
-    for s, w in weighted:
-        for v in s:
-            cover[v] += w
+    cover = [sum(w for s, w in weighted if s >> v & 1) for v in range(n)]
     if any(c < D for c in cover):
         raise RuntimeError("optimal weighting fails the covering constraints")
     if sum(w for _, w in weighted) != value * D or sum(Y) != value * D:
         raise RuntimeError("primal and dual objectives disagree")
     for s in cols:
-        if sum(Y[v] for v in s) > D:
+        if sum(Y[v] for v in range(n) if s >> v & 1) > D:
             raise RuntimeError("dual exceeds 1 on an independent set")
     for s, _ in weighted:
-        if sum(Y[v] for v in s) != D:
+        if sum(Y[v] for v in range(n) if s >> v & 1) != D:
             raise RuntimeError("slack set carries weight")
     for v in range(n):
         if Y[v] > 0 and cover[v] != D:
@@ -315,7 +315,8 @@ def weighting_to_multiset(w: FractionalColouring) -> MultisetCertificate:
     with multiplicity N·w(I), and any vertex covered more than N times
     is removed from the first copies that hold it (subsets of independent
     sets stay independent, so the certificate remains sound).  The
-    copies are listed in the order of each set's sorted vertices.
+    copies are listed in the order of each set's sorted vertices, and
+    each is turned from its vertex mask into a vertex set here, once.
     """
     g = w.graph
     N = 1
@@ -329,10 +330,10 @@ def weighting_to_multiset(w: FractionalColouring) -> MultisetCertificate:
             f"certificate would hold {total} sets (> {DEFAULT_MAX_MULTISET})"
         )
     sets = []
-    for s in sorted(w.weights, key=sorted):
+    for s in sorted(w.weights, key=mask_vertices):
         sets += [s] * int(w.weights[s] * N)
     for v in range(g.n):
-        cover = sum(v in s for s in sets)
+        cover = sum(s >> v & 1 for s in sets)
         if cover < N:
             raise ColouringError(
                 f"vertex {v} gathers weight {Fraction(cover, N)} < 1"
@@ -340,11 +341,12 @@ def weighting_to_multiset(w: FractionalColouring) -> MultisetCertificate:
         excess = cover - N
         i = 0
         while excess:
-            if v in sets[i]:
-                sets[i] = sets[i] - {v}
+            if sets[i] >> v & 1:
+                sets[i] ^= 1 << v
                 excess -= 1
             i += 1
-    return MultisetCertificate(g.n, N, tuple(sets))
+    frozen = {s: frozenset(mask_vertices(s)) for s in set(sets)}
+    return MultisetCertificate(g.n, N, tuple(map(frozen.__getitem__, sets)))
 
 
 @dataclass(frozen=True)
@@ -506,22 +508,22 @@ def _support_colouring(g: Graph, dist) -> FractionalColouring:
     weight exceeds 1: at most n of them, the heaviest first (on a tie, the
     smaller mask).  When none is left, the pool's optimum is the support's.
     """
-    support = sorted((vertex_mask(s), p, s) for s, p in dist.pmf.items())
+    support = sorted(dist.pmf.items())
     best = {}
-    for mask, p, s in support:
-        for v in s:
+    for mask, p in support:
+        for v in mask_vertices(mask):
             if v not in best or p > best[v][0]:
                 best[v] = (p, mask)
     pool = {mask for _, mask in best.values()}
     while True:
-        cols = [s for mask, _, s in support if mask in pool]
+        cols = [mask for mask, _ in support if mask in pool]
         _, y, x = _solve_covering_lp(g.n, cols)
         # the dual over one common denominator d: a set is priced in if its
         # weight exceeds d
         d = math.lcm(*(q.denominator for q in y))
         weight = [int(q * d) for q in y]
-        priced = sorted((-sum(weight[v] for v in s), mask)
-                        for mask, _, s in support if mask not in pool)
+        priced = sorted((-sum(weight[v] for v in mask_vertices(mask)), mask)
+                        for mask, _ in support if mask not in pool)
         new = [mask for w, mask in priced[:g.n] if -w > d]
         if not new:
             return FractionalColouring(g, {s: q for s, q in zip(cols, x) if q > 0})

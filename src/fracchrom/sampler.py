@@ -19,13 +19,13 @@ one-vertex runs) that phase 3 left unselected.
 A ``Situation`` holds one run's random choices (the heads of the
 orientation and the phase-1 and phase-3 selections), the vertices still
 feasible for phase 3, the output set and the integer ``d`` of its
-probability ``1/d``, every set as a vertex mask; the exact law keys its
-output sets by ``frozenset``.  Both engines take their runs from one
+probability ``1/d``, every set as a vertex mask, and the exact law keys
+its output sets by vertex mask too.  Both engines take their runs from one
 place: the run programs of ``_mcphases_py.TrialTable``, which works out
 the runs of a vertex mask as a tuple of ``(k, outcomes)`` pairs.
 ``enumerate_distribution`` walks every orientation and expands the
 product of the outcomes of every run, producing the exact rational law
-of the output set (keyed by the frozensets) together with per-vertex
+of the output set (keyed by its masks) together with per-vertex
 inclusion probabilities.  What follows phase 2 depends on the mask
 covered after it alone, so the walk only tallies the phase-1 selections
 per covered mask, one tally per ``d01 = 2^m * d1``; the tallies are
@@ -201,7 +201,8 @@ class Situation(NamedTuple):
 
 
 class Distribution:
-    """Exact probability law over output independent sets (frozensets)."""
+    """Exact probability law over output independent sets, each keyed by
+    its vertex mask (an int with bit v set for each member v)."""
 
     __slots__ = ("pmf",)
 
@@ -225,11 +226,11 @@ class Distribution:
         return self.pmf.items()
 
     def marginal(self, v: int) -> Fraction:
-        return sum((p for s, p in self.pmf.items() if v in s), Fraction(0))
+        return sum((p for s, p in self.pmf.items() if s >> v & 1), Fraction(0))
 
     def to_json_dict(self):
         rows = sorted(
-            (sorted(s), str(p)) for s, p in self.pmf.items())
+            (mask_vertices(s), str(p)) for s, p in self.pmf.items())
         return {"outcomes": [{"set": s, "prob": p} for s, p in rows]}
 
 
@@ -249,12 +250,14 @@ class EnumerationResult:
         return d
 
 
-def is_independent(g: Graph, members) -> bool:
-    members = set(members)
-    for v in members:
-        for w in g.adj[v]:
-            if w in members:
-                return False
+def is_independent(g: Graph, mask: int) -> bool:
+    """True when the vertex mask ``mask`` holds no edge of ``g``."""
+    adj_mask, rest = g.adj_mask, mask
+    while rest:
+        low = rest & -rest
+        if adj_mask[low.bit_length() - 1] & mask:
+            return False
+        rest ^= low
     return True
 
 
@@ -278,8 +281,7 @@ def run_phases_1_4(g: Graph, tf: TwoFactor, rng) -> Situation:
         raise TwoFactorError("two-factor belongs to a different graph")
     table = _trial_table(g, tf)
     heads, s1, feasible, s3, out = table.trial(rng)
-    adj_mask = g.adj_mask
-    if any(adj_mask[v] & out for v in mask_vertices(out)):
+    if not is_independent(g, out):
         raise RuntimeError("phases 1-4 produced the dependent set %r"
                            % mask_vertices(out))
     program = table._program(heads) + table._program(feasible)
@@ -462,13 +464,12 @@ def _compute_law(g, tf, max_orientations, max_branches):
     weight = [0] * n
     pmf = {}
     for out, w in mass.items():
-        members = mask_vertices(out)
-        if not is_independent(g, members):
+        if not is_independent(g, out):
             raise RuntimeError("the enumeration produced the dependent set %r"
-                               % members)
-        for v in members:
+                               % mask_vertices(out))
+        for v in mask_vertices(out):
             weight[v] += w
-        pmf[frozenset(members)] = Fraction(w, denom)
+        pmf[out] = Fraction(w, denom)
     marginals = {v: Fraction(weight[v], denom) for v in range(n)}
     result = EnumerationResult(Distribution(pmf), marginals)
     return _Law(table, phase3, result, 1 << m, branch_count, denom)
@@ -637,17 +638,14 @@ def _trial_table(g: Graph, tf: TwoFactor):
     return table
 
 
-def _flush(tally, counts, adj_mask) -> int:
+def _flush(tally, counts, g) -> int:
     """Add the tallied output masks into ``counts``, empty the tally and
-    return the number of trials whose output was not independent."""
+    return the number of trials whose output was not independent in g."""
     violations = 0
     for out, times in tally.items():
-        bad = False
         for v in mask_vertices(out):
             counts[v] += times
-            if adj_mask[v] & out:
-                bad = True
-        if bad:
+        if not is_independent(g, out):
             violations += times
     tally.clear()
     return violations
@@ -692,7 +690,6 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
     code, first, step = table.code(), table.first, table.step
     low = len(code) - 1  # the buffer bits that index a cell
     coined = {} if plan is None else plan.cascades
-    adj_mask = g.adj_mask
     counts = [0] * g.n
     violations = 0
     tally = {}       # output mask -> number of trials that gave it
@@ -728,7 +725,7 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
             else:
                 tally[out] = 1
                 if len(tally) >= capacity:
-                    violations += _flush(tally, counts, adj_mask)
+                    violations += _flush(tally, counts, g)
                     flushed = True
         if block:
             for cell, times in Counter(block).items():
@@ -736,11 +733,11 @@ def monte_carlo(g: Graph, tf: TwoFactor, trials: int, seed: int, *,
                 tally[out] = tally.get(out, 0) + times
             block.clear()
             if len(tally) >= capacity:
-                violations += _flush(tally, counts, adj_mask)
+                violations += _flush(tally, counts, g)
                 flushed = True
     rng.buffer, rng.left = z, left
     histogram = None if flushed else tuple(sorted(tally.items()))
-    violations += _flush(tally, counts, adj_mask)
+    violations += _flush(tally, counts, g)
     backend = "pure-python" if plan is None else "five-phase-reference"
     return MonteCarloReport(g.n, trials, seed, backend, tuple(counts),
                             violations, histogram)

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph_core import Graph, GraphError, GuardExceeded, reach
+from .graph_core import Graph, GraphError, GuardExceeded, analyze, reach
 
 
 _LABEL_SEED = 0x6672616363687230  # fixes the labels; the cuts do not depend on it
@@ -312,9 +312,11 @@ def minimal_small_cuts(g: Graph) -> list[EdgeCut]:
     the bond test (see the module docstring), so the list never depends
     on the labels.  A minimal cut holds no bridge and not both edges of a
     2-edge-cut, as that smaller set already disconnects the graph.  Every
-    bridge has label 0 and both edges of a 2-edge-cut have equal labels,
-    so those edges are confirmed once each and left out before the bond
-    test.  O(m^2) expected.
+    bridge has label 0, and an edge of label 0 is confirmed as a bridge
+    against the bridge list of ``analyze`` (so a graph with no such edge
+    is not searched for bridges); both edges of a 2-edge-cut have equal
+    labels, so each such pair is confirmed once.  Those edges are left
+    out before the bond test.  O(m^2) expected.
     """
     if g.n > 64:
         raise GuardExceeded("minimal_small_cuts guard: n <= 64")
@@ -324,7 +326,7 @@ def minimal_small_cuts(g: Graph) -> list[EdgeCut]:
     if labels is None:
         raise GraphError("minimal_small_cuts requires a connected graph")
     bridges = {i for i, x in enumerate(labels)
-               if x == 0 and _disconnects(g, frozenset([g.edges[i]]))}
+               if x == 0 and g.edges[i] in analyze(g).bridge_list}
     by_label: dict[int, list[int]] = {}
     for i, x in enumerate(labels):
         if x != 0:

@@ -16,13 +16,9 @@ Run from the repository root (pytest does not collect this file):
 No bytecode is written into either checkout.
 """
 
-import argparse
-import importlib
-import importlib.util
-import statistics
-import sys
 import time
-from pathlib import Path
+
+from compare_harness import alternate, generalized_petersen, parser, report, sides
 
 # (name, graph6 or (n, k) of GP(n, k), phase-5 plan?)
 GRAPHS = (
@@ -32,25 +28,6 @@ GRAPHS = (
     ("n12 clean", "KlSgGC@?gAoD", False),
     ("n12 deficient", "KlSHGC@@GAoD", True),
 )
-
-
-def load(checkout: str, name: str):
-    """The ``fracchrom`` package of ``checkout``, imported as ``name``."""
-    root = Path(checkout).resolve() / "src" / "fracchrom"
-    spec = importlib.util.spec_from_file_location(
-        name, root / "__init__.py", submodule_search_locations=[str(root)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return {sub: importlib.import_module(f"{name}.{sub}")
-            for sub in ("augment", "graph_core", "sampler", "two_factor")}
-
-
-def generalized_petersen(n: int, k: int) -> list:
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges += [(i, n + i) for i in range(n)]
-    edges += [(n + i, n + (i + k) % n) for i in range(n)]
-    return edges
 
 
 def prepare(pkg: dict, spec, with_plan: bool):
@@ -66,54 +43,29 @@ def prepare(pkg: dict, spec, with_plan: bool):
     return g, tf, plan
 
 
-def timed_call(pkg: dict, case, trials: int, seed: int):
-    """CPU seconds of one ``monte_carlo`` call on a fresh trial table, and
-    its counts and violations."""
-    g, tf, plan = case
-    tf.derived.pop("table", None)
-    start = time.process_time()
-    report = pkg["sampler"].monte_carlo(g, tf, trials, seed, plan=plan)
-    return time.process_time() - start, (report.counts, report.violations)
-
-
-def quartiles(times: list) -> tuple:
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return median, q1, q3
-
-
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("old", help="checkout whose package is side A")
-    parser.add_argument("new", help="checkout whose package is side B")
-    parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--trials", type=int, default=40_000)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2")
-    sys.dont_write_bytecode = True
-    sides = (load(args.old, "fracchrom_a"), load(args.new, "fracchrom_b"))
-    cases = [[prepare(pkg, spec, with_plan) for pkg in sides]
+    p = parser(__doc__)
+    p.add_argument("--trials", type=int, default=40_000)
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args()
+    packages = sides(args, ("augment", "graph_core", "sampler", "two_factor"))
+    cases = [[prepare(pkg, spec, with_plan) for pkg in packages]
              for _, spec, with_plan in GRAPHS]
-    times = [([], []) for _ in GRAPHS]
-    equal = [True] * len(GRAPHS)
-    for r in range(args.rounds):
-        order = (0, 1) if r % 2 == 0 else (1, 0)
-        for i, pair in enumerate(cases):
-            results = [None, None]
-            for side in order:
-                elapsed, results[side] = timed_call(
-                    sides[side], pair[side], args.trials, args.seed + r)
-                times[i][side].append(elapsed)
-            equal[i] &= results[0] == results[1]
-    print(f"{args.rounds} rounds of {args.trials} trials, CPU ms as "
-          f"median [quartiles]; A = {args.old}, B = {args.new}")
-    for (name, _, with_plan), (a, b), same in zip(GRAPHS, times, equal):
-        (ma, a1, a3), (mb, b1, b3) = quartiles(a), quartiles(b)
-        label = name + (" (plan)" if with_plan else "")
-        print(f"{label:22} A {1e3 * ma:8.1f} [{1e3 * a1:.1f}-{1e3 * a3:.1f}]"
-              f"  B {1e3 * mb:8.1f} [{1e3 * b1:.1f}-{1e3 * b3:.1f}]"
-              f"  B/A {mb / ma:.3f}  counts {'equal' if same else 'DIFFER'}")
+
+    def timed_call(pkg: dict, case, r: int):
+        """CPU seconds of one ``monte_carlo`` call on a fresh trial table,
+        and its counts and violations."""
+        g, tf, plan = case
+        tf.derived.pop("table", None)
+        start = time.process_time()
+        out = pkg["sampler"].monte_carlo(g, tf, args.trials, args.seed + r, plan=plan)
+        return time.process_time() - start, (out.counts, out.violations)
+
+    times, equal = alternate(packages, cases, args.rounds, timed_call)
+    labels = [name + (" (plan)" if with_plan else "") for name, _, with_plan in GRAPHS]
+    report(f"{args.rounds} rounds of {args.trials} trials, CPU ms as "
+           f"median [quartiles]; A = {args.old}, B = {args.new}",
+           labels, times, equal, "counts")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Exact LP values, certificate conversions, and the 32/11 pipeline."""
 
+import io
 import json
 import math
 import random
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fracchrom import fractional_lp, graph_core
+from fracchrom import cli, fractional_lp, graph_core
 from fracchrom.fractional_lp import (
     ColouringError,
     FractionalColouring,
@@ -28,7 +29,8 @@ from fracchrom.fractional_lp import (
     weighting_to_multiset,
 )
 from fracchrom.augment import exact_phase5_distribution
-from fracchrom.graph_core import Graph, GraphError, GuardExceeded, parse_graph6, reduce_subcubic
+from fracchrom.graph_core import (
+    Graph, GraphError, GuardExceeded, mask_vertices, parse_graph6, reduce_subcubic, vertex_mask)
 from fracchrom.sampler import enumerate_distribution, is_independent
 from fracchrom.two_factor import select_two_factor
 
@@ -81,6 +83,19 @@ LP_FAULTS = [
 ]
 
 
+def vertex_sets(w):
+    """The weighting ``w`` keyed by frozensets, the set format of the
+    oracles."""
+    return FractionalColouring(
+        w.graph, {frozenset(mask_vertices(s)): q for s, q in w.weights.items()})
+
+
+def triangles(k):
+    """k disjoint triangles."""
+    return Graph(3 * k, [e for i in range(0, 3 * k, 3)
+                         for e in ((i, i + 1), (i, i + 2), (i + 1, i + 2))])
+
+
 def random_graph(rng, n, p=0.4):
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
@@ -100,7 +115,7 @@ class TestMaximalIndependentSets:
         assert len(sets_) == 15
         by_size = {}
         for s in sets_:
-            by_size[len(s)] = by_size.get(len(s), 0) + 1
+            by_size[s.bit_count()] = by_size.get(s.bit_count(), 0) + 1
         assert by_size == {3: 10, 4: 5}
 
     def test_sets_are_maximal_independent(self):
@@ -108,26 +123,20 @@ class TestMaximalIndependentSets:
         for s in maximal_independent_sets(g):
             assert is_independent(g, s)
             for v in range(g.n):
-                if v not in s:
-                    assert any(w in s for w in g.adj[v]), (s, v)
+                if not s >> v & 1:
+                    assert g.adj_mask[v] & s, (s, v)
 
     def test_matches_bruteforce_on_random_graphs(self):
         rng = random.Random(4)
         for _ in range(30):
             g = random_graph(rng, rng.randint(1, 9))
-            want = {
-                frozenset(v for v in range(g.n) if mask >> v & 1)
-                for mask in oracles.independent_sets_bruteforce(g)
-            }
+            want = set(oracles.independent_sets_bruteforce(g))
             got = maximal_independent_sets(g)
             assert set(got) == want
             assert len(got) == len(want)
 
     def test_output_is_sorted_by_bitmask(self):
-        masks = [
-            sum(1 << v for v in s)
-            for s in maximal_independent_sets(petersen())
-        ]
+        masks = maximal_independent_sets(petersen())
         assert masks == sorted(masks)
 
     def test_guard(self):
@@ -136,6 +145,22 @@ class TestMaximalIndependentSets:
             maximal_independent_sets(Graph(41, []))
         with pytest.raises(GuardExceeded, match=r"guard: n = 41 > 40$"):
             chi_f_exact(Graph(41, []))
+
+    def test_column_guard(self, tmp_path):
+        # 9 disjoint triangles have 3^9 = 19,683 maximal independent sets,
+        # 8 have 6,561; the enumeration stops once it passes the cap
+        eight = triangles(8)
+        assert len(maximal_independent_sets(eight)) == 3**8 <= fractional_lp.DEFAULT_MAX_COLUMNS
+        nine = triangles(9)
+        path = tmp_path / "nine.g6"
+        path.write_text(graph_core.encode_graph6(nine) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with time_limit(10):
+            code = cli.run(["chif", str(path)], out, err)
+        assert (code, out.getvalue()) == (3, "")
+        assert err.getvalue() == (
+            "guard exceeded: maximal_independent_sets guard: more than "
+            f"{fractional_lp.DEFAULT_MAX_COLUMNS} sets\n")
 
 
 class TestChiFExact:
@@ -163,7 +188,7 @@ class TestChiFExact:
         value, primal, dual = chi_f_exact(g)
         assert sum(dual.values()) == value
         for s in maximal_independent_sets(g):
-            assert sum(dual[v] for v in s) <= 1
+            assert sum(dual[v] for v in mask_vertices(s)) <= 1
 
     @pytest.mark.parametrize("message,fault", LP_FAULTS,
                              ids=[m.split()[0] for m, _ in LP_FAULTS])
@@ -204,7 +229,7 @@ class TestChiFExact:
         tight = []
         for g in graphs:
             value = chi_f_exact(g)[0]
-            alpha = max(len(s) for s in maximal_independent_sets(g))
+            alpha = max(s.bit_count() for s in maximal_independent_sets(g))
             assert F(g.n, alpha) <= value <= F(14, 5)
             if value == F(14, 5):
                 tight.append(nx.Graph(g.edges))
@@ -230,7 +255,7 @@ def over_covering_weightings(draw):
     d = draw(st.integers(1, 4))
     num = {s: draw(st.integers(0, 2 * d)) for s in sets}
     for v in range(g.n):
-        num[draw(st.sampled_from([s for s in sets if v in s]))] += 2 * d
+        num[draw(st.sampled_from([s for s in sets if s >> v & 1]))] += 2 * d
     return FractionalColouring(g, {s: F(a, d) for s, a in num.items()})
 
 
@@ -272,19 +297,19 @@ class TestConversions:
         w = distribution_to_weighting(g, dist, TARGET_BOUND)
         cert = weighting_to_multiset(w)
         untrimmed = sum(
-            int(q * cert.N) * len(s) for s, q in w.weights.items())
+            int(q * cert.N) * s.bit_count() for s, q in w.weights.items())
         assert sum(len(s) for s in cert.sets) == 10 * cert.N < untrimmed
 
     def test_trimmed_sets_stay_independent(self):
         g, dist = self.petersen_law()
         cert = weighting_to_multiset(
             distribution_to_weighting(g, dist, TARGET_BOUND))
-        assert all(is_independent(g, s) for s in cert.sets)
+        assert all(is_independent(g, vertex_mask(s)) for s in cert.sets)
 
     def test_round_trip_small(self):
         # a hand weighting of C5: all five edges-of-the-complement, weight 1/2
         g = cycle(5)
-        sets_ = [frozenset({i, (i + 2) % 5}) for i in range(5)]
+        sets_ = [vertex_mask({i, (i + 2) % 5}) for i in range(5)]
         w = FractionalColouring(g, {s: F(1, 2) for s in sets_})
         assert w.size == F(5, 2)
         cert = weighting_to_multiset(w)
@@ -293,13 +318,13 @@ class TestConversions:
 
     def test_undercovered_weighting_is_rejected(self):
         g = cycle(5)
-        w = FractionalColouring(g, {frozenset({0, 2}): F(2)})
+        w = FractionalColouring(g, {vertex_mask({0, 2}): F(2)})
         with pytest.raises(ColouringError, match="vertex 1"):
             weighting_to_multiset(w)
 
     def test_multiset_guard(self):
         g = Graph(1, [])
-        w = FractionalColouring(g, {frozenset({0}): F(10**7)})
+        w = FractionalColouring(g, {vertex_mask({0}): F(10**7)})
         with pytest.raises(GuardExceeded):
             weighting_to_multiset(w)
 
@@ -307,17 +332,17 @@ class TestConversions:
         # vertex 0 is covered 3 times with N = 1: the first two copies of
         # {0, 2} lose it, the third keeps it
         g = cycle(4)
-        w = FractionalColouring(g, {frozenset({0, 2}): F(3), frozenset({1, 3}): F(1)})
+        w = FractionalColouring(g, {vertex_mask({0, 2}): F(3), vertex_mask({1, 3}): F(1)})
         cert = weighting_to_multiset(w)
         assert cert.sets == (frozenset(), frozenset(), frozenset({0, 2}),
                              frozenset({1, 3}))
-        assert cert.sets == oracles.multiset_oracle(w).sets
+        assert cert.sets == oracles.multiset_oracle(vertex_sets(w)).sets
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(over_covering_weightings())
     def test_trim_equals_the_copy_oracle(self, w):
         cert = weighting_to_multiset(w)
-        want = oracles.multiset_oracle(w)
+        want = oracles.multiset_oracle(vertex_sets(w))
         assert (cert.n_vertices, cert.N, cert.sets) == (
             want.n_vertices, want.N, want.sets)
         assert verify_certificate(w.graph, cert).ok
@@ -345,7 +370,7 @@ class TestAgainstCopyOracle:
         _, cert = chi_f_upper_subcubic(g)
         _, result = exact_phase5_distribution(g, select_two_factor(g))
         lp = fractional_lp._support_colouring(g, result.distribution)
-        assert cert.sets == oracles.multiset_oracle(lp).sets
+        assert cert.sets == oracles.multiset_oracle(vertex_sets(lp)).sets
         w = distribution_to_weighting(g, result.distribution, TARGET_BOUND)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fractional_lp, "DEFAULT_MAX_MULTISET", 5 * 10**6)
@@ -376,9 +401,25 @@ class TestSupportLP:
         assert len(graphs) == 31
         for g in graphs + [generalized_petersen(5, 2), generalized_petersen(7, 2)]:
             _, result = exact_phase5_distribution(g, select_two_factor(g))
-            support = sorted(result.distribution.pmf, key=sorted)
+            support = sorted(result.distribution.pmf, key=mask_vertices)
             value = fractional_lp._solve_covering_lp(g.n, support)[0]
             assert chi_f_upper_subcubic(g)[1].k == value
+
+
+def test_set_formats_at_each_boundary():
+    # vertex masks from the law to the LP's weighting; vertex sets only in
+    # the certificate
+    g = parse_graph6("KlSHGC@@GAoD")
+    tf = select_two_factor(g)
+    base = enumerate_distribution(g, tf)
+    plan, repaired = exact_phase5_distribution(g, tf)
+    assert plan.deficient_order
+    for keys in (base.distribution.pmf, repaired.distribution.pmf,
+                 chi_f_exact(g)[1].weights,
+                 fractional_lp._support_colouring(g, repaired.distribution).weights):
+        assert keys and all(type(s) is int for s in keys)
+    cert = chi_f_upper_subcubic(g)[1]
+    assert cert.sets and all(type(s) is frozenset for s in cert.sets)
 
 
 class TestPivot:
@@ -431,7 +472,8 @@ class TestAgainstBareissOracle:
 
     @staticmethod
     def check(n, cols):
-        assert fractional_lp._solve_covering_lp(n, cols) == oracles.bareiss_covering_lp(n, cols)
+        sets = [frozenset(mask_vertices(s)) for s in cols]
+        assert fractional_lp._solve_covering_lp(n, cols) == oracles.bareiss_covering_lp(n, sets)
 
     def test_mis_lp_of_every_corpus_graph(self):
         graphs = [parse_graph6(line) for path in sorted(CORPUS.glob("*.g6"))

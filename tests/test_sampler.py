@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fracchrom.augment import exact_phase5_distribution
 from fracchrom.fractional_lp import chi_f_upper_subcubic
-from fracchrom.graph_core import Graph, GraphError, mask_vertices, parse_graph6
+from fracchrom.graph_core import Graph, GraphError, mask_vertices, parse_graph6, vertex_mask
 from fracchrom.two_factor import (
     TwoFactor, TwoFactorError, select_two_factor)
 from fracchrom import sampler as S
@@ -23,6 +23,7 @@ from fracchrom import templates as T
 from oracles import (active_runs, law_oracle, phi_outcomes,
                      recorded_monte_carlo, scanning_monte_carlo,
                      scanning_trial)
+from strategies import connected_subcubic_graphs
 from sweeps import check_lemma4_rows, collect_candidates, lemma4_sweep
 from util_graphs import (circular_ladder, generalized_petersen, gp72, k33,
                          moebius_ladder, petersen)
@@ -64,14 +65,23 @@ def tri2sq_tf():
         g, [(0, 3), (1, 6), (2, 8), (4, 7), (5, 9)])
 
 
-def is_maximal_independent(g, members):
-    members = set(members)
-    if not S.is_independent(g, members):
+def is_maximal_independent(g, mask):
+    if not S.is_independent(g, mask):
         return False
     for v in range(g.n):
-        if v not in members and not members.intersection(g.adj[v]):
+        if not mask >> v & 1 and not g.adj_mask[v] & mask:
             return False
     return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_independent_equals_an_edge_scan(data):
+    g = data.draw(connected_subcubic_graphs())
+    mask = data.draw(st.integers(0, (1 << g.n) - 1))
+    assert S.is_independent(g, 0)
+    assert S.is_independent(g, mask) == (
+        not any(mask >> u & 1 and mask >> v & 1 for u, v in g.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +182,7 @@ class TestPhiOutcomes:
         for members, p in law.items():
             assert p == Fraction(1, 5)
             assert len(members) == 2
-            assert S.is_independent(g, members)
+            assert S.is_independent(g, vertex_mask(members))
 
     def test_full_even_cycle_two_alternating_sets(self):
         g, tf = k33_tf()
@@ -251,7 +261,7 @@ class TestRunPhases:
             assert not sit.s3 & sit.heads  # feasible = inactive
             assert sit.s3 & ~sit.feasible == 0
             assert (sit.s1 | sit.s3) & ~sit.out == 0
-            assert is_maximal_independent(g, mask_vertices(sit.out))
+            assert is_maximal_independent(g, sit.out)
 
     def test_phase2_rule(self):
         g, tf = petersen_tf()
@@ -268,7 +278,7 @@ class TestRunPhases:
     def test_output_always_maximal_independent(self, seed):
         g, tf = cl_tf(5)
         sit = S.run_phases_1_4(g, tf, S.SplitMix64(seed))
-        assert is_maximal_independent(g, mask_vertices(sit.out))
+        assert is_maximal_independent(g, sit.out)
 
     def test_rejects_foreign_two_factor(self):
         g, tf = petersen_tf()
@@ -325,8 +335,8 @@ class TestEnumerate:
         g, tf = k33_tf()
         res = S.enumerate_distribution(g, tf)
         law = dict(res.distribution.items())
-        assert law == {frozenset({0, 1, 2}): Fraction(1, 2),
-                       frozenset({3, 4, 5}): Fraction(1, 2)}
+        assert law == {vertex_mask({0, 1, 2}): Fraction(1, 2),
+                       vertex_mask({3, 4, 5}): Fraction(1, 2)}
         assert set(res.marginals.values()) == {Fraction(1, 2)}
 
     def test_prism_uniform(self):
@@ -527,7 +537,7 @@ class TestEnumerate:
         assert peak < 4_000_000
 
     def test_distribution_validates(self):
-        one = frozenset({0})
+        one = vertex_mask({0})
         with pytest.raises(GraphError):
             S.Distribution({one: Fraction(1, 2)})
         with pytest.raises(GraphError):
@@ -629,7 +639,8 @@ class TestLawOracle:
             records, pmf, marginals, branches = law_oracle(g, tf, phase4)
             assert sorted((r.heads, r.s1, r.feasible, r.s3, r.out, r.d)
                           for r in sits) == records
-            assert law.result.distribution.pmf == pmf
+            assert law.result.distribution.pmf == {
+                vertex_mask(s): p for s, p in pmf.items()}
             assert law.result.marginals == marginals
             assert law.branches == branches
             assert law.denom == math.lcm(*(r[-1] for r in records))
