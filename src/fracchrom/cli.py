@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .augment import (
     DeficiencyError,
+    build_phase5_plan,
     deficiency_report,
     exact_phase5_distribution,
 )
@@ -33,7 +34,7 @@ from .fractional_lp import (
     chi_f_upper_subcubic,
 )
 from .graph_core import Graph, GraphError, GuardExceeded, analyze, parse_edge_list, parse_graph6
-from .sampler import check_orientations, monte_carlo
+from .sampler import check_orientations, enumerate_distribution, monte_carlo
 from .two_factor import (
     NoQualifyingTwoFactor,
     TwoFactorError,
@@ -186,9 +187,10 @@ def _monte_carlo_prob(args: argparse.Namespace, g: Graph, tf) -> dict:
     eps_table, deficient = _epsilon_payload(g, tf)
     plan = None
     if deficient:
-        # the repair phase needs the exact plan; a trial whose output has
-        # a planned swap then runs it after phases 1-4, on the call's stream
-        plan, _ = exact_phase5_distribution(g, tf, **_law_options(args))
+        # the repair phase needs the exact plan, not the repaired law; a trial
+        # whose output has a planned swap runs it after phases 1-4, on its stream
+        law = enumerate_distribution(g, tf, **_law_options(args)).distribution
+        plan = build_phase5_plan(g, tf, law)
     seed = secrets.randbits(64) if args.seed is None else args.seed
     report = monte_carlo(g, tf, args.trials, seed, plan=plan)
     lo = min((report.frequency(v) for v in range(g.n)), default=Fraction(1))

@@ -8,7 +8,11 @@ provides the template value type, a small textual language for writing
 templates down, the combinatorics needed to lower-bound event
 probabilities (sensitive pairs, freeness, the cycle-feasibility defect
 ``q``), a library of built-in single-vertex templates, and their
-three-way composition.
+three-way composition.  Each base builtin is one row of the language,
+placed with ``u`` as its focus, for example::
+
+    B   arc u->v / arc u- -> u-' / tri u
+    C2  arc u->v / arc u- -> u-' / arc u-2' -> u-2 / star u-2 / xstar u-' / xtri u
 """
 
 from __future__ import annotations
@@ -51,7 +55,10 @@ class Template:
     def __init__(self, arcs, d1=(), d1bar=(), d3=(), d3bar=(), focus=None):
         arc_set = set()
         for arc in arcs:
-            tail, head = arc
+            try:
+                tail, head = arc
+            except (TypeError, ValueError):
+                raise TemplateError("arc %r is not a pair" % (arc,)) from None
             if tail == head:
                 raise TemplateError("arc %r is a loop" % (arc,))
             arc_set.add((_vertex_id(tail, "arcs"), _vertex_id(head, "arcs")))
@@ -130,72 +137,129 @@ INVALID = None
 
 # ---------------------------------------------------------------------------
 # textual template language
+#
+# A text is compiled once, without a two-factor, into directives whose
+# vertex expressions are a base and its postfix steps; placing the
+# compiled form resolves them against a two-factor and a focus.
+
+_MARKS = ("star", "xstar", "tri", "xtri")  # d1, d1bar, d3, d3bar
 
 
-def _parse_vertex(expr: str, tf: TwoFactor, focus):
-    """Evaluate a vertex expression like ``7``, ``u+2``, ``(v-)'``.
+def _compile_vertex(expr: str, sign: int = 1) -> tuple:
+    """Compile a vertex expression like ``7``, ``u+2``, ``(v-)'`` into
+    ``(expr, base, steps)``.
 
-    ``u`` names the focus vertex, ``v`` its matching partner; a trailing
-    ``'`` takes the partner, ``+k``/``-k`` step along the vertex's own
-    cycle (``k`` defaults to 1).
+    The base is ``"u"`` (the focus), ``"v"`` (its matching partner) or a
+    numeral.  Each step is ``None`` for a trailing ``'``, which takes the
+    partner, or the signed ``k`` of ``+k``/``-k`` times ``sign``, which
+    steps along the vertex's own cycle (``k`` defaults to 1).
+    Parentheses only group.
     """
-    s = expr.replace(" ", "")
+    s = "".join(expr.split())
     pos = 0
 
     def fail(why):
         raise TemplateError("cannot resolve %r: %s" % (expr, why))
 
-    def primary():
+    def digits():
+        nonlocal pos
+        start = pos
+        while pos < len(s) and s[pos].isdecimal():
+            pos += 1
+        return s[start:pos]
+
+    def expression():
         nonlocal pos
         if pos >= len(s):
             fail("unexpected end")
         ch = s[pos]
         if ch == "(":
             pos += 1
-            val = expression()
+            base, steps = expression()
             if pos >= len(s) or s[pos] != ")":
                 fail("missing ')'")
             pos += 1
-            return val
-        if ch.isdigit():
-            start = pos
-            while pos < len(s) and s[pos].isdigit():
-                pos += 1
-            val = int(s[start:pos])
-            if val >= tf.graph.n:  # before ' or +-k looks it up in tf
-                fail("vertex %d out of range" % val)
-            return val
-        if ch == "u" or ch == "v":
+        elif ch.isdecimal():
+            base, steps = int(digits()), []
+        elif ch == "u" or ch == "v":
             pos += 1
-            if focus is None:
-                fail("no focus declared yet")
-            return focus if ch == "u" else tf.mate[focus]
-        fail("unexpected %r" % ch)
-
-    def expression():
-        nonlocal pos
-        val = primary()
-        while pos < len(s):
+            base, steps = ch, []
+        else:
+            fail("unexpected %r" % ch)
+        while pos < len(s) and s[pos] in "'+-":
             ch = s[pos]
+            pos += 1
             if ch == "'":
-                pos += 1
-                val = tf.mate[val]
-            elif ch in "+-":
-                sign = 1 if ch == "+" else -1
-                pos += 1
-                start = pos
-                while pos < len(s) and s[pos].isdigit():
-                    pos += 1
-                amount = int(s[start:pos]) if pos > start else 1
-                val = tf.step(val, sign * amount)
+                steps.append(None)
             else:
-                break
-        return val
+                amount = int(digits() or 1)
+                steps.append(sign * amount if ch == "+" else -sign * amount)
+        return base, steps
 
-    val = expression()
+    base, steps = expression()
     if pos != len(s):
         fail("trailing %r" % s[pos:])
-    return val
+    return expr, base, tuple(steps)
+
+
+def _compile(text: str, sign: int = 1) -> tuple:
+    """Compile template-language text into ``(directive, vertices)``
+    pairs, one per line, each vertex compiled by ``_compile_vertex``."""
+    program = []
+    for raw in text.replace("/", "\n").splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(None, 1)
+        directive = parts[0]
+        body = parts[1].strip() if len(parts) > 1 else ""
+        if not body:
+            raise TemplateError("directive %r needs an argument" % directive)
+        ends = [body]
+        if directive == "focus":
+            if any(d == "focus" for d, _ in program):
+                raise TemplateError("focus declared twice")
+        elif directive == "arc":
+            ends = body.split("->")
+            if len(ends) != 2 or not ends[0].strip() or not ends[1].strip():
+                raise TemplateError("arc needs the form A->B, got %r" % line)
+        elif directive not in _MARKS:
+            raise TemplateError("unknown directive %r" % directive)
+        program.append((directive, tuple(_compile_vertex(e, sign) for e in ends)))
+    return tuple(program)
+
+
+def _place(program: tuple, tf: TwoFactor, focus=None) -> Template:
+    """The template of a compiled ``program`` in ``tf``: ``u`` resolves
+    to ``focus`` (set by a ``focus`` directive when not given), ``v`` to
+    its partner, and every vertex must lie in ``tf``'s graph."""
+    n, mate, step = tf.graph.n, tf.mate, tf.step
+    arcs, marks = [], ([], [], [], [])
+    for directive, vertices in program:
+        ends = []
+        for expr, base, steps in vertices:
+            if base == "u" or base == "v":
+                if focus is None:
+                    raise TemplateError(
+                        "cannot resolve %r: no focus declared yet" % expr)
+                x = focus if base == "u" else mate[focus]
+            elif base < n:  # before ' or +-k looks it up in tf
+                x = base
+            else:
+                raise TemplateError(
+                    "cannot resolve %r: vertex %d out of range" % (expr, base))
+            for k in steps:
+                x = mate[x] if k is None else step(x, k)
+            ends.append(x)
+        if directive == "arc":
+            arcs.append(tuple(ends))
+        elif directive == "focus":
+            focus = ends[0]
+        else:
+            marks[_MARKS.index(directive)].append(ends[0])
+    t = Template(arcs, *marks, focus)
+    validate_in(t, tf)
+    return t
 
 
 def parse_template_dsl(text: str, tf: TwoFactor) -> Template:
@@ -205,46 +269,10 @@ def parse_template_dsl(text: str, tf: TwoFactor) -> Template:
     membership), ``xstar V`` (forbid it), ``tri V`` / ``xtri V`` (same
     for phase 3).  Lines may also be separated by ``/``.  Symbolic
     vertices (``u``, ``v``, offsets, ``'``) resolve against the focus,
-    which must therefore be declared before they are used.
+    which must therefore be declared before they are used.  A syntax
+    fault is reported before any vertex is resolved.
     """
-    focus = None
-    arcs = []
-    d1, d1bar, d3, d3bar = [], [], [], []
-    lines = []
-    for raw in text.replace("/", "\n").splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append(line)
-    for line in lines:
-        parts = line.split(None, 1)
-        directive = parts[0]
-        body = parts[1].strip() if len(parts) > 1 else ""
-        if not body:
-            raise TemplateError("directive %r needs an argument" % directive)
-        if directive == "focus":
-            if focus is not None:
-                raise TemplateError("focus declared twice")
-            focus = _parse_vertex(body, tf, None)
-        elif directive == "arc":
-            ends = body.split("->")
-            if len(ends) != 2 or not ends[0].strip() or not ends[1].strip():
-                raise TemplateError("arc needs the form A->B, got %r" % line)
-            tail = _parse_vertex(ends[0], tf, focus)
-            head = _parse_vertex(ends[1], tf, focus)
-            arcs.append((tail, head))
-        elif directive == "star":
-            d1.append(_parse_vertex(body, tf, focus))
-        elif directive == "xstar":
-            d1bar.append(_parse_vertex(body, tf, focus))
-        elif directive == "tri":
-            d3.append(_parse_vertex(body, tf, focus))
-        elif directive == "xtri":
-            d3bar.append(_parse_vertex(body, tf, focus))
-        else:
-            raise TemplateError("unknown directive %r" % directive)
-    t = Template(arcs, d1, d1bar, d3, d3bar, focus)
-    validate_in(t, tf)
-    return t
+    return _place(_compile(text), tf)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +425,32 @@ def _check_vertex(tf: TwoFactor, u) -> None:
                             "the graph" % (u,))
 
 
+# one row of the template language per base builtin, placed with u as
+# its focus; A..C3 step only along u's cycle, behind u
+_ROWS = (
+    ("E0", "arc v->u / arc u- -> u-' / arc u+ -> u+'"),
+    ("E-", "arc v->u / arc u-' -> u- / arc u+ -> u+' / star u"),
+    ("E+", "arc v->u / arc u- -> u-' / arc u+' -> u+ / star u"),
+    ("E+-", "arc v->u / arc u-' -> u- / arc u+' -> u+ / star u"),
+    ("A", "arc u->v / arc u-' -> u- / arc u-2' -> u-2 / star u-2"),
+    ("B", "arc u->v / arc u- -> u-' / tri u"),
+    ("C1", "arc u->v / arc u- -> u-' / star u-' / xtri u"),
+    ("C2", "arc u->v / arc u- -> u-' / arc u-2' -> u-2 / star u-2 / xstar u-'"
+           " / xtri u"),
+    ("C3", "arc u->v / arc u- -> u-' / arc u-2' -> u-2 / arc u-3 -> u-3'"
+           " / xstar u-' / xstar u-2 / xtri u"),
+    ("D-", "arc u->v / arc v-' -> v- / arc v+ -> v+' / star v-"),
+    ("D0", "arc u->v / arc v-' -> v- / arc v+' -> v+ / xstar v"),
+    ("D+", "arc u->v / arc v- -> v-' / arc v+' -> v+ / star v+"),
+)
+
+
+# the compiled rows in the order of BUILTIN_NAMES; a starred twin is its
+# base row with every step negated, so it constrains the cycle ahead of u
+_PROGRAMS = tuple(_compile(dict(_ROWS)[name.rstrip("*")], -1 if "*" in name else 1)
+                  for name in BUILTIN_NAMES)
+
+
 def builtin(name: str, tf: TwoFactor, u: int) -> Template:
     """Instantiate one of the named single-vertex templates at ``u``.
 
@@ -409,76 +463,15 @@ def builtin(name: str, tf: TwoFactor, u: int) -> Template:
     ``u`` is not a vertex of it.
     """
     _check_vertex(tf, u)
-    name = _normalize_name(name)
-    mate = tf.mate
-    v = mate[u]
-
-    def along_u(k):
-        return tf.step(u, k)
-
-    def along_v(k):
-        return tf.step(v, k)
-
-    sign = 1
-    base = name
-    if base.endswith("*"):
-        base = base[:-1]
-        sign = -1
-
-    def heads_to_arcs(heads):
-        return [(mate[h], h) for h in heads]
-
-    d1, d1bar, d3, d3bar = (), (), (), ()
-    if name == "E0":
-        heads = [u, mate[along_u(-1)], mate[along_u(1)]]
-    elif name == "E-":
-        heads = [u, along_u(-1), mate[along_u(1)]]
-        d1 = (u,)
-    elif name == "E+":
-        heads = [u, mate[along_u(-1)], along_u(1)]
-        d1 = (u,)
-    elif name == "E+-":
-        heads = [u, along_u(-1), along_u(1)]
-        d1 = (u,)
-    elif base == "A":
-        heads = [v, along_u(-sign), along_u(-2 * sign)]
-        d1 = (along_u(-2 * sign),)
-    elif base == "B":
-        heads = [v, mate[along_u(-sign)]]
-        d3 = (u,)
-    elif base == "C1":
-        heads = [v, mate[along_u(-sign)]]
-        d1 = (mate[along_u(-sign)],)
-        d3bar = (u,)
-    elif base == "C2":
-        heads = [v, mate[along_u(-sign)], along_u(-2 * sign)]
-        d1 = (along_u(-2 * sign),)
-        d1bar = (mate[along_u(-sign)],)
-        d3bar = (u,)
-    elif base == "C3":
-        heads = [v, mate[along_u(-sign)], along_u(-2 * sign),
-                 mate[along_u(-3 * sign)]]
-        d1bar = (mate[along_u(-sign)], along_u(-2 * sign))
-        d3bar = (u,)
-    elif name == "D-":
-        heads = [v, along_v(-1), mate[along_v(1)]]
-        d1 = (along_v(-1),)
-    elif name == "D0":
-        heads = [v, along_v(-1), along_v(1)]
-        d1bar = (v,)
-    elif name == "D+":
-        heads = [v, mate[along_v(-1)], along_v(1)]
-        d1 = (along_v(1),)
-    else:
-        raise TemplateError("unknown template name %r" % name)
-
+    if name not in BUILTIN_NAMES and isinstance(name, str):
+        name = _normalize_name(name)
+    if name not in BUILTIN_NAMES:
+        raise TemplateError("unknown template name %r" % (name,))
     try:
-        t = Template(heads_to_arcs(heads), d1, d1bar, d3, d3bar, focus=u)
+        return _place(_PROGRAMS[BUILTIN_NAMES.index(name)], tf, u)
     except TemplateError as exc:
         raise TemplateError(
             "template %s cannot be placed at vertex %d: %s" % (name, u, exc))
-    validate_in(t, tf)
-    return t
 
 
 def compose_pqr(p: Template, q: Template, r: Template):

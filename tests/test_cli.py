@@ -285,6 +285,24 @@ class TestProb:
         assert payload["violations"] == 0
         assert payload["counts"] == counts
 
+    @pytest.mark.parametrize("dtype,digest", [
+        ("I", "225f060928053d5eab701b71fdd5669892a0a322adb2cc3428bedc4a12775f7e"),
+        ("Ia", "c9e180b6f7c347c1956c33348025a3f2be8dc35287d272203461e12f92605220"),
+    ], ids=["I", "Ia"])
+    def test_monte_carlo_builds_only_the_plan(self, dtype, digest, tmp_path,
+                                              monkeypatch):
+        # the sampled mode needs the phase-5 plan, never the repaired law;
+        # the digests are of the output when it summed that law too
+        def refuse(*args, **kwargs):
+            raise AssertionError("the repaired law was summed")
+
+        (tmp_path / "g.g6").write_text(DEFICIENT_BY_TYPE[dtype] + "\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "exact_phase5_distribution", refuse)
+        code, out, err = invoke("prob", "g.g6", "--seed", "7", "--trials", "2000")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_dependent_repaired_set_is_an_invariant_failure(self, tmp_path,
                                                            monkeypatch):
         # a repair that may swap on any set reaches dependent sets: a broken
